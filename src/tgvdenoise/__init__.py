@@ -26,8 +26,8 @@ from .noise import NoiseSpec, add_gaussian_noise, mean_edge_length, vertex_norma
 from .operators import (curve_jump, curve_jump_adjoint, edge_jump,
                         edge_jump_adjoint, ho_seminorm, inner_curves,
                         inner_edges, inner_faces, inner_lines, line_jump,
-                        line_jump_adjoint, norm_curves, norm_edges, norm_faces,
-                        norm_lines, tgv_energy, tv_seminorm, write_field_csv)
+                        line_jump_adjoint, norm_curves, norm_edges, norm_lines,
+                        tgv_energy, tv_seminorm)
 from .reconstruct import projection_residual, update_vertices
 from .solver import (FilterResult, SolverError, SolverParams, SolverState,
                      edge_weights, filter_normals, minimize_tgv, shrink)

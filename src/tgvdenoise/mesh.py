@@ -20,7 +20,8 @@ class TriMesh:
         Vertex-index triples, all oriented counterclockwise (consistently,
         when seen from outside / above).
 
-    Validation rejects out-of-range indices, repeated vertices within a face,
+    Validation rejects non-finite (NaN or infinite) vertex coordinates,
+    out-of-range indices, repeated vertices within a face,
     degenerate (near zero area) triangles, and non-manifold edges (an edge
     shared by three or more faces).
     """
@@ -30,6 +31,10 @@ class TriMesh:
         f = np.asarray(faces, dtype=np.int64)
         if v.ndim != 2 or v.shape[1] != 3:
             raise MeshError(f"vertices must have shape (P, 3), got {v.shape}")
+        finite = np.isfinite(v).all(axis=1)
+        if not finite.all():
+            raise MeshError(f"vertex {int(np.nonzero(~finite)[0][0])} has a "
+                            "non-finite coordinate")
         if f.size == 0:
             f = f.reshape(0, 3)
         if f.ndim != 2 or f.shape[1] != 3:

@@ -6,7 +6,10 @@ are coupled through the Euclidean norm across channels wherever a semi-norm
 takes a per-element magnitude.
 
 Every operator here is linear, local, and deterministic (fixed gather and
-summation order). The three forward/adjoint pairs satisfy, for all fields,
+summation order). Each jump is one table stored on its topology layer (a
+``topology.Stencil``), and each adjoint is the table derived from it, so the
+six operator functions are one gather-and-sum over the matching table. The
+three forward/adjoint pairs satisfy, for all fields,
 
     <jump(x), y>  =  -<x, jump_adjoint(y)>
 
@@ -17,12 +20,12 @@ convention and the solver's update rules rely on it.
 import numpy as np
 
 __all__ = [
-    "inner_faces", "norm_faces", "inner_edges", "norm_edges",
+    "inner_faces", "inner_edges", "norm_edges",
     "inner_lines", "norm_lines", "inner_curves", "norm_curves",
     "edge_jump", "edge_jump_adjoint",
     "line_jump", "line_jump_adjoint",
     "curve_jump", "curve_jump_adjoint",
-    "tv_seminorm", "ho_seminorm", "tgv_energy", "write_field_csv",
+    "tv_seminorm", "ho_seminorm", "tgv_energy",
 ]
 
 
@@ -69,10 +72,6 @@ def inner_curves(curves, a, b) -> float:
     return _weighted_inner(a, b, curves.curve_len, curves.num_curves, "curve")
 
 
-def norm_faces(topo, a) -> float:
-    return np.sqrt(inner_faces(topo, a, a))
-
-
 def norm_edges(topo, a) -> float:
     return np.sqrt(inner_edges(topo, a, a))
 
@@ -85,6 +84,16 @@ def norm_curves(curves, a) -> float:
     return np.sqrt(inner_curves(curves, a, a))
 
 
+def _apply(stencil, x, what):
+    """Gather-and-sum of a field through a Stencil, one slot at a time."""
+    x2 = _as2d(x, stencil.num_cols, what)
+    idx, coef = stencil.idx, stencil.coef
+    out = coef[:, 0, None] * x2[idx[:, 0]]
+    for k in range(1, idx.shape[1]):
+        out += coef[:, k, None] * x2[idx[:, k]]
+    return out if np.asarray(x).ndim > 1 else out[:, 0]
+
+
 # -- first-order difference across edges ----------------------------------
 
 def edge_jump(topo, u) -> np.ndarray:
@@ -93,11 +102,7 @@ def edge_jump(topo, u) -> np.ndarray:
     Interior edge: sum of the two incident face values times sgn(edge, face).
     Boundary edges carry 0.
     """
-    u2 = _as2d(u, topo.num_faces, "face")
-    faces = np.where(topo.edge_faces >= 0, topo.edge_faces, 0)
-    vals = (u2[faces] * topo.edge_face_sign[:, :, None]).sum(axis=1)
-    vals[topo.is_boundary] = 0.0
-    return vals if np.asarray(u).ndim > 1 else vals[:, 0]
+    return _apply(topo.jump, u, "face")
 
 
 def edge_jump_adjoint(topo, v) -> np.ndarray:
@@ -105,11 +110,7 @@ def edge_jump_adjoint(topo, v) -> np.ndarray:
 
     Per face: -(1/area) * sum over its interior edges of value * sgn * len.
     """
-    v2 = _as2d(v, topo.num_edges, "edge")
-    w = topo.face_edge_sign * topo.edge_len[topo.face_edges]
-    w = w * ~topo.is_boundary[topo.face_edges]
-    out = -(v2[topo.face_edges] * w[:, :, None]).sum(axis=1) / topo.face_area[:, None]
-    return out if np.asarray(v).ndim > 1 else out[:, 0]
+    return _apply(topo.jump_adjoint, v, "edge")
 
 
 # -- jump of an edge field over barycenter-to-vertex lines ----------------
@@ -117,19 +118,13 @@ def edge_jump_adjoint(topo, v) -> np.ndarray:
 def line_jump(lines, v) -> np.ndarray:
     """Per line: v at the entering edge plus v at the leaving edge, each
     signed against the owning triangle; 0 on lines touching the boundary."""
-    v2 = _as2d(v, lines.topo.num_edges, "edge")
-    vals = v2[lines.edge_in] * lines.sign_in[:, None] + v2[lines.edge_out] * lines.sign_out[:, None]
-    vals[~lines.active] = 0.0
-    return vals if np.asarray(v).ndim > 1 else vals[:, 0]
+    return _apply(lines.jump, v, "edge")
 
 
 def line_jump_adjoint(lines, w) -> np.ndarray:
     """Adjoint of line_jump, an edge field: -(1/len(e)) * sum over incident
     active lines of value * sgn(e, owning triangle) * len(line)."""
-    w2 = _as2d(w, lines.num_lines, "line")
-    acc = (w2[lines.adj_lines] * lines.adj_weight[:, :, None]).sum(axis=1)
-    out = -acc / lines.topo.edge_len[:, None]
-    return out if np.asarray(w).ndim > 1 else out[:, 0]
+    return _apply(lines.jump_adjoint, w, "line")
 
 
 # -- jump of an edge field over four-edge curves --------------------------
@@ -137,20 +132,13 @@ def line_jump_adjoint(lines, w) -> np.ndarray:
 def curve_jump(curves, v) -> np.ndarray:
     """Per valid curve: the four stencil values, each signed against the
     neighbor triangle they are read in; 0 on invalid curves."""
-    v2 = _as2d(v, curves.topo.num_edges, "edge")
-    idx = np.where(curves.edges >= 0, curves.edges, 0)
-    vals = (v2[idx] * curves.signs[:, :, None]).sum(axis=1)
-    vals[~curves.valid] = 0.0
-    return vals if np.asarray(v).ndim > 1 else vals[:, 0]
+    return _apply(curves.jump, v, "edge")
 
 
 def curve_jump_adjoint(curves, w) -> np.ndarray:
     """Adjoint of curve_jump, an edge field: -(1/len(e)) * sum over incident
     valid curves of value * sgn(e, neighbor triangle) * len(curve)."""
-    w2 = _as2d(w, curves.num_curves, "curve")
-    acc = (w2[curves.adj_curves] * curves.adj_weight[:, :, None]).sum(axis=1)
-    out = -acc / curves.topo.edge_len[:, None]
-    return out if np.asarray(w).ndim > 1 else out[:, 0]
+    return _apply(curves.jump_adjoint, w, "curve")
 
 
 # -- semi-norms ------------------------------------------------------------
@@ -202,13 +190,3 @@ def tgv_energy(conn, u, v, alpha1, alpha0) -> float:
     second = (np.linalg.norm(lj, axis=1) * lines.line_len).sum() \
         + (np.linalg.norm(cj, axis=1) * curves.curve_len).sum()
     return float(alpha1 * first + alpha0 * second)
-
-
-def write_field_csv(path, field):
-    """Debug dump of any field as CSV rows (element index, channel values)."""
-    x = np.asarray(field, dtype=np.float64)
-    x = x[:, None] if x.ndim == 1 else x
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("element," + ",".join(f"c{j}" for j in range(x.shape[1])) + "\n")
-        for i, row in enumerate(x):
-            fh.write(str(i) + "," + ",".join("%.17g" % v for v in row) + "\n")

@@ -98,16 +98,17 @@ class SolverState:
 
     @classmethod
     def initial(cls, conn, n_in, params):
-        """Zero iterates; weights seeded from the input normals."""
+        """Zero iterates shaped like ``n_in``; weights seeded from it."""
         topo, lines, curves = conn.topo, conn.lines, conn.curves
         E, L, C = topo.num_edges, lines.num_lines, curves.num_curves
+        ch = n_in.shape[1]
         w = edge_weights(topo, n_in, params.sigma_e) if params.dynamic_weights \
             else np.ones(E)
         return cls(
-            N=np.zeros((topo.num_faces, 3)),
-            v=np.zeros((E, 3)), P=np.zeros((E, 3)), lam_P=np.zeros((E, 3)),
-            Q1=np.zeros((L, 3)), lam_Q1=np.zeros((L, 3)),
-            Q2=np.zeros((C, 3)), lam_Q2=np.zeros((C, 3)),
+            N=np.zeros((topo.num_faces, ch)),
+            v=np.zeros((E, ch)), P=np.zeros((E, ch)), lam_P=np.zeros((E, ch)),
+            Q1=np.zeros((L, ch)), lam_Q1=np.zeros((L, ch)),
+            Q2=np.zeros((C, ch)), lam_Q2=np.zeros((C, ch)),
             w=w,
         )
 
@@ -284,6 +285,16 @@ def update_multipliers(conn, state, params) -> "SolverState":
 
 # -- the outer loop ---------------------------------------------------------
 
+def _split_steps(conn, state, params):
+    """One sweep's updates after the normal step: v, the three shrinks,
+    then the multipliers."""
+    state.v = solve_v_subproblem(conn, state, params)
+    state.P = solve_p_subproblem(conn, state, params)
+    state.Q1 = solve_q1_subproblem(conn, state, params)
+    state.Q2 = solve_q2_subproblem(conn, state, params)
+    update_multipliers(conn, state, params)
+
+
 def _objective(conn, n_in, state, params):
     topo, lines, curves = conn.topo, conn.lines, conn.curves
     fid = 0.5 * params.beta * inner_faces(topo, state.N - n_in, state.N - n_in)
@@ -325,11 +336,7 @@ def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResu
         state.k = k
         n_prev = state.N
         state.N = solve_n_subproblem(conn, state, n_in, params)
-        state.v = solve_v_subproblem(conn, state, params)
-        state.P = solve_p_subproblem(conn, state, params)
-        state.Q1 = solve_q1_subproblem(conn, state, params)
-        state.Q2 = solve_q2_subproblem(conn, state, params)
-        update_multipliers(conn, state, params)
+        _split_steps(conn, state, params)
 
         jump_n = edge_jump(topo, state.N)
         res_p = norm_edges(topo, state.P - (jump_n - state.v))
@@ -368,47 +375,30 @@ def minimize_tgv(conn, u, alpha1, alpha0, r1=2.0, r0=2.0, iters=200,
     """Approximate the variational second-order semi-norm of a face field:
     the infimum over v of tgv_energy(conn, u, v, alpha1, alpha0).
 
-    Runs the same splitting as the normal filter with the face field held
-    fixed and no edge weighting, tracking the best iterate. Returns
+    Runs the filter's own sweep steps with the face field held fixed as N
+    and all edge weights at 1, tracking the best iterate. Returns
     (energy, v) at the best v found.
     """
-    topo, lines, curves = conn.topo, conn.lines, conn.curves
     u = np.asarray(u, dtype=np.float64)
     u2 = u[:, None] if u.ndim == 1 else u
-    C = u2.shape[1]
     params = SolverParams(alpha1=alpha1, alpha0=alpha0, r1=r1, r0=r0,
-                          cg_rel_tol=cg_rel_tol, cg_max_iters=cg_max_iters)
-    jump_u = edge_jump(topo, u2)
+                          cg_rel_tol=cg_rel_tol, cg_max_iters=cg_max_iters,
+                          dynamic_weights=False)
+    state = SolverState.initial(conn, u2, params)
+    state.N = u2
 
-    v = np.zeros((topo.num_edges, C))
-    P = np.zeros_like(v)
-    lam_P = np.zeros_like(v)
-    Q1 = np.zeros((lines.num_lines, C))
-    lam_Q1 = np.zeros_like(Q1)
-    Q2 = np.zeros((curves.num_curves, C))
-    lam_Q2 = np.zeros_like(Q2)
-
-    apply_v = v_system_operator(conn, params)
     # seed the search with the two analytic candidates: v = 0 (reduces to the
     # first-order term alone) and v = jump_u (kills the first-order term)
-    best_energy = tgv_energy(conn, u2, v, alpha1, alpha0)
-    best_v = v.copy()
+    best_energy = tgv_energy(conn, u2, state.v, alpha1, alpha0)
+    best_v = state.v
+    jump_u = edge_jump(conn.topo, u2)
     at_jump = tgv_energy(conn, u2, jump_u, alpha1, alpha0)
     if at_jump < best_energy:
-        best_energy, best_v = at_jump, jump_u.copy()
+        best_energy, best_v = at_jump, jump_u
     for _ in range(iters):
-        rhs = (-lam_P - r1 * (P - jump_u)
-               - line_jump_adjoint(lines, lam_Q1 + r0 * Q1)
-               - curve_jump_adjoint(curves, lam_Q2 + r0 * Q2))
-        v = _cg_block(apply_v, rhs, topo.edge_len, cg_rel_tol, cg_max_iters, "v")
-        P = shrink(alpha1, r1, jump_u - v - lam_P / r1)
-        Q1 = shrink(alpha0, r0, line_jump(lines, v) - lam_Q1 / r0)
-        Q2 = shrink(alpha0, r0, curve_jump(curves, v) - lam_Q2 / r0)
-        lam_P = lam_P + r1 * (P - (jump_u - v))
-        lam_Q1 = lam_Q1 + r0 * (Q1 - line_jump(lines, v))
-        lam_Q2 = lam_Q2 + r0 * (Q2 - curve_jump(curves, v))
-        energy = tgv_energy(conn, u2, v, alpha1, alpha0)
+        _split_steps(conn, state, params)
+        energy = tgv_energy(conn, u2, state.v, alpha1, alpha0)
         if energy < best_energy:
             best_energy = energy
-            best_v = v.copy()
+            best_v = state.v
     return best_energy, (best_v[:, 0] if u.ndim == 1 else best_v)

@@ -11,6 +11,12 @@ Three layers are built on top of a validated TriMesh:
 * CurveSet: per line, the four-edge stencil that wraps around the line's
   vertex through the two neighboring triangles.
 
+Each layer stores its jump operator once, as a Stencil (a padded gather
+table whose pinned rows hold zero coefficients), next to the adjoint
+derived from it by ``Stencil.adjoint``: the transpose weighted by the
+element measures, so ``<jump(x), y> = -<x, adjoint(y)>`` holds by
+construction.
+
 Edge orientation is fixed as (min vertex index -> max vertex index) so runs
 are reproducible; every quantity derived downstream is invariant to this
 choice up to the sign of edge values.
@@ -21,6 +27,7 @@ import numpy as np
 from .mesh import MeshError, face_areas, face_barycenters
 
 __all__ = [
+    "Stencil",
     "EdgeTopology",
     "LineSet",
     "CurveSet",
@@ -30,6 +37,49 @@ __all__ = [
     "build_curve_set",
     "build_connectivity",
 ]
+
+
+class Stencil:
+    """A linear map between element fields as a padded gather table:
+
+        out[i] = sum_k coef[i, k] * x[idx[i, k]]
+
+    idx / coef : (rows, width); every slot of a row the map pins to 0 holds
+        coefficient 0, and so does every padding slot (with index 0)
+    num_cols : length of the input field
+    """
+
+    def __init__(self, idx, coef, num_cols):
+        # column-major, so each slot's gather runs over contiguous memory
+        self.idx = np.asfortranarray(idx, dtype=np.int64)
+        self.coef = np.asfortranarray(coef, dtype=np.float64)
+        self.num_cols = num_cols
+        self.idx.setflags(write=False)
+        self.coef.setflags(write=False)
+
+    def adjoint(self, m_row, m_col) -> "Stencil":
+        """The adjoint in the measure-weighted inner products, with the
+        minus-sign convention: slot (row i, column j) of this map becomes
+        slot (j, i) with coefficient -coef * m_row[i] / m_col[j]."""
+        n = len(self.idx)
+        src_idx = self.idx.ravel(order="F")
+        src_coef = self.coef.ravel(order="F")
+        # nonzero slots (flat, column-major) ordered by (column, slot): one
+        # sort of unique keys, so ties cannot make the order platform-dependent
+        key = np.flatnonzero(src_coef)
+        key += src_idx[key] * src_idx.size
+        key.sort()
+        cols, slots = np.divmod(key, src_idx.size)
+        del key  # before the output tables, to keep the build's peak memory down
+        counts = np.bincount(cols, minlength=self.num_cols)
+        pos = np.arange(len(cols)) - (np.cumsum(counts) - counts)[cols]
+        width = max(int(counts.max(initial=0)), 1)
+        idx = np.zeros((self.num_cols, width), dtype=np.int64, order="F")
+        coef = np.zeros((self.num_cols, width), order="F")
+        rows = slots % n
+        idx[cols, pos] = rows
+        coef[cols, pos] = -src_coef[slots] * m_row[rows] / m_col[cols]
+        return Stencil(idx, coef, n)
 
 
 class EdgeTopology:
@@ -48,6 +98,8 @@ class EdgeTopology:
     face_edge_sign : (T, 3) float, sgn(face_edges[t, k], t)
     face_area : (T,) float
     face_bary : (T, 3) float
+    jump / jump_adjoint : Stencil, the edge jump (faces -> edges, boundary
+        rows pinned) and its adjoint (edges -> faces)
     """
 
     def __init__(self, mesh, edges, edge_len, edge_faces, edge_face_sign,
@@ -66,6 +118,10 @@ class EdgeTopology:
                      "is_boundary", "face_edges", "face_edge_sign",
                      "face_area", "face_bary"):
             getattr(self, name).setflags(write=False)
+        self.jump = Stencil(np.where(edge_faces >= 0, edge_faces, 0),
+                            edge_face_sign * ~is_boundary[:, None],
+                            len(face_edges))
+        self.jump_adjoint = self.jump.adjoint(edge_len, face_area)
 
     @property
     def num_edges(self):
@@ -140,24 +196,6 @@ def build_edge_topology(mesh, _flip_edges=None) -> EdgeTopology:
     )
 
 
-def _pad_by_edge(num_edges, edge_idx, payload, weight):
-    """Group (edge, payload, weight) slots into padded per-edge tables.
-
-    Rows are edges; unused slots hold payload 0 with weight 0, so gather-and-
-    sum over the padded table reproduces the exact per-edge sums.
-    """
-    order = np.argsort(edge_idx, kind="stable")
-    sorted_e = edge_idx[order]
-    starts = np.searchsorted(sorted_e, np.arange(num_edges))
-    pos = np.arange(len(order)) - starts[sorted_e]
-    width = int(pos.max()) + 1 if len(pos) else 1
-    idx = np.zeros((num_edges, width), dtype=np.int64)
-    w = np.zeros((num_edges, width))
-    idx[sorted_e, pos] = payload[order]
-    w[sorted_e, pos] = weight[order]
-    return idx, w
-
-
 class LineSet:
     """Barycenter-to-vertex lines, three per triangle (line 3*t + j sits in
     triangle t at its j-th vertex).
@@ -168,15 +206,13 @@ class LineSet:
     line_vertex : (3T,) int, the vertex the line runs to
     line_len : (3T,) float, barycenter-to-vertex distance
     edge_in / edge_out : (3T,) int, the face edges entering / leaving the
-        line's vertex in counterclockwise order
-    sign_in / sign_out : (3T,) float, sgn of those edges against the face
+        line's vertex in counterclockwise order (the columns of jump.idx)
     face_across_in / face_across_out : (3T,) int, triangle on the other side
         of edge_in / edge_out (-1 at the boundary)
     active : (3T,) bool, False when either edge lies on the boundary (the
         jump over such a line is pinned to 0)
-    adj_lines / adj_weight : (E, <=4) padded reverse index used by the
-        adjoint; weights are sgn(e, owning face) * line length for slots of
-        active lines
+    jump / jump_adjoint : Stencil, the line jump (edges -> lines: the two
+        edge values signed against the owning face) and its adjoint
     """
 
     def __init__(self, topo):
@@ -192,26 +228,19 @@ class LineSet:
             topo.face_bary[t] - topo.mesh.vertices[self.line_vertex], axis=1)
         # local edge k runs from face vertex k to k+1: edge j leaves vertex j,
         # edge (j+2)%3 enters it
-        self.edge_in = topo.face_edges[t, (j + 2) % 3]
-        self.edge_out = topo.face_edges[t, j]
-        self.sign_in = topo.face_edge_sign[t, (j + 2) % 3]
-        self.sign_out = topo.face_edge_sign[t, j]
+        local_io = np.stack([(j + 2) % 3, j])
+        edge_io = topo.face_edges[t, local_io].T
+        self.edge_in, self.edge_out = edge_io.T
         self.face_across_in = _other_face(topo, self.edge_in, t)
         self.face_across_out = _other_face(topo, self.edge_out, t)
         self.active = ~(topo.is_boundary[self.edge_in] | topo.is_boundary[self.edge_out])
 
-        act = np.nonzero(self.active)[0]
-        slot_edges = np.concatenate([self.edge_in[act], self.edge_out[act]])
-        slot_lines = np.concatenate([act, act])
-        slot_weight = np.concatenate([self.sign_in[act] * self.line_len[act],
-                                      self.sign_out[act] * self.line_len[act]])
-        self.adj_lines, self.adj_weight = _pad_by_edge(
-            topo.num_edges, slot_edges, slot_lines, slot_weight)
-
         for name in ("line_face", "line_vertex", "line_len", "edge_in", "edge_out",
-                     "sign_in", "sign_out", "face_across_in", "face_across_out",
-                     "active", "adj_lines", "adj_weight"):
+                     "face_across_in", "face_across_out", "active"):
             getattr(self, name).setflags(write=False)
+        signs = topo.face_edge_sign[t, local_io].T
+        self.jump = Stencil(edge_io, signs * self.active[:, None], topo.num_edges)
+        self.jump_adjoint = self.jump.adjoint(self.line_len, topo.edge_len)
 
     @property
     def num_lines(self):
@@ -248,14 +277,13 @@ class CurveSet:
     valid : (3T,) bool
     curve_len : (3T,) float, quarter-weighted mean of the three line lengths
         the curve spans
-    edges : (3T, 4) int, stencil edges [far-out, out, in, far-in] (-1 where
-        the neighborhood is incomplete)
-    signs : (3T, 4) float, sgn of each stencil edge against the neighbor
-        triangle it is evaluated in
+    edges : (3T, 4) int, stencil edges [far-out, out, in, far-in]; this is
+        jump.idx, so a missing far edge reads 0 (and its curve is invalid)
     face_far_out / face_far_in : (3T,) int, the third-ring triangles across
         the far edges (-1 where missing); used by consistency checks
-    adj_curves / adj_weight : (E, <=8) padded reverse index for the adjoint,
-        valid curves only; weights are sgn(e, neighbor face) * curve length
+    jump / jump_adjoint : Stencil, the curve jump (edges -> curves: the four
+        stencil values, each signed against the neighbor triangle it is read
+        in; invalid rows pinned) and its adjoint
     """
 
     def __init__(self, lines):
@@ -281,16 +309,12 @@ class CurveSet:
         sign_in_nbr = _sign_in_face(topo, lines.edge_in, safe_in)
         sign_out_nbr = _sign_in_face(topo, lines.edge_out, safe_out)
 
-        edges = np.stack([far_out, lines.edge_out, lines.edge_in, far_in], axis=1)
-        signs = np.stack([far_out_sign, sign_out_nbr, sign_in_nbr, far_in_sign], axis=1)
-        edges[~has_out, 0] = -1
-        edges[~has_in, 3] = -1
-
-        interior = ~topo.is_boundary
-        valid = has_in & has_out
-        for col in range(4):
-            ok = edges[:, col] >= 0
-            valid &= ok & interior[np.where(ok, edges[:, col], 0)]
+        # column-major, the layout Stencil keeps, so the jump shares it
+        edges = np.stack([far_out, lines.edge_out, lines.edge_in, far_in]).T
+        signs = np.stack([far_out_sign, sign_out_nbr, sign_in_nbr, far_in_sign]).T
+        edges[~has_out, 0] = 0
+        edges[~has_in, 3] = 0
+        valid = has_in & has_out & ~topo.is_boundary[edges].any(axis=1)
 
         # len(c) = (len(l_out_nbr) + 2 len(l) + len(l_in_nbr)) / 4 with missing
         # neighbor lines standing in as len(l); inert, since invalid curves
@@ -304,23 +328,17 @@ class CurveSet:
         self.lines = lines
         self.valid = valid
         self.curve_len = curve_len
-        self.edges = edges
-        self.signs = signs
-        self.face_far_out = np.where(valid, _other_face(topo, np.where(edges[:, 0] >= 0, edges[:, 0], 0), safe_out), -1)
-        self.face_far_in = np.where(valid, _other_face(topo, np.where(edges[:, 3] >= 0, edges[:, 3], 0), safe_in), -1)
+        self.face_far_out = np.where(valid, _other_face(topo, edges[:, 0], safe_out), -1)
+        self.face_far_in = np.where(valid, _other_face(topo, edges[:, 3], safe_in), -1)
         self.face_out = np.where(has_out, tau_out, -1)
         self.face_in = np.where(has_in, tau_in, -1)
 
-        ok = np.nonzero(valid)[0]
-        slot_edges = edges[ok].ravel()
-        slot_curves = np.repeat(ok, 4)
-        slot_weight = (signs[ok] * curve_len[ok, None]).ravel()
-        self.adj_curves, self.adj_weight = _pad_by_edge(
-            topo.num_edges, slot_edges, slot_curves, slot_weight)
-
-        for name in ("valid", "curve_len", "edges", "signs", "face_far_out",
-                     "face_far_in", "face_out", "face_in", "adj_curves", "adj_weight"):
+        for name in ("valid", "curve_len", "face_far_out", "face_far_in",
+                     "face_out", "face_in"):
             getattr(self, name).setflags(write=False)
+        self.jump = Stencil(edges, signs * valid[:, None], topo.num_edges)
+        self.edges = self.jump.idx
+        self.jump_adjoint = self.jump.adjoint(curve_len, topo.edge_len)
 
     @property
     def num_curves(self):

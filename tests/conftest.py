@@ -47,8 +47,10 @@ def cube_small_conn(cube_small):
 
 
 @pytest.fixture(scope="session")
-def all_conns(tet_conn, cube_small_conn, plane_conn):
-    return {"tetrahedron": tet_conn, "cube": cube_small_conn, "plane": plane_conn}
+def all_conns(tet_conn, cube_small_conn, plane_conn, square_conn):
+    # the square has no valid curve, so its curve jump is all zeros
+    return {"tetrahedron": tet_conn, "cube": cube_small_conn, "plane": plane_conn,
+            "square": square_conn}
 
 
 def random_fields(conn, rng, channels=3):

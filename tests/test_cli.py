@@ -95,6 +95,20 @@ def test_denoise_missing_input_exits_1(capsys, tmp_path):
     assert "missing.obj" in err
 
 
+def test_denoise_nan_vertex_exits_1(capsys, tmp_path):
+    mesh_path, _ = gen(capsys, tmp_path, "cube", "cube.obj", divisions=3)
+    text = mesh_path.read_text().splitlines()
+    first = next(i for i, line in enumerate(text) if line.startswith("v "))
+    text[first] = "v nan 0 0"
+    bad = tmp_path / "nan.obj"
+    bad.write_text("\n".join(text) + "\n")
+    out = tmp_path / "o.obj"
+    code, _, err = run_cli(capsys, "denoise", str(bad), "-o", str(out))
+    assert code == 1
+    assert "vertex 0 has a non-finite coordinate" in err
+    assert not out.exists()
+
+
 def test_denoise_clean_cube_is_near_fixed_point(capsys, tmp_path):
     mesh_path, _ = gen(capsys, tmp_path, "cube", "cube.obj", divisions=4, size=0.05)
     out = tmp_path / "out.obj"

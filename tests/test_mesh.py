@@ -27,6 +27,14 @@ def test_out_of_range_index_rejected():
         TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 3]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_rejected(bad):
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    verts[2][1] = bad
+    with pytest.raises(MeshError, match="vertex 2 has a non-finite coordinate"):
+        TriMesh(verts, [[0, 1, 2], [0, 1, 3]])
+
+
 def test_repeated_vertex_rejected():
     with pytest.raises(MeshError, match="repeats"):
         TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 1]])

@@ -5,7 +5,7 @@ from tgvdenoise import (TriMesh, build_edge_topology, curve_jump,
                         curve_jump_adjoint, edge_jump, edge_jump_adjoint,
                         ho_seminorm, inner_curves, inner_edges, inner_faces,
                         inner_lines, line_jump, line_jump_adjoint, tgv_energy,
-                        tv_seminorm, write_field_csv)
+                        tv_seminorm)
 from conftest import random_fields
 
 PAIRS = [
@@ -273,11 +273,3 @@ def test_tgv_energy_rejects_bad_weights(tet_conn):
     with pytest.raises(ValueError, match="positive"):
         tgv_energy(tet_conn, u, v, 1.0, -1.0)
 
-
-def test_write_field_csv(tmp_path, tet_conn):
-    path = tmp_path / "field.csv"
-    write_field_csv(path, np.arange(8.0).reshape(4, 2))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "element,c0,c1"
-    assert lines[1] == "0,0,1"
-    assert len(lines) == 5

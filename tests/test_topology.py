@@ -70,15 +70,16 @@ def test_equilateral_line_length():
 
 
 def test_interior_edge_has_four_incident_lines(tet_conn):
-    lines = tet_conn.lines
-    slots = (lines.adj_weight != 0.0).sum(axis=1)
+    adj = tet_conn.lines.jump_adjoint
+    slots = (adj.coef != 0.0).sum(axis=1)
     assert np.all(slots == 4)
 
 
 def test_b1_membership_matches_stencils(plane_conn):
     lines, topo = plane_conn.lines, plane_conn.topo
+    adj = lines.jump_adjoint
     for e in range(topo.num_edges):
-        table = set(lines.adj_lines[e][lines.adj_weight[e] != 0.0].tolist())
+        table = set(adj.idx[e][adj.coef[e] != 0.0].tolist())
         direct = {l for l in range(lines.num_lines)
                   if lines.active[l] and e in (lines.edge_in[l], lines.edge_out[l])}
         assert table == direct
@@ -133,7 +134,7 @@ def test_far_edges_are_in_the_neighbor_triangles(cube_small_conn):
 def test_b2_slot_count_interior(tet_conn, cube_small_conn):
     # eight (curve, side) slots per edge away from the boundary
     for conn in (tet_conn, cube_small_conn):
-        slots = (conn.curves.adj_weight != 0.0).sum(axis=1)
+        slots = (conn.curves.jump_adjoint.coef != 0.0).sum(axis=1)
         assert np.all(slots == 8)
 
 
