@@ -22,8 +22,9 @@ class TriMesh:
 
     Validation rejects non-finite (NaN or infinite) vertex coordinates,
     out-of-range indices, repeated vertices within a face,
-    degenerate (near zero area) triangles, and non-manifold edges (an edge
-    shared by three or more faces).
+    degenerate (near zero area) triangles, non-manifold edges (an edge
+    shared by three or more faces), and inconsistently oriented faces (two
+    faces that traverse their shared edge in the same direction).
     """
 
     def __init__(self, vertices, faces):
@@ -69,13 +70,20 @@ class TriMesh:
             raise MeshError(f"face {int(np.nonzero(small)[0][0])} is degenerate (area <= eps)")
 
     def _check_manifold(self):
-        a = np.minimum(self.faces, np.roll(self.faces, -1, axis=1)).ravel()
-        b = np.maximum(self.faces, np.roll(self.faces, -1, axis=1)).ravel()
-        pairs = a * len(self.vertices) + b
+        f = self.faces
+        nxt = np.roll(f, -1, axis=1)
+        pairs = np.minimum(f, nxt).ravel() * len(self.vertices) + np.maximum(f, nxt).ravel()
         _, inverse, counts = np.unique(pairs, return_inverse=True, return_counts=True)
         if (counts > 2).any():
             slot = int(np.nonzero(counts[inverse] > 2)[0][0])
             raise MeshError(f"non-manifold edge in face {slot // 3} (3+ incident faces)")
+        # two faces on an edge must traverse it in opposite directions
+        forward = np.bincount(inverse[(f < nxt).ravel()], minlength=len(counts))
+        flipped = (counts == 2) & (forward != 1)
+        if flipped.any():
+            first, second = np.nonzero(inverse == np.argmax(flipped))[0] // 3
+            raise MeshError(f"face {second} is oriented inconsistently with face {first} "
+                            "(both traverse their shared edge in the same direction)")
 
     # -- basics ----------------------------------------------------------
 

@@ -36,26 +36,32 @@ def write_face_error_csv(path, degrees):
             fh.write(f"{i},{'%.17g' % d}\n")
 
 
-def _closest_point_on_triangles(points, tri):
-    """Exact closest points from each point to each triangle.
+# Point-triangle pairs screened at once; bounds the screen's two
+# (points, triangles) float arrays to 4 MB each.
+_BLOCK_PAIRS = 1 << 19
 
-    points: (m, 3); tri: (t, 3, 3). Returns squared distances (m, t).
+
+def _closest_point_on_triangles(p, tri):
+    """Exact squared distances from points to triangles.
+
+    p: (..., 3); tri: (..., 3, 3), broadcast against each other over the
+    leading axes, so (m, 1, 3) with (t, 3, 3) gives all (m, t) pairs and
+    (k, 3) with (k, 3, 3) gives k paired distances.
     Region walk over the barycentric Voronoi regions of the triangle.
     """
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
     ab = b - a
     ac = c - a
-    p = points[:, None, :]
 
     ap = p - a
-    d1 = (ab * ap).sum(axis=2)
-    d2 = (ac * ap).sum(axis=2)
+    d1 = (ab * ap).sum(axis=-1)
+    d2 = (ac * ap).sum(axis=-1)
     bp = p - b
-    d3 = (ab * bp).sum(axis=2)
-    d4 = (ac * bp).sum(axis=2)
+    d3 = (ab * bp).sum(axis=-1)
+    d4 = (ac * bp).sum(axis=-1)
     cp = p - c
-    d5 = (ab * cp).sum(axis=2)
-    d6 = (ac * cp).sum(axis=2)
+    d5 = (ab * cp).sum(axis=-1)
+    d6 = (ac * cp).sum(axis=-1)
 
     vc = d1 * d4 - d3 * d2
     vb = d5 * d2 - d1 * d6
@@ -79,30 +85,53 @@ def _closest_point_on_triangles(points, tri):
     on_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
     on_bc = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
 
-    closest = a + ab * bary_v[:, :, None] + ac * bary_w[:, :, None]
-    closest = np.where(on_bc[:, :, None], b + (c - b) * t_bc[:, :, None], closest)
-    closest = np.where(on_ac[:, :, None], a + ac * t_ac[:, :, None], closest)
-    closest = np.where(on_ab[:, :, None], a + ab * t_ab[:, :, None], closest)
-    closest = np.where(at_c[:, :, None], np.broadcast_to(c, closest.shape), closest)
-    closest = np.where(at_b[:, :, None], np.broadcast_to(b, closest.shape), closest)
-    closest = np.where(at_a[:, :, None], np.broadcast_to(a, closest.shape), closest)
-    return ((p - closest) ** 2).sum(axis=2)
+    closest = a + ab * bary_v[..., None] + ac * bary_w[..., None]
+    closest = np.where(on_bc[..., None], b + (c - b) * t_bc[..., None], closest)
+    closest = np.where(on_ac[..., None], a + ac * t_ac[..., None], closest)
+    closest = np.where(on_ab[..., None], a + ab * t_ab[..., None], closest)
+    closest = np.where(at_c[..., None], c, closest)
+    closest = np.where(at_b[..., None], b, closest)
+    closest = np.where(at_a[..., None], a, closest)
+    return ((p - closest) ** 2).sum(axis=-1)
 
 
-def closest_point_distances(points, mesh, chunk: int = 0) -> np.ndarray:
-    """Distance from each point to the closest point on any mesh triangle."""
+def closest_point_distances(points, mesh) -> np.ndarray:
+    """Distance from each point to the closest point on any mesh triangle.
+
+    Exact, in bounded memory. Each triangle t lies in the ball of radius
+    R_t (largest centroid-to-vertex distance) around its centroid c_t, so
+    its distance from p is at least |p - c_t| - R_t and at most
+    |p - c_t| + R_t. A screen over fixed-size blocks of (point, triangle)
+    pairs keeps only the triangles with
+    |p - c_t| - R_t <= min_s (|p - c_s| + R_s), which always include the
+    nearest one, and the region walk runs on those pairs alone. The bound
+    gets a slack of 1e-9 of the largest coordinate magnitude, far above
+    the rounding of either stage, so rounding can only add candidates and
+    the result equals the all-pairs minimum bit for bit.
+    """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if mesh.num_faces == 0:
         raise ValueError("reference mesh has no faces")
+    if not np.isfinite(points).all():
+        raise ValueError("points must have finite coordinates")
     tri = mesh.vertices[mesh.faces]
-    if chunk <= 0:
-        chunk = max(1, int(4_000_000 // max(1, mesh.num_faces)))
-    out = np.empty(len(points))
-    for start in range(0, len(points), chunk):
-        block = points[start:start + chunk]
-        d2 = _closest_point_on_triangles(block, tri)
-        out[start:start + len(block)] = np.sqrt(d2.min(axis=1))
-    return out
+    centroid = tri.mean(axis=1)
+    radius = np.sqrt(((tri - centroid[:, None]) ** 2).sum(axis=2)).max(axis=1)
+    slack = 1e-9 * max(np.abs(points).max(initial=0.0), np.abs(tri).max())
+
+    best = np.full(len(points), np.inf)
+    block = max(1, _BLOCK_PAIRS // len(tri))
+    for start in range(0, len(points), block):
+        p = points[start:start + block]
+        dist = np.zeros((len(p), len(tri)))
+        tmp = np.empty_like(dist)
+        for k in range(3):
+            dist += np.square(np.subtract(p[:, k, None], centroid[:, k], out=tmp), out=tmp)
+        np.sqrt(dist, out=dist)
+        upper = np.add(dist, radius, out=tmp).min(axis=1) + slack
+        rows, cols = np.nonzero(np.subtract(dist, radius, out=tmp) <= upper[:, None])
+        np.minimum.at(best, start + rows, _closest_point_on_triangles(p[rows], tri[cols]))
+    return np.sqrt(best)
 
 
 def vertex_error(denoised, reference) -> float:

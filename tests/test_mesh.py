@@ -53,6 +53,14 @@ def test_non_manifold_edge_rejected():
         TriMesh(verts, faces)
 
 
+
+def test_inconsistent_orientation_rejected():
+    # the two-triangle square with its second face flipped: a 180 degree fold
+    # whose edge jump would read 0 if the mesh were accepted
+    verts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
+    with pytest.raises(MeshError, match="face 1 is oriented inconsistently with face 0"):
+        TriMesh(verts, [[0, 1, 2], [0, 3, 2]])
+
 def test_areas():
     m = TriMesh([[0, 0, 0], [2, 0, 0], [0, 2, 0]], [[0, 1, 2]])
     assert np.allclose(face_areas(m), [2.0])

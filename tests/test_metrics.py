@@ -1,11 +1,18 @@
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from tgvdenoise import (TriMesh, build_edge_topology, face_angle_errors,
-                        face_normals, closest_point_distances,
-                        feature_adjacent_faces, make_cube, make_tetrahedron,
+from tgvdenoise import (NoiseSpec, TriMesh, add_gaussian_noise,
+                        build_edge_topology, face_angle_errors, face_normals,
+                        closest_point_distances, feature_adjacent_faces,
+                        make_cube, make_plane, make_tetrahedron,
                         mean_angular_difference, vertex_error,
                         write_face_error_csv)
+from tgvdenoise import metrics
 
 
 def test_theta_identical_fields_is_zero(rng):
@@ -104,6 +111,100 @@ def test_closest_point_matches_bruteforce_oracle(rng):
     for i, p in enumerate(points):
         oracle = min(closest_point_on_triangle(p, tri[k]) for k in range(20))
         assert abs(fast[i] - oracle) <= 1e-12
+
+
+# -- closest-point broadphase ------------------------------------------------
+
+def _all_pairs(points, ref):
+    """Closest-point distances by the region walk over every pair."""
+    tri = ref.vertices[ref.faces]
+    return np.sqrt(metrics._closest_point_on_triangles(points[:, None], tri).min(axis=1))
+
+
+def _bench_cube_vertices():
+    clean = make_cube(10, size=0.05)
+    noisy = add_gaussian_noise(clean, NoiseSpec(0.3, "vertex-normal", 7))
+    return noisy.vertices, clean
+
+
+def _far_points():
+    ref = make_cube(4)
+    rng = np.random.default_rng(5)
+    directions = rng.normal(size=(40, 3))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    diag = np.linalg.norm(ref.vertices.max(axis=0) - ref.vertices.min(axis=0))
+    return directions * 10 * diag, ref
+
+
+def _points_on_surface():
+    # distance 0: the cube's own vertices, then points on a plane below it
+    cube, plane = make_cube(3), make_plane(4, 4)
+    on_plane = np.random.default_rng(6).uniform(0, 1, size=(30, 3)) * [1, 1, 0]
+    both = TriMesh(np.vstack([cube.vertices, plane.vertices + [0, 0, -3]]),
+                   np.vstack([cube.faces, plane.faces + cube.num_vertices]))
+    return np.vstack([cube.vertices, on_plane + [0, 0, -3]]), both
+
+
+def _one_triangle():
+    ref = TriMesh([[0, 0, 0], [1, 0, 0], [0.2, 0.7, 0.1]], [[0, 1, 2]])
+    return np.random.default_rng(7).normal(size=(50, 3)), ref
+
+
+def _slivers_and_large():
+    # unconnected triangles whose bounding radii R_t range from 0.04 to 11
+    rng = np.random.default_rng(8)
+    tris = []
+    for k in range(30):
+        a = rng.normal(size=3)
+        u, w = rng.normal(size=3), rng.normal(size=3)
+        if k % 2:   # long sliver: width 1e-4 of its length
+            tris.append([a, a + 3 * u, a + 3 * u + 1e-4 * w])
+        else:
+            tris.append([a, a + 0.05 * u, a + 0.05 * w] if k % 4 else
+                        [a, a + 4 * u, a + 4 * w])
+    ref = TriMesh(np.concatenate(tris), np.arange(90).reshape(30, 3))
+    return rng.normal(size=(200, 3)) * 2, ref
+
+
+@pytest.mark.parametrize("block_pairs", [metrics._BLOCK_PAIRS, 7])
+@pytest.mark.parametrize("case", [_bench_cube_vertices, _far_points, _points_on_surface,
+                                  _one_triangle, _slivers_and_large])
+def test_closest_point_matches_all_pairs_exactly(case, block_pairs, monkeypatch):
+    # the screen only drops triangles that cannot be nearest, and the region
+    # walk's per-pair arithmetic is unchanged, so the result is bit-identical
+    monkeypatch.setattr(metrics, "_BLOCK_PAIRS", block_pairs)
+    points, ref = case()
+    assert np.array_equal(closest_point_distances(points, ref), _all_pairs(points, ref))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_closest_point_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError, match="finite"):
+        closest_point_distances([[0.0, bad, 0.0]], make_tetrahedron())
+
+
+def test_vertex_error_memory_is_bounded():
+    # the all-pairs search held ~30 (points, triangles, 3) temporaries at
+    # once and peaked at 1091 MB on this input
+    clean = make_cube(20, size=0.05)
+    noisy = add_gaussian_noise(clean, NoiseSpec(0.3, "vertex-normal", 7))
+    tracemalloc.start()
+    try:
+        vertex_error(noisy, clean)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_vertex_error_imports_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tgvdenoise as t; "
+            "m = t.make_cube(2); t.vertex_error(m, m); "
+            "print(sorted(n for n in sys.modules if n.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_vertex_error_rejects_empty():

@@ -374,3 +374,37 @@ def test_minimize_tgv_below_both_bounds(cube_small_conn):
     best, v_best = minimize_tgv(conn, u, alpha1, alpha0, iters=60)
     assert best <= min(at_zero, at_jump) + 1e-12
     assert np.isclose(tgv_energy(conn, u, v_best, alpha1, alpha0), best, rtol=1e-12)
+
+
+# -- invariances ----------------------------------------------------------------
+
+def _filtered(mesh, params):
+    return filter_normals(build_connectivity(mesh), face_normals(mesh), params).normals
+
+
+@pytest.fixture(scope="module")
+def noisy_cube_small(cube_small):
+    return add_gaussian_noise(cube_small, NoiseSpec(0.3, mode="vertex-normal", seed=7))
+
+
+def test_filter_is_translation_invariant(noisy_cube_small):
+    # the model sees only differences of positions; moving the 0.05-wide
+    # cube by ~3.7e3 changes its coordinates' rounding, which moved the
+    # output by 7.1e-12 after 20 sweeps
+    params = SolverParams(max_outer_iters=20)
+    base = _filtered(noisy_cube_small, params)
+    moved = noisy_cube_small.with_vertices(noisy_cube_small.vertices + [1e3, -2e3, 3e3])
+    assert np.abs(_filtered(moved, params) - base).max() <= 1e-10
+
+
+def test_filter_is_rotation_equivariant(noisy_cube_small):
+    # rotating the input rotates the output. CG stops each channel at its
+    # own iterate, so the gap tracks cg_rel_tol: 2.7e-8 at the default
+    # 1e-8, and 9.4e-13 at the 1e-12 used here, after 20 sweeps
+    rot, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    rot[:, 0] *= np.sign(np.linalg.det(rot))
+    params = SolverParams(max_outer_iters=20, cg_rel_tol=1e-12)
+    base = _filtered(noisy_cube_small, params)
+    turned = _filtered(noisy_cube_small.with_vertices(noisy_cube_small.vertices @ rot.T),
+                       params)
+    assert np.abs(turned - base @ rot.T).max() <= 1e-10
