@@ -23,8 +23,10 @@ class TriMesh:
     Validation rejects non-finite (NaN or infinite) vertex coordinates,
     out-of-range indices, repeated vertices within a face,
     degenerate (near zero area) triangles, non-manifold edges (an edge
-    shared by three or more faces), and inconsistently oriented faces (two
-    faces that traverse their shared edge in the same direction).
+    shared by three or more faces), inconsistently oriented faces (two
+    faces that traverse their shared edge in the same direction), and
+    non-manifold vertices (faces around a vertex that form more than one
+    edge-connected fan, as in a bowtie).
     """
 
     def __init__(self, vertices, faces):
@@ -84,6 +86,26 @@ class TriMesh:
             first, second = np.nonzero(inverse == np.argmax(flipped))[0] // 3
             raise MeshError(f"face {second} is oriented inconsistently with face {first} "
                             "(both traverse their shared edge in the same direction)")
+        # the faces around a vertex must form one edge-connected fan. Walk
+        # from each corner across its outgoing edge to the next face's corner
+        # at the same vertex (a boundary edge ends the walk) by pointer
+        # doubling, and name each walk by its last corner, or a closed one
+        # by its smallest; a vertex with two names is a pinch
+        slots = np.arange(f.size)
+        pair_sum = np.bincount(inverse, weights=slots).astype(np.int64)[inverse]
+        mate = np.where(counts[inverse] == 2, pair_sum - slots, slots)
+        succ = np.where(mate == slots, slots,
+                        np.roll(slots.reshape(f.shape), -1, axis=1).ravel()[mate])
+        name, ahead = slots, succ
+        for _ in range(int(np.bincount(f.ravel()).max()).bit_length()):
+            name = np.minimum(name, name[ahead])
+            ahead = ahead[ahead]
+        name = np.where(succ[ahead] == ahead, ahead, name)
+        fans = np.bincount(f.ravel()[name == slots], minlength=len(self.vertices))
+        if (fans > 1).any():
+            bad = int(np.argmax(fans > 1))
+            raise MeshError(f"non-manifold vertex {bad} (its faces form {int(fans[bad])} "
+                            "fans that meet only at the vertex)")
 
     # -- basics ----------------------------------------------------------
 

@@ -7,9 +7,10 @@ takes a per-element magnitude.
 
 Every operator here is linear, local, and deterministic (fixed gather and
 summation order). Each jump is one table stored on its topology layer (a
-``topology.Stencil``), and each adjoint is the table derived from it, so the
-six operator functions are one gather-and-sum over the matching table. The
-three forward/adjoint pairs satisfy, for all fields,
+``topology.Stencil``), and each adjoint is the table derived from it; the
+six operator functions are one product with the sparse matrix built from
+the matching table. The three forward/adjoint pairs satisfy, for all
+fields,
 
     <jump(x), y>  =  -<x, jump_adjoint(y)>
 
@@ -85,13 +86,9 @@ def norm_curves(curves, a) -> float:
 
 
 def _apply(stencil, x, what):
-    """Gather-and-sum of a field through a Stencil, one slot at a time."""
-    x2 = _as2d(x, stencil.num_cols, what)
-    idx, coef = stencil.idx, stencil.coef
-    out = coef[:, 0, None] * x2[idx[:, 0]]
-    for k in range(1, idx.shape[1]):
-        out += coef[:, k, None] * x2[idx[:, k]]
-    return out if np.asarray(x).ndim > 1 else out[:, 0]
+    """A field through a Stencil: one product with its sparse matrix."""
+    out = stencil.matrix @ _as2d(x, stencil.num_cols, what)
+    return out if np.ndim(x) > 1 else out[:, 0]
 
 
 # -- first-order difference across edges ----------------------------------

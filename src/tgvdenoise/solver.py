@@ -13,7 +13,9 @@ P = edge_jump(N) - v, Q1 = line_jump(v), Q2 = curve_jump(v) turn the
 objective into five easy subproblems per sweep: two symmetric positive
 definite linear systems (solved by conjugate gradients in the weighted
 inner products), and three closed-form shrink steps, followed by multiplier
-ascent on the constraint residuals and a weight refresh.
+ascent on the constraint residuals and a weight refresh. Neither system
+depends on the iterates or the edge weights, so each is assembled once per
+run as a sparse matrix.
 
 The outer loop stops when the squared area-weighted change of the normal
 field drops below ``stop_tol`` or after ``max_outer_iters`` sweeps.
@@ -165,16 +167,18 @@ def edge_weights(topo, normals, sigma_e) -> np.ndarray:
 def _cg_block(apply_op, rhs, measure, rel_tol, max_iters, label):
     """Conjugate gradients in the measure-weighted inner product, run on all
     channels at once with per-channel scalars and per-channel freezing, so
-    the result is identical to solving each channel on its own."""
+    each channel runs its own iteration (up to rounding in the dot
+    products)."""
     def wdot(a, b):
-        return ((a * b) * measure[:, None]).sum(axis=0)
+        return measure @ (a * b)
 
     x = np.zeros_like(rhs)
     r = rhs.copy()
     rs = wdot(r, r)
-    target = rel_tol * np.sqrt(wdot(rhs, rhs))
-    active = np.sqrt(rs) > target
-    p = np.where(active[None, :], r, 0.0)
+    bnorm = np.sqrt(rs)
+    target = rel_tol * bnorm
+    active = bnorm > target
+    p = np.where(active, r, 0.0)
     for _ in range(max_iters):
         if not active.any():
             break
@@ -182,58 +186,67 @@ def _cg_block(apply_op, rhs, measure, rel_tol, max_iters, label):
         pap = wdot(p, ap)
         safe = active & (pap > 0)
         alpha = np.where(safe, rs / np.where(safe, pap, 1.0), 0.0)
-        x = x + alpha[None, :] * p
-        r = r - alpha[None, :] * ap
+        x += alpha * p
+        r -= alpha * ap
         rs_new = wdot(r, r)
         active = np.sqrt(rs_new) > target
-        beta = np.where(active, rs_new / np.where(rs > 0, rs, 1.0), 0.0)
-        p = np.where(active[None, :], r + beta[None, :] * p, 0.0)
+        p *= np.where(active, rs_new / np.where(rs > 0, rs, 1.0), 0.0)
+        p += r
+        p[:, ~active] = 0.0
         rs = rs_new
     if active.any():
-        bnorm = np.maximum(np.sqrt(wdot(rhs, rhs)), np.finfo(float).tiny)
         raise SolverError(
             f"conjugate gradients did not converge for the {label} system "
             f"within {max_iters} iterations",
-            residuals=np.sqrt(rs) / bnorm,
+            residuals=np.sqrt(rs) / np.maximum(bnorm, np.finfo(float).tiny),
         )
     return x
+
+
+def _system(diagonal, products):
+    """The action of diagonal*I + sum of scale * adjoint @ jump over the
+    (scale, adjoint, jump) Stencil triples in ``products``, assembled once
+    as one CSR matrix."""
+    from scipy.sparse import csr_array
+
+    n = products[0][2].num_cols
+    matrix = csr_array((np.full(n, diagonal), np.arange(n), np.arange(n + 1)),
+                       shape=(n, n))
+    for scale, adjoint, jump in products:
+        matrix = matrix + scale * (adjoint.matrix @ jump.matrix)
+
+    def apply_op(x):
+        return matrix @ x
+
+    return apply_op
 
 
 def normal_system_operator(conn, params):
     """Matrix action of the normal subproblem: beta*X - r1*adj(jump(X))."""
     topo = conn.topo
-
-    def apply_op(x):
-        return params.beta * x - params.r1 * edge_jump_adjoint(topo, edge_jump(topo, x))
-
-    return apply_op
+    return _system(params.beta, [(-params.r1, topo.jump_adjoint, topo.jump)])
 
 
 def v_system_operator(conn, params):
     """Matrix action of the v subproblem:
     r1*X - r0*adj(line_jump(X)) - r0*adj(curve_jump(X))."""
     lines, curves = conn.lines, conn.curves
-
-    def apply_op(x):
-        return (params.r1 * x
-                - params.r0 * line_jump_adjoint(lines, line_jump(lines, x))
-                - params.r0 * curve_jump_adjoint(curves, curve_jump(curves, x)))
-
-    return apply_op
+    return _system(params.r1, [(-params.r0, lines.jump_adjoint, lines.jump),
+                               (-params.r0, curves.jump_adjoint, curves.jump)])
 
 
 # -- the five subproblems ---------------------------------------------------
 
-def solve_n_subproblem(conn, state, n_in, params) -> np.ndarray:
+def solve_n_subproblem(conn, state, n_in, params, system) -> np.ndarray:
     """Fidelity-plus-penalty quadratic for the normals, then projection of
     every row onto the unit sphere (rows solving to ~0 keep the previous
-    iterate's normal, falling back to the input normal)."""
+    iterate's normal, falling back to the input normal). ``system`` is the
+    run's normal_system_operator."""
     topo = conn.topo
     rhs = params.beta * n_in - edge_jump_adjoint(
         topo, state.lam_P + params.r1 * (state.P + state.v))
-    solved = _cg_block(normal_system_operator(conn, params), rhs,
-                       topo.face_area, params.cg_rel_tol, params.cg_max_iters,
-                       "normal")
+    solved = _cg_block(system, rhs, topo.face_area, params.cg_rel_tol,
+                       params.cg_max_iters, "normal")
     norms = np.linalg.norm(solved, axis=1)
     prev_norms = np.linalg.norm(state.N, axis=1)
     fallback = np.where(prev_norms[:, None] >= 1e-12,
@@ -243,13 +256,14 @@ def solve_n_subproblem(conn, state, n_in, params) -> np.ndarray:
     return np.where(ok[:, None], solved / np.maximum(norms, 1e-300)[:, None], fallback)
 
 
-def solve_v_subproblem(conn, state, params) -> np.ndarray:
-    """Quadratic coupling v to the current normals and both jump penalties."""
+def solve_v_subproblem(conn, state, params, system) -> np.ndarray:
+    """Quadratic coupling v to the current normals and both jump penalties.
+    ``system`` is the run's v_system_operator."""
     topo, lines, curves = conn.topo, conn.lines, conn.curves
     rhs = (-state.lam_P - params.r1 * (state.P - edge_jump(topo, state.N))
            - line_jump_adjoint(lines, state.lam_Q1 + params.r0 * state.Q1)
            - curve_jump_adjoint(curves, state.lam_Q2 + params.r0 * state.Q2))
-    return _cg_block(v_system_operator(conn, params), rhs, topo.edge_len,
+    return _cg_block(system, rhs, topo.edge_len,
                      params.cg_rel_tol, params.cg_max_iters, "v")
 
 
@@ -285,10 +299,10 @@ def update_multipliers(conn, state, params) -> "SolverState":
 
 # -- the outer loop ---------------------------------------------------------
 
-def _split_steps(conn, state, params):
+def _split_steps(conn, state, params, v_system):
     """One sweep's updates after the normal step: v, the three shrinks,
     then the multipliers."""
-    state.v = solve_v_subproblem(conn, state, params)
+    state.v = solve_v_subproblem(conn, state, params, v_system)
     state.P = solve_p_subproblem(conn, state, params)
     state.Q1 = solve_q1_subproblem(conn, state, params)
     state.Q2 = solve_q2_subproblem(conn, state, params)
@@ -330,13 +344,16 @@ def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResu
         raise ValueError("n_in rows must be unit length")
 
     state = SolverState.initial(conn, n_in, params)
+    # both system matrices stay the same for the whole run
+    n_system = normal_system_operator(conn, params)
+    v_system = v_system_operator(conn, params)
     rows = []
     stop_reason = "max_iters"
     for k in range(params.max_outer_iters):
         state.k = k
         n_prev = state.N
-        state.N = solve_n_subproblem(conn, state, n_in, params)
-        _split_steps(conn, state, params)
+        state.N = solve_n_subproblem(conn, state, n_in, params, n_system)
+        _split_steps(conn, state, params, v_system)
 
         jump_n = edge_jump(topo, state.N)
         res_p = norm_edges(topo, state.P - (jump_n - state.v))
@@ -395,8 +412,9 @@ def minimize_tgv(conn, u, alpha1, alpha0, r1=2.0, r0=2.0, iters=200,
     at_jump = tgv_energy(conn, u2, jump_u, alpha1, alpha0)
     if at_jump < best_energy:
         best_energy, best_v = at_jump, jump_u
+    v_system = v_system_operator(conn, params)
     for _ in range(iters):
-        _split_steps(conn, state, params)
+        _split_steps(conn, state, params, v_system)
         energy = tgv_energy(conn, u2, state.v, alpha1, alpha0)
         if energy < best_energy:
             best_energy = energy

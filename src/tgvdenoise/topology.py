@@ -15,12 +15,15 @@ Each layer stores its jump operator once, as a Stencil (a padded gather
 table whose pinned rows hold zero coefficients), next to the adjoint
 derived from it by ``Stencil.adjoint``: the transpose weighted by the
 element measures, so ``<jump(x), y> = -<x, adjoint(y)>`` holds by
-construction.
+construction. A Stencil is applied as a sparse matrix, built from its table
+on first use; building the connectivity itself needs numpy only.
 
 Edge orientation is fixed as (min vertex index -> max vertex index) so runs
 are reproducible; every quantity derived downstream is invariant to this
 choice up to the sign of edge values.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +50,8 @@ class Stencil:
     idx / coef : (rows, width); every slot of a row the map pins to 0 holds
         coefficient 0, and so does every padding slot (with index 0)
     num_cols : length of the input field
+    matrix : the same map as a scipy CSR matrix (rows, num_cols), built on
+        first use
     """
 
     def __init__(self, idx, coef, num_cols):
@@ -56,6 +61,19 @@ class Stencil:
         self.num_cols = num_cols
         self.idx.setflags(write=False)
         self.coef.setflags(write=False)
+
+    @cached_property
+    def matrix(self):
+        # scipy is imported here, so building a connectivity does not load it
+        from scipy.sparse import csr_array
+
+        # the nonzero slots row by row, each row in slot order, so a product
+        # sums in the same order as a slot-by-slot gather
+        keep = self.coef != 0
+        indptr = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        return csr_array((self.coef[keep], self.idx[keep], indptr),
+                         shape=(len(keep), self.num_cols))
 
     def adjoint(self, m_row, m_col) -> "Stencil":
         """The adjoint in the measure-weighted inner products, with the

@@ -37,3 +37,13 @@ def closest_point_on_triangle(point, tri):
         t = np.clip(d @ (point - p0) / (d @ d), 0.0, 1.0)
         candidates.append(p0 + t * d)
     return min(np.linalg.norm(point - q) for q in candidates)
+
+
+def stencil_gather(idx, coef, x):
+    """A padded gather table applied slot by slot: out[i] = sum over k of
+    coef[i, k] * x[idx[i, k]], each row in slot order."""
+    out = np.zeros((len(idx),) + x.shape[1:])
+    for i in range(len(idx)):
+        for k in range(idx.shape[1]):
+            out[i] += coef[i, k] * x[idx[i, k]]
+    return out

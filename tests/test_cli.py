@@ -119,6 +119,17 @@ def test_denoise_inconsistent_orientation_exits_1(capsys, tmp_path):
     assert "face 1 is oriented inconsistently with face 0" in err
     assert not out.exists()
 
+
+def test_denoise_bowtie_vertex_exits_1(capsys, tmp_path):
+    bad = tmp_path / "bowtie.obj"
+    bad.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv -1 0 0\nv 0 -1 0\nf 1 2 3\nf 1 4 5\n")
+    out = tmp_path / "o.obj"
+    code, _, err = run_cli(capsys, "denoise", str(bad), "-o", str(out))
+    assert code == 1
+    assert "non-manifold vertex 0" in err
+    assert not out.exists()
+
+
 def test_denoise_clean_cube_is_near_fixed_point(capsys, tmp_path):
     mesh_path, _ = gen(capsys, tmp_path, "cube", "cube.obj", divisions=4, size=0.05)
     out = tmp_path / "out.obj"

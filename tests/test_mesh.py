@@ -61,6 +61,28 @@ def test_inconsistent_orientation_rejected():
     with pytest.raises(MeshError, match="face 1 is oriented inconsistently with face 0"):
         TriMesh(verts, [[0, 1, 2], [0, 3, 2]])
 
+
+def test_open_bowtie_vertex_rejected():
+    # two triangles that share only vertex 0; curve stencils there would
+    # wrap around a vertex that has no single ring of faces
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]
+    with pytest.raises(MeshError, match="non-manifold vertex 0 .*2 fans"):
+        TriMesh(verts, [[0, 1, 2], [0, 3, 4]])
+
+
+def test_touching_closed_cones_rejected():
+    # two closed tetrahedra that touch at their apex 0: each fan there is a
+    # closed ring, so faces minus interior edges at vertex 0 counts 0 fans
+    # either way; only following the rings tells them apart
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+             [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+    faces = [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3],
+             [0, 4, 5], [0, 6, 4], [0, 5, 6], [4, 6, 5]]
+    TriMesh(verts[:4], faces[:4])
+    with pytest.raises(MeshError, match="non-manifold vertex 0 .*2 fans"):
+        TriMesh(verts, faces)
+
+
 def test_areas():
     m = TriMesh([[0, 0, 0], [2, 0, 0], [0, 2, 0]], [[0, 1, 2]])
     assert np.allclose(face_areas(m), [2.0])

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from tgvdenoise import (NoiseSpec, SolverError, SolverParams, SolverState,
-                        add_gaussian_noise, build_connectivity, curve_jump,
-                        edge_jump, edge_weights, face_normals, filter_normals,
-                        inner_edges, inner_faces, line_jump, make_cube,
-                        mean_angular_difference, minimize_tgv, shrink,
-                        tgv_energy)
+                        TriMesh, add_gaussian_noise, build_connectivity,
+                        curve_jump, curve_jump_adjoint, edge_jump,
+                        edge_jump_adjoint, edge_weights, face_normals,
+                        filter_normals, inner_edges, inner_faces, line_jump,
+                        line_jump_adjoint, make_cube, mean_angular_difference,
+                        minimize_tgv, shrink, tgv_energy)
 from tgvdenoise.solver import (_cg_block, normal_system_operator,
                                solve_n_subproblem, solve_p_subproblem,
                                solve_q1_subproblem, solve_q2_subproblem,
@@ -114,6 +115,39 @@ def test_system_operators_are_symmetric(cube_small_conn, rng):
     assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + 1)
 
 
+def test_system_matrices_match_composed_operators(all_conns, rng):
+    # each system is assembled once as a sum of sparse products; its action
+    # must be the operator composition it replaces (measured <= 3.4e-16)
+    params = SolverParams(beta=7.0, r1=3.0, r0=0.5)
+    for conn in all_conns.values():
+        topo, lines, curves = conn.topo, conn.lines, conn.curves
+        x = rng.normal(size=(topo.num_faces, 3))
+        composed = params.beta * x - params.r1 * edge_jump_adjoint(topo, edge_jump(topo, x))
+        got = normal_system_operator(conn, params)(x)
+        assert np.abs(got - composed).max() <= 1e-12 * np.abs(composed).max()
+        v = rng.normal(size=(topo.num_edges, 3))
+        composed = (params.r1 * v
+                    - params.r0 * line_jump_adjoint(lines, line_jump(lines, v))
+                    - params.r0 * curve_jump_adjoint(curves, curve_jump(curves, v)))
+        got = v_system_operator(conn, params)(v)
+        assert np.abs(got - composed).max() <= 1e-12 * np.abs(composed).max()
+
+
+def test_measure_weighted_system_matrices_are_symmetric(all_conns):
+    # conjugate gradients in the measure-weighted inner product needs M*A
+    # symmetric (M the diagonal of element measures); measured <= 1.1e-16
+    # of the largest entry
+    params = SolverParams()
+    for conn in all_conns.values():
+        topo = conn.topo
+        for factory, measure in ((normal_system_operator, topo.face_area),
+                                 (v_system_operator, topo.edge_len)):
+            weighted = measure[:, None] * _dense_from_operator(
+                factory(conn, params), len(measure))
+            gap = np.abs(weighted - weighted.T).max()
+            assert gap <= 1e-12 * np.abs(weighted).max()
+
+
 def test_v_system_is_positive_definite(cube_small_conn, rng):
     conn = cube_small_conn
     params = SolverParams()
@@ -171,7 +205,8 @@ def test_n_subproblem_fidelity_only_limit(cube_small_conn):
     n_in = face_normals(conn.mesh)
     params = SolverParams(r1=1e-12)
     state = _fresh_state(conn, n_in, params)
-    out = solve_n_subproblem(conn, state, n_in, params)
+    out = solve_n_subproblem(conn, state, n_in, params,
+                             normal_system_operator(conn, params))
     assert np.allclose(out, n_in, atol=1e-9)
 
 
@@ -181,7 +216,8 @@ def test_v_subproblem_zero_inputs(cube_small_conn):
     params = SolverParams()
     state = _fresh_state(conn, n_in, params)
     state.N = np.zeros_like(n_in)  # edge_jump(0) = 0 so the full RHS is 0
-    assert np.all(solve_v_subproblem(conn, state, params) == 0.0)
+    assert np.all(solve_v_subproblem(conn, state, params,
+                                     v_system_operator(conn, params)) == 0.0)
 
 
 def test_p_subproblem_zero_argument(cube_small_conn):
@@ -408,3 +444,32 @@ def test_filter_is_rotation_equivariant(noisy_cube_small):
     turned = _filtered(noisy_cube_small.with_vertices(noisy_cube_small.vertices @ rot.T),
                        params)
     assert np.abs(turned - base @ rot.T).max() <= 1e-10
+
+
+def test_filter_is_relabeling_equivariant(noisy_cube_small):
+    # permuting the vertex and face indices permutes the output normals.
+    # Edge orientations and summation orders change with the labels, so
+    # the two runs round differently: measured 4.1e-14 after 20 sweeps at
+    # cg_rel_tol 1e-12 (4.4e-16 at the default 1e-8)
+    rng = np.random.default_rng(5)
+    vperm = rng.permutation(noisy_cube_small.num_vertices)
+    fperm = rng.permutation(noisy_cube_small.num_faces)
+    new_index = np.argsort(vperm)
+    relabeled = TriMesh(noisy_cube_small.vertices[vperm],
+                        new_index[noisy_cube_small.faces[fperm]])
+    params = SolverParams(max_outer_iters=20, cg_rel_tol=1e-12)
+    base = _filtered(noisy_cube_small, params)
+    assert np.abs(_filtered(relabeled, params) - base[fperm]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("s", [10.0, 0.1])
+def test_filter_follows_the_scale_law(noisy_cube_small, s):
+    # README: areas scale by s^2 and lengths by s, so the mesh scaled by s
+    # with beta / s is the same problem divided by s; measured 4.1e-14
+    # (s = 10) and 5.7e-14 (s = 0.1) at cg_rel_tol 1e-12 after 20 sweeps
+    params = SolverParams(max_outer_iters=20, cg_rel_tol=1e-12)
+    base = _filtered(noisy_cube_small, params)
+    scaled = noisy_cube_small.with_vertices(noisy_cube_small.vertices * s)
+    got = _filtered(scaled, SolverParams(max_outer_iters=20, cg_rel_tol=1e-12,
+                                         beta=params.beta / s))
+    assert np.abs(got - base).max() <= 1e-10

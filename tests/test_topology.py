@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -202,3 +206,15 @@ def test_cube_counts():
     topo = build_edge_topology(m)
     # closed surface: V - E + F = 2
     assert m.num_vertices - topo.num_edges + m.num_faces == 2
+
+
+def test_connectivity_imports_no_scipy():
+    # the sparse matrices are built on first use, so building the
+    # connectivity (the benchmark's set-up step) stays numpy-only
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tgvdenoise as t; "
+            "t.build_connectivity(t.make_cube(2)); "
+            "print(sorted(n for n in sys.modules if n.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"
