@@ -7,10 +7,10 @@ takes a per-element magnitude.
 
 Every operator here is linear, local, and deterministic (fixed gather and
 summation order). Each jump is one table stored on its topology layer (a
-``topology.Stencil``), and each adjoint is the table derived from it; the
-six operator functions are one product with the sparse matrix built from
-the matching table. The three forward/adjoint pairs satisfy, for all
-fields,
+``topology.Stencil``), applied as the sparse matrix built from it; each
+adjoint is that matrix's measure-weighted sparse transpose, built on first
+use. The six operator functions are one sparse product each. The three
+forward/adjoint pairs satisfy, for all fields,
 
     <jump(x), y>  =  -<x, jump_adjoint(y)>
 
@@ -85,9 +85,9 @@ def norm_curves(curves, a) -> float:
     return np.sqrt(inner_curves(curves, a, a))
 
 
-def _apply(stencil, x, what):
-    """A field through a Stencil: one product with its sparse matrix."""
-    out = stencil.matrix @ _as2d(x, stencil.num_cols, what)
+def _apply(matrix, x, what):
+    """A field through a sparse matrix: one product."""
+    out = matrix @ _as2d(x, matrix.shape[1], what)
     return out if np.ndim(x) > 1 else out[:, 0]
 
 
@@ -99,7 +99,7 @@ def edge_jump(topo, u) -> np.ndarray:
     Interior edge: sum of the two incident face values times sgn(edge, face).
     Boundary edges carry 0.
     """
-    return _apply(topo.jump, u, "face")
+    return _apply(topo.jump.matrix, u, "face")
 
 
 def edge_jump_adjoint(topo, v) -> np.ndarray:
@@ -107,7 +107,7 @@ def edge_jump_adjoint(topo, v) -> np.ndarray:
 
     Per face: -(1/area) * sum over its interior edges of value * sgn * len.
     """
-    return _apply(topo.jump_adjoint, v, "edge")
+    return _apply(topo.jump.adjoint, v, "edge")
 
 
 # -- jump of an edge field over barycenter-to-vertex lines ----------------
@@ -115,13 +115,13 @@ def edge_jump_adjoint(topo, v) -> np.ndarray:
 def line_jump(lines, v) -> np.ndarray:
     """Per line: v at the entering edge plus v at the leaving edge, each
     signed against the owning triangle; 0 on lines touching the boundary."""
-    return _apply(lines.jump, v, "edge")
+    return _apply(lines.jump.matrix, v, "edge")
 
 
 def line_jump_adjoint(lines, w) -> np.ndarray:
     """Adjoint of line_jump, an edge field: -(1/len(e)) * sum over incident
     active lines of value * sgn(e, owning triangle) * len(line)."""
-    return _apply(lines.jump_adjoint, w, "line")
+    return _apply(lines.jump.adjoint, w, "line")
 
 
 # -- jump of an edge field over four-edge curves --------------------------
@@ -129,13 +129,13 @@ def line_jump_adjoint(lines, w) -> np.ndarray:
 def curve_jump(curves, v) -> np.ndarray:
     """Per valid curve: the four stencil values, each signed against the
     neighbor triangle they are read in; 0 on invalid curves."""
-    return _apply(curves.jump, v, "edge")
+    return _apply(curves.jump.matrix, v, "edge")
 
 
 def curve_jump_adjoint(curves, w) -> np.ndarray:
     """Adjoint of curve_jump, an edge field: -(1/len(e)) * sum over incident
     valid curves of value * sgn(e, neighbor triangle) * len(curve)."""
-    return _apply(curves.jump_adjoint, w, "curve")
+    return _apply(curves.jump.adjoint, w, "curve")
 
 
 # -- semi-norms ------------------------------------------------------------

@@ -36,20 +36,20 @@ def update_vertices(mesh, target_normals, iters: int = 30):
         raise ValueError(f"target_normals must have shape ({len(faces)}, 3)")
 
     x = mesh.vertices.copy()
-    ring_size = np.zeros(len(x))
-    np.add.at(ring_size, faces.ravel(), 1.0)
+    # corners in corner-major order, so each vertex's bincount sums its terms
+    # in the same order as one scatter-add per corner would
+    corner_vertex = faces.T.ravel()
+    ring_size = np.bincount(corner_vertex, minlength=len(x)).astype(np.float64)
     scale = np.divide(1.0, ring_size, out=np.zeros_like(ring_size),
                       where=ring_size > 0)
 
     for _ in range(iters):
         centroids, current = _centroids_and_normals(x, faces)
         keep = (current * n_t).sum(axis=1) >= 0.0
-        disp = np.zeros_like(x)
-        for corner in range(3):
-            idx = faces[:, corner]
-            offset = ((centroids - x[idx]) * n_t).sum(axis=1)
-            term = n_t * (offset * keep)[:, None]
-            np.add.at(disp, idx, term)
+        offset = ((centroids - x[faces.T]) * n_t).sum(axis=2)    # (3, T)
+        terms = (n_t * (offset * keep)[:, :, None]).reshape(-1, 3)
+        disp = np.stack([np.bincount(corner_vertex, weights=terms[:, j], minlength=len(x))
+                         for j in range(3)], axis=1)
         x = x + disp * scale[:, None]
     return mesh.with_vertices(x)
 

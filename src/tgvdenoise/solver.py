@@ -205,15 +205,15 @@ def _cg_block(apply_op, rhs, measure, rel_tol, max_iters, label):
 
 def _system(diagonal, products):
     """The action of diagonal*I + sum of scale * adjoint @ jump over the
-    (scale, adjoint, jump) Stencil triples in ``products``, assembled once
-    as one CSR matrix."""
+    (scale, Stencil) pairs in ``products``, assembled once as one CSR
+    matrix."""
     from scipy.sparse import csr_array
 
-    n = products[0][2].num_cols
+    n = products[0][1].num_cols
     matrix = csr_array((np.full(n, diagonal), np.arange(n), np.arange(n + 1)),
                        shape=(n, n))
-    for scale, adjoint, jump in products:
-        matrix = matrix + scale * (adjoint.matrix @ jump.matrix)
+    for scale, stencil in products:
+        matrix = matrix + scale * (stencil.adjoint @ stencil.matrix)
 
     def apply_op(x):
         return matrix @ x
@@ -223,16 +223,14 @@ def _system(diagonal, products):
 
 def normal_system_operator(conn, params):
     """Matrix action of the normal subproblem: beta*X - r1*adj(jump(X))."""
-    topo = conn.topo
-    return _system(params.beta, [(-params.r1, topo.jump_adjoint, topo.jump)])
+    return _system(params.beta, [(-params.r1, conn.topo.jump)])
 
 
 def v_system_operator(conn, params):
     """Matrix action of the v subproblem:
     r1*X - r0*adj(line_jump(X)) - r0*adj(curve_jump(X))."""
-    lines, curves = conn.lines, conn.curves
-    return _system(params.r1, [(-params.r0, lines.jump_adjoint, lines.jump),
-                               (-params.r0, curves.jump_adjoint, curves.jump)])
+    return _system(params.r1, [(-params.r0, conn.lines.jump),
+                               (-params.r0, conn.curves.jump)])
 
 
 # -- the five subproblems ---------------------------------------------------

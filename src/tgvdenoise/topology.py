@@ -11,12 +11,13 @@ Three layers are built on top of a validated TriMesh:
 * CurveSet: per line, the four-edge stencil that wraps around the line's
   vertex through the two neighboring triangles.
 
-Each layer stores its jump operator once, as a Stencil (a padded gather
-table whose pinned rows hold zero coefficients), next to the adjoint
-derived from it by ``Stencil.adjoint``: the transpose weighted by the
-element measures, so ``<jump(x), y> = -<x, adjoint(y)>`` holds by
-construction. A Stencil is applied as a sparse matrix, built from its table
-on first use; building the connectivity itself needs numpy only.
+Each layer stores its jump operator once, as a Stencil: a padded gather
+table whose pinned rows hold zero coefficients, plus the measures of its
+output and input elements. A Stencil is applied as a sparse matrix, built
+from its table on first use. Its adjoint is that matrix's transpose weighted
+by the element measures, also built on first use, so
+``<jump(x), y> = -<x, adjoint(y)>`` holds by construction. Building the
+connectivity itself needs numpy only.
 
 Edge orientation is fixed as (min vertex index -> max vertex index) so runs
 are reproducible; every quantity derived downstream is invariant to this
@@ -43,22 +44,28 @@ __all__ = [
 
 
 class Stencil:
-    """A linear map between element fields as a padded gather table:
+    """A jump between element fields as a padded gather table:
 
         out[i] = sum_k coef[i, k] * x[idx[i, k]]
 
     idx / coef : (rows, width); every slot of a row the map pins to 0 holds
         coefficient 0, and so does every padding slot (with index 0)
+    m_row / m_col : the measures of the output and input elements, which
+        weight the inner products the adjoint is taken in
     num_cols : length of the input field
     matrix : the same map as a scipy CSR matrix (rows, num_cols), built on
         first use
+    adjoint : the adjoint as a scipy CSR matrix (num_cols, rows), built on
+        first use as the measure-weighted transpose of ``matrix``
     """
 
-    def __init__(self, idx, coef, num_cols):
+    def __init__(self, idx, coef, m_row, m_col):
         # column-major, so each slot's gather runs over contiguous memory
         self.idx = np.asfortranarray(idx, dtype=np.int64)
         self.coef = np.asfortranarray(coef, dtype=np.float64)
-        self.num_cols = num_cols
+        self.m_row = m_row
+        self.m_col = m_col
+        self.num_cols = len(m_col)
         self.idx.setflags(write=False)
         self.coef.setflags(write=False)
 
@@ -75,29 +82,15 @@ class Stencil:
         return csr_array((self.coef[keep], self.idx[keep], indptr),
                          shape=(len(keep), self.num_cols))
 
-    def adjoint(self, m_row, m_col) -> "Stencil":
-        """The adjoint in the measure-weighted inner products, with the
-        minus-sign convention: slot (row i, column j) of this map becomes
-        slot (j, i) with coefficient -coef * m_row[i] / m_col[j]."""
-        n = len(self.idx)
-        src_idx = self.idx.ravel(order="F")
-        src_coef = self.coef.ravel(order="F")
-        # nonzero slots (flat, column-major) ordered by (column, slot): one
-        # sort of unique keys, so ties cannot make the order platform-dependent
-        key = np.flatnonzero(src_coef)
-        key += src_idx[key] * src_idx.size
-        key.sort()
-        cols, slots = np.divmod(key, src_idx.size)
-        del key  # before the output tables, to keep the build's peak memory down
-        counts = np.bincount(cols, minlength=self.num_cols)
-        pos = np.arange(len(cols)) - (np.cumsum(counts) - counts)[cols]
-        width = max(int(counts.max(initial=0)), 1)
-        idx = np.zeros((self.num_cols, width), dtype=np.int64, order="F")
-        coef = np.zeros((self.num_cols, width), order="F")
-        rows = slots % n
-        idx[cols, pos] = rows
-        coef[cols, pos] = -src_coef[slots] * m_row[rows] / m_col[cols]
-        return Stencil(idx, coef, n)
+    @cached_property
+    def adjoint(self):
+        """-diag(1/m_col) @ matrix.T @ diag(m_row): the adjoint in the
+        measure-weighted inner products, with the minus-sign convention, so
+        <matrix @ x, y>_row = -<x, adjoint @ y>_col."""
+        adj = self.matrix.T.tocsr()
+        cols = np.repeat(np.arange(self.num_cols), np.diff(adj.indptr))
+        adj.data *= -self.m_row[adj.indices] / self.m_col[cols]
+        return adj
 
 
 class EdgeTopology:
@@ -116,8 +109,8 @@ class EdgeTopology:
     face_edge_sign : (T, 3) float, sgn(face_edges[t, k], t)
     face_area : (T,) float
     face_bary : (T, 3) float
-    jump / jump_adjoint : Stencil, the edge jump (faces -> edges, boundary
-        rows pinned) and its adjoint (edges -> faces)
+    jump : Stencil, the edge jump (faces -> edges, boundary rows pinned);
+        its adjoint maps edges -> faces
     """
 
     def __init__(self, mesh, edges, edge_len, edge_faces, edge_face_sign,
@@ -138,8 +131,7 @@ class EdgeTopology:
             getattr(self, name).setflags(write=False)
         self.jump = Stencil(np.where(edge_faces >= 0, edge_faces, 0),
                             edge_face_sign * ~is_boundary[:, None],
-                            len(face_edges))
-        self.jump_adjoint = self.jump.adjoint(edge_len, face_area)
+                            edge_len, face_area)
 
     @property
     def num_edges(self):
@@ -166,14 +158,14 @@ def build_edge_topology(mesh, _flip_edges=None) -> EdgeTopology:
     if T == 0:
         raise MeshError("mesh has no faces")
 
-    # directed boundary edges per face: local edge k goes f[t,k] -> f[t,k+1]
+    # directed boundary edges per face: local edge k goes f[t,k] -> f[t,k+1];
+    # the undirected edge (a, b), a < b, is keyed by the integer a * V + b
     heads = f
     tails = np.roll(f, -1, axis=1)
-    a = np.minimum(heads, tails).ravel()
-    b = np.maximum(heads, tails).ravel()
-    keys = np.stack([a, b], axis=1)
-    edges, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    inverse = inverse.ravel()
+    V = len(mesh.vertices)
+    keys = np.minimum(heads, tails).ravel() * V + np.maximum(heads, tails).ravel()
+    keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    edges = np.stack(np.divmod(keys, V), axis=1)
     E = len(edges)
     if (counts > 2).any():
         bad = int(np.nonzero(counts > 2)[0][0])
@@ -229,8 +221,8 @@ class LineSet:
         of edge_in / edge_out (-1 at the boundary)
     active : (3T,) bool, False when either edge lies on the boundary (the
         jump over such a line is pinned to 0)
-    jump / jump_adjoint : Stencil, the line jump (edges -> lines: the two
-        edge values signed against the owning face) and its adjoint
+    jump : Stencil, the line jump (edges -> lines: the two edge values
+        signed against the owning face)
     """
 
     def __init__(self, topo):
@@ -257,8 +249,8 @@ class LineSet:
                      "face_across_in", "face_across_out", "active"):
             getattr(self, name).setflags(write=False)
         signs = topo.face_edge_sign[t, local_io].T
-        self.jump = Stencil(edge_io, signs * self.active[:, None], topo.num_edges)
-        self.jump_adjoint = self.jump.adjoint(self.line_len, topo.edge_len)
+        self.jump = Stencil(edge_io, signs * self.active[:, None],
+                            self.line_len, topo.edge_len)
 
     @property
     def num_lines(self):
@@ -299,9 +291,9 @@ class CurveSet:
         jump.idx, so a missing far edge reads 0 (and its curve is invalid)
     face_far_out / face_far_in : (3T,) int, the third-ring triangles across
         the far edges (-1 where missing); used by consistency checks
-    jump / jump_adjoint : Stencil, the curve jump (edges -> curves: the four
-        stencil values, each signed against the neighbor triangle it is read
-        in; invalid rows pinned) and its adjoint
+    jump : Stencil, the curve jump (edges -> curves: the four stencil
+        values, each signed against the neighbor triangle it is read in;
+        invalid rows pinned)
     """
 
     def __init__(self, lines):
@@ -354,9 +346,8 @@ class CurveSet:
         for name in ("valid", "curve_len", "face_far_out", "face_far_in",
                      "face_out", "face_in"):
             getattr(self, name).setflags(write=False)
-        self.jump = Stencil(edges, signs * valid[:, None], topo.num_edges)
+        self.jump = Stencil(edges, signs * valid[:, None], curve_len, topo.edge_len)
         self.edges = self.jump.idx
-        self.jump_adjoint = self.jump.adjoint(curve_len, topo.edge_len)
 
     @property
     def num_curves(self):

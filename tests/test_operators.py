@@ -35,18 +35,35 @@ def _args(conn, name):
 
 # -- the sparse form of each stored table -----------------------------------
 
+def _measures(conn, name):
+    """The (row, column) measures of a layer's jump."""
+    topo = conn.topo
+    if name == "edge":
+        return topo.edge_len, topo.face_area
+    if name == "line":
+        return conn.lines.line_len, topo.edge_len
+    return conn.curves.curve_len, topo.edge_len
+
+
 @pytest.mark.parametrize("name", ["edge", "line", "curve"])
 @pytest.mark.parametrize("which", ["jump", "jump_adjoint"])
 def test_stencil_matrix_matches_slot_gather(all_conns, rng, name, which):
-    # the matrix keeps each row's slots in table order, so its product sums
-    # like the gather; measured difference 0 on every mesh
+    # the jump's matrix keeps each row's slots in table order, so its product
+    # sums like the gather (measured difference 0 on every mesh); the adjoint
+    # is -diag(1/m_col) G^T diag(m_row), with G the gathered table
     from oracles import stencil_gather
 
     for conn in all_conns.values():
-        stencil = getattr(_args(conn, name), which)
-        x = rng.normal(size=(stencil.num_cols, 3))
-        ref = stencil_gather(stencil.idx, stencil.coef, x)
-        got = stencil.matrix @ x
+        stencil = _args(conn, name).jump
+        if which == "jump":
+            x = rng.normal(size=(stencil.num_cols, 3))
+            ref = stencil_gather(stencil.idx, stencil.coef, x)
+            got = stencil.matrix @ x
+        else:
+            m_row, m_col = _measures(conn, name)
+            G = stencil_gather(stencil.idx, stencil.coef, np.eye(stencil.num_cols))
+            ref = -(m_row[:, None] * G).T / m_col[:, None]
+            got = stencil.adjoint.toarray()
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-14 * max(np.abs(ref).max(), 1.0)
 
