@@ -30,14 +30,8 @@ class TriMesh:
     """
 
     def __init__(self, vertices, faces):
-        v = np.asarray(vertices, dtype=np.float64)
+        v = _checked_vertices(vertices)
         f = np.asarray(faces, dtype=np.int64)
-        if v.ndim != 2 or v.shape[1] != 3:
-            raise MeshError(f"vertices must have shape (P, 3), got {v.shape}")
-        finite = np.isfinite(v).all(axis=1)
-        if not finite.all():
-            raise MeshError(f"vertex {int(np.nonzero(~finite)[0][0])} has a "
-                            "non-finite coordinate")
         if f.size == 0:
             f = f.reshape(0, 3)
         if f.ndim != 2 or f.shape[1] != 3:
@@ -118,11 +112,33 @@ class TriMesh:
         return len(self.faces)
 
     def with_vertices(self, vertices):
-        """Same connectivity, new positions."""
-        return TriMesh(vertices, self.faces)
+        """Same connectivity, new positions. The faces were validated with
+        this mesh, so only the checks that depend on positions rerun: shape
+        and vertex count, finite coordinates, and degenerate triangles."""
+        v = _checked_vertices(vertices)
+        if len(v) != self.num_vertices:
+            raise MeshError(f"expected {self.num_vertices} vertices, got {len(v)}")
+        v.setflags(write=False)
+        mesh = object.__new__(type(self))
+        mesh.vertices = v
+        mesh.faces = self.faces
+        if self.faces.size:
+            mesh._check_areas()
+        return mesh
 
     def __repr__(self):
         return f"TriMesh(vertices={self.num_vertices}, faces={self.num_faces})"
+
+
+def _checked_vertices(vertices):
+    v = np.asarray(vertices, dtype=np.float64)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise MeshError(f"vertices must have shape (P, 3), got {v.shape}")
+    finite = np.isfinite(v).all(axis=1)
+    if not finite.all():
+        raise MeshError(f"vertex {int(np.nonzero(~finite)[0][0])} has a "
+                        "non-finite coordinate")
+    return v
 
 
 def _face_cross(mesh):

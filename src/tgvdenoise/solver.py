@@ -85,7 +85,13 @@ class SolverParams:
 
 @dataclass
 class SolverState:
-    """All iterates of one filter run (edge weights included)."""
+    """All iterates of one filter run (edge weights included).
+
+    ``N_solved`` is the normal system's last solution before projection onto
+    the unit sphere (None before the first); the next normal solve starts
+    from it, as the next v solve starts from ``v``. ``cg_iterations`` holds
+    the conjugate-gradient iterations of the latest normal and v solves.
+    """
 
     N: np.ndarray
     v: np.ndarray
@@ -97,6 +103,8 @@ class SolverState:
     lam_Q2: np.ndarray
     w: np.ndarray
     k: int = 0
+    N_solved: np.ndarray = None
+    cg_iterations: list = field(default_factory=lambda: [0, 0])
 
     @classmethod
     def initial(cls, conn, n_in, params):
@@ -125,6 +133,8 @@ class FilterResult:
 
     ``diagnostics`` has one row per sweep with the DIAGNOSTIC_COLUMNS
     entries; ``stop_reason`` is "tolerance" or "max_iters".
+    ``cg_iterations`` has one row per sweep: the conjugate-gradient
+    iterations of the normal and of the v solve.
     """
 
     normals: np.ndarray
@@ -132,6 +142,7 @@ class FilterResult:
     stop_reason: str
     diagnostics: np.ndarray
     weights: np.ndarray = field(repr=False, default=None)
+    cg_iterations: np.ndarray = field(repr=False, default=None)
 
 
 # -- building blocks -------------------------------------------------------
@@ -164,35 +175,53 @@ def edge_weights(topo, normals, sigma_e) -> np.ndarray:
     return w
 
 
-def _cg_block(apply_op, rhs, measure, rel_tol, max_iters, label):
+def _cg_block(apply_op, rhs, measure, rel_tol, max_iters, label, x0=None):
     """Conjugate gradients in the measure-weighted inner product, run on all
     channels at once with per-channel scalars and per-channel freezing, so
     each channel runs its own iteration (up to rounding in the dot
-    products)."""
+    products).
+
+    ``x0`` is the starting guess; None or all zeros starts from zero. Each
+    channel stops once its residual's norm is at most ``rel_tol`` times its
+    right-hand side's, whatever the start, and a channel whose right-hand
+    side is exactly zero returns exactly zero. Returns the solution and the
+    iteration count, one per product with the system: a nonzero ``x0``
+    costs one more, for its residual.
+    """
     def wdot(a, b):
         return measure @ (a * b)
 
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    rs = wdot(r, r)
-    bnorm = np.sqrt(rs)
+    bnorm = np.sqrt(wdot(rhs, rhs))
     target = rel_tol * bnorm
-    active = bnorm > target
+    if x0 is None or not x0.any():
+        x = np.zeros_like(rhs)
+        r = rhs.copy()
+        products = 0
+    else:
+        x = np.where(bnorm > 0, x0, 0.0)
+        r = rhs - apply_op(x)
+        products = 1
+    rs = wdot(r, r)
+    active = np.sqrt(rs) > target
     p = np.where(active, r, 0.0)
+    # Per-channel scalings multiply by a diagonal matrix: BLAS does that
+    # faster than broadcasting a (3,) factor over rows of three, with the
+    # same bits, since the off-diagonal terms add exact zeros. A frozen
+    # channel's step is zero, so its direction needs no reset.
     for _ in range(max_iters):
         if not active.any():
             break
         ap = apply_op(p)
+        products += 1
         pap = wdot(p, ap)
-        safe = active & (pap > 0)
-        alpha = np.where(safe, rs / np.where(safe, pap, 1.0), 0.0)
-        x += alpha * p
-        r -= alpha * ap
+        step = np.diag(np.divide(rs, pap, out=np.zeros_like(rs),
+                                 where=active & (pap > 0)))
+        x += p @ step
+        r -= ap @ step
         rs_new = wdot(r, r)
         active = np.sqrt(rs_new) > target
-        p *= np.where(active, rs_new / np.where(rs > 0, rs, 1.0), 0.0)
+        p = p @ np.diag(np.divide(rs_new, rs, out=np.zeros_like(rs), where=active))
         p += r
-        p[:, ~active] = 0.0
         rs = rs_new
     if active.any():
         raise SolverError(
@@ -200,7 +229,7 @@ def _cg_block(apply_op, rhs, measure, rel_tol, max_iters, label):
             f"within {max_iters} iterations",
             residuals=np.sqrt(rs) / np.maximum(bnorm, np.finfo(float).tiny),
         )
-    return x
+    return x, products
 
 
 def _system(diagonal, products):
@@ -239,12 +268,15 @@ def solve_n_subproblem(conn, state, n_in, params, system) -> np.ndarray:
     """Fidelity-plus-penalty quadratic for the normals, then projection of
     every row onto the unit sphere (rows solving to ~0 keep the previous
     iterate's normal, falling back to the input normal). ``system`` is the
-    run's normal_system_operator."""
+    run's normal_system_operator. The solve starts from, and then replaces,
+    ``state.N_solved``; its iterations go to ``state.cg_iterations[0]``."""
     topo = conn.topo
     rhs = params.beta * n_in - edge_jump_adjoint(
         topo, state.lam_P + params.r1 * (state.P + state.v))
-    solved = _cg_block(system, rhs, topo.face_area, params.cg_rel_tol,
-                       params.cg_max_iters, "normal")
+    solved, state.cg_iterations[0] = _cg_block(
+        system, rhs, topo.face_area, params.cg_rel_tol, params.cg_max_iters,
+        "normal", x0=state.N_solved)
+    state.N_solved = solved
     norms = np.linalg.norm(solved, axis=1)
     prev_norms = np.linalg.norm(state.N, axis=1)
     fallback = np.where(prev_norms[:, None] >= 1e-12,
@@ -256,13 +288,16 @@ def solve_n_subproblem(conn, state, n_in, params, system) -> np.ndarray:
 
 def solve_v_subproblem(conn, state, params, system) -> np.ndarray:
     """Quadratic coupling v to the current normals and both jump penalties.
-    ``system`` is the run's v_system_operator."""
+    ``system`` is the run's v_system_operator. The solve starts from
+    ``state.v``; its iterations go to ``state.cg_iterations[1]``."""
     topo, lines, curves = conn.topo, conn.lines, conn.curves
     rhs = (-state.lam_P - params.r1 * (state.P - edge_jump(topo, state.N))
            - line_jump_adjoint(lines, state.lam_Q1 + params.r0 * state.Q1)
            - curve_jump_adjoint(curves, state.lam_Q2 + params.r0 * state.Q2))
-    return _cg_block(system, rhs, topo.edge_len,
-                     params.cg_rel_tol, params.cg_max_iters, "v")
+    v, state.cg_iterations[1] = _cg_block(
+        system, rhs, topo.edge_len, params.cg_rel_tol, params.cg_max_iters,
+        "v", x0=state.v)
+    return v
 
 
 def solve_p_subproblem(conn, state, params) -> np.ndarray:
@@ -307,13 +342,15 @@ def _split_steps(conn, state, params, v_system):
     update_multipliers(conn, state, params)
 
 
-def _objective(conn, n_in, state, params):
+def _objective(conn, n_in, state, params, jump_n, jump_l, jump_c):
+    """The filter's objective at ``state``, given edge_jump(N),
+    line_jump(v) and curve_jump(v)."""
     topo, lines, curves = conn.topo, conn.lines, conn.curves
     fid = 0.5 * params.beta * inner_faces(topo, state.N - n_in, state.N - n_in)
-    resid = edge_jump(topo, state.N) - state.v
+    resid = jump_n - state.v
     first = (state.w * np.linalg.norm(resid, axis=1) * topo.edge_len).sum()
-    second = (np.linalg.norm(line_jump(lines, state.v), axis=1) * lines.line_len).sum() \
-        + (np.linalg.norm(curve_jump(curves, state.v), axis=1) * curves.curve_len).sum()
+    second = (np.linalg.norm(jump_l, axis=1) * lines.line_len).sum() \
+        + (np.linalg.norm(jump_c, axis=1) * curves.curve_len).sum()
     return float(fid + params.alpha1 * first + params.alpha0 * second)
 
 
@@ -345,21 +382,24 @@ def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResu
     # both system matrices stay the same for the whole run
     n_system = normal_system_operator(conn, params)
     v_system = v_system_operator(conn, params)
-    rows = []
+    rows, cg_iterations = [], []
     stop_reason = "max_iters"
     for k in range(params.max_outer_iters):
         state.k = k
         n_prev = state.N
         state.N = solve_n_subproblem(conn, state, n_in, params, n_system)
         _split_steps(conn, state, params, v_system)
+        cg_iterations.append(tuple(state.cg_iterations))
 
         jump_n = edge_jump(topo, state.N)
+        jump_l = line_jump(conn.lines, state.v)
+        jump_c = curve_jump(conn.curves, state.v)
         res_p = norm_edges(topo, state.P - (jump_n - state.v))
-        res_q1 = norm_lines(conn.lines, state.Q1 - line_jump(conn.lines, state.v))
-        res_q2 = norm_curves(conn.curves, state.Q2 - curve_jump(conn.curves, state.v))
+        res_q1 = norm_lines(conn.lines, state.Q1 - jump_l)
+        res_q2 = norm_curves(conn.curves, state.Q2 - jump_c)
         diff = state.N - n_prev
         change_sq = inner_faces(topo, diff, diff)
-        rows.append((k, _objective(conn, n_in, state, params),
+        rows.append((k, _objective(conn, n_in, state, params, jump_n, jump_l, jump_c),
                      res_p, res_q1, res_q2, change_sq))
 
         if params.dynamic_weights:
@@ -374,7 +414,8 @@ def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResu
         _write_diagnostics(diagnostics_path, diagnostics)
     return FilterResult(normals=state.N, iterations=len(rows),
                         stop_reason=stop_reason, diagnostics=diagnostics,
-                        weights=state.w)
+                        weights=state.w,
+                        cg_iterations=np.array(cg_iterations, dtype=np.int64))
 
 
 def _write_diagnostics(path, diagnostics):

@@ -99,3 +99,27 @@ def test_with_vertices_keeps_faces():
     moved = m.with_vertices(m.vertices * 2.0)
     assert np.array_equal(moved.faces, m.faces)
     assert np.allclose(moved.vertices, m.vertices * 2.0)
+
+
+def test_with_vertices_rejects_a_non_finite_coordinate():
+    m = make_tetrahedron()
+    moved = m.vertices.copy()
+    moved[2, 1] = np.nan
+    with pytest.raises(MeshError, match="vertex 2"):
+        m.with_vertices(moved)
+
+
+def test_with_vertices_rejects_a_collapsed_face():
+    m = make_tetrahedron()
+    moved = m.vertices.copy()
+    moved[1] = moved[0]
+    with pytest.raises(MeshError, match="degenerate"):
+        m.with_vertices(moved)
+
+
+def test_with_vertices_rejects_a_wrong_vertex_count():
+    m = make_tetrahedron()
+    for moved in (m.vertices[:-1], np.vstack([m.vertices, [[9.0, 9.0, 9.0]]]),
+                  m.vertices[:, :2]):
+        with pytest.raises(MeshError):
+            m.with_vertices(moved)

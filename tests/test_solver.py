@@ -8,6 +8,7 @@ from tgvdenoise import (NoiseSpec, SolverError, SolverParams, SolverState,
                         filter_normals, inner_edges, inner_faces, line_jump,
                         line_jump_adjoint, make_cube, mean_angular_difference,
                         minimize_tgv, shrink, tgv_energy)
+from tgvdenoise import solver
 from tgvdenoise.solver import (_cg_block, normal_system_operator,
                                solve_n_subproblem, solve_p_subproblem,
                                solve_q1_subproblem, solve_q2_subproblem,
@@ -169,18 +170,20 @@ def test_cg_matches_dense_solve(cube_small_conn, rng):
         dense = _dense_from_operator(apply_op, n)
         b = rng.normal(size=(n, 3))
         x_direct = np.linalg.solve(dense, b)
-        x_cg = _cg_block(apply_op, b, measure, params.cg_rel_tol,
-                         params.cg_max_iters, "test")
-        rel = np.linalg.norm(x_cg - x_direct) / np.linalg.norm(x_direct)
-        assert rel < 1e-8
+        # from zero, and warm-started from a random guess
+        for x0 in (None, 10.0 * np.random.default_rng(5).normal(size=(n, 3))):
+            x_cg, _ = _cg_block(apply_op, b, measure, params.cg_rel_tol,
+                                params.cg_max_iters, "test", x0=x0)
+            rel = np.linalg.norm(x_cg - x_direct) / np.linalg.norm(x_direct)
+            assert rel < 1e-8
 
 
 def test_cg_zero_rhs_returns_zero(cube_small_conn):
     conn = cube_small_conn
     params = SolverParams()
-    out = _cg_block(v_system_operator(conn, params),
-                    np.zeros((conn.topo.num_edges, 3)), conn.topo.edge_len,
-                    params.cg_rel_tol, params.cg_max_iters, "test")
+    out, _ = _cg_block(v_system_operator(conn, params),
+                       np.zeros((conn.topo.num_edges, 3)), conn.topo.edge_len,
+                       params.cg_rel_tol, params.cg_max_iters, "test")
     assert np.all(out == 0.0)
 
 
@@ -192,6 +195,45 @@ def test_cg_nonconvergence_raises(cube_small_conn, rng):
         _cg_block(v_system_operator(conn, params), b, conn.topo.edge_len,
                   1e-14, 2, "test")
     assert err.value.residuals is not None
+
+
+def _counting(apply_op):
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return apply_op(x)
+
+    return counted, calls
+
+
+def test_cg_warm_start_zero_rhs_channel_returns_zero(cube_small_conn, rng):
+    conn = cube_small_conn
+    params = SolverParams()
+    b = rng.normal(size=(conn.topo.num_edges, 3))
+    b[:, 1] = 0.0
+    out, _ = _cg_block(v_system_operator(conn, params), b, conn.topo.edge_len,
+                       params.cg_rel_tol, params.cg_max_iters, "test",
+                       x0=rng.normal(size=b.shape))
+    assert np.all(out[:, 1] == 0.0)
+    assert np.any(out[:, [0, 2]] != 0.0)
+
+
+def test_cg_warm_start_at_the_solution_takes_one_product(cube_small_conn, rng):
+    conn = cube_small_conn
+    params = SolverParams()
+    for factory, n, measure in [
+        (normal_system_operator, conn.topo.num_faces, conn.topo.face_area),
+        (v_system_operator, conn.topo.num_edges, conn.topo.edge_len),
+    ]:
+        apply_op = factory(conn, params)
+        b = rng.normal(size=(n, 3))
+        x_direct = np.linalg.solve(_dense_from_operator(apply_op, n), b)
+        counted, calls = _counting(apply_op)
+        x_cg, products = _cg_block(counted, b, measure, params.cg_rel_tol,
+                                   params.cg_max_iters, "test", x0=x_direct)
+        assert len(calls) == products <= 1
+        assert np.array_equal(x_cg, x_direct)
 
 
 # -- subproblems ----------------------------------------------------------------
@@ -318,16 +360,17 @@ def test_one_sweep_matches_hand_stepped_oracle(square_conn):
     w = edge_weights(topo, n_in, params.sigma_e)
     # N-step: cold state means rhs = beta * n_in
     apply_n = normal_system_operator(conn, params)
-    N = _cg_block(apply_n, params.beta * n_in, topo.face_area,
-                  params.cg_rel_tol, params.cg_max_iters, "n")
+    N, n_products = _cg_block(apply_n, params.beta * n_in, topo.face_area,
+                              params.cg_rel_tol, params.cg_max_iters, "n")
     N = N / np.linalg.norm(N, axis=1)[:, None]
     # v-step: only the P-constraint term is nonzero
     apply_v = v_system_operator(conn, params)
-    v = _cg_block(apply_v, params.r1 * edge_jump(topo, N), topo.edge_len,
-                  params.cg_rel_tol, params.cg_max_iters, "v")
+    v, _ = _cg_block(apply_v, params.r1 * edge_jump(topo, N), topo.edge_len,
+                     params.cg_rel_tol, params.cg_max_iters, "v")
     P = shrink(params.alpha1 * w, params.r1, edge_jump(topo, N) - v)
     assert np.allclose(result.normals, N, atol=1e-12)
     assert result.iterations == 1
+    assert result.cg_iterations[0, 0] == n_products   # the first sweep starts cold
 
 
 # -- outer loop -----------------------------------------------------------------
@@ -353,6 +396,27 @@ def test_filter_diagnostics_shape_and_reason(filter_run):
     assert result.stop_reason in ("tolerance", "max_iters")
     if result.stop_reason == "tolerance":
         assert result.diagnostics[-1, 5] < params.stop_tol
+
+
+def test_filter_counts_cg_iterations_per_sweep(filter_run, monkeypatch):
+    conn, n_in, params, result = filter_run
+    assert result.cg_iterations.shape == (result.iterations, 2)
+    assert result.cg_iterations.dtype.kind == "i"
+    assert (result.cg_iterations > 0).all()
+    # the counts are the calls of the two system operators
+    calls = {}
+    for name in ("normal_system_operator", "v_system_operator"):
+        factory = getattr(solver, name)
+
+        def counting_factory(*args, _factory=factory, _name=name):
+            apply_op, calls[_name] = _counting(_factory(*args))
+            return apply_op
+
+        monkeypatch.setattr(solver, name, counting_factory)
+    again = filter_normals(conn, n_in, params)
+    assert np.array_equal(again.cg_iterations, result.cg_iterations)
+    assert result.cg_iterations[:, 0].sum() == len(calls["normal_system_operator"])
+    assert result.cg_iterations[:, 1].sum() == len(calls["v_system_operator"])
 
 
 def test_filter_is_deterministic(filter_run):
