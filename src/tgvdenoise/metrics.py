@@ -37,8 +37,8 @@ def write_face_error_csv(path, degrees):
 
 
 # Point-triangle pairs screened at once; bounds the screen's two
-# (points, triangles) float arrays to 4 MB each.
-_BLOCK_PAIRS = 1 << 19
+# (points, triangles) float arrays to 1 MB each.
+_BLOCK_PAIRS = 1 << 17
 
 
 def _closest_point_on_triangles(p, tri):

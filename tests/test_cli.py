@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tgvdenoise import load_mesh
+from tgvdenoise import load_mesh, solver
 from tgvdenoise.cli import main
 
 
@@ -175,13 +175,19 @@ def test_denoise_error_map_requires_ground_truth(capsys, tmp_path):
 
 
 def test_denoise_solver_failure_exits_2(capsys, tmp_path):
-    mesh_path, _ = gen(capsys, tmp_path, "cube", "cube.obj", divisions=3)
-    noisy = tmp_path / "noisy.obj"
-    run_cli(capsys, "add-noise", str(mesh_path), "-o", str(noisy), "--level", "0.3")
-    code, _, err = run_cli(capsys, "denoise", str(noisy), "-o", str(tmp_path / "o.obj"),
-                           "--cg-max-iters", "1", "--cg-tol", "1e-14")
-    assert code == 2
-    assert "solver error" in err
+    # on both solver paths: above the factoring threshold one CG product
+    # cannot reach 1e-14; below it the factor's solution passes a 1e-14
+    # check, but no solve can meet 1e-300
+    for shape, divisions, cg_tol, factored in [("icosphere", 4, "1e-14", False),
+                                               ("cube", 3, "1e-300", True)]:
+        mesh_path, info = gen(capsys, tmp_path, shape, f"{shape}.obj", divisions=divisions)
+        assert (info["faces"] <= solver._DIRECT_MAX_FACES) == factored
+        noisy = tmp_path / "noisy.obj"
+        run_cli(capsys, "add-noise", str(mesh_path), "-o", str(noisy), "--level", "0.3")
+        code, _, err = run_cli(capsys, "denoise", str(noisy), "-o", str(tmp_path / "o.obj"),
+                               "--cg-max-iters", "1", "--cg-tol", cg_tol)
+        assert code == 2
+        assert "solver error" in err
 
 
 def test_seminorms_flat_plane_all_zero(capsys, tmp_path):

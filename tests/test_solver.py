@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -370,7 +374,9 @@ def test_one_sweep_matches_hand_stepped_oracle(square_conn):
     P = shrink(params.alpha1 * w, params.r1, edge_jump(topo, N) - v)
     assert np.allclose(result.normals, N, atol=1e-12)
     assert result.iterations == 1
-    assert result.cg_iterations[0, 0] == n_products   # the first sweep starts cold
+    # the flat square's constant field solves in one product, cold or from
+    # the factor
+    assert result.cg_iterations[0, 0] == n_products == 1
 
 
 # -- outer loop -----------------------------------------------------------------
@@ -417,6 +423,43 @@ def test_filter_counts_cg_iterations_per_sweep(filter_run, monkeypatch):
     assert np.array_equal(again.cg_iterations, result.cg_iterations)
     assert result.cg_iterations[:, 0].sum() == len(calls["normal_system_operator"])
     assert result.cg_iterations[:, 1].sum() == len(calls["v_system_operator"])
+
+
+def test_filter_above_the_factoring_threshold_runs_cg_alone():
+    # a mesh just above the threshold keeps warm-started CG, several
+    # products per solve, and never imports scipy's solver module
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tgvdenoise as t; "
+            "from tgvdenoise.solver import _DIRECT_MAX_FACES; "
+            "m = t.add_gaussian_noise(t.make_icosphere(4, 0.15), "
+            "t.NoiseSpec(0.3, mode='vertex-normal', seed=7)); "
+            "r = t.filter_normals(t.build_connectivity(m), t.face_normals(m), "
+            "t.SolverParams(max_outer_iters=3)); "
+            "print(m.num_faces > _DIRECT_MAX_FACES, r.cg_iterations.min(), "
+            "'scipy.sparse.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         text=True, check=True, timeout=120).stdout.split()
+    assert out[0] == "True"
+    assert int(out[1]) > 1
+    assert out[2] == "False"
+
+
+class _NonFiniteFactor:
+    def solve(self, rhs):
+        return np.full_like(rhs, np.nan)
+
+
+def _singular(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize("fake_splu", [_singular, lambda *a, **k: _NonFiniteFactor()],
+                         ids=["singular", "non-finite"])
+def test_filter_factor_failure_raises_solver_error(cube_small_conn, monkeypatch, fake_splu):
+    monkeypatch.setattr("scipy.sparse.linalg.splu", fake_splu)
+    conn = cube_small_conn
+    with pytest.raises(SolverError, match="normal system"):
+        filter_normals(conn, face_normals(conn.mesh), SolverParams(max_outer_iters=2))
 
 
 def test_filter_is_deterministic(filter_run):
