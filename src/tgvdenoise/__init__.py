@@ -34,7 +34,6 @@ from .solver import (FilterResult, SolverError, SolverParams, SolverState,
 from .synth import (make_cube, make_icosphere, make_plane, make_tetrahedron,
                     make_two_triangle_square)
 from .topology import (Connectivity, CurveSet, EdgeTopology, LineSet,
-                       build_connectivity, build_curve_set,
-                       build_edge_topology, build_line_set)
+                       build_connectivity, build_edge_topology)
 
 __version__ = "0.1.0"

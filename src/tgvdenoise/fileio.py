@@ -22,6 +22,7 @@ from .mesh import MeshError, TriMesh
 __all__ = ["load_mesh", "save_mesh", "guess_format"]
 
 _COORD_FMT = "%.17g"
+_INDEX_MAX = np.iinfo(np.int64).max
 
 
 def guess_format(path) -> str:
@@ -97,6 +98,8 @@ def _parse_obj(text):
                     raise MeshError(f"line {lineno}: bad face index {t!r}") from None
                 if i <= 0:
                     raise MeshError(f"line {lineno}: face indices must be positive (1-based)")
+                if i > _INDEX_MAX:
+                    raise MeshError(f"line {lineno}: face index {t!r} is out of range")
                 idx.append(i - 1)
             faces.append(idx)
         else:
@@ -138,9 +141,12 @@ def _parse_off(text):
         if not tokens or tokens[0] != "3" or len(tokens) != 4:
             raise MeshError(f"line {lineno}: only triangle faces are supported")
         try:
-            faces.append([int(t) for t in tokens[1:]])
+            idx = [int(t) for t in tokens[1:]]
         except ValueError:
             raise MeshError(f"line {lineno}: bad face index") from None
+        if max(abs(i) for i in idx) > _INDEX_MAX:
+            raise MeshError(f"line {lineno}: face index out of range")
+        faces.append(idx)
     return np.array(vertices, dtype=np.float64).reshape(-1, 3), np.array(faces, dtype=np.int64).reshape(-1, 3)
 
 

@@ -49,6 +49,7 @@ class TriMesh:
         f.setflags(write=False)
         self.vertices = v
         self.faces = f
+        self._edge_keys = None
 
         if f.size:
             self._check_areas()
@@ -69,7 +70,7 @@ class TriMesh:
         f = self.faces
         nxt = np.roll(f, -1, axis=1)
         pairs = np.minimum(f, nxt).ravel() * len(self.vertices) + np.maximum(f, nxt).ravel()
-        _, inverse, counts = np.unique(pairs, return_inverse=True, return_counts=True)
+        keys, inverse, counts = np.unique(pairs, return_inverse=True, return_counts=True)
         if (counts > 2).any():
             slot = int(np.nonzero(counts[inverse] > 2)[0][0])
             raise MeshError(f"non-manifold edge in face {slot // 3} (3+ incident faces)")
@@ -100,6 +101,11 @@ class TriMesh:
             bad = int(np.argmax(fans > 1))
             raise MeshError(f"non-manifold vertex {bad} (its faces form {int(fans[bad])} "
                             "fans that meet only at the vertex)")
+        # the ranked edge keys (min * V + max), their inverse over the face
+        # slots 3t + k and their counts: build_edge_topology is built on them
+        for a in (keys, inverse, counts):
+            a.setflags(write=False)
+        self._edge_keys = keys, inverse, counts
 
     # -- basics ----------------------------------------------------------
 
@@ -122,6 +128,7 @@ class TriMesh:
         mesh = object.__new__(type(self))
         mesh.vertices = v
         mesh.faces = self.faces
+        mesh._edge_keys = self._edge_keys
         if self.faces.size:
             mesh._check_areas()
         return mesh

@@ -5,12 +5,12 @@ over edges, and (3T,) / (3T, C) over lines and curves. Multi-channel values
 are coupled through the Euclidean norm across channels wherever a semi-norm
 takes a per-element magnitude.
 
-Every operator here is linear, local, and deterministic (fixed gather and
-summation order). Each jump is one table stored on its topology layer (a
-``topology.Stencil``), applied as the sparse matrix built from it; each
-adjoint is that matrix's measure-weighted sparse transpose, built on first
-use. The six operator functions are one sparse product each. The three
-forward/adjoint pairs satisfy, for all fields,
+Every operator here is linear, local, and deterministic (fixed summation
+order). Each jump is one sparse matrix stored on its topology layer (a
+``topology.Stencil``); each adjoint is that matrix's measure-weighted
+sparse transpose, built on first use. The six operator functions are one
+sparse product each. The three forward/adjoint pairs satisfy, for all
+fields,
 
     <jump(x), y>  =  -<x, jump_adjoint(y)>
 

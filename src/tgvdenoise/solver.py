@@ -200,7 +200,8 @@ def _cg_block(apply_op, rhs, measure, rel_tol, max_iters, label, x0=None):
     right-hand side's, whatever the start, and a channel whose right-hand
     side is exactly zero returns exactly zero. Returns the solution and the
     iteration count, one per product with the system: a nonzero ``x0``
-    costs one more, for its residual.
+    costs one more, for its residual. A non-finite residual, like one that
+    does not converge, raises SolverError.
     """
     def wdot(a, b):
         return measure @ (a * b)
@@ -216,6 +217,7 @@ def _cg_block(apply_op, rhs, measure, rel_tol, max_iters, label, x0=None):
         r = rhs - apply_op(x)
         products = 1
     rs = wdot(r, r)
+    _check_finite(rs, label)
     active = np.sqrt(rs) > target
     p = np.where(active, r, 0.0)
     # Per-channel scalings multiply by a diagonal matrix: BLAS does that
@@ -233,6 +235,7 @@ def _cg_block(apply_op, rhs, measure, rel_tol, max_iters, label, x0=None):
         x += p @ step
         r -= ap @ step
         rs_new = wdot(r, r)
+        _check_finite(rs_new, label)
         active = np.sqrt(rs_new) > target
         p = p @ np.diag(np.divide(rs_new, rs, out=np.zeros_like(rs), where=active))
         p += r
@@ -244,6 +247,13 @@ def _cg_block(apply_op, rhs, measure, rel_tol, max_iters, label, x0=None):
             residuals=np.sqrt(rs) / np.maximum(bnorm, np.finfo(float).tiny),
         )
     return x, products
+
+
+def _check_finite(rs, label):
+    """A NaN residual norm would compare as converged: raise instead."""
+    if not np.isfinite(rs).all():
+        raise SolverError(f"conjugate gradients met a non-finite residual in the "
+                          f"{label} system")
 
 
 def _system_matrix(diagonal, products):

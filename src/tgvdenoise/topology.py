@@ -11,11 +11,11 @@ Three layers are built on top of a validated TriMesh:
 * CurveSet: per line, the four-edge stencil that wraps around the line's
   vertex through the two neighboring triangles.
 
-Each layer stores its jump operator once, as a Stencil: a padded gather
-table whose pinned rows hold zero coefficients, plus the measures of its
-output and input elements. A Stencil is applied as a sparse matrix, built
-from its table on first use. Its adjoint is that matrix's transpose weighted
-by the element measures, also built on first use, so
+Each layer stores its jump operator once, as a Stencil: the arrays of a
+compressed sparse row (CSR) matrix, whose pinned rows are empty, plus the
+measures of its output and input elements. The scipy matrix wrapping those
+arrays is made on first use. The adjoint is that matrix's transpose
+weighted by the element measures, also built on first use, so
 ``<jump(x), y> = -<x, adjoint(y)>`` holds by construction. Building the
 connectivity itself needs numpy only.
 
@@ -37,50 +37,49 @@ __all__ = [
     "CurveSet",
     "Connectivity",
     "build_edge_topology",
-    "build_line_set",
-    "build_curve_set",
     "build_connectivity",
 ]
 
 
 class Stencil:
-    """A jump between element fields as a padded gather table:
+    """A jump between element fields as the arrays of a CSR matrix:
 
-        out[i] = sum_k coef[i, k] * x[idx[i, k]]
+        out[i] = sum over k in indptr[i]:indptr[i+1] of data[k] * x[indices[k]]
 
-    idx / coef : (rows, width); every slot of a row the map pins to 0 holds
-        coefficient 0, and so does every padding slot (with index 0)
+    Built from a layer's rows ``(idx, coef)``, both (rows, width): row i
+    reads x[idx[i, k]] with weight coef[i, k], and the slots a row pins to 0
+    hold coefficient 0. Only the nonzero slots are kept, row by row and each
+    row in slot order, so a product sums in the order the layer lists them.
+
+    data : (nnz,) float64; indices : (nnz,) int32; indptr : (rows + 1,) int32
     m_row / m_col : the measures of the output and input elements, which
         weight the inner products the adjoint is taken in
     num_cols : length of the input field
-    matrix : the same map as a scipy CSR matrix (rows, num_cols), built on
-        first use
+    matrix : the scipy CSR matrix (rows, num_cols) on these three arrays,
+        made on first use
     adjoint : the adjoint as a scipy CSR matrix (num_cols, rows), built on
         first use as the measure-weighted transpose of ``matrix``
     """
 
     def __init__(self, idx, coef, m_row, m_col):
-        # column-major, so each slot's gather runs over contiguous memory
-        self.idx = np.asfortranarray(idx, dtype=np.int64)
-        self.coef = np.asfortranarray(coef, dtype=np.float64)
+        keep = coef != 0
+        width = keep.shape[1]
+        self.data = coef[keep]
+        self.indices = idx.astype(np.int32)[keep]
+        # the running count of kept slots, read at the end of each row
+        self.indptr = np.zeros(len(keep) + 1, dtype=np.int32)
+        self.indptr[1:] = np.cumsum(keep, dtype=np.int32)[width - 1::width]
         self.m_row = m_row
         self.m_col = m_col
         self.num_cols = len(m_col)
-        self.idx.setflags(write=False)
-        self.coef.setflags(write=False)
 
     @cached_property
     def matrix(self):
         # scipy is imported here, so building a connectivity does not load it
         from scipy.sparse import csr_array
 
-        # the nonzero slots row by row, each row in slot order, so a product
-        # sums in the same order as a slot-by-slot gather
-        keep = self.coef != 0
-        indptr = np.zeros(len(keep) + 1, dtype=np.int64)
-        np.cumsum(keep.sum(axis=1), out=indptr[1:])
-        return csr_array((self.coef[keep], self.idx[keep], indptr),
-                         shape=(len(keep), self.num_cols))
+        return csr_array((self.data, self.indices, self.indptr),
+                         shape=(len(self.indptr) - 1, self.num_cols))
 
     @cached_property
     def adjoint(self):
@@ -159,17 +158,14 @@ def build_edge_topology(mesh, _flip_edges=None) -> EdgeTopology:
         raise MeshError("mesh has no faces")
 
     # directed boundary edges per face: local edge k goes f[t,k] -> f[t,k+1];
-    # the undirected edge (a, b), a < b, is keyed by the integer a * V + b
+    # the undirected edge (a, b), a < b, is keyed by the integer a * V + b,
+    # and the mesh has already ranked the keys and checked each count <= 2
     heads = f
     tails = np.roll(f, -1, axis=1)
     V = len(mesh.vertices)
-    keys = np.minimum(heads, tails).ravel() * V + np.maximum(heads, tails).ravel()
-    keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    keys, inverse, counts = mesh._edge_keys
     edges = np.stack(np.divmod(keys, V), axis=1)
     E = len(edges)
-    if (counts > 2).any():
-        bad = int(np.nonzero(counts > 2)[0][0])
-        raise MeshError(f"non-manifold edge {bad} (incident to {int(counts[bad])} faces)")
 
     # stored orientation agrees with the face traversal iff head < tail
     sign_slots = np.where(heads.ravel() < tails.ravel(), 1.0, -1.0)
@@ -216,7 +212,7 @@ class LineSet:
     line_vertex : (3T,) int, the vertex the line runs to
     line_len : (3T,) float, barycenter-to-vertex distance
     edge_in / edge_out : (3T,) int, the face edges entering / leaving the
-        line's vertex in counterclockwise order (the columns of jump.idx)
+        line's vertex in counterclockwise order
     face_across_in / face_across_out : (3T,) int, triangle on the other side
         of edge_in / edge_out (-1 at the boundary)
     active : (3T,) bool, False when either edge lies on the boundary (the
@@ -238,8 +234,8 @@ class LineSet:
             topo.face_bary[t] - topo.mesh.vertices[self.line_vertex], axis=1)
         # local edge k runs from face vertex k to k+1: edge j leaves vertex j,
         # edge (j+2)%3 enters it
-        local_io = np.stack([(j + 2) % 3, j])
-        edge_io = topo.face_edges[t, local_io].T
+        local_io = np.stack([(j + 2) % 3, j], axis=1)
+        edge_io = topo.face_edges[t[:, None], local_io]
         self.edge_in, self.edge_out = edge_io.T
         self.face_across_in = _other_face(topo, self.edge_in, t)
         self.face_across_out = _other_face(topo, self.edge_out, t)
@@ -248,9 +244,9 @@ class LineSet:
         for name in ("line_face", "line_vertex", "line_len", "edge_in", "edge_out",
                      "face_across_in", "face_across_out", "active"):
             getattr(self, name).setflags(write=False)
-        signs = topo.face_edge_sign[t, local_io].T
-        self.jump = Stencil(edge_io, signs * self.active[:, None],
-                            self.line_len, topo.edge_len)
+        signs = topo.face_edge_sign[t[:, None], local_io]
+        signs *= self.active[:, None]
+        self.jump = Stencil(edge_io, signs, self.line_len, topo.edge_len)
 
     @property
     def num_lines(self):
@@ -264,13 +260,6 @@ def _other_face(topo, edge_idx, this_face):
     f0 = topo.edge_faces[edge_idx, 0]
     f1 = topo.edge_faces[edge_idx, 1]
     return np.where(f0 == this_face, f1, f0)
-
-
-def build_line_set(mesh, topo) -> LineSet:
-    """Build the 3T barycenter-to-vertex lines and their edge stencils."""
-    if topo.mesh is not mesh:
-        raise ValueError("topology was built for a different mesh")
-    return LineSet(topo)
 
 
 class CurveSet:
@@ -287,10 +276,8 @@ class CurveSet:
     valid : (3T,) bool
     curve_len : (3T,) float, quarter-weighted mean of the three line lengths
         the curve spans
-    edges : (3T, 4) int, stencil edges [far-out, out, in, far-in]; this is
-        jump.idx, so a missing far edge reads 0 (and its curve is invalid)
-    face_far_out / face_far_in : (3T,) int, the third-ring triangles across
-        the far edges (-1 where missing); used by consistency checks
+    edges : (3T, 4) int, stencil edges [far-out, out, in, far-in]; a
+        missing far edge reads 0 (and its curve is invalid)
     jump : Stencil, the curve jump (edges -> curves: the four stencil
         values, each signed against the neighbor triangle it is read in;
         invalid rows pinned)
@@ -298,56 +285,17 @@ class CurveSet:
 
     def __init__(self, lines):
         topo = lines.topo
-        f = topo.mesh.faces
-        n = lines.num_lines
-        p = lines.line_vertex
-        tau_in = lines.face_across_in     # triangle across the incoming edge
-        tau_out = lines.face_across_out   # triangle across the outgoing edge
-
-        has_in = tau_in >= 0
-        has_out = tau_out >= 0
-        safe_in = np.where(has_in, tau_in, 0)
-        safe_out = np.where(has_out, tau_out, 0)
-
-        # the other edge of each neighbor triangle incident to the vertex p
-        far_in, far_in_sign, line_in = _other_edge_at_vertex(
-            topo, safe_in, p, lines.edge_in)
-        far_out, far_out_sign, line_out = _other_edge_at_vertex(
-            topo, safe_out, p, lines.edge_out)
-
-        # sgn of the shared edges evaluated in the neighbor triangles
-        sign_in_nbr = _sign_in_face(topo, lines.edge_in, safe_in)
-        sign_out_nbr = _sign_in_face(topo, lines.edge_out, safe_out)
-
-        # column-major, the layout Stencil keeps, so the jump shares it
-        edges = np.stack([far_out, lines.edge_out, lines.edge_in, far_in]).T
-        signs = np.stack([far_out_sign, sign_out_nbr, sign_in_nbr, far_in_sign]).T
-        edges[~has_out, 0] = 0
-        edges[~has_in, 3] = 0
-        valid = has_in & has_out & ~topo.is_boundary[edges].any(axis=1)
-
-        # len(c) = (len(l_out_nbr) + 2 len(l) + len(l_in_nbr)) / 4 with missing
-        # neighbor lines standing in as len(l); inert, since invalid curves
-        # only ever carry zero values
-        l_len = lines.line_len
-        len_in = np.where(has_in, l_len[np.where(has_in, line_in, 0)], l_len)
-        len_out = np.where(has_out, l_len[np.where(has_out, line_out, 0)], l_len)
-        curve_len = 0.25 * (len_out + 2.0 * l_len + len_in)
-
+        # the helper's temporaries are freed before the CSR arrays are made
+        edges, signs, valid, curve_len = _curve_rows(lines)
         self.topo = topo
         self.lines = lines
         self.valid = valid
         self.curve_len = curve_len
-        self.face_far_out = np.where(valid, _other_face(topo, edges[:, 0], safe_out), -1)
-        self.face_far_in = np.where(valid, _other_face(topo, edges[:, 3], safe_in), -1)
-        self.face_out = np.where(has_out, tau_out, -1)
-        self.face_in = np.where(has_in, tau_in, -1)
+        self.edges = edges
 
-        for name in ("valid", "curve_len", "face_far_out", "face_far_in",
-                     "face_out", "face_in"):
+        for name in ("valid", "curve_len", "edges"):
             getattr(self, name).setflags(write=False)
-        self.jump = Stencil(edges, signs * valid[:, None], curve_len, topo.edge_len)
-        self.edges = self.jump.idx
+        self.jump = Stencil(edges, signs, curve_len, topo.edge_len)
 
     @property
     def num_curves(self):
@@ -355,6 +303,46 @@ class CurveSet:
 
     def __repr__(self):
         return f"CurveSet(curves={self.num_curves}, valid={int(self.valid.sum())})"
+
+
+def _curve_rows(lines):
+    """Per curve: the four stencil edges, their signs (zero on invalid
+    curves), validity and length."""
+    topo = lines.topo
+    p = lines.line_vertex
+    tau_in = lines.face_across_in     # triangle across the incoming edge
+    tau_out = lines.face_across_out   # triangle across the outgoing edge
+
+    has_in = tau_in >= 0
+    has_out = tau_out >= 0
+    safe_in = np.where(has_in, tau_in, 0)
+    safe_out = np.where(has_out, tau_out, 0)
+
+    # the other edge of each neighbor triangle incident to the vertex p
+    far_in, far_in_sign, line_in = _other_edge_at_vertex(
+        topo, safe_in, p, lines.edge_in)
+    far_out, far_out_sign, line_out = _other_edge_at_vertex(
+        topo, safe_out, p, lines.edge_out)
+
+    # sgn of the shared edges evaluated in the neighbor triangles
+    sign_in_nbr = _sign_in_face(topo, lines.edge_in, safe_in)
+    sign_out_nbr = _sign_in_face(topo, lines.edge_out, safe_out)
+
+    edges = np.stack([far_out, lines.edge_out, lines.edge_in, far_in], axis=1)
+    signs = np.stack([far_out_sign, sign_out_nbr, sign_in_nbr, far_in_sign], axis=1)
+    edges[~has_out, 0] = 0
+    edges[~has_in, 3] = 0
+    valid = has_in & has_out & ~topo.is_boundary[edges].any(axis=1)
+    signs *= valid[:, None]
+
+    # len(c) = (len(l_out_nbr) + 2 len(l) + len(l_in_nbr)) / 4 with missing
+    # neighbor lines standing in as len(l); inert, since invalid curves
+    # only ever carry zero values
+    l_len = lines.line_len
+    len_in = np.where(has_in, l_len[np.where(has_in, line_in, 0)], l_len)
+    len_out = np.where(has_out, l_len[np.where(has_out, line_out, 0)], l_len)
+    curve_len = 0.25 * (len_out + 2.0 * l_len + len_in)
+    return edges, signs, valid, curve_len
 
 
 def _other_edge_at_vertex(topo, face, vertex, not_this_edge):
@@ -380,13 +368,6 @@ def _sign_in_face(topo, edge_idx, face):
     return np.where(topo.edge_faces[edge_idx, 0] == face, s0, s1)
 
 
-def build_curve_set(mesh, topo, lines) -> CurveSet:
-    """Build the 3T four-edge curves with lengths, signs, and validity flags."""
-    if topo.mesh is not mesh or lines.topo is not topo:
-        raise ValueError("line set was built for a different mesh/topology")
-    return CurveSet(lines)
-
-
 class Connectivity:
     """Bundle of (topo, lines, curves) for one mesh."""
 
@@ -403,6 +384,6 @@ class Connectivity:
 def build_connectivity(mesh) -> Connectivity:
     """Build the full edge/line/curve connectivity in one call."""
     topo = build_edge_topology(mesh)
-    lines = build_line_set(mesh, topo)
-    curves = build_curve_set(mesh, topo, lines)
+    lines = LineSet(topo)
+    curves = CurveSet(lines)
     return Connectivity(topo, lines, curves)

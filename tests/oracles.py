@@ -39,11 +39,62 @@ def closest_point_on_triangle(point, tri):
     return min(np.linalg.norm(point - q) for q in candidates)
 
 
-def stencil_gather(idx, coef, x):
-    """A padded gather table applied slot by slot: out[i] = sum over k of
-    coef[i, k] * x[idx[i, k]], each row in slot order."""
-    out = np.zeros((len(idx),) + x.shape[1:])
-    for i in range(len(idx)):
-        for k in range(idx.shape[1]):
-            out[i] += coef[i, k] * x[idx[i, k]]
-    return out
+def _sign_in_face(topo, e, t):
+    """sgn(e, t), read from the edge's incident-face slots."""
+    (slot,) = [k for k in range(2) if topo.edge_faces[e, k] == t]
+    return topo.edge_face_sign[e, slot]
+
+
+def dense_edge_jump(topo):
+    """(E, T): each interior edge reads its two incident faces, signed by
+    sgn(edge, face); boundary rows are zero."""
+    J = np.zeros((topo.num_edges, topo.num_faces))
+    for e in range(topo.num_edges):
+        if not topo.is_boundary[e]:
+            for k in range(2):
+                J[e, topo.edge_faces[e, k]] += topo.edge_face_sign[e, k]
+    return J
+
+
+def dense_line_jump(lines):
+    """(3T, E): each active line reads its entering and leaving edges, each
+    signed against the line's own triangle; other rows are zero."""
+    topo = lines.topo
+    J = np.zeros((lines.num_lines, topo.num_edges))
+    for l in range(lines.num_lines):
+        if lines.active[l]:
+            for e in (lines.edge_in[l], lines.edge_out[l]):
+                J[l, e] += _sign_in_face(topo, e, lines.line_face[l])
+    return J
+
+
+def dense_curve_jump(curves):
+    """(3T, E): each valid curve reads its four stencil edges, the two on
+    the outgoing side signed in the triangle across the line's outgoing edge
+    and the two on the incoming side in the triangle across its incoming
+    edge; other rows are zero."""
+    topo, lines = curves.topo, curves.lines
+    J = np.zeros((curves.num_curves, topo.num_edges))
+    for c in range(curves.num_curves):
+        if curves.valid[c]:
+            far_out, out, into, far_in = curves.edges[c]
+            for e, nbr in ((far_out, lines.face_across_out[c]),
+                           (out, lines.face_across_out[c]),
+                           (into, lines.face_across_in[c]),
+                           (far_in, lines.face_across_in[c])):
+                J[c, e] += _sign_in_face(topo, e, nbr)
+    return J
+
+
+def far_triangles(curves):
+    """(3T, 2): per valid curve, the triangles across its far-out and far-in
+    edges, i.e. the incident face of each far edge that is not the neighbour
+    triangle it is read in; -1 on invalid curves."""
+    topo, lines = curves.topo, curves.lines
+    far = np.full((curves.num_curves, 2), -1)
+    for c in range(curves.num_curves):
+        if curves.valid[c]:
+            for k, e, nbr in ((0, curves.edges[c, 0], lines.face_across_out[c]),
+                              (1, curves.edges[c, 3], lines.face_across_in[c])):
+                (far[c, k],) = [t for t in topo.edge_faces[e] if t != nbr]
+    return far

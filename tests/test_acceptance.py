@@ -29,7 +29,8 @@ from tgvdenoise import (NoiseSpec, SolverParams, add_gaussian_noise,
 from tgvdenoise.solver import (_cg_block, _direct_solver, _normal_matrix,
                                _v_matrix, normal_system_operator,
                                v_system_operator)
-from oracles import closest_point_on_triangle, golden_section_shrink
+from oracles import (closest_point_on_triangle, far_triangles,
+                     golden_section_shrink)
 
 BENCH_DIVISIONS = 10
 BENCH_SIZE = 0.05
@@ -112,8 +113,9 @@ def test_criterion_2_second_difference_identities():
         assert err <= 1e-12
 
         cj = curve_jump(curves, v)
-        near = u[curves.face_in] + u[curves.face_out] - u[lines.line_face]
-        cross_dir = (near - u[curves.face_far_out]) + (near - u[curves.face_far_in])
+        far = far_triangles(curves)
+        near = u[lines.face_across_in] + u[lines.face_across_out] - u[lines.line_face]
+        cross_dir = (near - u[far[:, 0]]) + (near - u[far[:, 1]])
         err = np.abs(cj - cross_dir).max()
         worst = max(worst, err)
         assert err <= 1e-12

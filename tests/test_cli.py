@@ -110,6 +110,24 @@ def test_denoise_nan_vertex_exits_1(capsys, tmp_path):
 
 
 
+HUGE_INDEX = {
+    "obj": "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n",
+    "off": "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(HUGE_INDEX))
+def test_denoise_face_index_beyond_int64_exits_1(capsys, tmp_path, fmt):
+    bad = tmp_path / f"huge.{fmt}"
+    bad.write_text(HUGE_INDEX[fmt])
+    out = tmp_path / "o.obj"
+    code, _, err = run_cli(capsys, "denoise", str(bad), "-o", str(out))
+    assert code == 1
+    assert err.startswith("error: line ") and "out of range" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_denoise_inconsistent_orientation_exits_1(capsys, tmp_path):
     bad = tmp_path / "flipped.obj"
     bad.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3\nf 1 4 3\n")

@@ -115,3 +115,17 @@ def test_load_missing_file_raises():
 def test_unknown_extension_rejected(tmp_path):
     with pytest.raises(MeshError, match="extension"):
         save_mesh(make_tetrahedron(), tmp_path / "mesh.stl")
+
+
+def test_obj_face_index_beyond_int64_rejected(tmp_path):
+    path = tmp_path / "huge.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n")
+    with pytest.raises(MeshError, match="line 4: face index '99999999999999999999' is out of range"):
+        load_mesh(path)
+
+
+def test_off_face_index_beyond_int64_rejected(tmp_path):
+    path = tmp_path / "huge.off"
+    path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n")
+    with pytest.raises(MeshError, match="line 6: face index out of range"):
+        load_mesh(path)

@@ -7,6 +7,8 @@ from tgvdenoise import (TriMesh, build_edge_topology, curve_jump,
                         inner_lines, line_jump, line_jump_adjoint, tgv_energy,
                         tv_seminorm)
 from conftest import random_fields
+from oracles import (dense_curve_jump, dense_edge_jump, dense_line_jump,
+                     far_triangles)
 
 PAIRS = [
     ("edge", edge_jump, edge_jump_adjoint),
@@ -33,36 +35,32 @@ def _args(conn, name):
     return conn.topo if name == "edge" else (conn.lines if name == "line" else conn.curves)
 
 
-# -- the sparse form of each stored table -----------------------------------
+# -- each stored jump against its definition -------------------------------
 
-def _measures(conn, name):
-    """The (row, column) measures of a layer's jump."""
+def _dense_and_measures(conn, name):
+    """A layer's jump as a dense oracle, with its (row, column) measures."""
     topo = conn.topo
     if name == "edge":
-        return topo.edge_len, topo.face_area
+        return dense_edge_jump(topo), topo.edge_len, topo.face_area
     if name == "line":
-        return conn.lines.line_len, topo.edge_len
-    return conn.curves.curve_len, topo.edge_len
+        return dense_line_jump(conn.lines), conn.lines.line_len, topo.edge_len
+    return dense_curve_jump(conn.curves), conn.curves.curve_len, topo.edge_len
 
 
 @pytest.mark.parametrize("name", ["edge", "line", "curve"])
 @pytest.mark.parametrize("which", ["jump", "jump_adjoint"])
 def test_stencil_matrix_matches_slot_gather(all_conns, rng, name, which):
-    # the jump's matrix keeps each row's slots in table order, so its product
-    # sums like the gather (measured difference 0 on every mesh); the adjoint
-    # is -diag(1/m_col) G^T diag(m_row), with G the gathered table
-    from oracles import stencil_gather
-
+    # each jump against a dense matrix built slot by slot, by loops, from the
+    # topology's definitions; the adjoint is -diag(1/m_col) J^T diag(m_row)
     for conn in all_conns.values():
         stencil = _args(conn, name).jump
+        J, m_row, m_col = _dense_and_measures(conn, name)
         if which == "jump":
             x = rng.normal(size=(stencil.num_cols, 3))
-            ref = stencil_gather(stencil.idx, stencil.coef, x)
+            ref = J @ x
             got = stencil.matrix @ x
         else:
-            m_row, m_col = _measures(conn, name)
-            G = stencil_gather(stencil.idx, stencil.coef, np.eye(stencil.num_cols))
-            ref = -(m_row[:, None] * G).T / m_col[:, None]
+            ref = -(m_row[:, None] * J).T / m_col[:, None]
             got = stencil.adjoint.toarray()
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-14 * max(np.abs(ref).max(), 1.0)
@@ -171,10 +169,10 @@ def test_curve_jump_of_gradient_matches_cross_difference(tet_conn, cube_small_co
     for conn in (tet_conn, cube_small_conn):
         u = rng.normal(size=conn.topo.num_faces)
         cj = curve_jump(conn.curves, edge_jump(conn.topo, u))
-        lines, curves = conn.lines, conn.curves
+        lines, far = conn.lines, far_triangles(conn.curves)
         own = u[lines.line_face]
-        near = u[curves.face_in] + u[curves.face_out]
-        ref = (near - own - u[curves.face_far_out]) + (near - own - u[curves.face_far_in])
+        near = u[lines.face_across_in] + u[lines.face_across_out]
+        ref = (near - own - u[far[:, 0]]) + (near - own - u[far[:, 1]])
         assert np.abs(cj - ref).max() < 1e-12
 
 

@@ -201,6 +201,19 @@ def test_cg_nonconvergence_raises(cube_small_conn, rng):
     assert err.value.residuals is not None
 
 
+@pytest.mark.parametrize("case", ["nan-start", "nan-operator"])
+def test_cg_non_finite_residual_raises(case):
+    # a NaN residual norm compares as below any target, which used to pass
+    # for convergence: all-NaN from a NaN start, zeros from a NaN operator
+    rhs, measure = np.ones((4, 3)), np.ones(4)
+    if case == "nan-start":
+        apply_op, x0 = (lambda x: x), np.full((4, 3), np.nan)
+    else:
+        apply_op, x0 = (lambda x: np.full_like(x, np.nan)), None
+    with pytest.raises(SolverError, match="non-finite"):
+        _cg_block(apply_op, rhs, measure, 1e-8, 50, "test", x0=x0)
+
+
 def _counting(apply_op):
     calls = []
 
