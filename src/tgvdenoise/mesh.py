@@ -58,10 +58,19 @@ class TriMesh:
     # -- validation ------------------------------------------------------
 
     def _check_areas(self):
-        bbox = self.vertices.max(axis=0) - self.vertices.min(axis=0)
-        diag2 = float(bbox @ bbox)
+        # finite coordinates can still overflow in the bounding box or in a
+        # cross product: that is an error of its own, not a degenerate face
+        with np.errstate(over="ignore", invalid="ignore"):
+            bbox = self.vertices.max(axis=0) - self.vertices.min(axis=0)
+            diag2 = float(bbox @ bbox)
+            areas = face_areas(self)
+        if not np.isfinite(diag2):
+            raise MeshError("vertex coordinates overflow: the bounding-box "
+                            "diagonal is not finite")
+        if not np.isfinite(areas).all():
+            raise MeshError(f"vertex coordinates overflow: the area of face "
+                            f"{int(np.nonzero(~np.isfinite(areas))[0][0])} is not finite")
         eps = 1e-12 * max(diag2, np.finfo(np.float64).tiny)
-        areas = face_areas(self)
         small = areas <= eps
         if small.any():
             raise MeshError(f"face {int(np.nonzero(small)[0][0])} is degenerate (area <= eps)")
@@ -148,14 +157,51 @@ def _checked_vertices(vertices):
     return v
 
 
+# -- rows of three -----------------------------------------------------------
+#
+# Reductions over a short last axis take numpy's generic reduction path, which
+# costs several times what the same arithmetic written out per column does.
+# These helpers write it out, in the order numpy uses, so their results are
+# bit-identical to the numpy forms named in each docstring.
+
+def row_dot(a, b):
+    """(a * b).sum(axis=-1), summed column by column in column order.
+
+    numpy's sum starts from +0.0, so a row whose products are all -0.0 sums
+    to +0.0; adding 0.0 last does the same and changes no other value.
+    """
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j] * b[..., j]
+    out += 0.0
+    return out
+
+
+def row_norm(x):
+    """np.linalg.norm(x, axis=-1) for real x."""
+    return np.sqrt(row_dot(x, x))
+
+
+def cross(a, b):
+    """np.cross(a, b) of two same-shape arrays of 3-vectors (last axis), with
+    the same products and differences; the result has ``a``'s memory layout,
+    so coordinate-major inputs give coordinate-major output."""
+    out = np.empty_like(a, dtype=np.result_type(a, b))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[..., j], b[..., k], out=out[..., i])
+        out[..., i] -= a[..., k] * b[..., j]
+    return out
+
+
 def _face_cross(mesh):
-    p = mesh.vertices[mesh.faces]
-    return np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    v, f = mesh.vertices, mesh.faces
+    p0 = np.take(v, f[:, 0], axis=0)
+    return cross(np.take(v, f[:, 1], axis=0) - p0, np.take(v, f[:, 2], axis=0) - p0)
 
 
 def face_areas(mesh) -> np.ndarray:
     """Triangle areas, shape (T,)."""
-    return 0.5 * np.linalg.norm(_face_cross(mesh), axis=1)
+    return 0.5 * row_norm(_face_cross(mesh))
 
 
 def face_barycenters(mesh) -> np.ndarray:
@@ -165,8 +211,8 @@ def face_barycenters(mesh) -> np.ndarray:
 
 def face_normals(mesh) -> np.ndarray:
     """Unit face normals from the counterclockwise vertex order, shape (T, 3)."""
-    cross = _face_cross(mesh)
-    norms = np.linalg.norm(cross, axis=1)
+    c = _face_cross(mesh)
+    norms = row_norm(c)
     if (norms == 0).any():
         raise MeshError(f"face {int(np.nonzero(norms == 0)[0][0])} has zero area")
-    return cross / norms[:, None]
+    return c / norms[:, None]

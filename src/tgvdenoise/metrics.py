@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .mesh import cross, row_dot, row_norm
+
 __all__ = [
     "face_angle_errors", "mean_angular_difference", "write_face_error_csv",
     "closest_point_distances", "vertex_error", "feature_adjacent_faces",
@@ -18,9 +20,7 @@ def face_angle_errors(normals_a, normals_b) -> np.ndarray:
     b = np.asarray(normals_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2 or a.shape[1] != 3:
         raise ValueError(f"normal fields must share shape (T, 3): {a.shape} vs {b.shape}")
-    cross = np.linalg.norm(np.cross(a, b), axis=1)
-    dots = (a * b).sum(axis=1)
-    return np.degrees(np.arctan2(cross, dots))
+    return np.degrees(np.arctan2(row_norm(cross(a, b)), row_dot(a, b)))
 
 
 def mean_angular_difference(normals_a, normals_b) -> float:
@@ -54,14 +54,14 @@ def _closest_point_on_triangles(p, tri):
     ac = c - a
 
     ap = p - a
-    d1 = (ab * ap).sum(axis=-1)
-    d2 = (ac * ap).sum(axis=-1)
+    d1 = row_dot(ab, ap)
+    d2 = row_dot(ac, ap)
     bp = p - b
-    d3 = (ab * bp).sum(axis=-1)
-    d4 = (ac * bp).sum(axis=-1)
+    d3 = row_dot(ab, bp)
+    d4 = row_dot(ac, bp)
     cp = p - c
-    d5 = (ab * cp).sum(axis=-1)
-    d6 = (ac * cp).sum(axis=-1)
+    d5 = row_dot(ab, cp)
+    d6 = row_dot(ac, cp)
 
     vc = d1 * d4 - d3 * d2
     vb = d5 * d2 - d1 * d6
@@ -92,7 +92,8 @@ def _closest_point_on_triangles(p, tri):
     closest = np.where(at_c[..., None], c, closest)
     closest = np.where(at_b[..., None], b, closest)
     closest = np.where(at_a[..., None], a, closest)
-    return ((p - closest) ** 2).sum(axis=-1)
+    offset = p - closest
+    return row_dot(offset, offset)
 
 
 def closest_point_distances(points, mesh) -> np.ndarray:
@@ -114,9 +115,9 @@ def closest_point_distances(points, mesh) -> np.ndarray:
         raise ValueError("reference mesh has no faces")
     if not np.isfinite(points).all():
         raise ValueError("points must have finite coordinates")
-    tri = mesh.vertices[mesh.faces]
+    tri = np.take(mesh.vertices, mesh.faces, axis=0)
     centroid = tri.mean(axis=1)
-    radius = np.sqrt(((tri - centroid[:, None]) ** 2).sum(axis=2)).max(axis=1)
+    radius = row_norm(tri - centroid[:, None]).max(axis=1)
     slack = 1e-9 * max(np.abs(points).max(initial=0.0), np.abs(tri).max())
 
     best = np.full(len(points), np.inf)
@@ -153,7 +154,7 @@ def feature_adjacent_faces(topo, normals, threshold_deg: float = 30.0) -> np.nda
     interior = ~topo.is_boundary
     f0 = topo.edge_faces[:, 0]
     f1 = np.where(topo.edge_faces[:, 1] >= 0, topo.edge_faces[:, 1], f0)
-    dots = np.clip((n[f0] * n[f1]).sum(axis=1), -1.0, 1.0)
+    dots = np.clip(row_dot(np.take(n, f0, axis=0), np.take(n, f1, axis=0)), -1.0, 1.0)
     sharp = interior & (np.degrees(np.arccos(dots)) > threshold_deg)
     mask = np.zeros(topo.num_faces, dtype=bool)
     mask[f0[sharp]] = True

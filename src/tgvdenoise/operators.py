@@ -20,6 +20,8 @@ convention and the solver's update rules rely on it.
 
 import numpy as np
 
+from .mesh import row_dot, row_norm
+
 __all__ = [
     "inner_faces", "inner_edges", "norm_edges",
     "inner_lines", "norm_lines", "inner_curves", "norm_curves",
@@ -48,7 +50,7 @@ def _weighted_inner(a, b, weights, n, what):
     a = _as2d(a, n, what)
     b = _as2d(b, n, what)
     _match(a, b)
-    return float(((a * b).sum(axis=1) * weights).sum())
+    return float((row_dot(a, b) * weights).sum())
 
 
 # -- inner products and norms (element measure as weight) -----------------
@@ -141,7 +143,7 @@ def curve_jump_adjoint(curves, w) -> np.ndarray:
 # -- semi-norms ------------------------------------------------------------
 
 def _row_norms(x):
-    return np.abs(x) if x.ndim == 1 else np.linalg.norm(x, axis=1)
+    return np.abs(x) if x.ndim == 1 else row_norm(x)
 
 
 def tv_seminorm(topo, u) -> float:
@@ -157,9 +159,10 @@ def ho_seminorm(lines, u) -> float:
     stencil touches the boundary are skipped."""
     u2 = _as2d(u, lines.topo.num_faces, "face")
     act = lines.active
-    own = u2[lines.line_face[act]]
-    across = u2[lines.face_across_in[act]] + u2[lines.face_across_out[act]]
-    mags = np.linalg.norm(2.0 * own - across, axis=1)
+    own = np.take(u2, lines.line_face[act], axis=0)
+    across = np.take(u2, lines.face_across_in[act], axis=0) \
+        + np.take(u2, lines.face_across_out[act], axis=0)
+    mags = row_norm(2.0 * own - across)
     return float((mags * lines.line_len[act]).sum())
 
 
@@ -181,9 +184,9 @@ def tgv_energy(conn, u, v, alpha1, alpha0) -> float:
     if u2.shape[1] != v2.shape[1]:
         raise ValueError("u and v must have the same channel count")
     resid = edge_jump(topo, u2) - v2
-    first = (np.linalg.norm(resid, axis=1) * topo.edge_len).sum()
+    first = (row_norm(resid) * topo.edge_len).sum()
     lj = line_jump(lines, v2)
     cj = curve_jump(curves, v2)
-    second = (np.linalg.norm(lj, axis=1) * lines.line_len).sum() \
-        + (np.linalg.norm(cj, axis=1) * curves.curve_len).sum()
+    second = (row_norm(lj) * lines.line_len).sum() \
+        + (row_norm(cj) * curves.curve_len).sum()
     return float(alpha1 * first + alpha0 * second)

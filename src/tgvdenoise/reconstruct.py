@@ -2,18 +2,9 @@
 
 import numpy as np
 
+from .mesh import cross, row_dot, row_norm
+
 __all__ = ["update_vertices", "projection_residual"]
-
-
-def _centroids_and_normals(vertices, faces):
-    p = vertices[faces]
-    # the same sum and division as p.mean(axis=1), without its reduction
-    centroids = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
-    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    norms = np.linalg.norm(cross, axis=1)
-    normals = np.divide(cross, norms[:, None], out=np.zeros_like(cross),
-                        where=norms[:, None] > 0)
-    return centroids, normals
 
 
 def update_vertices(mesh, target_normals, iters: int = 30):
@@ -36,32 +27,40 @@ def update_vertices(mesh, target_normals, iters: int = 30):
     if n_t.shape != (len(faces), 3):
         raise ValueError(f"target_normals must have shape ({len(faces)}, 3)")
 
-    x = mesh.vertices.copy()
+    # coordinate-major throughout: x[j] and nt[j] are contiguous coordinate
+    # arrays, and the .T views hand the row helpers contiguous columns
+    x = mesh.vertices.T.copy()                                 # (3, V)
+    nt = n_t.T.copy()                                          # (3, T)
     # corners in corner-major order, so each vertex's bincount sums its terms
     # in the same order as one scatter-add per corner would
-    corner_vertex = faces.T.ravel()
-    ring_size = np.bincount(corner_vertex, minlength=len(x)).astype(np.float64)
+    corners = faces.T.copy()                                   # (3, T)
+    corner_vertex = corners.ravel()
+    num_vertices = x.shape[1]
+    ring_size = np.bincount(corner_vertex, minlength=num_vertices).astype(np.float64)
     scale = np.divide(1.0, ring_size, out=np.zeros_like(ring_size),
                       where=ring_size > 0)
 
     for _ in range(iters):
-        centroids, current = _centroids_and_normals(x, faces)
-        keep = (current * n_t).sum(axis=1) >= 0.0
-        offset = ((centroids - x[faces.T]) * n_t).sum(axis=2)    # (3, T)
-        terms = (n_t * (offset * keep)[:, :, None]).reshape(-1, 3)
-        disp = np.stack([np.bincount(corner_vertex, weights=terms[:, j], minlength=len(x))
-                         for j in range(3)], axis=1)
-        x = x + disp * scale[:, None]
-    return mesh.with_vertices(x)
+        p = np.take(x, corners, axis=1)                        # (3, corner, T)
+        # the same sum and division as a mean over the corners
+        centroid = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0         # (3, T)
+        c = cross((p[:, 1] - p[:, 0]).T, (p[:, 2] - p[:, 0]).T)
+        norms = row_norm(c)[:, None]
+        current = np.divide(c, norms, out=np.zeros_like(c), where=norms > 0)
+        keep = row_dot(current, nt.T) >= 0.0
+        offset = row_dot((centroid[:, None] - p).T, nt.T[:, None])  # (T, corner)
+        offset *= keep[:, None]
+        for j in range(3):
+            terms = (offset * nt[j][:, None]).T                 # (corner, T)
+            x[j] += np.bincount(corner_vertex, weights=terms.ravel(),
+                                minlength=num_vertices) * scale
+    return mesh.with_vertices(x.T.copy())
 
 
 def projection_residual(mesh, target_normals) -> float:
     """Sum over faces and their corners of (n . (centroid - corner))^2;
     zero exactly when every corner lies in its face's target plane."""
     n_t = np.asarray(target_normals, dtype=np.float64)
-    centroids = mesh.vertices[mesh.faces].mean(axis=1)
-    total = 0.0
-    for corner in range(3):
-        offset = ((centroids - mesh.vertices[mesh.faces[:, corner]]) * n_t).sum(axis=1)
-        total += float((offset ** 2).sum())
-    return total
+    corners = [np.take(mesh.vertices, mesh.faces[:, k], axis=0) for k in range(3)]
+    centroids = (corners[0] + corners[1] + corners[2]) / 3.0
+    return float(sum((row_dot(centroids - p, n_t) ** 2).sum() for p in corners))

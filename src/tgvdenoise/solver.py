@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mesh import row_dot, row_norm
 from .operators import (
     curve_jump, curve_jump_adjoint, edge_jump, edge_jump_adjoint,
     inner_faces, line_jump, line_jump_adjoint, norm_curves, norm_edges,
@@ -170,7 +171,7 @@ def shrink(weight, penalty, z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
     z2 = z[None, :] if single else z
-    norms = np.linalg.norm(z2, axis=1)
+    norms = row_norm(z2)
     w = np.broadcast_to(np.asarray(weight, dtype=np.float64), norms.shape)
     scaled = np.divide(w, penalty * norms, out=np.full_like(norms, np.inf),
                        where=norms > 0)
@@ -183,7 +184,8 @@ def edge_weights(topo, normals, sigma_e) -> np.ndarray:
     boundary edges get weight 1."""
     f0 = topo.edge_faces[:, 0]
     f1 = np.where(topo.edge_faces[:, 1] >= 0, topo.edge_faces[:, 1], f0)
-    diff2 = ((normals[f0] - normals[f1]) ** 2).sum(axis=1)
+    diff = np.take(normals, f0, axis=0) - np.take(normals, f1, axis=0)
+    diff2 = row_dot(diff, diff)
     w = np.exp(-diff2 / (2.0 * sigma_e ** 2))
     w[topo.is_boundary] = 1.0
     return w
@@ -340,8 +342,8 @@ def solve_n_subproblem(conn, state, n_in, params, system, direct=None) -> np.nda
         system, rhs, topo.face_area, params.cg_rel_tol, params.cg_max_iters,
         "normal", x0=x0)
     state.N_solved = solved
-    norms = np.linalg.norm(solved, axis=1)
-    prev_norms = np.linalg.norm(state.N, axis=1)
+    norms = row_norm(solved)
+    prev_norms = row_norm(state.N)
     fallback = np.where(prev_norms[:, None] >= 1e-12,
                         state.N / np.maximum(prev_norms, 1e-300)[:, None],
                         n_in)
@@ -349,13 +351,17 @@ def solve_n_subproblem(conn, state, n_in, params, system, direct=None) -> np.nda
     return np.where(ok[:, None], solved / np.maximum(norms, 1e-300)[:, None], fallback)
 
 
-def solve_v_subproblem(conn, state, params, system, direct=None) -> np.ndarray:
+def solve_v_subproblem(conn, state, params, system, direct=None,
+                       jump_n=None) -> np.ndarray:
     """Quadratic coupling v to the current normals and both jump penalties.
-    ``system`` is the run's v_system_operator. Conjugate gradients start
-    from ``direct(rhs)`` when a direct solve is given, else from
+    ``system`` is the run's v_system_operator; ``jump_n`` is
+    edge_jump(state.N), computed here when not given. Conjugate gradients
+    start from ``direct(rhs)`` when a direct solve is given, else from
     ``state.v``; the iterations go to ``state.cg_iterations[1]``."""
     topo, lines, curves = conn.topo, conn.lines, conn.curves
-    rhs = (-state.lam_P - params.r1 * (state.P - edge_jump(topo, state.N))
+    if jump_n is None:
+        jump_n = edge_jump(topo, state.N)
+    rhs = (-state.lam_P - params.r1 * (state.P - jump_n)
            - line_jump_adjoint(lines, state.lam_Q1 + params.r0 * state.Q1)
            - curve_jump_adjoint(curves, state.lam_Q2 + params.r0 * state.Q2))
     x0 = state.v if direct is None else direct(rhs)
@@ -365,46 +371,68 @@ def solve_v_subproblem(conn, state, params, system, direct=None) -> np.ndarray:
     return v
 
 
-def solve_p_subproblem(conn, state, params) -> np.ndarray:
-    """Per-edge shrink with the weighted first-order threshold."""
-    z = edge_jump(conn.topo, state.N) - state.v - state.lam_P / params.r1
+def solve_p_subproblem(conn, state, params, jump_n=None) -> np.ndarray:
+    """Per-edge shrink with the weighted first-order threshold; ``jump_n``
+    is edge_jump(state.N), computed here when not given."""
+    if jump_n is None:
+        jump_n = edge_jump(conn.topo, state.N)
+    z = jump_n - state.v - state.lam_P / params.r1
     return shrink(params.alpha1 * state.w, params.r1, z)
 
 
-def solve_q1_subproblem(conn, state, params) -> np.ndarray:
-    """Per-line shrink of the 1-form jump."""
-    z = line_jump(conn.lines, state.v) - state.lam_Q1 / params.r0
+def solve_q1_subproblem(conn, state, params, jump_l=None) -> np.ndarray:
+    """Per-line shrink of the 1-form jump; ``jump_l`` is
+    line_jump(state.v), computed here when not given."""
+    if jump_l is None:
+        jump_l = line_jump(conn.lines, state.v)
+    z = jump_l - state.lam_Q1 / params.r0
     return shrink(params.alpha0, params.r0, z)
 
 
-def solve_q2_subproblem(conn, state, params) -> np.ndarray:
-    """Per-curve shrink of the 2-form jump; invalid curves stay 0."""
-    z = curve_jump(conn.curves, state.v) - state.lam_Q2 / params.r0
+def solve_q2_subproblem(conn, state, params, jump_c=None) -> np.ndarray:
+    """Per-curve shrink of the 2-form jump; invalid curves stay 0.
+    ``jump_c`` is curve_jump(state.v), computed here when not given."""
+    if jump_c is None:
+        jump_c = curve_jump(conn.curves, state.v)
+    z = jump_c - state.lam_Q2 / params.r0
     out = shrink(params.alpha0, params.r0, z)
     out[~conn.curves.valid] = 0.0
     return out
 
 
-def update_multipliers(conn, state, params) -> "SolverState":
-    """Ascent step on the three constraint residuals."""
-    topo, lines, curves = conn.topo, conn.lines, conn.curves
-    state.lam_P = state.lam_P + params.r1 * (
-        state.P - (edge_jump(topo, state.N) - state.v))
-    state.lam_Q1 = state.lam_Q1 + params.r0 * (state.Q1 - line_jump(lines, state.v))
-    state.lam_Q2 = state.lam_Q2 + params.r0 * (state.Q2 - curve_jump(curves, state.v))
+def update_multipliers(conn, state, params, jumps=None) -> "SolverState":
+    """Ascent step on the three constraint residuals. ``jumps`` is
+    (edge_jump(state.N), line_jump(state.v), curve_jump(state.v)), computed
+    here when not given."""
+    if jumps is None:
+        jumps = (edge_jump(conn.topo, state.N), line_jump(conn.lines, state.v),
+                 curve_jump(conn.curves, state.v))
+    jump_n, jump_l, jump_c = jumps
+    state.lam_P = state.lam_P + params.r1 * (state.P - (jump_n - state.v))
+    state.lam_Q1 = state.lam_Q1 + params.r0 * (state.Q1 - jump_l)
+    state.lam_Q2 = state.lam_Q2 + params.r0 * (state.Q2 - jump_c)
     return state
 
 
 # -- the outer loop ---------------------------------------------------------
 
-def _split_steps(conn, state, params, v_system, v_direct=None):
+def _split_steps(conn, state, params, v_system, v_direct=None, jump_n=None):
     """One sweep's updates after the normal step: v, the three shrinks,
-    then the multipliers."""
-    state.v = solve_v_subproblem(conn, state, params, v_system, v_direct)
-    state.P = solve_p_subproblem(conn, state, params)
-    state.Q1 = solve_q1_subproblem(conn, state, params)
-    state.Q2 = solve_q2_subproblem(conn, state, params)
-    update_multipliers(conn, state, params)
+    then the multipliers. Each jump is applied once: edge_jump(N) before
+    the v step (unless ``jump_n`` is given), line_jump(v) and
+    curve_jump(v) after it. Returns the three jumps, which the shrinks and
+    multipliers leave valid."""
+    if jump_n is None:
+        jump_n = edge_jump(conn.topo, state.N)
+    state.v = solve_v_subproblem(conn, state, params, v_system, v_direct, jump_n)
+    jump_l = line_jump(conn.lines, state.v)
+    jump_c = curve_jump(conn.curves, state.v)
+    state.P = solve_p_subproblem(conn, state, params, jump_n)
+    state.Q1 = solve_q1_subproblem(conn, state, params, jump_l)
+    state.Q2 = solve_q2_subproblem(conn, state, params, jump_c)
+    jumps = jump_n, jump_l, jump_c
+    update_multipliers(conn, state, params, jumps)
+    return jumps
 
 
 def _objective(conn, n_in, state, params, jump_n, jump_l, jump_c):
@@ -413,9 +441,9 @@ def _objective(conn, n_in, state, params, jump_n, jump_l, jump_c):
     topo, lines, curves = conn.topo, conn.lines, conn.curves
     fid = 0.5 * params.beta * inner_faces(topo, state.N - n_in, state.N - n_in)
     resid = jump_n - state.v
-    first = (state.w * np.linalg.norm(resid, axis=1) * topo.edge_len).sum()
-    second = (np.linalg.norm(jump_l, axis=1) * lines.line_len).sum() \
-        + (np.linalg.norm(jump_c, axis=1) * curves.curve_len).sum()
+    first = (state.w * row_norm(resid) * topo.edge_len).sum()
+    second = (row_norm(jump_l) * lines.line_len).sum() \
+        + (row_norm(jump_c) * curves.curve_len).sum()
     return float(fid + params.alpha1 * first + params.alpha0 * second)
 
 
@@ -440,7 +468,7 @@ def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResu
     n_in = np.asarray(n_in, dtype=np.float64)
     if n_in.shape != (topo.num_faces, 3):
         raise ValueError(f"n_in must have shape ({topo.num_faces}, 3)")
-    if np.abs(np.linalg.norm(n_in, axis=1) - 1.0).max() > 1e-8:
+    if np.abs(row_norm(n_in) - 1.0).max() > 1e-8:
         raise ValueError("n_in rows must be unit length")
 
     state = SolverState.initial(conn, n_in, params)
@@ -458,12 +486,9 @@ def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResu
         state.k = k
         n_prev = state.N
         state.N = solve_n_subproblem(conn, state, n_in, params, n_system, n_direct)
-        _split_steps(conn, state, params, v_system, v_direct)
+        jump_n, jump_l, jump_c = _split_steps(conn, state, params, v_system, v_direct)
         cg_iterations.append(tuple(state.cg_iterations))
 
-        jump_n = edge_jump(topo, state.N)
-        jump_l = line_jump(conn.lines, state.v)
-        jump_c = curve_jump(conn.curves, state.v)
         res_p = norm_edges(topo, state.P - (jump_n - state.v))
         res_q1 = norm_lines(conn.lines, state.Q1 - jump_l)
         res_q2 = norm_curves(conn.curves, state.Q2 - jump_c)
@@ -471,6 +496,8 @@ def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResu
         change_sq = inner_faces(topo, diff, diff)
         rows.append((k, _objective(conn, n_in, state, params, jump_n, jump_l, jump_c),
                      res_p, res_q1, res_q2, change_sq))
+        # the jumps would otherwise stay alive through the next sweep's solves
+        del jump_n, jump_l, jump_c
 
         if params.dynamic_weights:
             state.w = edge_weights(topo, state.N, params.sigma_e)
@@ -523,7 +550,7 @@ def minimize_tgv(conn, u, alpha1, alpha0, r1=2.0, r0=2.0, iters=200,
         best_energy, best_v = at_jump, jump_u
     v_system = v_system_operator(conn, params)
     for _ in range(iters):
-        _split_steps(conn, state, params, v_system)
+        _split_steps(conn, state, params, v_system, jump_n=jump_u)
         energy = tgv_energy(conn, u2, state.v, alpha1, alpha0)
         if energy < best_energy:
             best_energy = energy

@@ -98,3 +98,43 @@ def far_triangles(curves):
                               (1, curves.edges[c, 3], lines.face_across_in[c])):
                 (far[c, k],) = [t for t in topo.edge_faces[e] if t != nbr]
     return far
+
+
+def update_vertices_reference(mesh, target_normals, iters=30):
+    """The vertex update as one (T, 3, 3) gather and row reductions per
+    sweep: the form the coordinate-major reconstruct.update_vertices must
+    match bit for bit."""
+    n_t = np.asarray(target_normals, dtype=np.float64)
+    faces = mesh.faces
+    x = mesh.vertices.copy()
+    corner_vertex = faces.T.ravel()
+    ring_size = np.bincount(corner_vertex, minlength=len(x)).astype(np.float64)
+    scale = np.divide(1.0, ring_size, out=np.zeros_like(ring_size),
+                      where=ring_size > 0)
+    for _ in range(iters):
+        p = x[faces]
+        centroids = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
+        cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        norms = np.linalg.norm(cross, axis=1)
+        current = np.divide(cross, norms[:, None], out=np.zeros_like(cross),
+                            where=norms[:, None] > 0)
+        keep = (current * n_t).sum(axis=1) >= 0.0
+        offset = ((centroids - x[faces.T]) * n_t).sum(axis=2)    # (3, T)
+        terms = (n_t * (offset * keep)[:, :, None]).reshape(-1, 3)
+        disp = np.stack([np.bincount(corner_vertex, weights=terms[:, j], minlength=len(x))
+                         for j in range(3)], axis=1)
+        x = x + disp * scale[:, None]
+    return x
+
+
+def format_mesh_reference(mesh, fmt):
+    """The OBJ / OFF text as written field by field from numpy scalars, the
+    form the record-at-a-time writer in fileio must reproduce byte for byte."""
+    coord = "%.17g"
+    out = [] if fmt == "obj" else ["OFF", f"{mesh.num_vertices} {mesh.num_faces} 0"]
+    prefix = "v " if fmt == "obj" else ""
+    for x, y, z in mesh.vertices:
+        out.append(f"{prefix}{coord % x} {coord % y} {coord % z}")
+    for i, j, k in mesh.faces:
+        out.append(f"f {i + 1} {j + 1} {k + 1}" if fmt == "obj" else f"3 {i} {j} {k}")
+    return "\n".join(out) + "\n"

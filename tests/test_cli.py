@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,19 @@ def test_denoise_nan_vertex_exits_1(capsys, tmp_path):
     assert "vertex 0 has a non-finite coordinate" in err
     assert not out.exists()
 
+
+
+def test_denoise_overflowing_coordinates_exit_1(capsys, tmp_path):
+    bad = tmp_path / "huge.obj"
+    bad.write_text("v 0 0 0\nv 1e308 0 0\nv 0 1 0\nf 1 2 3\n")
+    out = tmp_path / "o.obj"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, "denoise", str(bad), "-o", str(out))
+    assert code == 1
+    assert err.startswith("error: vertex coordinates overflow")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 HUGE_INDEX = {

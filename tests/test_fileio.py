@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from tgvdenoise import (MeshError, TriMesh, build_edge_topology, load_mesh,
+from tgvdenoise import (MeshError, NoiseSpec, TriMesh, add_gaussian_noise,
+                        build_edge_topology, load_mesh, make_icosphere,
                         make_tetrahedron, save_mesh)
+
+from oracles import format_mesh_reference
 
 UNIT_SQUARE_OBJ = """\
 # two triangles
@@ -92,6 +95,22 @@ def test_round_trip_exact(tmp_path, fmt):
     back = load_mesh(path)
     assert np.array_equal(back.faces, m.faces)
     assert np.array_equal(back.vertices, m.vertices)  # 17 digits round-trips exactly
+
+
+@pytest.mark.parametrize("fmt", ["obj", "off"])
+def test_writer_matches_field_by_field_format(tmp_path, fmt):
+    # extreme values need a mesh without faces: 1e308 would overflow the
+    # area checks of one with faces
+    extremes = TriMesh([[-0.0, 0.0, 5e-324], [1e-300, -1e308, 1e308],
+                        [0.1, -0.1, 1 / 3], [2.0 ** 53 + 1, -2.5e-8, 123456789.0]],
+                       np.zeros((0, 3), dtype=int))
+    noisy = add_gaussian_noise(make_icosphere(1, 0.15),
+                               NoiseSpec(0.3, mode="vertex-normal", seed=7))
+    empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+    for i, mesh in enumerate((extremes, noisy, empty)):
+        path = tmp_path / f"m{i}.{fmt}"
+        save_mesh(mesh, path)
+        assert path.read_bytes() == format_mesh_reference(mesh, fmt).encode("utf-8")
 
 
 def test_save_mesh_without_faces(tmp_path):

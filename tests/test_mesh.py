@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,19 @@ def test_with_vertices_rejects_a_wrong_vertex_count():
                   m.vertices[:, :2]):
         with pytest.raises(MeshError):
             m.with_vertices(moved)
+
+
+@pytest.mark.parametrize("verts, what", [
+    ([[0, 0, 0], [1e308, 0, 0], [0, 1, 0]], "bounding-box diagonal"),
+    ([[-1e308, 0, 0], [1e308, 0, 0], [0, 1, 0]], "bounding-box diagonal"),
+    # a finite diagonal whose cross product squares past the float range
+    ([[0, 0, 0], [9e153, 0, 0], [0, 9e153, 0]], "area of face 0"),
+])
+def test_overflowing_coordinates_rejected_without_warning(verts, what):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshError, match=f"coordinates overflow: the {what}"):
+            TriMesh(verts, [[0, 1, 2]])
+        mesh = TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+        with pytest.raises(MeshError, match="coordinates overflow"):
+            mesh.with_vertices(verts)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from tgvdenoise import (NoiseSpec, SolverParams, add_gaussian_noise,
+from tgvdenoise import (NoiseSpec, SolverParams, TriMesh, add_gaussian_noise,
                         build_connectivity, face_normals, filter_normals,
-                        make_cube, make_plane, make_two_triangle_square,
-                        mean_angular_difference, projection_residual,
-                        update_vertices)
+                        make_cube, make_icosphere, make_plane,
+                        make_two_triangle_square, mean_angular_difference,
+                        projection_residual, update_vertices)
+
+from oracles import update_vertices_reference
 
 
 def _rotation(axis, angle):
@@ -87,3 +89,39 @@ def test_jacobi_update_is_deterministic():
     a = update_vertices(noisy, targets, iters=10)
     b = update_vertices(noisy, targets, iters=10)
     assert np.array_equal(a.vertices, b.vertices)
+
+
+def _negated_sphere_targets():
+    clean = make_icosphere(3, 0.15)
+    noisy = add_gaussian_noise(clean, NoiseSpec(0.3, mode="vertex-normal", seed=7))
+    targets = face_normals(clean)
+    flip = np.random.default_rng(3).random(len(targets)) < 0.1
+    targets[flip] *= -1.0
+    return noisy, targets
+
+
+def _stray_vertex_plane():
+    plane = make_plane(4, 3)
+    stray = TriMesh(np.vstack([plane.vertices, [[5.0, 5.0, 5.0]]]), plane.faces)
+    targets = face_normals(add_gaussian_noise(plane, NoiseSpec(0.2, seed=4)))
+    return stray, targets
+
+
+def _bench_cube():
+    clean = make_cube(10, size=0.05)
+    noisy = add_gaussian_noise(clean, NoiseSpec(0.3, mode="vertex-normal", seed=7))
+    return noisy, face_normals(clean)
+
+
+@pytest.mark.parametrize("case", [_bench_cube, _negated_sphere_targets, _stray_vertex_plane])
+def test_update_matches_row_gather_reference_bit_for_bit(case):
+    mesh, targets = case()
+    out = update_vertices(mesh, targets, iters=30)
+    assert np.array_equal(out.vertices, update_vertices_reference(mesh, targets, iters=30))
+
+
+def test_reference_cases_reach_the_paths_they_name():
+    mesh, targets = _negated_sphere_targets()
+    assert ((face_normals(mesh) * targets).sum(axis=1) < 0).any()   # keep = False
+    mesh, _ = _stray_vertex_plane()
+    assert np.bincount(mesh.faces.ravel(), minlength=mesh.num_vertices).min() == 0

@@ -438,6 +438,28 @@ def test_filter_counts_cg_iterations_per_sweep(filter_run, monkeypatch):
     assert result.cg_iterations[:, 1].sum() == len(calls["v_system_operator"])
 
 
+OPERATOR_NAMES = ("edge_jump", "edge_jump_adjoint", "line_jump", "line_jump_adjoint",
+                  "curve_jump", "curve_jump_adjoint")
+
+
+def test_filter_applies_each_operator_once_per_sweep(filter_run, monkeypatch):
+    # one jump of each kind per sweep, shared by the v right-hand side, the
+    # shrinks, the multipliers and the diagnostics row
+    conn, n_in, _, result = filter_run
+    calls = dict.fromkeys(OPERATOR_NAMES, 0)
+    for name in OPERATOR_NAMES:
+        def counting(*args, _op=getattr(solver, name), _name=name):
+            calls[_name] += 1
+            return _op(*args)
+
+        monkeypatch.setattr(solver, name, counting)
+    sweeps = 7
+    again = filter_normals(conn, n_in, SolverParams(max_outer_iters=sweeps))
+    assert again.iterations == sweeps
+    assert calls == dict.fromkeys(OPERATOR_NAMES, sweeps)
+    assert np.array_equal(again.diagnostics, result.diagnostics[:sweeps])
+
+
 def test_filter_above_the_factoring_threshold_runs_cg_alone():
     # a mesh just above the threshold keeps warm-started CG, several
     # products per solve, and never imports scipy's solver module
