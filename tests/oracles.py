@@ -2,6 +2,10 @@
 
 import numpy as np
 
+from tgvdenoise import MeshError, TriMesh
+
+_INDEX_MAX = np.iinfo(np.int64).max
+
 
 def golden_section_shrink(w, y, znorm, iters=200):
     """Minimize f(t) = w*t + y/2*(t - znorm)^2 over t >= 0 by golden-section
@@ -138,3 +142,99 @@ def format_mesh_reference(mesh, fmt):
     for i, j, k in mesh.faces:
         out.append(f"f {i + 1} {j + 1} {k + 1}" if fmt == "obj" else f"3 {i} {j} {k}")
     return "\n".join(out) + "\n"
+
+
+def load_mesh_reference(path, fmt):
+    """The OBJ / OFF reader as a loop over one record at a time: the grammar
+    and the error messages, line numbers included, that fileio's block-wise
+    reader must reproduce."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    parse = _parse_obj_reference if fmt == "obj" else _parse_off_reference
+    return TriMesh(*parse(text))
+
+
+def _content_lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _parse_obj_reference(text):
+    vertices, faces = [], []
+    for lineno, line in _content_lines(text):
+        tokens = line.split()
+        kind = tokens[0]
+        if kind == "v":
+            if len(tokens) != 4:
+                raise MeshError(f"line {lineno}: vertex record needs 3 coordinates")
+            try:
+                vertices.append([float(t) for t in tokens[1:]])
+            except ValueError:
+                raise MeshError(f"line {lineno}: bad vertex coordinate") from None
+        elif kind == "f":
+            if len(tokens) != 4:
+                raise MeshError(f"line {lineno}: only triangle faces are supported")
+            idx = []
+            for t in tokens[1:]:
+                if "/" in t:
+                    raise MeshError(f"line {lineno}: face tokens with '/' are not supported")
+                try:
+                    i = int(t)
+                except ValueError:
+                    raise MeshError(f"line {lineno}: bad face index {t!r}") from None
+                if i <= 0:
+                    raise MeshError(f"line {lineno}: face indices must be positive (1-based)")
+                if i > _INDEX_MAX:
+                    raise MeshError(f"line {lineno}: face index {t!r} is out of range")
+                idx.append(i - 1)
+            faces.append(idx)
+        else:
+            raise MeshError(f"line {lineno}: unsupported OBJ record {kind!r}")
+    return (np.array(vertices, dtype=np.float64).reshape(-1, 3),
+            np.array(faces, dtype=np.int64).reshape(-1, 3))
+
+
+def _parse_off_reference(text):
+    lines = list(_content_lines(text))
+    if not lines or lines[0][1] != "OFF":
+        raise MeshError("missing OFF header")
+    if len(lines) < 2:
+        raise MeshError("missing OFF counts line")
+    lineno, counts = lines[1]
+    parts = counts.split()
+    if len(parts) != 3:
+        raise MeshError(f"line {lineno}: counts line must be 'V F E'")
+    try:
+        nv, nf, _ = (int(p) for p in parts)
+    except ValueError:
+        raise MeshError(f"line {lineno}: bad OFF counts") from None
+    body = lines[2:]
+    if len(body) != nv + nf:
+        raise MeshError(f"OFF body has {len(body)} records, expected {nv + nf}")
+
+    vertices = []
+    for lineno, line in body[:nv]:
+        tokens = line.split()
+        if len(tokens) != 3:
+            raise MeshError(f"line {lineno}: vertex record needs 3 coordinates")
+        try:
+            vertices.append([float(t) for t in tokens])
+        except ValueError:
+            raise MeshError(f"line {lineno}: bad vertex coordinate") from None
+
+    faces = []
+    for lineno, line in body[nv:]:
+        tokens = line.split()
+        if not tokens or tokens[0] != "3" or len(tokens) != 4:
+            raise MeshError(f"line {lineno}: only triangle faces are supported")
+        try:
+            idx = [int(t) for t in tokens[1:]]
+        except ValueError:
+            raise MeshError(f"line {lineno}: bad face index") from None
+        if max(abs(i) for i in idx) > _INDEX_MAX:
+            raise MeshError(f"line {lineno}: face index out of range")
+        faces.append(idx)
+    return (np.array(vertices, dtype=np.float64).reshape(-1, 3),
+            np.array(faces, dtype=np.int64).reshape(-1, 3))
