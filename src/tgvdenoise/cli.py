@@ -19,7 +19,8 @@ from .metrics import (face_angle_errors, mean_angular_difference,
 from .noise import MODES, NoiseSpec, add_gaussian_noise, mean_edge_length, vertex_normals
 from .operators import edge_jump, ho_seminorm, tgv_energy, tv_seminorm
 from .reconstruct import update_vertices
-from .solver import SolverError, SolverParams, filter_normals, minimize_tgv
+from .solver import (WEIGHT_RANGE, SolverError, SolverParams, filter_normals,
+                     minimize_tgv)
 from .synth import (make_cube, make_icosphere, make_plane, make_tetrahedron,
                     make_two_triangle_square)
 from .topology import build_connectivity
@@ -45,7 +46,10 @@ def _solver_params(args) -> SolverParams:
 
 
 def _add_solver_flags(p):
-    g = p.add_argument_group("solver parameters")
+    g = p.add_argument_group(
+        "solver parameters",
+        "the six weights, penalties and bandwidth must lie in [%g, %g]; the two "
+        "tolerances must be positive and finite" % WEIGHT_RANGE)
     g.add_argument("--alpha1", type=float, default=1.0,
                    help="first-order weight (recommended range 0.5-3.0; default 1.0)")
     g.add_argument("--alpha0", type=float, default=0.1,
@@ -122,8 +126,8 @@ def _emit(obj):
 
 
 def cmd_denoise(args) -> int:
-    mesh = load_mesh(args.input)
     params = _solver_params(args)
+    mesh = load_mesh(args.input)
     conn = build_connectivity(mesh)
     n_in = face_normals(mesh)
     result = filter_normals(conn, n_in, params, diagnostics_path=args.diagnostics)

@@ -8,12 +8,17 @@ Only the minimal grammars are supported:
 * OFF: ``OFF`` header, a ``V F E`` counts line, V coordinate lines, then F
   face lines each starting with the vertex count 3 (0-based indices).
 
-Comments (``#``) and blank lines are ignored in both formats. Coordinates
-are written with 17 significant digits so a save/load round trip reproduces
-float64 positions exactly.
+Comments (``#``) and blank lines are ignored in both formats. Lines are
+split as ``str.splitlines`` and ``str.split`` split them, and each value is
+read with Python's ``float`` or ``int``. The reader converts a block of lines
+at a time; for a bad file it names the first bad line, as a reader going
+record by record would. Coordinates are written with 17 significant digits
+so a save/load round trip reproduces float64 positions exactly.
 """
 
 import os
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -66,88 +71,216 @@ def save_mesh(mesh, path, format=None):
         fh.write(text)
 
 
-def _content_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+# The readers convert a block of lines of about this many characters at a
+# time, so only one block's tokens are ever held as Python objects.
+_BLOCK_CHARS = 1 << 16
+
+
+def _token_blocks(text):
+    """Per block of lines: the number of its first line and the tokens of
+    each of its lines, comments removed (a blank line has none). A block
+    ends with a newline, so the lines are those of ``text.splitlines()``."""
+    lineno, start = 1, 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        block = text[start:end]
+        lines = block.splitlines()
+        if "#" in block:
+            lines = [line.partition("#")[0] for line in lines]
+        yield lineno, list(map(str.split, lines))
+        lineno += len(lines)
+        start = end
+
+
+def _array(tokens, convert, dtype):
+    """The tokens converted one by one with ``convert`` (``float`` or
+    ``int``, so the value grammar is Python's), as one array."""
+    return np.fromiter(map(convert, tokens), dtype, len(tokens))
+
+
+def _widths(rows, width):
+    """Raise ValueError unless every row has ``width`` tokens."""
+    if set(map(len, rows)) - {width}:
+        raise ValueError("record width")
+
+
+# -- the one statement of each record's errors --------------------------------
+#
+# The block converters only detect that some record of a block is bad (by a
+# ValueError or OverflowError); these name the first one, checking a record
+# as the grammar reads it, token by token.
+
+def _vertex_error(coords):
+    if len(coords) != 3:
+        return "vertex record needs 3 coordinates"
+    try:
+        for t in coords:
+            float(t)
+    except ValueError:
+        return "bad vertex coordinate"
+    return None
+
+
+def _obj_record_error(tokens):
+    kind = tokens[0]
+    if kind == "v":
+        return _vertex_error(tokens[1:])
+    if kind != "f":
+        return f"unsupported OBJ record {kind!r}"
+    if len(tokens) != 4:
+        return "only triangle faces are supported"
+    for t in tokens[1:]:
+        if "/" in t:
+            return "face tokens with '/' are not supported"
+        try:
+            i = int(t)
+        except ValueError:
+            return f"bad face index {t!r}"
+        if i <= 0:
+            return "face indices must be positive (1-based)"
+        if i > _INDEX_MAX:
+            return f"face index {t!r} is out of range"
+    return None
+
+
+def _off_face_error(tokens):
+    if tokens[0] != "3" or len(tokens) != 4:
+        return "only triangle faces are supported"
+    try:
+        idx = [int(t) for t in tokens[1:]]
+    except ValueError:
+        return "bad face index"
+    if max(map(abs, idx)) > _INDEX_MAX:
+        return "face index out of range"
+    return None
+
+
+def _first_bad_record(lineno, rows, record_error):
+    """A MeshError naming the first content line of a block (its first line
+    numbered ``lineno``) that ``record_error(k, tokens)`` finds fault with,
+    k counting the block's records; None if there is none."""
+    records = ((lineno + i, tokens) for i, tokens in enumerate(rows) if tokens)
+    for k, (n, tokens) in enumerate(records):
+        message = record_error(k, tokens)
+        if message:
+            return MeshError(f"line {n}: {message}")
+    return None
+
+
+# -- OBJ ---------------------------------------------------------------------
+
+def _obj_block(rows):
+    """The coordinates and 0-based face indices of one block's records,
+    each flat; ValueError or OverflowError if a record is bad."""
+    # faces first, each kind in file order (the sort is stable)
+    records = sorted(filter(None, rows), key=itemgetter(0))
+    _widths(records, 4)
+    tokens = list(chain.from_iterable(records))
+    kinds = tokens[::4]
+    del tokens[::4]
+    n_faces = kinds.count("f")
+    if kinds.count("v") + n_faces != len(kinds):
+        raise ValueError("record kind")
+    index_tokens = tokens[:3 * n_faces]
+    if "/" in "".join(index_tokens):
+        raise ValueError("'/' in a face")
+    idx = _array(index_tokens, int, np.int64)     # OverflowError beyond int64
+    if (idx <= 0).any():
+        raise ValueError("face index below 1")
+    return _array(tokens[3 * n_faces:], float, np.float64), idx - 1
 
 
 def _parse_obj(text):
-    vertices, faces = [], []
-    for lineno, line in _content_lines(text):
-        tokens = line.split()
-        kind = tokens[0]
-        if kind == "v":
-            if len(tokens) != 4:
-                raise MeshError(f"line {lineno}: vertex record needs 3 coordinates")
-            try:
-                vertices.append([float(t) for t in tokens[1:]])
-            except ValueError:
-                raise MeshError(f"line {lineno}: bad vertex coordinate") from None
-        elif kind == "f":
-            if len(tokens) != 4:
-                raise MeshError(f"line {lineno}: only triangle faces are supported")
-            idx = []
-            for t in tokens[1:]:
-                if "/" in t:
-                    raise MeshError(f"line {lineno}: face tokens with '/' are not supported")
-                try:
-                    i = int(t)
-                except ValueError:
-                    raise MeshError(f"line {lineno}: bad face index {t!r}") from None
-                if i <= 0:
-                    raise MeshError(f"line {lineno}: face indices must be positive (1-based)")
-                if i > _INDEX_MAX:
-                    raise MeshError(f"line {lineno}: face index {t!r} is out of range")
-                idx.append(i - 1)
-            faces.append(idx)
-        else:
-            raise MeshError(f"line {lineno}: unsupported OBJ record {kind!r}")
-    return np.array(vertices, dtype=np.float64).reshape(-1, 3), np.array(faces, dtype=np.int64).reshape(-1, 3)
+    vertices, faces = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    for lineno, rows in _token_blocks(text):
+        try:
+            coords, idx = _obj_block(rows)
+        except (ValueError, OverflowError) as exc:
+            error = _first_bad_record(lineno, rows,
+                                      lambda k, tokens: _obj_record_error(tokens))
+            raise (error or exc) from None
+        vertices.append(coords)
+        faces.append(idx)
+    return np.concatenate(vertices).reshape(-1, 3), np.concatenate(faces).reshape(-1, 3)
+
+
+# -- OFF ---------------------------------------------------------------------
+
+def _off_head(blocks):
+    """The header and counts lines, as (line number, tokens), and the rest
+    of the block the counts line ends in, as (line number, rows)."""
+    head = []
+    for lineno, rows in blocks:
+        for k, tokens in enumerate(rows):
+            if tokens:
+                head.append((lineno + k, tokens))
+                if len(head) == 2:
+                    return head, (lineno + k + 1, rows[k + 1:])
+    return head, (1, [])
+
+
+def _off_block(rows, n_vertices):
+    """The coordinates and face indices of one block's records, the first
+    ``n_vertices`` of them vertex records; ValueError or OverflowError if
+    a record is bad."""
+    _widths(rows[:n_vertices], 3)
+    coords = _array(list(chain.from_iterable(rows[:n_vertices])), float, np.float64)
+    face_rows = rows[n_vertices:]
+    _widths(face_rows, 4)
+    tokens = list(chain.from_iterable(face_rows))
+    lead = tokens[::4]
+    del tokens[::4]
+    if lead.count("3") != len(lead):
+        raise ValueError("face size")
+    idx = _array(tokens, int, np.int64)           # OverflowError beyond int64
+    if (idx == -_INDEX_MAX - 1).any():            # its abs() is beyond int64
+        raise ValueError("face index out of range")
+    return coords, idx
 
 
 def _parse_off(text):
-    lines = list(_content_lines(text))
-    if not lines or lines[0][1] != "OFF":
+    blocks = _token_blocks(text)
+    head, rest = _off_head(blocks)
+    if not head or head[0][1] != ["OFF"]:
         raise MeshError("missing OFF header")
-    if len(lines) < 2:
+    if len(head) < 2:
         raise MeshError("missing OFF counts line")
-    lineno, counts = lines[1]
-    parts = counts.split()
+    lineno, parts = head[1]
     if len(parts) != 3:
         raise MeshError(f"line {lineno}: counts line must be 'V F E'")
     try:
         nv, nf, _ = (int(p) for p in parts)
     except ValueError:
         raise MeshError(f"line {lineno}: bad OFF counts") from None
-    body = lines[2:]
-    if len(body) != nv + nf:
-        raise MeshError(f"OFF body has {len(body)} records, expected {nv + nf}")
+    # the body must hold nv + nf records, and then its first nv records (as
+    # a Python slice reads them: a negative nv counts from the end) are
+    # the vertices
+    expected = nv + nf
+    split = min(nv, expected) if nv >= 0 else max(expected + nv, 0)
 
-    vertices = []
-    for lineno, line in body[:nv]:
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise MeshError(f"line {lineno}: vertex record needs 3 coordinates")
+    vertices, faces = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    n_body, error = 0, None
+    for lineno, rows in chain([rest], blocks):
+        records = list(filter(None, rows))
+        n_vertices = max(0, min(len(records), split - n_body))
+        n_body += len(records)
+        if error is not None:
+            continue
         try:
-            vertices.append([float(t) for t in tokens])
-        except ValueError:
-            raise MeshError(f"line {lineno}: bad vertex coordinate") from None
-
-    faces = []
-    for lineno, line in body[nv:]:
-        tokens = line.split()
-        if not tokens or tokens[0] != "3" or len(tokens) != 4:
-            raise MeshError(f"line {lineno}: only triangle faces are supported")
-        try:
-            idx = [int(t) for t in tokens[1:]]
-        except ValueError:
-            raise MeshError(f"line {lineno}: bad face index") from None
-        if max(abs(i) for i in idx) > _INDEX_MAX:
-            raise MeshError(f"line {lineno}: face index out of range")
+            coords, idx = _off_block(records, n_vertices)
+        except (ValueError, OverflowError) as exc:
+            # reported only once the body has the expected number of records
+            error = _first_bad_record(
+                lineno, rows, lambda k, tokens: _vertex_error(tokens)
+                if k < n_vertices else _off_face_error(tokens)) or exc
+            continue
+        vertices.append(coords)
         faces.append(idx)
-    return np.array(vertices, dtype=np.float64).reshape(-1, 3), np.array(faces, dtype=np.int64).reshape(-1, 3)
+    if n_body != expected:
+        raise MeshError(f"OFF body has {n_body} records, expected {expected}")
+    if error is not None:
+        raise error
+    return np.concatenate(vertices).reshape(-1, 3), np.concatenate(faces).reshape(-1, 3)
 
 
 def _records(fmt, rows):

@@ -50,6 +50,7 @@ class TriMesh:
         self.vertices = v
         self.faces = f
         self._edge_keys = None
+        self._face_areas = None
 
         if f.size:
             self._check_areas()
@@ -74,32 +75,52 @@ class TriMesh:
         small = areas <= eps
         if small.any():
             raise MeshError(f"face {int(np.nonzero(small)[0][0])} is degenerate (area <= eps)")
+        # the positions never change, so build_edge_topology reuses these
+        areas.setflags(write=False)
+        self._face_areas = areas
 
     def _check_manifold(self):
         f = self.faces
         nxt = np.roll(f, -1, axis=1)
         pairs = np.minimum(f, nxt).ravel() * len(self.vertices) + np.maximum(f, nxt).ravel()
-        keys, inverse, counts = np.unique(pairs, return_inverse=True, return_counts=True)
+        # one sort ranks the undirected edge keys
+        order = np.argsort(pairs)
+        ranked = pairs[order]
+        new = np.empty(len(ranked), dtype=bool)
+        new[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        keys = ranked[starts]
+        counts = np.diff(starts, append=len(ranked))
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(new) - 1
         if (counts > 2).any():
             slot = int(np.nonzero(counts[inverse] > 2)[0][0])
             raise MeshError(f"non-manifold edge in face {slot // 3} (3+ incident faces)")
+        # the two face slots of a shared edge sit next to each other in the
+        # order, in either order
+        shared = starts[counts == 2]
+        a, b = np.take(order, shared), np.take(order, shared + 1)
+        first, second = np.minimum(a, b), np.maximum(a, b)
         # two faces on an edge must traverse it in opposite directions
-        forward = np.bincount(inverse[(f < nxt).ravel()], minlength=len(counts))
-        flipped = (counts == 2) & (forward != 1)
+        forward = (f < nxt).ravel()
+        flipped = np.take(forward, first) == np.take(forward, second)
         if flipped.any():
-            first, second = np.nonzero(inverse == np.argmax(flipped))[0] // 3
-            raise MeshError(f"face {second} is oriented inconsistently with face {first} "
-                            "(both traverse their shared edge in the same direction)")
+            k = int(np.argmax(flipped))
+            raise MeshError(f"face {second[k] // 3} is oriented inconsistently with face "
+                            f"{first[k] // 3} (both traverse their shared edge in the same "
+                            "direction)")
         # the faces around a vertex must form one edge-connected fan. Walk
         # from each corner across its outgoing edge to the next face's corner
         # at the same vertex (a boundary edge ends the walk) by pointer
         # doubling, and name each walk by its last corner, or a closed one
         # by its smallest; a vertex with two names is a pinch
         slots = np.arange(f.size)
-        pair_sum = np.bincount(inverse, weights=slots).astype(np.int64)[inverse]
-        mate = np.where(counts[inverse] == 2, pair_sum - slots, slots)
-        succ = np.where(mate == slots, slots,
-                        np.roll(slots.reshape(f.shape), -1, axis=1).ravel()[mate])
+        twin = slots.copy()          # the other slot of the edge, or itself
+        twin[first] = second
+        twin[second] = first
+        succ = np.where(twin == slots, slots,
+                        np.roll(slots.reshape(f.shape), -1, axis=1).ravel()[twin])
         name, ahead = slots, succ
         for _ in range(int(np.bincount(f.ravel()).max()).bit_length()):
             name = np.minimum(name, name[ahead])
@@ -110,11 +131,12 @@ class TriMesh:
             bad = int(np.argmax(fans > 1))
             raise MeshError(f"non-manifold vertex {bad} (its faces form {int(fans[bad])} "
                             "fans that meet only at the vertex)")
-        # the ranked edge keys (min * V + max), their inverse over the face
-        # slots 3t + k and their counts: build_edge_topology is built on them
-        for a in (keys, inverse, counts):
+        # build_edge_topology is built on the ranked edge keys
+        # (min * V + max), their inverse over the face slots 3t + k and the
+        # twin of each slot
+        for a in (keys, inverse, twin):
             a.setflags(write=False)
-        self._edge_keys = keys, inverse, counts
+        self._edge_keys = keys, inverse, twin
 
     # -- basics ----------------------------------------------------------
 
@@ -138,6 +160,7 @@ class TriMesh:
         mesh.vertices = v
         mesh.faces = self.faces
         mesh._edge_keys = self._edge_keys
+        mesh._face_areas = None
         if self.faces.size:
             mesh._check_areas()
         return mesh
@@ -205,8 +228,11 @@ def face_areas(mesh) -> np.ndarray:
 
 
 def face_barycenters(mesh) -> np.ndarray:
-    """Triangle barycenters, shape (T, 3)."""
-    return mesh.vertices[mesh.faces].mean(axis=1)
+    """Triangle barycenters, shape (T, 3): the sum of the corners over 3, as
+    ``mean(axis=1)`` of their (T, 3, 3) gather computes it."""
+    v, f = mesh.vertices, mesh.faces
+    return (np.take(v, f[:, 0], axis=0) + np.take(v, f[:, 1], axis=0)
+            + np.take(v, f[:, 2], axis=0)) / 3.0
 
 
 def face_normals(mesh) -> np.ndarray:

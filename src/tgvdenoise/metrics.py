@@ -135,16 +135,28 @@ def closest_point_distances(points, mesh) -> np.ndarray:
     return np.sqrt(best)
 
 
+def _referenced_vertices(mesh):
+    """The vertices some face uses, in index order."""
+    used = np.zeros(mesh.num_vertices, dtype=bool)
+    used[mesh.faces.ravel()] = True
+    return mesh.vertices[used]
+
+
 def vertex_error(denoised, reference) -> float:
-    """Mean distance from denoised vertices to the reference surface,
-    normalized by the reference bounding-box diagonal."""
-    if reference.num_faces == 0 or denoised.num_vertices == 0:
+    """Mean distance from the denoised mesh's vertices to the reference
+    surface, normalized by the diagonal of the reference's bounding box.
+
+    Both the mean and the box are taken over referenced vertices, those
+    some face uses: a vertex in no face belongs to neither surface.
+    """
+    points = _referenced_vertices(denoised)
+    if reference.num_faces == 0 or len(points) == 0:
         raise ValueError("vertex_error needs a non-empty pair of meshes")
-    bbox = reference.vertices.max(axis=0) - reference.vertices.min(axis=0)
-    diag = float(np.linalg.norm(bbox))
+    corners = _referenced_vertices(reference)
+    diag = float(np.linalg.norm(corners.max(axis=0) - corners.min(axis=0)))
     if diag == 0:
         raise ValueError("reference mesh has zero extent")
-    return float(closest_point_distances(denoised.vertices, reference).mean() / diag)
+    return float(closest_point_distances(points, reference).mean() / diag)
 
 
 def feature_adjacent_faces(topo, normals, threshold_deg: float = 30.0) -> np.ndarray:

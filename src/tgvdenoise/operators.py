@@ -178,15 +178,19 @@ def tgv_energy(conn, u, v, alpha1, alpha0) -> float:
     """
     if alpha1 <= 0 or alpha0 <= 0:
         raise ValueError("alpha1 and alpha0 must be positive")
-    topo, lines, curves = conn.topo, conn.lines, conn.curves
+    topo = conn.topo
     u2 = _as2d(u, topo.num_faces, "face")
     v2 = _as2d(v, topo.num_edges, "edge")
     if u2.shape[1] != v2.shape[1]:
         raise ValueError("u and v must have the same channel count")
-    resid = edge_jump(topo, u2) - v2
-    first = (row_norm(resid) * topo.edge_len).sum()
-    lj = line_jump(lines, v2)
-    cj = curve_jump(curves, v2)
-    second = (row_norm(lj) * lines.line_len).sum() \
-        + (row_norm(cj) * curves.curve_len).sum()
+    return tgv_energy_of_jumps(conn, edge_jump(topo, u2) - v2, line_jump(conn.lines, v2),
+                               curve_jump(conn.curves, v2), alpha1, alpha0)
+
+
+def tgv_energy_of_jumps(conn, resid, jump_l, jump_c, alpha1, alpha0) -> float:
+    """tgv_energy from the fields it is made of: resid = edge_jump(u) - v,
+    jump_l = line_jump(v) and jump_c = curve_jump(v), all (rows, C)."""
+    first = (row_norm(resid) * conn.topo.edge_len).sum()
+    second = (row_norm(jump_l) * conn.lines.line_len).sum() \
+        + (row_norm(jump_c) * conn.curves.curve_len).sum()
     return float(alpha1 * first + alpha0 * second)

@@ -35,7 +35,7 @@ from .mesh import row_dot, row_norm
 from .operators import (
     curve_jump, curve_jump_adjoint, edge_jump, edge_jump_adjoint,
     inner_faces, line_jump, line_jump_adjoint, norm_curves, norm_edges,
-    norm_lines, tgv_energy,
+    norm_lines, tgv_energy_of_jumps,
 )
 
 # Largest mesh whose two systems are factored. The factor's fill grows much
@@ -62,6 +62,13 @@ class SolverError(RuntimeError):
         self.residuals = residuals
 
 
+# The range of every weight, penalty and bandwidth. Within it the squares and
+# products the sweeps form stay far from float64's overflow and underflow:
+# beta or r1 near 1e300 overflowed the CG inner products, sigma_e near 1e300
+# overflowed its square, and near 1e-300 that square was 0.
+WEIGHT_RANGE = (1e-100, 1e100)
+
+
 @dataclass(frozen=True)
 class SolverParams:
     """Weights, penalties, and tolerances for the normal filter.
@@ -69,8 +76,9 @@ class SolverParams:
     alpha1 / alpha0 weight the first- and second-order terms, beta the
     fidelity term (100 suits CAD-like surfaces; 1000 is a better starting
     point for organic ones). r1 / r0 are the splitting penalties, sigma_e
-    the weight bandwidth on unit-normal differences. dynamic_weights=False
-    freezes all edge weights at 1.
+    the weight bandwidth on unit-normal differences; each of these six lies
+    in WEIGHT_RANGE. The two tolerances are positive and finite.
+    dynamic_weights=False freezes all edge weights at 1.
     """
 
     alpha1: float = 1.0
@@ -86,10 +94,13 @@ class SolverParams:
     dynamic_weights: bool = True
 
     def __post_init__(self):
-        for name in ("alpha1", "alpha0", "beta", "r1", "r0", "sigma_e",
-                     "stop_tol", "cg_rel_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        lo, hi = WEIGHT_RANGE
+        for name in ("alpha1", "alpha0", "beta", "r1", "r0", "sigma_e"):
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"{name} must be between {lo:g} and {hi:g}")
+        for name in ("stop_tol", "cg_rel_tol"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
         if self.cg_max_iters < 1:
@@ -540,19 +551,26 @@ def minimize_tgv(conn, u, alpha1, alpha0, r1=2.0, r0=2.0, iters=200,
     state = SolverState.initial(conn, u2, params)
     state.N = u2
 
+    # the face field is fixed, so its jump is taken once; each sweep returns
+    # the jumps of its v
+    jump_u = edge_jump(conn.topo, u2)
+
+    def energy(v, jump_l, jump_c):
+        return tgv_energy_of_jumps(conn, jump_u - v, jump_l, jump_c, alpha1, alpha0)
+
     # seed the search with the two analytic candidates: v = 0 (reduces to the
     # first-order term alone) and v = jump_u (kills the first-order term)
-    best_energy = tgv_energy(conn, u2, state.v, alpha1, alpha0)
     best_v = state.v
-    jump_u = edge_jump(conn.topo, u2)
-    at_jump = tgv_energy(conn, u2, jump_u, alpha1, alpha0)
+    best_energy = energy(best_v, line_jump(conn.lines, best_v),
+                         curve_jump(conn.curves, best_v))
+    at_jump = energy(jump_u, line_jump(conn.lines, jump_u), curve_jump(conn.curves, jump_u))
     if at_jump < best_energy:
         best_energy, best_v = at_jump, jump_u
     v_system = v_system_operator(conn, params)
     for _ in range(iters):
-        _split_steps(conn, state, params, v_system, jump_n=jump_u)
-        energy = tgv_energy(conn, u2, state.v, alpha1, alpha0)
-        if energy < best_energy:
-            best_energy = energy
+        _, jump_l, jump_c = _split_steps(conn, state, params, v_system, jump_n=jump_u)
+        e = energy(state.v, jump_l, jump_c)
+        if e < best_energy:
+            best_energy = e
             best_v = state.v
     return best_energy, (best_v[:, 0] if u.ndim == 1 else best_v)

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import MeshError, face_areas, face_barycenters
+from .mesh import MeshError, face_barycenters, row_norm
 
 __all__ = [
     "Stencil",
@@ -158,46 +158,45 @@ def build_edge_topology(mesh, _flip_edges=None) -> EdgeTopology:
         raise MeshError("mesh has no faces")
 
     # directed boundary edges per face: local edge k goes f[t,k] -> f[t,k+1];
-    # the undirected edge (a, b), a < b, is keyed by the integer a * V + b,
-    # and the mesh has already ranked the keys and checked each count <= 2
-    heads = f
-    tails = np.roll(f, -1, axis=1)
+    # the undirected edge (a, b), a < b, is keyed by the integer a * V + b.
+    # The mesh has already ranked the keys and paired each face slot 3t + k
+    # with its twin, the other slot of its edge (itself on the boundary)
     V = len(mesh.vertices)
-    keys, inverse, counts = mesh._edge_keys
+    keys, inverse, twin = mesh._edge_keys
     edges = np.stack(np.divmod(keys, V), axis=1)
     E = len(edges)
 
+    # each edge's slots in face order: the first is the one not above its
+    # twin, the second its twin, or -1 on the boundary
+    lead = np.flatnonzero(twin >= np.arange(len(twin)))
+    other = np.take(twin, lead)
+    edge_of = np.take(inverse, lead)
+    edge_slots = np.empty((E, 2), dtype=np.int64)
+    edge_slots[edge_of, 0] = lead
+    edge_slots[edge_of, 1] = np.where(other == lead, -1, other)
+
     # stored orientation agrees with the face traversal iff head < tail
-    sign_slots = np.where(heads.ravel() < tails.ravel(), 1.0, -1.0)
+    sign_slots = np.where(f < np.roll(f, -1, axis=1), 1.0, -1.0).ravel()
     if _flip_edges is not None:
         flip = np.asarray(_flip_edges, dtype=bool)
         edges = np.where(flip[:, None], edges[:, ::-1], edges)
         sign_slots = sign_slots * np.where(flip[inverse], -1.0, 1.0)
 
-    face_edges = inverse.reshape(T, 3)
-    face_edge_sign = sign_slots.reshape(T, 3)
-
-    # incident faces per edge, in face-index order (deterministic)
-    order = np.argsort(inverse, kind="stable")
-    starts = np.searchsorted(inverse[order], np.arange(E))
-    pos = np.arange(len(order)) - starts[inverse[order]]
-    edge_faces = np.full((E, 2), -1, dtype=np.int64)
-    edge_face_sign = np.zeros((E, 2))
-    edge_faces[inverse[order], pos] = order // 3
-    edge_face_sign[inverse[order], pos] = sign_slots[order]
-
-    is_boundary = counts == 1
-    edge_vec = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]
+    # a missing second face keeps the slot's -1 (-1 // 3 == -1) and sign 0
+    is_boundary = edge_slots[:, 1] < 0
+    edge_face_sign = np.take(sign_slots, edge_slots)
+    edge_face_sign[is_boundary, 1] = 0.0
+    v = mesh.vertices
     return EdgeTopology(
         mesh=mesh,
         edges=edges,
-        edge_len=np.linalg.norm(edge_vec, axis=1),
-        edge_faces=edge_faces,
+        edge_len=row_norm(np.take(v, edges[:, 1], axis=0) - np.take(v, edges[:, 0], axis=0)),
+        edge_faces=edge_slots // 3,
         edge_face_sign=edge_face_sign,
         is_boundary=is_boundary,
-        face_edges=face_edges,
-        face_edge_sign=face_edge_sign,
-        face_area=face_areas(mesh),
+        face_edges=inverse.reshape(T, 3),
+        face_edge_sign=sign_slots.reshape(T, 3),
+        face_area=mesh._face_areas,
         face_bary=face_barycenters(mesh),
     )
 
@@ -223,30 +222,33 @@ class LineSet:
 
     def __init__(self, topo):
         f = topo.mesh.faces
-        T = len(f)
-        j = np.tile(np.arange(3), T)
-        t = np.repeat(np.arange(T), 3)
+        # line 3t + j lies in face t at its vertex j: per-line values are the
+        # raveled (T, 3) face arrays, and the edges entering a face's vertices
+        # are its local edges rolled by one
+        t = np.repeat(np.arange(len(f)), 3)
 
         self.topo = topo
         self.line_face = t
-        self.line_vertex = f[t, j]
-        self.line_len = np.linalg.norm(
-            topo.face_bary[t] - topo.mesh.vertices[self.line_vertex], axis=1)
+        self.line_vertex = f.ravel()
+        self.line_len = row_norm(np.repeat(topo.face_bary, 3, axis=0)
+                                 - np.take(topo.mesh.vertices, self.line_vertex, axis=0))
         # local edge k runs from face vertex k to k+1: edge j leaves vertex j,
         # edge (j+2)%3 enters it
-        local_io = np.stack([(j + 2) % 3, j], axis=1)
-        edge_io = topo.face_edges[t[:, None], local_io]
-        self.edge_in, self.edge_out = edge_io.T
+        self.edge_in = np.roll(topo.face_edges, 1, axis=1).ravel()
+        self.edge_out = topo.face_edges.ravel()
         self.face_across_in = _other_face(topo, self.edge_in, t)
         self.face_across_out = _other_face(topo, self.edge_out, t)
-        self.active = ~(topo.is_boundary[self.edge_in] | topo.is_boundary[self.edge_out])
+        self.active = ~(np.take(topo.is_boundary, self.edge_in)
+                        | np.take(topo.is_boundary, self.edge_out))
 
         for name in ("line_face", "line_vertex", "line_len", "edge_in", "edge_out",
                      "face_across_in", "face_across_out", "active"):
             getattr(self, name).setflags(write=False)
-        signs = topo.face_edge_sign[t[:, None], local_io]
+        signs = np.stack([np.roll(topo.face_edge_sign, 1, axis=1).ravel(),
+                          topo.face_edge_sign.ravel()], axis=1)
         signs *= self.active[:, None]
-        self.jump = Stencil(edge_io, signs, self.line_len, topo.edge_len)
+        self.jump = Stencil(np.stack([self.edge_in, self.edge_out], axis=1), signs,
+                            self.line_len, topo.edge_len)
 
     @property
     def num_lines(self):
@@ -257,9 +259,10 @@ class LineSet:
 
 
 def _other_face(topo, edge_idx, this_face):
-    f0 = topo.edge_faces[edge_idx, 0]
-    f1 = topo.edge_faces[edge_idx, 1]
-    return np.where(f0 == this_face, f1, f0)
+    """The incident face of each edge that is not ``this_face``: slot 2e of
+    the raveled (E, 2) faces, or 2e + 1 where slot 2e holds this_face."""
+    first = np.take(topo.edge_faces[:, 0], edge_idx) == this_face
+    return np.take(topo.edge_faces.ravel(), 2 * edge_idx + first)
 
 
 class CurveSet:
@@ -276,11 +279,9 @@ class CurveSet:
     valid : (3T,) bool
     curve_len : (3T,) float, quarter-weighted mean of the three line lengths
         the curve spans
-    edges : (3T, 4) int, stencil edges [far-out, out, in, far-in]; a
-        missing far edge reads 0 (and its curve is invalid)
     jump : Stencil, the curve jump (edges -> curves: the four stencil
-        values, each signed against the neighbor triangle it is read in;
-        invalid rows pinned)
+        values [far-out, out, in, far-in], each signed against the neighbor
+        triangle it is read in; invalid rows pinned)
     """
 
     def __init__(self, lines):
@@ -291,9 +292,8 @@ class CurveSet:
         self.lines = lines
         self.valid = valid
         self.curve_len = curve_len
-        self.edges = edges
 
-        for name in ("valid", "curve_len", "edges"):
+        for name in ("valid", "curve_len"):
             getattr(self, name).setflags(write=False)
         self.jump = Stencil(edges, signs, curve_len, topo.edge_len)
 
@@ -318,29 +318,33 @@ def _curve_rows(lines):
     safe_in = np.where(has_in, tau_in, 0)
     safe_out = np.where(has_out, tau_out, 0)
 
-    # the other edge of each neighbor triangle incident to the vertex p
+    # the other edge of each neighbor triangle incident to the vertex p; a
+    # missing far edge reads 0
     far_in, far_in_sign, line_in = _other_edge_at_vertex(
         topo, safe_in, p, lines.edge_in)
     far_out, far_out_sign, line_out = _other_edge_at_vertex(
         topo, safe_out, p, lines.edge_out)
+    far_in = np.where(has_in, far_in, 0)
+    far_out = np.where(has_out, far_out, 0)
 
     # sgn of the shared edges evaluated in the neighbor triangles
     sign_in_nbr = _sign_in_face(topo, lines.edge_in, safe_in)
     sign_out_nbr = _sign_in_face(topo, lines.edge_out, safe_out)
 
+    boundary = topo.is_boundary
+    valid = has_in & has_out & ~(
+        np.take(boundary, far_out) | np.take(boundary, lines.edge_out)
+        | np.take(boundary, lines.edge_in) | np.take(boundary, far_in))
     edges = np.stack([far_out, lines.edge_out, lines.edge_in, far_in], axis=1)
     signs = np.stack([far_out_sign, sign_out_nbr, sign_in_nbr, far_in_sign], axis=1)
-    edges[~has_out, 0] = 0
-    edges[~has_in, 3] = 0
-    valid = has_in & has_out & ~topo.is_boundary[edges].any(axis=1)
     signs *= valid[:, None]
 
     # len(c) = (len(l_out_nbr) + 2 len(l) + len(l_in_nbr)) / 4 with missing
     # neighbor lines standing in as len(l); inert, since invalid curves
     # only ever carry zero values
     l_len = lines.line_len
-    len_in = np.where(has_in, l_len[np.where(has_in, line_in, 0)], l_len)
-    len_out = np.where(has_out, l_len[np.where(has_out, line_out, 0)], l_len)
+    len_in = np.where(has_in, np.take(l_len, np.where(has_in, line_in, 0)), l_len)
+    len_out = np.where(has_out, np.take(l_len, np.where(has_out, line_out, 0)), l_len)
     curve_len = 0.25 * (len_out + 2.0 * l_len + len_in)
     return edges, signs, valid, curve_len
 
@@ -348,24 +352,27 @@ def _curve_rows(lines):
 def _other_edge_at_vertex(topo, face, vertex, not_this_edge):
     """In ``face``, the edge incident to ``vertex`` that is not ``not_this_edge``.
 
-    Returns (edge index, sgn(edge, face), line index of ``face`` at ``vertex``).
+    Returns (edge index, sgn(edge, face), line index of ``face`` at
+    ``vertex``), reading slot 3 * face + k of the raveled (T, 3) face arrays.
     """
-    f = topo.mesh.faces
-    jp = np.argmax(f[face] == vertex[:, None], axis=1)
-    cand_a = topo.face_edges[face, jp]              # edge leaving the vertex
-    cand_b = topo.face_edges[face, (jp + 2) % 3]    # edge entering the vertex
-    use_b = cand_a == not_this_edge
-    edge = np.where(use_b, cand_b, cand_a)
-    sign = np.where(use_b,
-                    topo.face_edge_sign[face, (jp + 2) % 3],
-                    topo.face_edge_sign[face, jp])
-    return edge, sign, 3 * face + jp
+    corners = topo.mesh.faces.ravel()
+    first = 3 * face
+    # the corner k at the vertex; a face without it gives k = 0 (a face
+    # repeats no vertex, so at most one corner matches)
+    k = (np.take(corners, first + 1) == vertex) + 2 * (np.take(corners, first + 2) == vertex)
+    leaving = first + k                   # slot of the edge leaving the vertex
+    entering = first + (k + 2) % 3        # slot of the edge entering it
+    face_edges = topo.face_edges.ravel()
+    slot = np.where(np.take(face_edges, leaving) == not_this_edge, entering, leaving)
+    return (np.take(face_edges, slot), np.take(topo.face_edge_sign.ravel(), slot),
+            leaving)
 
 
 def _sign_in_face(topo, edge_idx, face):
-    s0 = topo.edge_face_sign[edge_idx, 0]
-    s1 = topo.edge_face_sign[edge_idx, 1]
-    return np.where(topo.edge_faces[edge_idx, 0] == face, s0, s1)
+    """sgn(edge, face): slot 2e of the raveled (E, 2) signs, or 2e + 1 where
+    the edge's first face is not ``face``."""
+    second = np.take(topo.edge_faces[:, 0], edge_idx) != face
+    return np.take(topo.edge_face_sign.ravel(), 2 * edge_idx + second)
 
 
 class Connectivity:

@@ -72,16 +72,36 @@ def dense_line_jump(lines):
     return J
 
 
+def curve_edges(curves):
+    """(3T, 4): per curve, its stencil edges [far-out, out, in, far-in], found
+    one curve at a time: a far edge is the edge of the triangle across the
+    line's outgoing (incoming) edge that meets the line's vertex and is not
+    that edge; a missing far edge reads 0."""
+    topo, lines = curves.topo, curves.lines
+    rows = np.zeros((curves.num_curves, 4), dtype=np.int64)
+    for c in range(curves.num_curves):
+        p = lines.line_vertex[c]
+        far = []
+        for shared, nbr in ((lines.edge_out[c], lines.face_across_out[c]),
+                            (lines.edge_in[c], lines.face_across_in[c])):
+            (e,) = [e for e in topo.face_edges[nbr] if e != shared and p in topo.edges[e]] \
+                if nbr >= 0 else [0]
+            far.append(e)
+        rows[c] = far[0], lines.edge_out[c], lines.edge_in[c], far[1]
+    return rows
+
+
 def dense_curve_jump(curves):
     """(3T, E): each valid curve reads its four stencil edges, the two on
     the outgoing side signed in the triangle across the line's outgoing edge
     and the two on the incoming side in the triangle across its incoming
     edge; other rows are zero."""
     topo, lines = curves.topo, curves.lines
+    stencil_edges = curve_edges(curves)
     J = np.zeros((curves.num_curves, topo.num_edges))
     for c in range(curves.num_curves):
         if curves.valid[c]:
-            far_out, out, into, far_in = curves.edges[c]
+            far_out, out, into, far_in = stencil_edges[c]
             for e, nbr in ((far_out, lines.face_across_out[c]),
                            (out, lines.face_across_out[c]),
                            (into, lines.face_across_in[c]),
@@ -95,11 +115,12 @@ def far_triangles(curves):
     edges, i.e. the incident face of each far edge that is not the neighbour
     triangle it is read in; -1 on invalid curves."""
     topo, lines = curves.topo, curves.lines
+    stencil_edges = curve_edges(curves)
     far = np.full((curves.num_curves, 2), -1)
     for c in range(curves.num_curves):
         if curves.valid[c]:
-            for k, e, nbr in ((0, curves.edges[c, 0], lines.face_across_out[c]),
-                              (1, curves.edges[c, 3], lines.face_across_in[c])):
+            for k, e, nbr in ((0, stencil_edges[c, 0], lines.face_across_out[c]),
+                              (1, stencil_edges[c, 3], lines.face_across_in[c])):
                 (far[c, k],) = [t for t in topo.edge_faces[e] if t != nbr]
     return far
 

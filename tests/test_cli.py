@@ -206,6 +206,38 @@ def test_denoise_error_map_requires_ground_truth(capsys, tmp_path):
     assert "ground-truth" in err
 
 
+WEIGHT_OPTIONS = ["--alpha1", "--alpha0", "--beta", "--r1", "--r0", "--sigma-e"]
+TOLERANCE_OPTIONS = ["--stop-tol", "--cg-tol"]
+
+
+@pytest.mark.parametrize("option", WEIGHT_OPTIONS + TOLERANCE_OPTIONS)
+def test_denoise_float_option_over_every_decade(capsys, tmp_path, option):
+    # 1e-300 to 1e300 every 20 decades, and values no range holds: outside
+    # its documented range a value exits 1 with one error line naming the
+    # range; inside, the run gives finite output, or, where the system is
+    # too ill-conditioned to solve, a solver error; never a warning
+    mesh_path, _ = gen(capsys, tmp_path, "cube", "cube.obj", divisions=2)
+    noisy, out = tmp_path / "noisy.obj", tmp_path / "out.obj"
+    run_cli(capsys, "add-noise", str(mesh_path), "-o", str(noisy), "--level", "0.3")
+    lo, hi = solver.WEIGHT_RANGE if option in WEIGHT_OPTIONS else (5e-324, np.finfo(float).max)
+    values = [f"1e{d}" for d in range(-300, 301, 20)] + ["0", "-1", "inf", "nan"]
+    for value in values:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli(capsys, "denoise", str(noisy), "-o", str(out),
+                                        "--max-iters", "2", "--vertex-iters", "1",
+                                        option, value)
+        if not lo <= float(value) <= hi:
+            assert code == 1 and stdout == "", (option, value)
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
+            assert ("between" if option in WEIGHT_OPTIONS else "finite") in err
+        elif code == 0:
+            assert np.isfinite(load_mesh(out).vertices).all(), (option, value)
+        else:
+            assert code == 2 and err.startswith("solver error: "), (option, value, err)
+            assert len(err.splitlines()) == 1
+
+
 def test_denoise_solver_failure_exits_2(capsys, tmp_path):
     # on both solver paths: above the factoring threshold one CG product
     # cannot reach 1e-14; below it the factor's solution passes a 1e-14

@@ -14,12 +14,12 @@ import warnings
 import numpy as np
 import pytest
 
-from tgvdenoise import NoiseSpec, add_gaussian_noise, load_mesh, make_cube, save_mesh
+from tgvdenoise import NoiseSpec, add_gaussian_noise, fileio, load_mesh, make_cube, save_mesh
 from tgvdenoise.cli import main
 
 from oracles import load_mesh_reference
 
-CASES = 200          # per format
+CASES = 150          # per test
 CLI_EVERY = 8        # the commands run on every file that loads and on
                      # one case in this many of the others
 
@@ -170,8 +170,15 @@ def _exit_code_if_clean(capsys, argv):
     return code if clean else None
 
 
-@pytest.mark.parametrize("fmt, seed", [("obj", 11), ("off", 12)])
-def test_reader_matches_the_reference_on_mutated_files(tmp_path, capsys, fmt, seed):
+# blocks of a few lines each put block boundaries everywhere in the cases
+BLOCKS = [("obj", 11, None), ("off", 12, None), ("obj", 13, 40), ("off", 14, 40)]
+
+
+@pytest.mark.parametrize("fmt, seed, block_chars", BLOCKS)
+def test_reader_matches_the_reference_on_mutated_files(tmp_path, capsys, monkeypatch,
+                                                      fmt, seed, block_chars):
+    if block_chars:
+        monkeypatch.setattr(fileio, "_BLOCK_CHARS", block_chars)
     path = tmp_path / f"case.{fmt}"
     clean = tmp_path / f"clean.{fmt}"
     save_mesh(make_cube(2, size=0.05), clean)
@@ -195,3 +202,36 @@ def test_reader_matches_the_reference_on_mutated_files(tmp_path, capsys, fmt, se
     # both commands both succeed and fail
     assert "loaded" in outcomes and len(outcomes) > 20
     assert codes == {(command, code) for command in ("denoise", "metrics") for code in (0, 1)}
+
+
+EDGE_TEXTS = {
+    "obj": ["", "\n", "# only a comment", "v 1 2 3", "v 1 2 3\r\nv 4 5 6\r\n",
+            "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3", "f 1 2 3\nv 0 0 0\nv 1 0 0\nv 0 1 0\n",
+            "v 0 0 0#\nv 1 0 0 # x\nv 0 1 0\n#f 1 2 3\nf 1 2 3#\n",
+            "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 -9223372036854775808\n",
+            "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9223372036854775808\n",
+            "\x0bv 1 2 3\x85f\u2028v\x0c1"],
+    "off": ["", "\n", "OFF", "OFF\n", "OFF 0 0 0\n", "OFF\n0 0 0\n", "OFF\n0 0 0",
+            "OFF\n1 0 0\n1 2 3", "OFF\n-1 1 0\n", "OFF\n-1 2 0\n1 2 3\n",
+            "OFF\n5 -2 0\n0 0 0\n1 0 0\n0 1 0\n",
+            "OFF\n-2 5 0\n0 0 0\n1 0 0\n0 1 0\n",
+            "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 -9223372036854775808\n",
+            "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 -9223372036854775807\n",
+            "OFF\n3 1 0\n0 0 0\n1 0 0 0\n0 1 0\n3 0 1 x\n",
+            "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 x\n4 0 1 2 3\n",
+            "OFF\n99999999999999999999 1 0\n0 0 0\n",
+            "# c\n\nOFF # c\n\n3 1 0 # c\n0 0 0\n\n1 0 0\n0 1 0\n3 0 1 2\n"],
+}
+
+
+@pytest.mark.parametrize("block_chars", [None, 1])
+@pytest.mark.parametrize("fmt", ["obj", "off"])
+def test_reader_matches_the_reference_on_edge_cases(tmp_path, monkeypatch, fmt, block_chars):
+    if block_chars:
+        monkeypatch.setattr(fileio, "_BLOCK_CHARS", block_chars)
+    path = tmp_path / f"case.{fmt}"
+    for text in EDGE_TEXTS[fmt]:
+        path.write_text(text, encoding="utf-8", newline="")
+        want = _outcome(load_mesh_reference, path, fmt)
+        got = _outcome(lambda p, f: load_mesh(p, format=f), path, fmt)
+        assert _same(got, want), f"{text!r}\nreference: {want}\ngot: {got}"

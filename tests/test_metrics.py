@@ -79,6 +79,20 @@ def test_vertex_error_identical_is_zero():
     assert vertex_error(m, m) == 0.0
 
 
+def test_vertex_error_leaves_out_unreferenced_vertices():
+    # a vertex in no face is part of neither surface: it moves neither the
+    # mean nor the bounding box
+    stray = TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5]], [[0, 1, 2]])
+    assert vertex_error(stray, stray) == 0.0
+    alone = TriMesh(stray.vertices[:3], stray.faces)
+    assert vertex_error(stray, alone) == vertex_error(alone, stray) == 0.0
+    lifted = stray.with_vertices(stray.vertices + np.array([[0, 0, 0.1]] * 3 + [[9, 9, 9]]))
+    assert vertex_error(lifted, stray) == vertex_error(
+        TriMesh(lifted.vertices[:3], stray.faces), alone)
+    cube = make_cube(10, size=0.05)
+    assert vertex_error(cube, cube) == 0.0
+
+
 def test_vertex_error_lifted_point_over_plane():
     ref = TriMesh([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
                   [[0, 1, 2], [0, 2, 3]])

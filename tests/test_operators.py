@@ -7,7 +7,7 @@ from tgvdenoise import (TriMesh, build_edge_topology, curve_jump,
                         inner_lines, line_jump, line_jump_adjoint, tgv_energy,
                         tv_seminorm)
 from conftest import random_fields
-from oracles import (dense_curve_jump, dense_edge_jump, dense_line_jump,
+from oracles import (curve_edges, dense_curve_jump, dense_edge_jump, dense_line_jump,
                      far_triangles)
 
 PAIRS = [
@@ -203,7 +203,7 @@ def test_adjoint_locality_curve(tet_conn):
     out = curve_jump_adjoint(curves, w)
     support = set(np.nonzero(out)[0].tolist())
     # contributions on coinciding stencil edges may cancel exactly
-    assert support <= set(curves.edges[3].tolist())
+    assert support <= set(curve_edges(curves)[3].tolist())
 
 
 # -- adjoint identities, PSD, linearity --------------------------------------

@@ -84,7 +84,8 @@ def test_slow_form_scan_sees_code_only():
         == [True, False]
 
 
-@pytest.mark.parametrize("module", ["solver.py", "operators.py", "reconstruct.py", "mesh.py"])
+@pytest.mark.parametrize("module", ["solver.py", "operators.py", "reconstruct.py", "mesh.py",
+                                    "topology.py"])
 def test_hot_path_modules_use_the_row_helpers(module):
     hits = [f"{module}:{line}: {code}" for line, code in _code_statements((SRC / module).read_text())
             if SLOW_FORMS.search(code)]

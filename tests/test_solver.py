@@ -554,6 +554,26 @@ def test_minimize_tgv_below_both_bounds(cube_small_conn):
     assert np.isclose(tgv_energy(conn, u, v_best, alpha1, alpha0), best, rtol=1e-12)
 
 
+def test_minimize_tgv_takes_each_jump_once_per_sweep(cube_small_conn, monkeypatch):
+    # the face field's edge jump once in all; line and curve jumps once per
+    # sweep plus once for each of the two seed candidates; and the energy it
+    # reports is tgv_energy's at the v it returns, to the bit
+    from tgvdenoise import operators
+
+    calls = dict.fromkeys(("edge_jump", "line_jump", "curve_jump"), 0)
+    for name in calls:
+        def counted(*args, _apply=getattr(operators, name), _name=name):
+            calls[_name] += 1
+            return _apply(*args)
+        monkeypatch.setattr(operators, name, counted)
+        monkeypatch.setattr(solver, name, counted)
+    u = face_normals(cube_small_conn.mesh)
+    best, v_best = minimize_tgv(cube_small_conn, u, 1.0, 0.1, iters=200)
+    assert calls == {"edge_jump": 1, "line_jump": 202, "curve_jump": 202}
+    monkeypatch.undo()
+    assert best == tgv_energy(cube_small_conn, u, v_best, 1.0, 0.1)
+
+
 # -- invariances ----------------------------------------------------------------
 
 def _filtered(mesh, params):

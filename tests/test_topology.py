@@ -9,6 +9,8 @@ from tgvdenoise import (CurveSet, LineSet, TriMesh, build_connectivity,
                         build_edge_topology, make_cube, make_icosphere,
                         tv_seminorm, ho_seminorm, edge_jump, face_normals)
 
+from oracles import curve_edges
+
 
 def test_shared_edge_signs_cancel(square):
     topo = build_edge_topology(square)
@@ -124,12 +126,20 @@ def test_uniform_tiling_curve_length_equals_line_length(tet_conn):
     assert np.allclose(curves.curve_len, lines.line_len, atol=1e-14)
 
 
+def _stencil_row(curves, c):
+    """The edges a valid curve's jump reads, in slot order."""
+    jump = curves.jump
+    return jump.indices[jump.indptr[c]:jump.indptr[c + 1]]
+
+
 def test_curve_stencil_edges_share_the_line_vertex(cube_small_conn):
     conn = cube_small_conn
     topo, lines, curves = conn.topo, conn.lines, conn.curves
+    expected = curve_edges(curves)
     for c in np.nonzero(curves.valid)[0][:60]:
         p = lines.line_vertex[c]
-        for e in curves.edges[c]:
+        assert np.array_equal(_stencil_row(curves, c), expected[c])
+        for e in _stencil_row(curves, c):
             assert p in topo.edges[e]
 
 
@@ -137,7 +147,7 @@ def test_far_edges_are_in_the_neighbor_triangles(cube_small_conn):
     conn = cube_small_conn
     topo, lines, curves = conn.topo, conn.lines, conn.curves
     for c in np.nonzero(curves.valid)[0][:60]:
-        far_out, _, _, far_in = curves.edges[c]
+        far_out, _, _, far_in = _stencil_row(curves, c)
         assert far_out in topo.face_edges[lines.face_across_out[c]]
         assert far_in in topo.face_edges[lines.face_across_in[c]]
         assert far_out != lines.edge_out[c]
