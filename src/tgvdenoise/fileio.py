@@ -73,7 +73,7 @@ def save_mesh(mesh, path, format=None):
 
 # The readers convert a block of lines of about this many characters at a
 # time, so only one block's tokens are ever held as Python objects.
-_BLOCK_CHARS = 1 << 16
+_BLOCK_CHARS = 1 << 14
 
 
 def _token_blocks(text):
@@ -181,10 +181,8 @@ def _obj_block(rows):
     n_faces = kinds.count("f")
     if kinds.count("v") + n_faces != len(kinds):
         raise ValueError("record kind")
-    index_tokens = tokens[:3 * n_faces]
-    if "/" in "".join(index_tokens):
-        raise ValueError("'/' in a face")
-    idx = _array(index_tokens, int, np.int64)     # OverflowError beyond int64
+    # int() fails on a token with a '/', and beyond int64 the array does
+    idx = _array(tokens[:3 * n_faces], int, np.int64)
     if (idx <= 0).any():
         raise ValueError("face index below 1")
     return _array(tokens[3 * n_faces:], float, np.float64), idx - 1
@@ -233,7 +231,7 @@ def _off_block(rows, n_vertices):
     if lead.count("3") != len(lead):
         raise ValueError("face size")
     idx = _array(tokens, int, np.int64)           # OverflowError beyond int64
-    if (idx == -_INDEX_MAX - 1).any():            # its abs() is beyond int64
+    if (idx == -_INDEX_MAX - 1).any():            # whose abs() is beyond it too
         raise ValueError("face index out of range")
     return coords, idx
 

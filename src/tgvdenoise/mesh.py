@@ -82,26 +82,11 @@ class TriMesh:
     def _check_manifold(self):
         f = self.faces
         nxt = np.roll(f, -1, axis=1)
-        pairs = np.minimum(f, nxt).ravel() * len(self.vertices) + np.maximum(f, nxt).ravel()
-        # one sort ranks the undirected edge keys
-        order = np.argsort(pairs)
-        ranked = pairs[order]
-        new = np.empty(len(ranked), dtype=bool)
-        new[0] = True
-        np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        keys = ranked[starts]
-        counts = np.diff(starts, append=len(ranked))
-        inverse = np.empty_like(order)
-        inverse[order] = np.cumsum(new) - 1
+        keys, inverse, counts, first, second = _rank_edges(
+            np.minimum(f, nxt).ravel() * len(self.vertices) + np.maximum(f, nxt).ravel())
         if (counts > 2).any():
             slot = int(np.nonzero(counts[inverse] > 2)[0][0])
             raise MeshError(f"non-manifold edge in face {slot // 3} (3+ incident faces)")
-        # the two face slots of a shared edge sit next to each other in the
-        # order, in either order
-        shared = starts[counts == 2]
-        a, b = np.take(order, shared), np.take(order, shared + 1)
-        first, second = np.minimum(a, b), np.maximum(a, b)
         # two faces on an edge must traverse it in opposite directions
         forward = (f < nxt).ravel()
         flipped = np.take(forward, first) == np.take(forward, second)
@@ -167,6 +152,26 @@ class TriMesh:
 
     def __repr__(self):
         return f"TriMesh(vertices={self.num_vertices}, faces={self.num_faces})"
+
+
+def _rank_edges(pairs):
+    """What ``np.unique(pairs, return_inverse=True, return_counts=True)``
+    returns, from one sort whose temporaries are freed on return, and the
+    two positions of each value that occurs exactly twice, smaller first."""
+    order = np.argsort(pairs)
+    ranked = pairs[order]
+    new = np.empty(len(ranked), dtype=bool)
+    new[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=len(ranked))
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    # the two positions of a pair sit next to each other in the order, in
+    # either order
+    shared = starts[counts == 2]
+    a, b = np.take(order, shared), np.take(order, shared + 1)
+    return ranked[starts], inverse, counts, np.minimum(a, b), np.maximum(a, b)
 
 
 def _checked_vertices(vertices):

@@ -217,22 +217,23 @@ def test_cube_counts():
     assert m.num_vertices - topo.num_edges + m.num_faces == 2
 
 
-def test_connectivity_imports_no_scipy():
-    # the sparse matrices are built on first use, so building the
-    # connectivity (the benchmark's set-up step) stays numpy-only
+def test_connectivity_imports_no_scipy(tmp_path):
+    # the sparse matrices are built on first use, so loading a mesh and
+    # building its connectivity (the benchmark's set-up step) stay numpy-only
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import tgvdenoise as t; "
-            "t.build_connectivity(t.make_cube(2)); "
+            "t.save_mesh(t.make_cube(2), sys.argv[2]); "
+            "t.build_connectivity(t.load_mesh(sys.argv[2])); "
             "print(sorted(n for n in sys.modules if n.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
-                         text=True, check=True, timeout=120).stdout
+    out = subprocess.run([sys.executable, "-c", code, str(src), str(tmp_path / "cube.obj")],
+                         capture_output=True, text=True, check=True, timeout=120).stdout
     assert out.strip() == "[]"
 
 
 def test_connectivity_memory_per_face():
     # each jump is held once, as the CSR arrays its matrix wraps, and the
     # topology reuses the mesh's edge keys: the mesh, its connectivity and
-    # the three jumps and three adjoints hold 1 119 B per face here, and a
+    # the three jumps and three adjoints hold 988 B per face here, and a
     # second copy of the jumps' slots (a padded table) reads ~1 600
     import scipy.sparse  # noqa: F401  (loaded before tracing: not held data)
 
