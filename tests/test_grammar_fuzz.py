@@ -27,14 +27,14 @@ CLI_EVERY = 8        # the commands run on every file that loads and on
 # non-finite values, unicode digits, indices of 0, -1 and around int64
 VALUES = ["+1", "-1", "0", "-0", "+0", "1", "2", "3", "4", "1_0", "1e3", "1.0",
           "1.", ".5", "-2.5e-3", "nan", "-nan", "inf", "-inf", "Infinity",
-          "٣", "２", "١٠", "0x1", "1__0", "_1", "e",
+          "\u0663", "\uff12", "\u0661\u0660", "0x1", "1__0", "_1", "e",
           "99999999999999999999", "9223372036854775807", "9223372036854775808",
           "-9223372036854775808", "-9223372036854775809", "3/3", "2//1",
           "1/2/3", "/", "v", "f", "vn", "OFF", "#"]
 # characters str.split treats as whitespace; \x0b, \x0c, \x1c and \x85
-# also end a line for str.splitlines, \x1f and \xa0 do not
-SEPARATORS = ["\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "　", "  "]
-LINE_ENDS = ["\r\n", "\r", "\x0b", "\x0c", "\x1e", "\x85", " ", " "]
+# also end a line for str.splitlines, \x1f, \xa0 and \u3000 do not
+SEPARATORS = ["\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u3000", "  "]
+LINE_ENDS = ["\r\n", "\r", "\x0b", "\x0c", "\x1e", "\x85", "\u2028", "\u2029"]
 EXTRA_LINES = ["# a comment", "", "   ", "\t", "vn 0 0 1", "vt 0.5 0.5", "o part",
                "f 1 2 3 4", "f 1/1/1 2/2/2 3/3/3", "v 0 0 0", "v 1 1 1 1",
                "3 0 1 2", "4 0 1 2 3", "0 0 0", "OFF", "#", "f", "v"]
