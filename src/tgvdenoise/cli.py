@@ -55,7 +55,8 @@ def _add_solver_flags(p):
     g.add_argument("--alpha0", type=float, default=0.1,
                    help="second-order weight (recommended range 0.05-1; default 0.1)")
     g.add_argument("--beta", type=float, default=100.0,
-                   help="fidelity weight (100 for CAD-like, 1000 for organic surfaces)")
+                   help="fidelity weight (default 100, for CAD-like and smooth surfaces "
+                        "alike; larger keeps more noise)")
     g.add_argument("--r1", type=float, default=2.0, help="first-order penalty weight")
     g.add_argument("--r0", type=float, default=2.0, help="second-order penalty weight")
     g.add_argument("--sigma-e", type=float, default=0.5,
@@ -81,7 +82,7 @@ def _build_parser():
     p.add_argument("-o", "--output", required=True, help="denoised mesh path")
     _add_solver_flags(p)
     p.add_argument("--vertex-iters", type=int, default=30,
-                   help="vertex update sweeps after filtering (default 30)")
+                   help="vertex update sweeps after filtering, at least 1 (default 30)")
     p.add_argument("--diagnostics", metavar="CSV",
                    help="write per-iteration solver diagnostics here")
     p.add_argument("--ground-truth", metavar="MESH",
@@ -105,8 +106,10 @@ def _build_parser():
 
     p = sub.add_parser("seminorms", help="variational semi-norms of the normal field")
     p.add_argument("input")
-    p.add_argument("--alpha1", type=float, default=1.0)
-    p.add_argument("--alpha0", type=float, default=0.1)
+    p.add_argument("--alpha1", type=float, default=1.0,
+                   help="first-order weight, in [%g, %g] (default 1.0)" % WEIGHT_RANGE)
+    p.add_argument("--alpha0", type=float, default=0.1,
+                   help="second-order weight, in [%g, %g] (default 0.1)" % WEIGHT_RANGE)
     p.add_argument("--minimize", action="store_true",
                    help="also search for the minimizing auxiliary field")
     p.add_argument("--minimize-iters", type=int, default=200)
@@ -127,6 +130,8 @@ def _emit(obj):
 
 def cmd_denoise(args) -> int:
     params = _solver_params(args)
+    if args.vertex_iters < 1:
+        raise ValueError("vertex-iters must be at least 1")
     mesh = load_mesh(args.input)
     conn = build_connectivity(mesh)
     n_in = face_normals(mesh)
@@ -200,6 +205,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_seminorms(args) -> int:
+    # range-checks both weights, as for denoise, before the mesh is read
+    SolverParams(alpha1=args.alpha1, alpha0=args.alpha0)
     mesh = load_mesh(args.input)
     conn = build_connectivity(mesh)
     topo = conn.topo

@@ -48,13 +48,13 @@ def load_mesh(path, format=None) -> TriMesh:
     """
     fmt = format or guess_format(path)
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if fmt == "obj":
-        vertices, faces = _parse_obj(text)
-    elif fmt == "off":
-        vertices, faces = _parse_off(text)
-    else:
-        raise MeshError(f"unknown mesh format {fmt!r}")
+        # the text is parsed without a name, so it is freed before validation
+        if fmt == "obj":
+            vertices, faces = _parse_obj(fh.read())
+        elif fmt == "off":
+            vertices, faces = _parse_off(fh.read())
+        else:
+            raise MeshError(f"unknown mesh format {fmt!r}")
     return TriMesh(vertices, faces)
 
 

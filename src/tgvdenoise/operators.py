@@ -176,8 +176,8 @@ def tgv_energy(conn, u, v, alpha1, alpha0) -> float:
 
     At v = 0 the first term reduces to alpha1 * tv_seminorm(u).
     """
-    if alpha1 <= 0 or alpha0 <= 0:
-        raise ValueError("alpha1 and alpha0 must be positive")
+    if not (0 < alpha1 < np.inf and 0 < alpha0 < np.inf):
+        raise ValueError("alpha1 and alpha0 must be positive and finite")
     topo = conn.topo
     u2 = _as2d(u, topo.num_faces, "face")
     v2 = _as2d(v, topo.num_edges, "edge")

@@ -14,14 +14,15 @@ objective into five easy subproblems per sweep: two symmetric positive
 definite linear systems and three closed-form shrink steps, followed by
 multiplier ascent on the constraint residuals and a weight refresh. Neither
 system depends on the iterates or the edge weights, so each is assembled
-once per run as a sparse matrix. On meshes of at most ``_DIRECT_MAX_FACES``
-faces each is also factored once per run (a sparse LU of the
-measure-scaled, symmetric matrix), and every sweep's direct solution is
-the starting point of conjugate gradients in the weighted inner product,
-whose first residual checks it against ``cg_rel_tol``: one product per
-solve when it passes. On larger meshes, where a factor costs more than it
-saves, conjugate gradients start from the previous sweep's solution, and
-``scipy.sparse.linalg`` is never imported.
+once per run as a sparse matrix, held with its solve rule by one
+``_System`` that both the filter and ``minimize_tgv`` use. On meshes of at
+most ``_DIRECT_MAX_FACES`` faces each is also factored once per run (a
+sparse LU of the measure-scaled, symmetric matrix), and every solve's
+direct solution is the starting point of conjugate gradients in the
+weighted inner product, whose first residual checks it against
+``cg_rel_tol``: one product per solve when it passes. On larger meshes,
+where a factor costs more than it saves, conjugate gradients start from the
+system's previous solution, and ``scipy.sparse.linalg`` is never imported.
 
 The outer loop stops when the squared area-weighted change of the normal
 field drops below ``stop_tol`` or after ``max_outer_iters`` sweeps.
@@ -74,8 +75,8 @@ class SolverParams:
     """Weights, penalties, and tolerances for the normal filter.
 
     alpha1 / alpha0 weight the first- and second-order terms, beta the
-    fidelity term (100 suits CAD-like surfaces; 1000 is a better starting
-    point for organic ones). r1 / r0 are the splitting penalties, sigma_e
+    fidelity term (100 suits both CAD-like and smooth surfaces at the
+    calibrated scale; a larger beta keeps more of the input's noise). r1 / r0 are the splitting penalties, sigma_e
     the weight bandwidth on unit-normal differences; each of these six lies
     in WEIGHT_RANGE. The two tolerances are positive and finite.
     dynamic_weights=False freezes all edge weights at 1.
@@ -109,14 +110,7 @@ class SolverParams:
 
 @dataclass
 class SolverState:
-    """All iterates of one filter run (edge weights included).
-
-    ``N_solved`` is the normal system's last solution before projection onto
-    the unit sphere (None before the first); without a factor, the next
-    normal solve starts from it, as the next v solve starts from ``v``.
-    ``cg_iterations`` holds the conjugate-gradient iterations of the latest
-    normal and v solves.
-    """
+    """All iterates of one filter run (edge weights included)."""
 
     N: np.ndarray
     v: np.ndarray
@@ -128,8 +122,6 @@ class SolverState:
     lam_Q2: np.ndarray
     w: np.ndarray
     k: int = 0
-    N_solved: np.ndarray = None
-    cg_iterations: list = field(default_factory=lambda: [0, 0])
 
     @classmethod
     def initial(cls, conn, n_in, params):
@@ -306,53 +298,67 @@ def v_system_operator(conn, params):
     return lambda x: matrix @ x
 
 
-def _direct_solver(matrix, measure, label):
-    """Factor ``matrix`` once and return solve(rhs), its direct solution.
+class _System:
+    """One ALM system of a run, ``kind`` "normal" or "v", and its solve rule.
 
-    The sparse LU factor is of diag(measure) @ matrix, which is symmetric
-    because the system is self-adjoint in the measure-weighted inner
-    product, so the ordering and the diagonal pivots may follow that
-    symmetry. A failed factorization, or a solution that is not finite,
-    raises SolverError.
+    The product comes from the public factory, looked up when the system is
+    built, so a factory rebound after import (a tracer's) makes every
+    product. On meshes of at most
+    ``_DIRECT_MAX_FACES`` faces the system is also factored: a sparse LU of
+    diag(measure) @ matrix, which is symmetric because the system is
+    self-adjoint in the measure-weighted inner product, so the ordering and
+    the diagonal pivots may follow that symmetry. ``solve(rhs)`` runs
+    conjugate gradients from the direct solution when factored, else from
+    the previous ``solution``, and leaves the product count in ``products``.
+    A failed factorization, or a direct solution that is not finite, raises
+    SolverError.
     """
-    from scipy.sparse.linalg import splu
 
-    scaled = matrix.copy()
-    scaled.data *= measure[np.repeat(np.arange(len(measure)), np.diff(scaled.indptr))]
-    try:
-        factor = splu(scaled.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SolverError(f"could not factor the {label} system: {exc}") from exc
+    def __init__(self, conn, params, kind):
+        normal = kind == "normal"
+        factory = normal_system_operator if normal else v_system_operator
+        self.kind, self.params, self.apply = kind, params, factory(conn, params)
+        self.measure = conn.topo.face_area if normal else conn.topo.edge_len
+        self.solution, self.products, self.factor = None, 0, None
+        if conn.topo.num_faces <= _DIRECT_MAX_FACES:
+            from scipy.sparse.linalg import splu
 
-    def solve(rhs):
-        x = factor.solve(measure[:, None] * rhs)
+            scaled = (_normal_matrix if normal else _v_matrix)(conn, params)
+            scaled.data *= self.measure[np.repeat(np.arange(len(self.measure)),
+                                                  np.diff(scaled.indptr))]
+            try:
+                self.factor = splu(scaled.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                   diag_pivot_thresh=0.0,
+                                   options={"SymmetricMode": True})
+            except RuntimeError as exc:
+                raise SolverError(f"could not factor the {kind} system: {exc}") from exc
+
+    def direct(self, rhs):
+        """The factor's solution, before the CG check."""
+        x = self.factor.solve(self.measure[:, None] * rhs)
         if not np.isfinite(x).all():
-            raise SolverError(f"the factor of the {label} system gave a "
+            raise SolverError(f"the factor of the {self.kind} system gave a "
                               "non-finite solution")
         return x
 
-    return solve
+    def solve(self, rhs):
+        x0 = self.solution if self.factor is None else self.direct(rhs)
+        self.solution, self.products = _cg_block(
+            self.apply, rhs, self.measure, self.params.cg_rel_tol,
+            self.params.cg_max_iters, self.kind, x0=x0)
+        return self.solution
 
 
 # -- the five subproblems ---------------------------------------------------
 
-def solve_n_subproblem(conn, state, n_in, params, system, direct=None) -> np.ndarray:
+def solve_n_subproblem(conn, state, n_in, params, system) -> np.ndarray:
     """Fidelity-plus-penalty quadratic for the normals, then projection of
     every row onto the unit sphere (rows solving to ~0 keep the previous
     iterate's normal, falling back to the input normal). ``system`` is the
-    run's normal_system_operator. Conjugate gradients start from
-    ``direct(rhs)`` when a direct solve is given, else from
-    ``state.N_solved``; the solution replaces ``state.N_solved`` and the
-    iterations go to ``state.cg_iterations[0]``."""
-    topo = conn.topo
+    run's normal _System."""
     rhs = params.beta * n_in - edge_jump_adjoint(
-        topo, state.lam_P + params.r1 * (state.P + state.v))
-    x0 = state.N_solved if direct is None else direct(rhs)
-    solved, state.cg_iterations[0] = _cg_block(
-        system, rhs, topo.face_area, params.cg_rel_tol, params.cg_max_iters,
-        "normal", x0=x0)
-    state.N_solved = solved
+        conn.topo, state.lam_P + params.r1 * (state.P + state.v))
+    solved = system.solve(rhs)
     norms = row_norm(solved)
     prev_norms = row_norm(state.N)
     fallback = np.where(prev_norms[:, None] >= 1e-12,
@@ -362,24 +368,16 @@ def solve_n_subproblem(conn, state, n_in, params, system, direct=None) -> np.nda
     return np.where(ok[:, None], solved / np.maximum(norms, 1e-300)[:, None], fallback)
 
 
-def solve_v_subproblem(conn, state, params, system, direct=None,
-                       jump_n=None) -> np.ndarray:
+def solve_v_subproblem(conn, state, params, system, jump_n=None) -> np.ndarray:
     """Quadratic coupling v to the current normals and both jump penalties.
-    ``system`` is the run's v_system_operator; ``jump_n`` is
-    edge_jump(state.N), computed here when not given. Conjugate gradients
-    start from ``direct(rhs)`` when a direct solve is given, else from
-    ``state.v``; the iterations go to ``state.cg_iterations[1]``."""
-    topo, lines, curves = conn.topo, conn.lines, conn.curves
+    ``system`` is the run's v _System; ``jump_n`` is edge_jump(state.N),
+    computed here when not given."""
     if jump_n is None:
-        jump_n = edge_jump(topo, state.N)
+        jump_n = edge_jump(conn.topo, state.N)
     rhs = (-state.lam_P - params.r1 * (state.P - jump_n)
-           - line_jump_adjoint(lines, state.lam_Q1 + params.r0 * state.Q1)
-           - curve_jump_adjoint(curves, state.lam_Q2 + params.r0 * state.Q2))
-    x0 = state.v if direct is None else direct(rhs)
-    v, state.cg_iterations[1] = _cg_block(
-        system, rhs, topo.edge_len, params.cg_rel_tol, params.cg_max_iters,
-        "v", x0=x0)
-    return v
+           - line_jump_adjoint(conn.lines, state.lam_Q1 + params.r0 * state.Q1)
+           - curve_jump_adjoint(conn.curves, state.lam_Q2 + params.r0 * state.Q2))
+    return system.solve(rhs)
 
 
 def solve_p_subproblem(conn, state, params, jump_n=None) -> np.ndarray:
@@ -427,7 +425,7 @@ def update_multipliers(conn, state, params, jumps=None) -> "SolverState":
 
 # -- the outer loop ---------------------------------------------------------
 
-def _split_steps(conn, state, params, v_system, v_direct=None, jump_n=None):
+def _split_steps(conn, state, params, v_system, jump_n=None):
     """One sweep's updates after the normal step: v, the three shrinks,
     then the multipliers. Each jump is applied once: edge_jump(N) before
     the v step (unless ``jump_n`` is given), line_jump(v) and
@@ -435,7 +433,7 @@ def _split_steps(conn, state, params, v_system, v_direct=None, jump_n=None):
     multipliers leave valid."""
     if jump_n is None:
         jump_n = edge_jump(conn.topo, state.N)
-    state.v = solve_v_subproblem(conn, state, params, v_system, v_direct, jump_n)
+    state.v = solve_v_subproblem(conn, state, params, v_system, jump_n)
     jump_l = line_jump(conn.lines, state.v)
     jump_c = curve_jump(conn.curves, state.v)
     state.P = solve_p_subproblem(conn, state, params, jump_n)
@@ -483,22 +481,15 @@ def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResu
         raise ValueError("n_in rows must be unit length")
 
     state = SolverState.initial(conn, n_in, params)
-    # both system matrices stay the same for the whole run; on a small mesh
-    # each is also factored once, and CG checks every direct solution
-    n_system = normal_system_operator(conn, params)
-    v_system = v_system_operator(conn, params)
-    n_direct = v_direct = None
-    if topo.num_faces <= _DIRECT_MAX_FACES:
-        n_direct = _direct_solver(_normal_matrix(conn, params), topo.face_area, "normal")
-        v_direct = _direct_solver(_v_matrix(conn, params), topo.edge_len, "v")
+    n_system, v_system = _System(conn, params, "normal"), _System(conn, params, "v")
     rows, cg_iterations = [], []
     stop_reason = "max_iters"
     for k in range(params.max_outer_iters):
         state.k = k
         n_prev = state.N
-        state.N = solve_n_subproblem(conn, state, n_in, params, n_system, n_direct)
-        jump_n, jump_l, jump_c = _split_steps(conn, state, params, v_system, v_direct)
-        cg_iterations.append(tuple(state.cg_iterations))
+        state.N = solve_n_subproblem(conn, state, n_in, params, n_system)
+        jump_n, jump_l, jump_c = _split_steps(conn, state, params, v_system)
+        cg_iterations.append((n_system.products, v_system.products))
 
         res_p = norm_edges(topo, state.P - (jump_n - state.v))
         res_q1 = norm_lines(conn.lines, state.Q1 - jump_l)
@@ -539,9 +530,10 @@ def minimize_tgv(conn, u, alpha1, alpha0, r1=2.0, r0=2.0, iters=200,
     """Approximate the variational second-order semi-norm of a face field:
     the infimum over v of tgv_energy(conn, u, v, alpha1, alpha0).
 
-    Runs the filter's own sweep steps with the face field held fixed as N
-    and all edge weights at 1, tracking the best iterate. Returns
-    (energy, v) at the best v found.
+    Runs the filter's own sweep steps, and its v _System, with the face
+    field held fixed as N and all edge weights at 1, tracking the best
+    iterate. Returns (energy, v) at the best v found: an upper bound on the
+    infimum, which may be one of the two seeds.
     """
     u = np.asarray(u, dtype=np.float64)
     u2 = u[:, None] if u.ndim == 1 else u
@@ -566,7 +558,7 @@ def minimize_tgv(conn, u, alpha1, alpha0, r1=2.0, r0=2.0, iters=200,
     at_jump = energy(jump_u, line_jump(conn.lines, jump_u), curve_jump(conn.curves, jump_u))
     if at_jump < best_energy:
         best_energy, best_v = at_jump, jump_u
-    v_system = v_system_operator(conn, params)
+    v_system = _System(conn, params, "v")
     for _ in range(iters):
         _, jump_l, jump_c = _split_steps(conn, state, params, v_system, jump_n=jump_u)
         e = energy(state.v, jump_l, jump_c)

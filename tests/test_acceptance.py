@@ -26,8 +26,7 @@ from tgvdenoise import (NoiseSpec, SolverParams, add_gaussian_noise,
                         make_two_triangle_square, mean_angular_difference,
                         mean_edge_length, shrink, update_vertices,
                         vertex_error, TriMesh, closest_point_distances)
-from tgvdenoise.solver import (_cg_block, _direct_solver, _normal_matrix,
-                               _v_matrix, normal_system_operator,
+from tgvdenoise.solver import (_cg_block, _System, normal_system_operator,
                                v_system_operator)
 from oracles import (closest_point_on_triangle, far_triangles,
                      golden_section_shrink)
@@ -135,10 +134,10 @@ def test_criterion_3_subproblem_oracles():
     params = SolverParams(cg_rel_tol=1e-10)
     rng = np.random.default_rng(300)
     worst_rel = worst_factor = 0.0
-    for apply_op, matrix, n, measure in [
-        (normal_system_operator(conn, params), _normal_matrix(conn, params),
+    for apply_op, kind, n, measure in [
+        (normal_system_operator(conn, params), "normal",
          conn.topo.num_faces, conn.topo.face_area),
-        (v_system_operator(conn, params), _v_matrix(conn, params),
+        (v_system_operator(conn, params), "v",
          conn.topo.num_edges, conn.topo.edge_len),
     ]:
         dense = np.empty((n, n))
@@ -154,7 +153,7 @@ def test_criterion_3_subproblem_oracles():
         worst_rel = max(worst_rel, rel)
         assert rel < 1e-8
         # the sparse factor that small meshes solve with
-        x_factor = _direct_solver(matrix, measure, "acceptance")(b)
+        x_factor = _System(conn, params, kind).direct(b)
         rel = np.linalg.norm(x_factor - x_direct) / np.linalg.norm(x_direct)
         worst_factor = max(worst_factor, rel)
         assert rel < 1e-8

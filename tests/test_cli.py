@@ -208,6 +208,8 @@ def test_denoise_error_map_requires_ground_truth(capsys, tmp_path):
 
 WEIGHT_OPTIONS = ["--alpha1", "--alpha0", "--beta", "--r1", "--r0", "--sigma-e"]
 TOLERANCE_OPTIONS = ["--stop-tol", "--cg-tol"]
+# 1e-300 to 1e300 every 20 decades, and values no range holds
+DECADES = [f"1e{d}" for d in range(-300, 301, 20)] + ["0", "-1", "inf", "nan"]
 
 
 @pytest.mark.parametrize("option", WEIGHT_OPTIONS + TOLERANCE_OPTIONS)
@@ -220,8 +222,7 @@ def test_denoise_float_option_over_every_decade(capsys, tmp_path, option):
     noisy, out = tmp_path / "noisy.obj", tmp_path / "out.obj"
     run_cli(capsys, "add-noise", str(mesh_path), "-o", str(noisy), "--level", "0.3")
     lo, hi = solver.WEIGHT_RANGE if option in WEIGHT_OPTIONS else (5e-324, np.finfo(float).max)
-    values = [f"1e{d}" for d in range(-300, 301, 20)] + ["0", "-1", "inf", "nan"]
-    for value in values:
+    for value in DECADES:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, stdout, err = run_cli(capsys, "denoise", str(noisy), "-o", str(out),
@@ -236,6 +237,47 @@ def test_denoise_float_option_over_every_decade(capsys, tmp_path, option):
         else:
             assert code == 2 and err.startswith("solver error: "), (option, value, err)
             assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("minimize", [False, True], ids=["plain", "minimize"])
+@pytest.mark.parametrize("option", ["--alpha1", "--alpha0"])
+def test_seminorms_float_option_over_every_decade(capsys, tmp_path, option, minimize):
+    # as for denoise: outside WEIGHT_RANGE one error line and exit 1, inside
+    # finite energies and exit 0, never a warning
+    mesh_path, _ = gen(capsys, tmp_path, "cube", "cube.obj", divisions=2)
+    noisy = tmp_path / "noisy.obj"
+    run_cli(capsys, "add-noise", str(mesh_path), "-o", str(noisy), "--level", "0.3")
+    extra = ["--minimize", "--minimize-iters", "5"] if minimize else []
+    lo, hi = solver.WEIGHT_RANGE
+    for value in DECADES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli(capsys, "seminorms", str(noisy), option, value,
+                                        *extra)
+        if not lo <= float(value) <= hi:
+            assert code == 1 and stdout == "", (option, value)
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
+            assert "between" in err
+        else:
+            assert code == 0, (option, value, err)
+            energies = [v for k, v in json.loads(stdout).items() if k.startswith("tgv")]
+            assert len(energies) == 2 + minimize
+            assert np.isfinite(energies).all(), (option, value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["denoise", "missing.obj", "-o", "out.obj", "--vertex-iters", "0"],
+    ["seminorms", "missing.obj", "--alpha1", "1e308"],
+    ["seminorms", "missing.obj", "--alpha0", "nan", "--minimize"],
+], ids=["vertex-iters", "seminorms-alpha1", "seminorms-alpha0"])
+def test_bad_values_fail_before_the_mesh_is_read(capsys, tmp_path, argv):
+    # the input does not exist, so an error about the value shows that it
+    # was checked first
+    argv = [str(tmp_path / a) if a.endswith(".obj") else a for a in argv]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert ("vertex-iters" in err) if "denoise" in argv else ("between" in err)
 
 
 def test_denoise_solver_failure_exits_2(capsys, tmp_path):

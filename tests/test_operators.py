@@ -305,4 +305,8 @@ def test_tgv_energy_rejects_bad_weights(tet_conn):
         tgv_energy(tet_conn, u, v, 0.0, 1.0)
     with pytest.raises(ValueError, match="positive"):
         tgv_energy(tet_conn, u, v, 1.0, -1.0)
+    # NaN passes any comparison with 0, and inf overflows the energy
+    for alpha1, alpha0 in [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            tgv_energy(tet_conn, u, v, alpha1, alpha0)
 

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from tgvdenoise import (NoiseSpec, SolverError, SolverParams, SolverState,
                         line_jump_adjoint, make_cube, mean_angular_difference,
                         minimize_tgv, shrink, tgv_energy)
 from tgvdenoise import solver
-from tgvdenoise.solver import (_cg_block, normal_system_operator,
+from tgvdenoise.solver import (_cg_block, _System, normal_system_operator,
                                solve_n_subproblem, solve_p_subproblem,
                                solve_q1_subproblem, solve_q2_subproblem,
                                solve_v_subproblem, update_multipliers,
@@ -264,8 +265,7 @@ def test_n_subproblem_fidelity_only_limit(cube_small_conn):
     n_in = face_normals(conn.mesh)
     params = SolverParams(r1=1e-12)
     state = _fresh_state(conn, n_in, params)
-    out = solve_n_subproblem(conn, state, n_in, params,
-                             normal_system_operator(conn, params))
+    out = solve_n_subproblem(conn, state, n_in, params, _System(conn, params, "normal"))
     assert np.allclose(out, n_in, atol=1e-9)
 
 
@@ -276,7 +276,7 @@ def test_v_subproblem_zero_inputs(cube_small_conn):
     state = _fresh_state(conn, n_in, params)
     state.N = np.zeros_like(n_in)  # edge_jump(0) = 0 so the full RHS is 0
     assert np.all(solve_v_subproblem(conn, state, params,
-                                     v_system_operator(conn, params)) == 0.0)
+                                     _System(conn, params, "v")) == 0.0)
 
 
 def test_p_subproblem_zero_argument(cube_small_conn):
@@ -460,23 +460,38 @@ def test_filter_applies_each_operator_once_per_sweep(filter_run, monkeypatch):
     assert np.array_equal(again.diagnostics, result.diagnostics[:sweeps])
 
 
+def _above_the_factoring_threshold(run):
+    """In a fresh process, on the noisy icosphere(4) (just above
+    _DIRECT_MAX_FACES): whether it is above, the ``products`` that the code
+    ``run`` counts, and whether scipy's solver module was imported."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = textwrap.dedent("""
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        import tgvdenoise as t
+        from tgvdenoise import solver
+        m = t.add_gaussian_noise(t.make_icosphere(4, 0.15),
+                                 t.NoiseSpec(0.3, mode='vertex-normal', seed=7))
+        conn, n = t.build_connectivity(m), t.face_normals(m)
+    """) + textwrap.dedent(run) + textwrap.dedent("""
+        print(m.num_faces > solver._DIRECT_MAX_FACES, products,
+              'scipy.sparse.linalg' in sys.modules)
+    """)
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         text=True, check=True, timeout=120).stdout.split()
+    return out[0] == "True", int(out[1]), out[2] == "True"
+
+
 def test_filter_above_the_factoring_threshold_runs_cg_alone():
     # a mesh just above the threshold keeps warm-started CG, several
     # products per solve, and never imports scipy's solver module
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tgvdenoise as t; "
-            "from tgvdenoise.solver import _DIRECT_MAX_FACES; "
-            "m = t.add_gaussian_noise(t.make_icosphere(4, 0.15), "
-            "t.NoiseSpec(0.3, mode='vertex-normal', seed=7)); "
-            "r = t.filter_normals(t.build_connectivity(m), t.face_normals(m), "
-            "t.SolverParams(max_outer_iters=3)); "
-            "print(m.num_faces > _DIRECT_MAX_FACES, r.cg_iterations.min(), "
-            "'scipy.sparse.linalg' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
-                         text=True, check=True, timeout=120).stdout.split()
-    assert out[0] == "True"
-    assert int(out[1]) > 1
-    assert out[2] == "False"
+    above, fewest, imported = _above_the_factoring_threshold("""
+        r = t.filter_normals(conn, n, t.SolverParams(max_outer_iters=3))
+        products = r.cg_iterations.min()
+    """)
+    assert above
+    assert fewest > 1
+    assert not imported
 
 
 class _NonFiniteFactor:
@@ -572,6 +587,50 @@ def test_minimize_tgv_takes_each_jump_once_per_sweep(cube_small_conn, monkeypatc
     assert calls == {"edge_jump": 1, "line_jump": 202, "curve_jump": 202}
     monkeypatch.undo()
     assert best == tgv_energy(cube_small_conn, u, v_best, 1.0, 0.1)
+
+
+def test_minimize_tgv_makes_one_v_product_per_iteration(monkeypatch):
+    # the bench cube is factored, as in the filter: each v solve is the
+    # direct solution and one CG check. CG alone took 3 938 products for
+    # these 200 iterations
+    noisy = add_gaussian_noise(make_cube(10, size=0.05),
+                               NoiseSpec(0.3, mode="vertex-normal", seed=7))
+    conn = build_connectivity(noisy)
+    systems = []
+
+    def counting_factory(*args, _factory=solver.v_system_operator):
+        apply_op, calls = _counting(_factory(*args))
+        systems.append(calls)
+        return apply_op
+
+    monkeypatch.setattr(solver, "v_system_operator", counting_factory)
+    minimize_tgv(conn, face_normals(noisy), 1.0, 0.1, iters=200)
+    assert [len(calls) for calls in systems] == [200]
+
+
+def test_minimize_tgv_above_the_factoring_threshold_runs_cg_alone():
+    # the filter's rule: warm-started CG, several products per solve, and no
+    # scipy solver module
+    iters = 3
+    above, products, imported = _above_the_factoring_threshold(f"""
+        products, factory = 0, solver.v_system_operator
+
+        def counting_factory(*args):
+            apply_op = factory(*args)
+
+            def counted(x):
+                global products
+                products += 1
+                return apply_op(x)
+
+            return counted
+
+        solver.v_system_operator = counting_factory
+        t.minimize_tgv(conn, n, 1.0, 0.1, iters={iters})
+    """)
+    assert above
+    assert products > 2 * iters
+    assert not imported
 
 
 # -- invariances ----------------------------------------------------------------
