@@ -15,25 +15,24 @@ Typical use:
     conn = build_connectivity(mesh)
     result = filter_normals(conn, face_normals(mesh))
     denoised = update_vertices(mesh, result.normals)
+
+The names below are the pipeline, the operators and semi-norms the demos
+use, and the types those return or raise; everything else is imported from
+its module.
 """
 
 from .fileio import load_mesh, save_mesh
-from .mesh import MeshError, TriMesh, face_areas, face_barycenters, face_normals
-from .metrics import (closest_point_distances, face_angle_errors,
-                      feature_adjacent_faces, mean_angular_difference,
-                      vertex_error, write_face_error_csv)
-from .noise import NoiseSpec, add_gaussian_noise, mean_edge_length, vertex_normals
-from .operators import (curve_jump, curve_jump_adjoint, edge_jump,
-                        edge_jump_adjoint, ho_seminorm, inner_curves,
-                        inner_edges, inner_faces, inner_lines, line_jump,
-                        line_jump_adjoint, norm_curves, norm_edges, norm_lines,
-                        tgv_energy, tv_seminorm)
-from .reconstruct import projection_residual, update_vertices
-from .solver import (FilterResult, SolverError, SolverParams, SolverState,
-                     edge_weights, filter_normals, minimize_tgv, shrink)
-from .synth import (make_cube, make_icosphere, make_plane, make_tetrahedron,
-                    make_two_triangle_square)
-from .topology import (Connectivity, CurveSet, EdgeTopology, LineSet,
-                       build_connectivity, build_edge_topology)
+from .mesh import MeshError, TriMesh, face_normals
+from .metrics import (face_angle_errors, feature_adjacent_faces,
+                      mean_angular_difference, vertex_error)
+from .noise import NoiseSpec, add_gaussian_noise
+from .operators import (curve_jump, edge_jump, edge_jump_adjoint, ho_seminorm,
+                        inner_edges, inner_faces, line_jump, tgv_energy,
+                        tv_seminorm)
+from .reconstruct import update_vertices
+from .solver import (FilterResult, SolverError, SolverParams, filter_normals,
+                     minimize_tgv)
+from .synth import make_cube, make_icosphere, make_tetrahedron
+from .topology import Connectivity, build_connectivity, build_edge_topology
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ object; human-readable diagnostics go to stderr. Exit codes: 0 success,
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -35,14 +36,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Each solver flag is stored under the name of its SolverParams field, and
+# defaults to that field's default.
+_SOLVER_DEFAULTS = asdict(SolverParams())
+
+
 def _solver_params(args) -> SolverParams:
-    return SolverParams(
-        alpha1=args.alpha1, alpha0=args.alpha0, beta=args.beta,
-        r1=args.r1, r0=args.r0, sigma_e=args.sigma_e,
-        max_outer_iters=args.max_iters, stop_tol=args.stop_tol,
-        cg_rel_tol=args.cg_tol, cg_max_iters=args.cg_max_iters,
-        dynamic_weights=not args.no_dynamic_weights,
-    )
+    return SolverParams(**{name: getattr(args, name) for name in _SOLVER_DEFAULTS})
 
 
 def _add_solver_flags(p):
@@ -50,25 +50,27 @@ def _add_solver_flags(p):
         "solver parameters",
         "the six weights, penalties and bandwidth must lie in [%g, %g]; the two "
         "tolerances must be positive and finite" % WEIGHT_RANGE)
-    g.add_argument("--alpha1", type=float, default=1.0,
-                   help="first-order weight (recommended range 0.5-3.0; default 1.0)")
-    g.add_argument("--alpha0", type=float, default=0.1,
-                   help="second-order weight (recommended range 0.05-1; default 0.1)")
-    g.add_argument("--beta", type=float, default=100.0,
-                   help="fidelity weight (default 100, for CAD-like and smooth surfaces "
-                        "alike; larger keeps more noise)")
-    g.add_argument("--r1", type=float, default=2.0, help="first-order penalty weight")
-    g.add_argument("--r0", type=float, default=2.0, help="second-order penalty weight")
-    g.add_argument("--sigma-e", type=float, default=0.5,
+    g.add_argument("--alpha1", type=float,
+                   help="first-order weight (recommended range 0.5-3.0; default %(default)s)")
+    g.add_argument("--alpha0", type=float,
+                   help="second-order weight (recommended range 0.05-1; default %(default)s)")
+    g.add_argument("--beta", type=float,
+                   help="fidelity weight (default %(default)s, for CAD-like and smooth "
+                        "surfaces alike; larger keeps more noise)")
+    g.add_argument("--r1", type=float, help="first-order penalty weight")
+    g.add_argument("--r0", type=float, help="second-order penalty weight")
+    g.add_argument("--sigma-e", type=float,
                    help="edge-weight bandwidth on unit-normal differences")
-    g.add_argument("--max-iters", type=int, default=100, help="outer iteration cap")
-    g.add_argument("--stop-tol", type=float, default=1e-10,
+    g.add_argument("--max-iters", dest="max_outer_iters", metavar="MAX_ITERS", type=int,
+                   help="outer iteration cap")
+    g.add_argument("--stop-tol", type=float,
                    help="stop when the squared normal change drops below this")
-    g.add_argument("--cg-tol", type=float, default=1e-8,
+    g.add_argument("--cg-tol", dest="cg_rel_tol", metavar="CG_TOL", type=float,
                    help="relative residual tolerance of the inner linear solves")
-    g.add_argument("--cg-max-iters", type=int, default=2000)
-    g.add_argument("--no-dynamic-weights", action="store_true",
+    g.add_argument("--cg-max-iters", type=int)
+    g.add_argument("--no-dynamic-weights", dest="dynamic_weights", action="store_false",
                    help="freeze all edge weights at 1 (ablation)")
+    p.set_defaults(**_SOLVER_DEFAULTS)
 
 
 def _build_parser():
@@ -106,13 +108,15 @@ def _build_parser():
 
     p = sub.add_parser("seminorms", help="variational semi-norms of the normal field")
     p.add_argument("input")
-    p.add_argument("--alpha1", type=float, default=1.0,
-                   help="first-order weight, in [%g, %g] (default 1.0)" % WEIGHT_RANGE)
-    p.add_argument("--alpha0", type=float, default=0.1,
-                   help="second-order weight, in [%g, %g] (default 0.1)" % WEIGHT_RANGE)
+    p.add_argument("--alpha1", type=float,
+                   help="first-order weight, in [%g, %g] (default %%(default)s)" % WEIGHT_RANGE)
+    p.add_argument("--alpha0", type=float,
+                   help="second-order weight, in [%g, %g] (default %%(default)s)" % WEIGHT_RANGE)
+    p.set_defaults(alpha1=_SOLVER_DEFAULTS["alpha1"], alpha0=_SOLVER_DEFAULTS["alpha0"])
     p.add_argument("--minimize", action="store_true",
                    help="also search for the minimizing auxiliary field")
-    p.add_argument("--minimize-iters", type=int, default=200)
+    p.add_argument("--minimize-iters", type=int, default=200,
+                   help="sweeps of that search, at least 1 (default %(default)s)")
 
     p = sub.add_parser("gen", help="write a procedural test mesh")
     p.add_argument("--shape", required=True,
@@ -120,7 +124,8 @@ def _build_parser():
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--divisions", type=int, default=10,
                    help="grid divisions (cube/plane) or subdivision level (icosphere)")
-    p.add_argument("--size", type=float, default=1.0, help="edge length or radius")
+    p.add_argument("--size", type=float, default=1.0,
+                   help="edge length or radius, positive and finite")
     return parser
 
 
@@ -207,6 +212,8 @@ def cmd_metrics(args) -> int:
 def cmd_seminorms(args) -> int:
     # range-checks both weights, as for denoise, before the mesh is read
     SolverParams(alpha1=args.alpha1, alpha0=args.alpha0)
+    if args.minimize_iters < 1:
+        raise ValueError("minimize-iters must be at least 1")
     mesh = load_mesh(args.input)
     conn = build_connectivity(mesh)
     topo = conn.topo
@@ -232,6 +239,9 @@ def cmd_seminorms(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    # a negative size would turn the closed shapes inside out
+    if not 0 < args.size < np.inf:
+        raise ValueError("size must be positive and finite")
     if args.shape == "tetrahedron":
         mesh = make_tetrahedron(scale=args.size)
     elif args.shape == "cube":

@@ -24,49 +24,37 @@ import numpy as np
 
 from .mesh import MeshError, TriMesh
 
-__all__ = ["load_mesh", "save_mesh", "guess_format"]
+__all__ = ["load_mesh", "save_mesh"]
 
 _COORDS_FMT = "%.17g %.17g %.17g"
 _INDEX_MAX = np.iinfo(np.int64).max
 
 
-def guess_format(path) -> str:
-    """Pick 'obj' or 'off' from the file extension."""
+def _format_of(path):
+    """The (reader, writer) pair of the file's extension, from _FORMATS."""
     ext = os.path.splitext(str(path))[1].lower()
-    if ext == ".obj":
-        return "obj"
-    if ext == ".off":
-        return "off"
-    raise MeshError(f"cannot infer mesh format from extension of {path!r}")
+    if ext not in _FORMATS:
+        raise MeshError(f"cannot infer mesh format from extension of {path!r}")
+    return _FORMATS[ext]
 
 
-def load_mesh(path, format=None) -> TriMesh:
-    """Load a triangle mesh from an OBJ or OFF file.
+def load_mesh(path) -> TriMesh:
+    """Load a triangle mesh from an OBJ or OFF file, by its extension.
 
     Raises MeshError for grammar violations (naming the offending line) and
     for meshes failing validation (degenerate faces, non-manifold edges).
     """
-    fmt = format or guess_format(path)
+    parse, _ = _format_of(path)
     with open(path, "r", encoding="utf-8") as fh:
         # the text is parsed without a name, so it is freed before validation
-        if fmt == "obj":
-            vertices, faces = _parse_obj(fh.read())
-        elif fmt == "off":
-            vertices, faces = _parse_off(fh.read())
-        else:
-            raise MeshError(f"unknown mesh format {fmt!r}")
+        vertices, faces = parse(fh.read())
     return TriMesh(vertices, faces)
 
 
-def save_mesh(mesh, path, format=None):
-    """Write the mesh as OBJ or OFF (by explicit format or file extension)."""
-    fmt = format or guess_format(path)
-    if fmt == "obj":
-        text = _format_obj(mesh)
-    elif fmt == "off":
-        text = _format_off(mesh)
-    else:
-        raise MeshError(f"unknown mesh format {fmt!r}")
+def save_mesh(mesh, path):
+    """Write the mesh as OBJ or OFF, by the file's extension."""
+    _, format_text = _format_of(path)
+    text = format_text(mesh)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -297,3 +285,6 @@ def _format_obj(mesh):
 def _format_off(mesh):
     return (f"OFF\n{mesh.num_vertices} {mesh.num_faces} 0\n"
             + _records(_COORDS_FMT, mesh.vertices) + _records("3 %d %d %d", mesh.faces))
+
+
+_FORMATS = {".obj": (_parse_obj, _format_obj), ".off": (_parse_off, _format_off)}

@@ -4,7 +4,7 @@ import numpy as np
 
 from .mesh import cross, row_dot, row_norm
 
-__all__ = ["update_vertices", "projection_residual"]
+__all__ = ["update_vertices"]
 
 
 def update_vertices(mesh, target_normals, iters: int = 30):
@@ -55,12 +55,3 @@ def update_vertices(mesh, target_normals, iters: int = 30):
             x[j] += np.bincount(corner_vertex, weights=terms.ravel(),
                                 minlength=num_vertices) * scale
     return mesh.with_vertices(x.T.copy())
-
-
-def projection_residual(mesh, target_normals) -> float:
-    """Sum over faces and their corners of (n . (centroid - corner))^2;
-    zero exactly when every corner lies in its face's target plane."""
-    n_t = np.asarray(target_normals, dtype=np.float64)
-    corners = [np.take(mesh.vertices, mesh.faces[:, k], axis=0) for k in range(3)]
-    centroids = (corners[0] + corners[1] + corners[2]) / 3.0
-    return float(sum((row_dot(centroids - p, n_t) ** 2).sum() for p in corners))

@@ -76,10 +76,11 @@ class SolverParams:
 
     alpha1 / alpha0 weight the first- and second-order terms, beta the
     fidelity term (100 suits both CAD-like and smooth surfaces at the
-    calibrated scale; a larger beta keeps more of the input's noise). r1 / r0 are the splitting penalties, sigma_e
-    the weight bandwidth on unit-normal differences; each of these six lies
-    in WEIGHT_RANGE. The two tolerances are positive and finite.
-    dynamic_weights=False freezes all edge weights at 1.
+    calibrated scale; a larger beta keeps more of the input's noise). r1 /
+    r0 are the splitting penalties, sigma_e the weight bandwidth on
+    unit-normal differences; each of these six lies in WEIGHT_RANGE. The
+    two tolerances are positive and finite. dynamic_weights=False freezes
+    all edge weights at 1. These defaults are the command line's too.
     """
 
     alpha1: float = 1.0
@@ -121,7 +122,6 @@ class SolverState:
     lam_Q1: np.ndarray
     lam_Q2: np.ndarray
     w: np.ndarray
-    k: int = 0
 
     @classmethod
     def initial(cls, conn, n_in, params):
@@ -159,8 +159,7 @@ class FilterResult:
     iterations: int
     stop_reason: str
     diagnostics: np.ndarray
-    weights: np.ndarray = field(repr=False, default=None)
-    cg_iterations: np.ndarray = field(repr=False, default=None)
+    cg_iterations: np.ndarray = field(repr=False)
 
 
 # -- building blocks -------------------------------------------------------
@@ -368,54 +367,41 @@ def solve_n_subproblem(conn, state, n_in, params, system) -> np.ndarray:
     return np.where(ok[:, None], solved / np.maximum(norms, 1e-300)[:, None], fallback)
 
 
-def solve_v_subproblem(conn, state, params, system, jump_n=None) -> np.ndarray:
+def solve_v_subproblem(conn, state, params, system, jump_n) -> np.ndarray:
     """Quadratic coupling v to the current normals and both jump penalties.
-    ``system`` is the run's v _System; ``jump_n`` is edge_jump(state.N),
-    computed here when not given."""
-    if jump_n is None:
-        jump_n = edge_jump(conn.topo, state.N)
+    ``system`` is the run's v _System; ``jump_n`` is edge_jump(state.N)."""
     rhs = (-state.lam_P - params.r1 * (state.P - jump_n)
            - line_jump_adjoint(conn.lines, state.lam_Q1 + params.r0 * state.Q1)
            - curve_jump_adjoint(conn.curves, state.lam_Q2 + params.r0 * state.Q2))
     return system.solve(rhs)
 
 
-def solve_p_subproblem(conn, state, params, jump_n=None) -> np.ndarray:
+def solve_p_subproblem(conn, state, params, jump_n) -> np.ndarray:
     """Per-edge shrink with the weighted first-order threshold; ``jump_n``
-    is edge_jump(state.N), computed here when not given."""
-    if jump_n is None:
-        jump_n = edge_jump(conn.topo, state.N)
+    is edge_jump(state.N)."""
     z = jump_n - state.v - state.lam_P / params.r1
     return shrink(params.alpha1 * state.w, params.r1, z)
 
 
-def solve_q1_subproblem(conn, state, params, jump_l=None) -> np.ndarray:
+def solve_q1_subproblem(conn, state, params, jump_l) -> np.ndarray:
     """Per-line shrink of the 1-form jump; ``jump_l`` is
-    line_jump(state.v), computed here when not given."""
-    if jump_l is None:
-        jump_l = line_jump(conn.lines, state.v)
+    line_jump(state.v)."""
     z = jump_l - state.lam_Q1 / params.r0
     return shrink(params.alpha0, params.r0, z)
 
 
-def solve_q2_subproblem(conn, state, params, jump_c=None) -> np.ndarray:
+def solve_q2_subproblem(conn, state, params, jump_c) -> np.ndarray:
     """Per-curve shrink of the 2-form jump; invalid curves stay 0.
-    ``jump_c`` is curve_jump(state.v), computed here when not given."""
-    if jump_c is None:
-        jump_c = curve_jump(conn.curves, state.v)
+    ``jump_c`` is curve_jump(state.v)."""
     z = jump_c - state.lam_Q2 / params.r0
     out = shrink(params.alpha0, params.r0, z)
     out[~conn.curves.valid] = 0.0
     return out
 
 
-def update_multipliers(conn, state, params, jumps=None) -> "SolverState":
+def update_multipliers(conn, state, params, jumps) -> "SolverState":
     """Ascent step on the three constraint residuals. ``jumps`` is
-    (edge_jump(state.N), line_jump(state.v), curve_jump(state.v)), computed
-    here when not given."""
-    if jumps is None:
-        jumps = (edge_jump(conn.topo, state.N), line_jump(conn.lines, state.v),
-                 curve_jump(conn.curves, state.v))
+    (edge_jump(state.N), line_jump(state.v), curve_jump(state.v))."""
     jump_n, jump_l, jump_c = jumps
     state.lam_P = state.lam_P + params.r1 * (state.P - (jump_n - state.v))
     state.lam_Q1 = state.lam_Q1 + params.r0 * (state.Q1 - jump_l)
@@ -425,14 +411,11 @@ def update_multipliers(conn, state, params, jumps=None) -> "SolverState":
 
 # -- the outer loop ---------------------------------------------------------
 
-def _split_steps(conn, state, params, v_system, jump_n=None):
+def _split_steps(conn, state, params, v_system, jump_n):
     """One sweep's updates after the normal step: v, the three shrinks,
-    then the multipliers. Each jump is applied once: edge_jump(N) before
-    the v step (unless ``jump_n`` is given), line_jump(v) and
-    curve_jump(v) after it. Returns the three jumps, which the shrinks and
-    multipliers leave valid."""
-    if jump_n is None:
-        jump_n = edge_jump(conn.topo, state.N)
+    then the multipliers. ``jump_n`` is edge_jump(state.N); line_jump(v)
+    and curve_jump(v) are applied once, after the v step. Returns the three
+    jumps, which the shrinks and multipliers leave valid."""
     state.v = solve_v_subproblem(conn, state, params, v_system, jump_n)
     jump_l = line_jump(conn.lines, state.v)
     jump_c = curve_jump(conn.curves, state.v)
@@ -485,10 +468,10 @@ def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResu
     rows, cg_iterations = [], []
     stop_reason = "max_iters"
     for k in range(params.max_outer_iters):
-        state.k = k
         n_prev = state.N
         state.N = solve_n_subproblem(conn, state, n_in, params, n_system)
-        jump_n, jump_l, jump_c = _split_steps(conn, state, params, v_system)
+        jump_n, jump_l, jump_c = _split_steps(conn, state, params, v_system,
+                                              edge_jump(topo, state.N))
         cg_iterations.append((n_system.products, v_system.products))
 
         res_p = norm_edges(topo, state.P - (jump_n - state.v))
@@ -513,7 +496,6 @@ def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResu
         _write_diagnostics(diagnostics_path, diagnostics)
     return FilterResult(normals=state.N, iterations=len(rows),
                         stop_reason=stop_reason, diagnostics=diagnostics,
-                        weights=state.w,
                         cg_iterations=np.array(cg_iterations, dtype=np.int64))
 
 
@@ -525,21 +507,21 @@ def _write_diagnostics(path, diagnostics):
             fh.write(",".join(cells) + "\n")
 
 
-def minimize_tgv(conn, u, alpha1, alpha0, r1=2.0, r0=2.0, iters=200,
-                 cg_rel_tol=1e-8, cg_max_iters=2000):
+def minimize_tgv(conn, u, alpha1, alpha0, iters=200):
     """Approximate the variational second-order semi-norm of a face field:
     the infimum over v of tgv_energy(conn, u, v, alpha1, alpha0).
 
-    Runs the filter's own sweep steps, and its v _System, with the face
+    Runs ``iters`` (at least 1) of the filter's own sweep steps, and its v
+    _System, at the filter's default penalties and tolerances, with the face
     field held fixed as N and all edge weights at 1, tracking the best
     iterate. Returns (energy, v) at the best v found: an upper bound on the
     infimum, which may be one of the two seeds.
     """
+    if iters < 1:
+        raise ValueError("iters must be at least 1")
     u = np.asarray(u, dtype=np.float64)
     u2 = u[:, None] if u.ndim == 1 else u
-    params = SolverParams(alpha1=alpha1, alpha0=alpha0, r1=r1, r0=r0,
-                          cg_rel_tol=cg_rel_tol, cg_max_iters=cg_max_iters,
-                          dynamic_weights=False)
+    params = SolverParams(alpha1=alpha1, alpha0=alpha0, dynamic_weights=False)
     state = SolverState.initial(conn, u2, params)
     state.N = u2
 

@@ -31,6 +31,8 @@ def make_two_triangle_square(size: float = 1.0) -> TriMesh:
 
 def make_plane(nx: int = 4, ny: int = 4, size: float = 1.0) -> TriMesh:
     """Rectangular grid in the z=0 plane (a mesh with boundary)."""
+    if nx < 1 or ny < 1:
+        raise ValueError("nx and ny must be at least 1")
     xs = np.linspace(0.0, size, nx + 1)
     ys = np.linspace(0.0, size, ny + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -96,6 +98,8 @@ def make_cube(divisions: int = 10, size: float = 1.0) -> TriMesh:
 def make_icosphere(subdivisions: int = 3, radius: float = 1.0) -> TriMesh:
     """Icosahedron subdivided ``subdivisions`` times, projected onto the
     sphere; 20 * 4^k faces, outward orientation."""
+    if subdivisions < 0:
+        raise ValueError("subdivisions must be at least 0")
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = [
         (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),

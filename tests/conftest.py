@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from tgvdenoise import (build_connectivity, make_cube, make_plane,
-                        make_tetrahedron, make_two_triangle_square)
+from tgvdenoise import build_connectivity, make_cube, make_tetrahedron
+from tgvdenoise.synth import make_plane, make_two_triangle_square
 
 
 @pytest.fixture(scope="session")

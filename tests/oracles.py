@@ -3,6 +3,7 @@
 import numpy as np
 
 from tgvdenoise import MeshError, TriMesh
+from tgvdenoise.mesh import row_dot
 
 _INDEX_MAX = np.iinfo(np.int64).max
 
@@ -165,13 +166,13 @@ def format_mesh_reference(mesh, fmt):
     return "\n".join(out) + "\n"
 
 
-def load_mesh_reference(path, fmt):
-    """The OBJ / OFF reader as a loop over one record at a time: the grammar
-    and the error messages, line numbers included, that fileio's block-wise
-    reader must reproduce."""
+def load_mesh_reference(path):
+    """The OBJ / OFF reader (by the path's extension) as a loop over one
+    record at a time: the grammar and the error messages, line numbers
+    included, that fileio's block-wise reader must reproduce."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    parse = _parse_obj_reference if fmt == "obj" else _parse_off_reference
+    parse = _parse_obj_reference if str(path).endswith(".obj") else _parse_off_reference
     return TriMesh(*parse(text))
 
 
@@ -259,3 +260,12 @@ def _parse_off_reference(text):
         faces.append(idx)
     return (np.array(vertices, dtype=np.float64).reshape(-1, 3),
             np.array(faces, dtype=np.int64).reshape(-1, 3))
+
+
+def projection_residual(mesh, target_normals) -> float:
+    """Sum over faces and their corners of (n . (centroid - corner))^2;
+    zero exactly when every corner lies in its face's target plane."""
+    n_t = np.asarray(target_normals, dtype=np.float64)
+    corners = [np.take(mesh.vertices, mesh.faces[:, k], axis=0) for k in range(3)]
+    centroids = (corners[0] + corners[1] + corners[2]) / 3.0
+    return float(sum((row_dot(centroids - p, n_t) ** 2).sum() for p in corners))

@@ -15,19 +15,20 @@ import time
 import numpy as np
 import pytest
 
-from tgvdenoise import (NoiseSpec, SolverParams, add_gaussian_noise,
+from tgvdenoise import (NoiseSpec, SolverParams, TriMesh, add_gaussian_noise,
                         build_connectivity, build_edge_topology, curve_jump,
-                        curve_jump_adjoint, edge_jump, edge_jump_adjoint,
-                        face_angle_errors, face_normals,
-                        feature_adjacent_faces, filter_normals, inner_curves,
-                        inner_edges, inner_faces, inner_lines, line_jump,
-                        line_jump_adjoint, ho_seminorm, make_cube,
-                        make_icosphere, make_plane, make_tetrahedron,
-                        make_two_triangle_square, mean_angular_difference,
-                        mean_edge_length, shrink, update_vertices,
-                        vertex_error, TriMesh, closest_point_distances)
-from tgvdenoise.solver import (_cg_block, _System, normal_system_operator,
+                        edge_jump, edge_jump_adjoint, face_angle_errors,
+                        face_normals, feature_adjacent_faces, filter_normals,
+                        ho_seminorm, inner_edges, inner_faces, line_jump,
+                        make_cube, make_icosphere, make_tetrahedron,
+                        mean_angular_difference, update_vertices)
+from tgvdenoise.metrics import closest_point_distances
+from tgvdenoise.noise import mean_edge_length
+from tgvdenoise.operators import (curve_jump_adjoint, inner_curves, inner_lines,
+                                  line_jump_adjoint)
+from tgvdenoise.solver import (_cg_block, _System, normal_system_operator, shrink,
                                v_system_operator)
+from tgvdenoise.synth import make_plane
 from oracles import (closest_point_on_triangle, far_triangles,
                      golden_section_shrink)
 

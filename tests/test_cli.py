@@ -265,19 +265,57 @@ def test_seminorms_float_option_over_every_decade(capsys, tmp_path, option, mini
             assert np.isfinite(energies).all(), (option, value)
 
 
-@pytest.mark.parametrize("argv", [
-    ["denoise", "missing.obj", "-o", "out.obj", "--vertex-iters", "0"],
-    ["seminorms", "missing.obj", "--alpha1", "1e308"],
-    ["seminorms", "missing.obj", "--alpha0", "nan", "--minimize"],
-], ids=["vertex-iters", "seminorms-alpha1", "seminorms-alpha0"])
-def test_bad_values_fail_before_the_mesh_is_read(capsys, tmp_path, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["denoise", "missing.obj", "-o", "out.obj", "--vertex-iters", "0"], "vertex-iters"),
+    (["seminorms", "missing.obj", "--alpha1", "1e308"], "between"),
+    (["seminorms", "missing.obj", "--alpha0", "nan", "--minimize"], "between"),
+    (["seminorms", "missing.obj", "--minimize", "--minimize-iters", "0"], "minimize-iters"),
+    (["seminorms", "missing.obj", "--minimize", "--minimize-iters", "-3"], "minimize-iters"),
+], ids=["vertex-iters", "seminorms-alpha1", "seminorms-alpha0", "minimize-iters-0",
+        "minimize-iters-negative"])
+def test_bad_values_fail_before_the_mesh_is_read(capsys, tmp_path, argv, message):
     # the input does not exist, so an error about the value shows that it
     # was checked first
     argv = [str(tmp_path / a) if a.endswith(".obj") else a for a in argv]
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 1 and stdout == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert ("vertex-iters" in err) if "denoise" in argv else ("between" in err)
+    assert message in err
+
+
+@pytest.mark.parametrize("shape, args, message", [
+    ("icosphere", ["--divisions", "-1"], "subdivisions"),
+    ("plane", ["--divisions", "0"], "nx and ny"),
+    ("plane", ["--divisions", "-2"], "nx and ny"),
+    ("cube", ["--divisions", "-2"], "divisions"),
+    ("cube", ["--size", "-1"], "size"),
+    ("tetrahedron", ["--size", "-1"], "size"),
+    ("icosphere", ["--size", "-1", "--divisions", "1"], "size"),
+    ("square", ["--size", "0"], "size"),
+    ("cube", ["--size", "inf"], "size"),
+    ("icosphere", ["--size", "nan", "--divisions", "1"], "size"),
+])
+def test_gen_bad_shape_arguments_fail_before_a_mesh_is_built(capsys, tmp_path, shape,
+                                                             args, message):
+    # a negative size would write the closed shapes inside out, and a
+    # division count below the shape's least a degenerate mesh or a numpy error
+    out = tmp_path / "out.obj"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_cli(capsys, "gen", "--shape", shape, "-o", str(out), *args)
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert message in err and caught == []
+
+
+def test_denoise_unknown_extension_exits_1(capsys, tmp_path):
+    mesh_path, _ = gen(capsys, tmp_path, "tetrahedron", "tet.obj")
+    ply = tmp_path / "in.ply"
+    ply.write_bytes(mesh_path.read_bytes())
+    code, stdout, err = run_cli(capsys, "denoise", str(ply), "-o", str(tmp_path / "out.obj"))
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "extension" in err
 
 
 def test_denoise_solver_failure_exits_2(capsys, tmp_path):

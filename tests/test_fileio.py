@@ -136,6 +136,11 @@ def test_load_missing_file_raises():
 def test_unknown_extension_rejected(tmp_path):
     with pytest.raises(MeshError, match="extension"):
         save_mesh(make_tetrahedron(), tmp_path / "mesh.stl")
+    # the format comes from the extension alone, even for a valid OBJ text
+    path = tmp_path / "mesh.ply"
+    path.write_text(UNIT_SQUARE_OBJ)
+    with pytest.raises(MeshError, match="extension"):
+        load_mesh(path)
 
 
 def test_obj_face_index_beyond_int64_rejected(tmp_path):

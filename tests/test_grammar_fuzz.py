@@ -137,9 +137,9 @@ def _cases(fmt, seed):
         yield case, _render(rng, rows)
 
 
-def _outcome(load, path, fmt):
+def _outcome(load, path):
     try:
-        mesh = load(path, fmt)
+        mesh = load(path)
     except ValueError as exc:            # MeshError, UnicodeDecodeError
         return type(exc), str(exc)
     return mesh.vertices, mesh.faces
@@ -185,8 +185,8 @@ def test_reader_matches_the_reference_on_mutated_files(tmp_path, capsys, monkeyp
     outcomes, codes = set(), set()
     for case, data in _cases(fmt, seed):
         path.write_bytes(data)
-        want = _outcome(load_mesh_reference, path, fmt)
-        got = _outcome(lambda p, f: load_mesh(p, format=f), path, fmt)
+        want = _outcome(load_mesh_reference, path)
+        got = _outcome(load_mesh, path)
         assert _same(got, want), f"case {case}: {data!r}\nreference: {want}\ngot: {got}"
         loaded = not isinstance(want[0], type)
         outcomes.add("loaded" if loaded else want[1])
@@ -232,6 +232,6 @@ def test_reader_matches_the_reference_on_edge_cases(tmp_path, monkeypatch, fmt, 
     path = tmp_path / f"case.{fmt}"
     for text in EDGE_TEXTS[fmt]:
         path.write_text(text, encoding="utf-8", newline="")
-        want = _outcome(load_mesh_reference, path, fmt)
-        got = _outcome(lambda p, f: load_mesh(p, format=f), path, fmt)
+        want = _outcome(load_mesh_reference, path)
+        got = _outcome(load_mesh, path)
         assert _same(got, want), f"{text!r}\nreference: {want}\ngot: {got}"

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from tgvdenoise import MeshError, TriMesh, face_areas, face_normals, make_tetrahedron
+from tgvdenoise import MeshError, TriMesh, face_normals, make_tetrahedron
+from tgvdenoise.mesh import face_areas
 
 
 def test_face_normal_right_hand_rule():

@@ -8,10 +8,10 @@ import pytest
 
 from tgvdenoise import (NoiseSpec, TriMesh, add_gaussian_noise,
                         build_edge_topology, face_angle_errors, face_normals,
-                        closest_point_distances, feature_adjacent_faces,
-                        make_cube, make_plane, make_tetrahedron,
-                        mean_angular_difference, vertex_error,
-                        write_face_error_csv)
+                        feature_adjacent_faces, make_cube, make_tetrahedron,
+                        mean_angular_difference, vertex_error)
+from tgvdenoise.metrics import closest_point_distances, write_face_error_csv
+from tgvdenoise.synth import make_plane
 from tgvdenoise import metrics
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from tgvdenoise import (NoiseSpec, add_gaussian_noise, make_cube,
-                        make_icosphere, mean_edge_length, vertex_normals)
+from tgvdenoise import NoiseSpec, add_gaussian_noise, make_cube, make_icosphere
+from tgvdenoise.noise import mean_edge_length, vertex_normals
 
 
 def test_zero_level_returns_identical_mesh():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from tgvdenoise import (TriMesh, build_edge_topology, curve_jump,
-                        curve_jump_adjoint, edge_jump, edge_jump_adjoint,
-                        ho_seminorm, inner_curves, inner_edges, inner_faces,
-                        inner_lines, line_jump, line_jump_adjoint, tgv_energy,
-                        tv_seminorm)
+from tgvdenoise import (TriMesh, build_edge_topology, curve_jump, edge_jump,
+                        edge_jump_adjoint, ho_seminorm, inner_edges,
+                        inner_faces, line_jump, tgv_energy, tv_seminorm)
+from tgvdenoise.operators import (curve_jump_adjoint, inner_curves, inner_lines,
+                                  line_jump_adjoint)
 from conftest import random_fields
 from oracles import (curve_edges, dense_curve_jump, dense_edge_jump, dense_line_jump,
                      far_triangles)

@@ -3,11 +3,11 @@ import pytest
 
 from tgvdenoise import (NoiseSpec, SolverParams, TriMesh, add_gaussian_noise,
                         build_connectivity, face_normals, filter_normals,
-                        make_cube, make_icosphere, make_plane,
-                        make_two_triangle_square, mean_angular_difference,
-                        projection_residual, update_vertices)
+                        make_cube, make_icosphere, mean_angular_difference,
+                        update_vertices)
+from tgvdenoise.synth import make_plane, make_two_triangle_square
 
-from oracles import update_vertices_reference
+from oracles import projection_residual, update_vertices_reference
 
 
 def _rotation(axis, angle):

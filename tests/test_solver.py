@@ -6,15 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tgvdenoise import (NoiseSpec, SolverError, SolverParams, SolverState,
-                        TriMesh, add_gaussian_noise, build_connectivity,
-                        curve_jump, curve_jump_adjoint, edge_jump,
-                        edge_jump_adjoint, edge_weights, face_normals,
+from tgvdenoise import (NoiseSpec, SolverError, SolverParams, TriMesh,
+                        add_gaussian_noise, build_connectivity, curve_jump,
+                        edge_jump, edge_jump_adjoint, face_normals,
                         filter_normals, inner_edges, inner_faces, line_jump,
-                        line_jump_adjoint, make_cube, mean_angular_difference,
-                        minimize_tgv, shrink, tgv_energy)
+                        make_cube, minimize_tgv, tgv_energy)
 from tgvdenoise import solver
-from tgvdenoise.solver import (_cg_block, _System, normal_system_operator,
+from tgvdenoise.operators import curve_jump_adjoint, line_jump_adjoint
+from tgvdenoise.solver import (SolverState, _cg_block, _System, edge_weights,
+                               normal_system_operator, shrink,
                                solve_n_subproblem, solve_p_subproblem,
                                solve_q1_subproblem, solve_q2_subproblem,
                                solve_v_subproblem, update_multipliers,
@@ -260,6 +260,13 @@ def _fresh_state(conn, n_in, params):
     return SolverState.initial(conn, n_in, params)
 
 
+def _jumps(conn, state):
+    """edge_jump(N), line_jump(v) and curve_jump(v), as the sweep passes
+    them to its steps."""
+    return (edge_jump(conn.topo, state.N), line_jump(conn.lines, state.v),
+            curve_jump(conn.curves, state.v))
+
+
 def test_n_subproblem_fidelity_only_limit(cube_small_conn):
     conn = cube_small_conn
     n_in = face_normals(conn.mesh)
@@ -275,8 +282,8 @@ def test_v_subproblem_zero_inputs(cube_small_conn):
     params = SolverParams()
     state = _fresh_state(conn, n_in, params)
     state.N = np.zeros_like(n_in)  # edge_jump(0) = 0 so the full RHS is 0
-    assert np.all(solve_v_subproblem(conn, state, params,
-                                     _System(conn, params, "v")) == 0.0)
+    assert np.all(solve_v_subproblem(conn, state, params, _System(conn, params, "v"),
+                                     edge_jump(conn.topo, state.N)) == 0.0)
 
 
 def test_p_subproblem_zero_argument(cube_small_conn):
@@ -285,7 +292,8 @@ def test_p_subproblem_zero_argument(cube_small_conn):
     params = SolverParams()
     state = _fresh_state(conn, n_in, params)
     state.N = np.zeros_like(n_in)
-    assert np.all(solve_p_subproblem(conn, state, params) == 0.0)
+    assert np.all(solve_p_subproblem(conn, state, params,
+                                     edge_jump(conn.topo, state.N)) == 0.0)
 
 
 def test_q_subproblems_local_optimality(cube_small_conn, rng):
@@ -296,8 +304,9 @@ def test_q_subproblems_local_optimality(cube_small_conn, rng):
     state.v = rng.normal(size=state.v.shape)
     state.lam_Q1 = rng.normal(size=state.lam_Q1.shape)
     state.lam_Q2 = rng.normal(size=state.lam_Q2.shape)
-    q1 = solve_q1_subproblem(conn, state, params)
-    q2 = solve_q2_subproblem(conn, state, params)
+    _, jump_l, jump_c = _jumps(conn, state)
+    q1 = solve_q1_subproblem(conn, state, params, jump_l)
+    q2 = solve_q2_subproblem(conn, state, params, jump_c)
 
     def objective(q, z, alpha, r):
         return alpha * np.linalg.norm(q) + 0.5 * r * np.linalg.norm(q - z) ** 2
@@ -324,8 +333,9 @@ def test_q_subproblem_full_shrink_at_huge_alpha0(cube_small_conn, rng):
     params = SolverParams(alpha0=1e12)
     state = _fresh_state(conn, n_in, params)
     state.v = rng.normal(size=state.v.shape)
-    assert np.all(solve_q1_subproblem(conn, state, params) == 0.0)
-    assert np.all(solve_q2_subproblem(conn, state, params) == 0.0)
+    _, jump_l, jump_c = _jumps(conn, state)
+    assert np.all(solve_q1_subproblem(conn, state, params, jump_l) == 0.0)
+    assert np.all(solve_q2_subproblem(conn, state, params, jump_c) == 0.0)
 
 
 def test_update_multipliers_zero_residual_fixed_point(cube_small_conn, rng):
@@ -339,7 +349,7 @@ def test_update_multipliers_zero_residual_fixed_point(cube_small_conn, rng):
     state.Q1 = line_jump(conn.lines, state.v)
     state.Q2 = curve_jump(conn.curves, state.v)
     lam_before = (state.lam_P.copy(), state.lam_Q1.copy(), state.lam_Q2.copy())
-    update_multipliers(conn, state, params)
+    update_multipliers(conn, state, params, _jumps(conn, state))
     assert np.allclose(state.lam_P, lam_before[0], atol=1e-12)
     assert np.allclose(state.lam_Q1, lam_before[1], atol=1e-12)
     assert np.allclose(state.lam_Q2, lam_before[2], atol=1e-12)
@@ -355,7 +365,7 @@ def test_update_multipliers_linear_in_residual(cube_small_conn, rng):
         state.N = n_in
         state.P = scale * rng2.normal(size=state.P.shape)
         state.v = np.zeros_like(state.v)
-        update_multipliers(conn, state, params)
+        update_multipliers(conn, state, params, _jumps(conn, state))
         jump = edge_jump(conn.topo, n_in)
         return state.lam_P - params.r1 * (-jump)  # subtract the jump part
 
@@ -567,6 +577,13 @@ def test_minimize_tgv_below_both_bounds(cube_small_conn):
     best, v_best = minimize_tgv(conn, u, alpha1, alpha0, iters=60)
     assert best <= min(at_zero, at_jump) + 1e-12
     assert np.isclose(tgv_energy(conn, u, v_best, alpha1, alpha0), best, rtol=1e-12)
+
+
+def test_minimize_tgv_needs_an_iteration(cube_small_conn):
+    u = face_normals(cube_small_conn.mesh)
+    for iters in (0, -3):
+        with pytest.raises(ValueError, match="iters"):
+            minimize_tgv(cube_small_conn, u, 1.0, 0.1, iters=iters)
 
 
 def test_minimize_tgv_takes_each_jump_once_per_sweep(cube_small_conn, monkeypatch):

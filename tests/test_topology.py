@@ -5,9 +5,10 @@ from pathlib import Path
 
 import numpy as np
 
-from tgvdenoise import (CurveSet, LineSet, TriMesh, build_connectivity,
-                        build_edge_topology, make_cube, make_icosphere,
-                        tv_seminorm, ho_seminorm, edge_jump, face_normals)
+from tgvdenoise import (TriMesh, build_connectivity, build_edge_topology,
+                        edge_jump, face_normals, ho_seminorm, make_cube,
+                        make_icosphere, tv_seminorm)
+from tgvdenoise.topology import CurveSet, LineSet
 
 from oracles import curve_edges
 
