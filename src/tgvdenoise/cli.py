@@ -122,8 +122,9 @@ def _build_parser():
     p.add_argument("--shape", required=True,
                    choices=["tetrahedron", "cube", "icosphere", "plane", "square"])
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--divisions", type=int, default=10,
-                   help="grid divisions (cube/plane) or subdivision level (icosphere)")
+    p.add_argument("--divisions", type=int,
+                   help="grid divisions (cube/plane, default 10) or subdivision "
+                        "level (icosphere, default 3)")
     p.add_argument("--size", type=float, default=1.0,
                    help="edge length or radius, positive and finite")
     return parser
@@ -170,11 +171,12 @@ def cmd_denoise(args) -> int:
 
 def cmd_add_noise(args) -> int:
     mesh = load_mesh(args.input)
+    # a mesh without faces has no edge length, at any level
+    le = mean_edge_length(mesh)
     spec = NoiseSpec(level=args.level, mode=args.mode, seed=args.seed)
     noisy = add_gaussian_noise(mesh, spec)
     save_mesh(noisy, args.output)
 
-    le = mean_edge_length(mesh)
     disp = noisy.vertices - mesh.vertices
     if args.mode == "iid-coordinate":
         realized = float(disp.std())
@@ -242,14 +244,17 @@ def cmd_gen(args) -> int:
     # a negative size would turn the closed shapes inside out
     if not 0 < args.size < np.inf:
         raise ValueError("size must be positive and finite")
+    divisions = args.divisions
+    if divisions is None:
+        divisions = 3 if args.shape == "icosphere" else 10
     if args.shape == "tetrahedron":
         mesh = make_tetrahedron(scale=args.size)
     elif args.shape == "cube":
-        mesh = make_cube(divisions=args.divisions, size=args.size)
+        mesh = make_cube(divisions=divisions, size=args.size)
     elif args.shape == "icosphere":
-        mesh = make_icosphere(subdivisions=args.divisions, radius=args.size)
+        mesh = make_icosphere(subdivisions=divisions, radius=args.size)
     elif args.shape == "plane":
-        mesh = make_plane(nx=args.divisions, ny=args.divisions, size=args.size)
+        mesh = make_plane(nx=divisions, ny=divisions, size=args.size)
     else:
         mesh = make_two_triangle_square(size=args.size)
     save_mesh(mesh, args.output)

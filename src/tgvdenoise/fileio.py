@@ -238,17 +238,16 @@ def _parse_off(text):
         nv, nf, _ = (int(p) for p in parts)
     except ValueError:
         raise MeshError(f"line {lineno}: bad OFF counts") from None
-    # the body must hold nv + nf records, and then its first nv records (as
-    # a Python slice reads them: a negative nv counts from the end) are
-    # the vertices
+    if nv < 0 or nf < 0:
+        raise MeshError(f"line {lineno}: OFF counts must not be negative")
+    # the body must hold nv + nf records, and its first nv are the vertices
     expected = nv + nf
-    split = min(nv, expected) if nv >= 0 else max(expected + nv, 0)
 
     vertices, faces = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     n_body, error = 0, None
     for lineno, rows in chain([rest], blocks):
         records = list(filter(None, rows))
-        n_vertices = max(0, min(len(records), split - n_body))
+        n_vertices = max(0, min(len(records), nv - n_body))
         n_body += len(records)
         if error is not None:
             continue

@@ -104,8 +104,7 @@ class TriMesh:
         twin = slots.copy()          # the other slot of the edge, or itself
         twin[first] = second
         twin[second] = first
-        succ = np.where(twin == slots, slots,
-                        np.roll(slots.reshape(f.shape), -1, axis=1).ravel()[twin])
+        succ = np.where(twin == slots, slots, _next_slot(twin))
         name, ahead = slots, succ
         for _ in range(int(np.bincount(f.ravel()).max()).bit_length()):
             name = np.minimum(name, name[ahead])
@@ -172,6 +171,14 @@ def _rank_edges(pairs):
     shared = starts[counts == 2]
     a, b = np.take(order, shared), np.take(order, shared + 1)
     return ranked[starts], inverse, counts, np.minimum(a, b), np.maximum(a, b)
+
+
+def _next_slot(slots, step=1):
+    """The slot ``step`` places further round the same face. Face slot
+    3t + k is face t's local edge k, from its corner k to corner k + 1
+    (mod 3): step 1 gives the edge leaving the corner a slot enters, step 2
+    the edge entering the corner it leaves."""
+    return slots - slots % 3 + (slots + step) % 3
 
 
 def _checked_vertices(vertices):

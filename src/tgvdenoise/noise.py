@@ -8,6 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import _face_cross
+from .topology import build_edge_topology
+
 __all__ = ["NoiseSpec", "add_gaussian_noise", "mean_edge_length", "vertex_normals"]
 
 MODES = ("iid-coordinate", "vertex-normal")
@@ -30,21 +33,16 @@ class NoiseSpec:
 
 def mean_edge_length(mesh) -> float:
     """Mean length of the unique (undirected) edges."""
-    f = mesh.faces
-    a = np.minimum(f, np.roll(f, -1, axis=1)).ravel()
-    b = np.maximum(f, np.roll(f, -1, axis=1)).ravel()
-    edges = np.unique(np.stack([a, b], axis=1), axis=0)
-    lens = np.linalg.norm(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]], axis=1)
-    return float(lens.mean())
+    return float(build_edge_topology(mesh).edge_len.mean())
 
 
 def vertex_normals(mesh) -> np.ndarray:
     """Area-weighted vertex normals (unit length; zero where degenerate)."""
-    p = mesh.vertices[mesh.faces]
-    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    acc = np.zeros_like(mesh.vertices)
-    for corner in range(3):
-        np.add.at(acc, mesh.faces[:, corner], cross)
+    cross = _face_cross(mesh)
+    # every face's corner 0, then its corner 1, then its corner 2
+    corners = mesh.faces.T.ravel()
+    acc = np.stack([np.bincount(corners, weights=np.tile(cross[:, d], 3),
+                                minlength=mesh.num_vertices) for d in range(3)], axis=1)
     norms = np.linalg.norm(acc, axis=1)
     return np.divide(acc, norms[:, None], out=np.zeros_like(acc),
                      where=norms[:, None] > 0)

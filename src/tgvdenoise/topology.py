@@ -19,6 +19,14 @@ weighted by the element measures, also built on first use, so
 ``<jump(x), y> = -<x, adjoint(y)>`` holds by construction. Building the
 connectivity itself needs numpy only.
 
+All three layers are indexed by the mesh's face slots: slot 3t + k is face
+t's local edge k, from its corner k to corner k + 1 (mod 3), and line 3t + k
+and curve 3t + k sit at that corner. Mesh validation pairs each slot with
+its twin, the slot of the neighbouring face that runs the same edge the
+other way, or the slot itself on the boundary. As the faces are
+consistently oriented, every neighbour a stencil reads is a fixed step from
+a slot: its twin, or the next or previous slot of the same face.
+
 Edge orientation is fixed as (min vertex index -> max vertex index) so runs
 are reproducible; every quantity derived downstream is invariant to this
 choice up to the sign of edge values.
@@ -28,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import MeshError, face_barycenters, row_norm
+from .mesh import MeshError, _next_slot, face_barycenters, row_norm
 
 __all__ = [
     "Stencil",
@@ -107,13 +115,12 @@ class EdgeTopology:
         (connecting face vertex k to vertex k+1)
     face_edge_sign : (T, 3) float, sgn(face_edges[t, k], t)
     face_area : (T,) float
-    face_bary : (T, 3) float
     jump : Stencil, the edge jump (faces -> edges, boundary rows pinned);
         its adjoint maps edges -> faces
     """
 
     def __init__(self, mesh, edges, edge_len, edge_faces, edge_face_sign,
-                 is_boundary, face_edges, face_edge_sign, face_area, face_bary):
+                 is_boundary, face_edges, face_edge_sign, face_area):
         self.mesh = mesh
         self.edges = edges
         self.edge_len = edge_len
@@ -123,10 +130,9 @@ class EdgeTopology:
         self.face_edges = face_edges
         self.face_edge_sign = face_edge_sign
         self.face_area = face_area
-        self.face_bary = face_bary
         for name in ("edges", "edge_len", "edge_faces", "edge_face_sign",
                      "is_boundary", "face_edges", "face_edge_sign",
-                     "face_area", "face_bary"):
+                     "face_area"):
             getattr(self, name).setflags(write=False)
         self.jump = Stencil(np.where(edge_faces >= 0, edge_faces, 0),
                             edge_face_sign * ~is_boundary[:, None],
@@ -197,7 +203,6 @@ def build_edge_topology(mesh, _flip_edges=None) -> EdgeTopology:
         face_edges=inverse.reshape(T, 3),
         face_edge_sign=sign_slots.reshape(T, 3),
         face_area=mesh._face_areas,
-        face_bary=face_barycenters(mesh),
     )
 
 
@@ -221,31 +226,31 @@ class LineSet:
     """
 
     def __init__(self, topo):
-        f = topo.mesh.faces
-        # line 3t + j lies in face t at its vertex j: per-line values are the
-        # raveled (T, 3) face arrays, and the edges entering a face's vertices
-        # are its local edges rolled by one
-        t = np.repeat(np.arange(len(f)), 3)
+        mesh = topo.mesh
+        twin = mesh._edge_keys[2]
+        # line 3t + j is slot 3t + j, the edge leaving face t's vertex j; the
+        # edge entering that vertex is the previous slot
+        out = np.arange(len(twin))
+        into = _next_slot(out, 2)
+        twin_in = np.take(twin, into)
 
         self.topo = topo
-        self.line_face = t
-        self.line_vertex = f.ravel()
-        self.line_len = row_norm(np.repeat(topo.face_bary, 3, axis=0)
-                                 - np.take(topo.mesh.vertices, self.line_vertex, axis=0))
-        # local edge k runs from face vertex k to k+1: edge j leaves vertex j,
-        # edge (j+2)%3 enters it
-        self.edge_in = np.roll(topo.face_edges, 1, axis=1).ravel()
+        self.line_face = out // 3
+        self.line_vertex = mesh.faces.ravel()
+        self.line_len = row_norm(np.repeat(face_barycenters(mesh), 3, axis=0)
+                                 - np.take(mesh.vertices, self.line_vertex, axis=0))
         self.edge_out = topo.face_edges.ravel()
-        self.face_across_in = _other_face(topo, self.edge_in, t)
-        self.face_across_out = _other_face(topo, self.edge_out, t)
-        self.active = ~(np.take(topo.is_boundary, self.edge_in)
-                        | np.take(topo.is_boundary, self.edge_out))
+        self.edge_in = np.take(self.edge_out, into)
+        # the face across a slot holds its twin, unless the slot is its own
+        self.face_across_in = np.where(twin_in == into, -1, twin_in // 3)
+        self.face_across_out = np.where(twin == out, -1, twin // 3)
+        self.active = (self.face_across_in >= 0) & (self.face_across_out >= 0)
 
         for name in ("line_face", "line_vertex", "line_len", "edge_in", "edge_out",
                      "face_across_in", "face_across_out", "active"):
             getattr(self, name).setflags(write=False)
-        signs = np.stack([np.roll(topo.face_edge_sign, 1, axis=1).ravel(),
-                          topo.face_edge_sign.ravel()], axis=1)
+        sign = topo.face_edge_sign.ravel()
+        signs = np.stack([np.take(sign, into), sign], axis=1)
         signs *= self.active[:, None]
         self.jump = Stencil(np.stack([self.edge_in, self.edge_out], axis=1), signs,
                             self.line_len, topo.edge_len)
@@ -256,13 +261,6 @@ class LineSet:
 
     def __repr__(self):
         return f"LineSet(lines={self.num_lines}, active={int(self.active.sum())})"
-
-
-def _other_face(topo, edge_idx, this_face):
-    """The incident face of each edge that is not ``this_face``: slot 2e of
-    the raveled (E, 2) faces, or 2e + 1 where slot 2e holds this_face."""
-    first = np.take(topo.edge_faces[:, 0], edge_idx) == this_face
-    return np.take(topo.edge_faces.ravel(), 2 * edge_idx + first)
 
 
 class CurveSet:
@@ -286,15 +284,36 @@ class CurveSet:
 
     def __init__(self, lines):
         topo = lines.topo
-        # the helper's temporaries are freed before the CSR arrays are made
-        edges, signs, valid, curve_len = _curve_rows(lines)
+        twin = topo.mesh._edge_keys[2]
+        # the triangles across curve c's outgoing slot c and incoming slot
+        # prev(c) hold their twins. twin(c) enters the vertex, so the far edge
+        # is the slot after it; twin(prev(c)) leaves the vertex, so the far
+        # edge is the slot before it. The slots leaving the vertex,
+        # next(twin(c)) and twin(prev(c)), are those triangles' lines there
+        twin_in = np.take(twin, _next_slot(np.arange(len(twin)), 2))
+        slots = np.stack([_next_slot(twin), twin, twin_in, _next_slot(twin_in, 2)], axis=1)
+        valid = (np.take(twin, slots) != slots).all(axis=1)
+
+        # len(c) = (len(l_out_nbr) + 2 len(l) + len(l_in_nbr)) / 4 with missing
+        # neighbor lines standing in as len(l); inert, since invalid curves
+        # only ever carry zero values
+        l_len = lines.line_len
+        curve_len = np.where(lines.face_across_out >= 0, np.take(l_len, slots[:, 0]), l_len)
+        curve_len += 2.0 * l_len
+        curve_len += np.where(lines.face_across_in >= 0, np.take(l_len, twin_in), l_len)
+        curve_len *= 0.25
+
         self.topo = topo
         self.lines = lines
         self.valid = valid
         self.curve_len = curve_len
-
         for name in ("valid", "curve_len"):
             getattr(self, name).setflags(write=False)
+        signs = np.take(topo.face_edge_sign.ravel(), slots)
+        signs *= valid[:, None]
+        edges = np.take(topo.face_edges.ravel(), slots)
+        # the slots are freed before the CSR arrays are made
+        del slots, twin_in
         self.jump = Stencil(edges, signs, curve_len, topo.edge_len)
 
     @property
@@ -303,76 +322,6 @@ class CurveSet:
 
     def __repr__(self):
         return f"CurveSet(curves={self.num_curves}, valid={int(self.valid.sum())})"
-
-
-def _curve_rows(lines):
-    """Per curve: the four stencil edges, their signs (zero on invalid
-    curves), validity and length."""
-    topo = lines.topo
-    p = lines.line_vertex
-    tau_in = lines.face_across_in     # triangle across the incoming edge
-    tau_out = lines.face_across_out   # triangle across the outgoing edge
-
-    has_in = tau_in >= 0
-    has_out = tau_out >= 0
-    safe_in = np.where(has_in, tau_in, 0)
-    safe_out = np.where(has_out, tau_out, 0)
-
-    # the other edge of each neighbor triangle incident to the vertex p; a
-    # missing far edge reads 0
-    far_in, far_in_sign, line_in = _other_edge_at_vertex(
-        topo, safe_in, p, lines.edge_in)
-    far_out, far_out_sign, line_out = _other_edge_at_vertex(
-        topo, safe_out, p, lines.edge_out)
-    far_in = np.where(has_in, far_in, 0)
-    far_out = np.where(has_out, far_out, 0)
-
-    # sgn of the shared edges evaluated in the neighbor triangles
-    sign_in_nbr = _sign_in_face(topo, lines.edge_in, safe_in)
-    sign_out_nbr = _sign_in_face(topo, lines.edge_out, safe_out)
-
-    boundary = topo.is_boundary
-    valid = has_in & has_out & ~(
-        np.take(boundary, far_out) | np.take(boundary, lines.edge_out)
-        | np.take(boundary, lines.edge_in) | np.take(boundary, far_in))
-    edges = np.stack([far_out, lines.edge_out, lines.edge_in, far_in], axis=1)
-    signs = np.stack([far_out_sign, sign_out_nbr, sign_in_nbr, far_in_sign], axis=1)
-    signs *= valid[:, None]
-
-    # len(c) = (len(l_out_nbr) + 2 len(l) + len(l_in_nbr)) / 4 with missing
-    # neighbor lines standing in as len(l); inert, since invalid curves
-    # only ever carry zero values
-    l_len = lines.line_len
-    len_in = np.where(has_in, np.take(l_len, np.where(has_in, line_in, 0)), l_len)
-    len_out = np.where(has_out, np.take(l_len, np.where(has_out, line_out, 0)), l_len)
-    curve_len = 0.25 * (len_out + 2.0 * l_len + len_in)
-    return edges, signs, valid, curve_len
-
-
-def _other_edge_at_vertex(topo, face, vertex, not_this_edge):
-    """In ``face``, the edge incident to ``vertex`` that is not ``not_this_edge``.
-
-    Returns (edge index, sgn(edge, face), line index of ``face`` at
-    ``vertex``), reading slot 3 * face + k of the raveled (T, 3) face arrays.
-    """
-    corners = topo.mesh.faces.ravel()
-    first = 3 * face
-    # the corner k at the vertex; a face without it gives k = 0 (a face
-    # repeats no vertex, so at most one corner matches)
-    k = (np.take(corners, first + 1) == vertex) + 2 * (np.take(corners, first + 2) == vertex)
-    leaving = first + k                   # slot of the edge leaving the vertex
-    entering = first + (k + 2) % 3        # slot of the edge entering it
-    face_edges = topo.face_edges.ravel()
-    slot = np.where(np.take(face_edges, leaving) == not_this_edge, entering, leaving)
-    return (np.take(face_edges, slot), np.take(topo.face_edge_sign.ravel(), slot),
-            leaving)
-
-
-def _sign_in_face(topo, edge_idx, face):
-    """sgn(edge, face): slot 2e of the raveled (E, 2) signs, or 2e + 1 where
-    the edge's first face is not ``face``."""
-    second = np.take(topo.edge_faces[:, 0], edge_idx) != face
-    return np.take(topo.edge_face_sign.ravel(), 2 * edge_idx + second)
 
 
 class Connectivity:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tgvdenoise import build_connectivity, make_cube, make_tetrahedron
+from tgvdenoise import TriMesh, build_connectivity, make_cube, make_tetrahedron
 from tgvdenoise.synth import make_plane, make_two_triangle_square
 
 
@@ -47,10 +47,23 @@ def cube_small_conn(cube_small):
 
 
 @pytest.fixture(scope="session")
-def all_conns(tet_conn, cube_small_conn, plane_conn, square_conn):
+def cube_relabeled_conn(cube_small):
+    # the small cube with its vertices and faces permuted and every face's
+    # corners rotated by one or two places: a face slot order that no
+    # generator produces
+    rng = np.random.default_rng(19)
+    vperm = rng.permutation(cube_small.num_vertices)
+    faces = np.argsort(vperm)[cube_small.faces][rng.permutation(cube_small.num_faces)]
+    corners = (np.arange(3) + rng.integers(1, 3, size=(len(faces), 1))) % 3
+    faces = np.take_along_axis(faces, corners, axis=1)
+    return build_connectivity(TriMesh(cube_small.vertices[vperm], faces))
+
+
+@pytest.fixture(scope="session")
+def all_conns(tet_conn, cube_small_conn, plane_conn, square_conn, cube_relabeled_conn):
     # the square has no valid curve, so its curve jump is all zeros
     return {"tetrahedron": tet_conn, "cube": cube_small_conn, "plane": plane_conn,
-            "square": square_conn}
+            "square": square_conn, "relabeled cube": cube_relabeled_conn}
 
 
 def random_fields(conn, rng, channels=3):

@@ -232,6 +232,8 @@ def _parse_off_reference(text):
         nv, nf, _ = (int(p) for p in parts)
     except ValueError:
         raise MeshError(f"line {lineno}: bad OFF counts") from None
+    if nv < 0 or nf < 0:
+        raise MeshError(f"line {lineno}: OFF counts must not be negative")
     body = lines[2:]
     if len(body) != nv + nf:
         raise MeshError(f"OFF body has {len(body)} records, expected {nv + nf}")

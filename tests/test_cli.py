@@ -35,6 +35,15 @@ def test_gen_shapes(capsys, tmp_path):
     assert info["faces"] == 2 * 16
 
 
+def test_gen_icosphere_default_level_is_3(capsys, tmp_path):
+    # the cube's and plane's grid default of 10 would be a 21M-face sphere
+    path, info = gen(capsys, tmp_path, "icosphere", "ico.obj")
+    assert info["faces"] == 1280
+    assert load_mesh(path).num_faces == 1280
+    _, info = gen(capsys, tmp_path, "cube", "cube.obj")
+    assert info["faces"] == 12 * 100
+
+
 def test_add_noise_deterministic_and_reported(capsys, tmp_path):
     mesh_path, _ = gen(capsys, tmp_path, "icosphere", "ico.off", divisions=3)
     out1, out2 = tmp_path / "n1.off", tmp_path / "n2.off"
@@ -58,6 +67,19 @@ def test_add_noise_level_zero_round_trips(capsys, tmp_path):
                          "--level", "0")
     assert code == 0
     assert out.read_bytes() == mesh_path.read_bytes()
+
+
+@pytest.mark.parametrize("level", ["0", "0.3"])
+def test_add_noise_faceless_mesh_exits_1(capsys, tmp_path, level):
+    # a mesh without faces has no mean edge length to scale the noise by
+    mesh_path, out = tmp_path / "faceless.off", tmp_path / "out.off"
+    mesh_path.write_text("OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_cli(capsys, "add-noise", str(mesh_path), "-o", str(out),
+                                    "--level", level)
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err == "error: mesh has no faces\n" and caught == []
 
 
 def test_metrics_self_comparison(capsys, tmp_path):

@@ -87,6 +87,15 @@ def test_off_header_and_counts_required(tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("counts", ["5 -2 0", "-2 5 0", "-1 -1 0"])
+def test_off_negative_counts_rejected(tmp_path, counts):
+    # "5 -2" over three vertex records once loaded as a mesh without faces
+    path = tmp_path / "neg.off"
+    path.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n")
+    with pytest.raises(MeshError, match="line 2: OFF counts must not be negative"):
+        load_mesh(path)
+
+
 @pytest.mark.parametrize("fmt", ["obj", "off"])
 def test_round_trip_exact(tmp_path, fmt):
     rng = np.random.default_rng(5)

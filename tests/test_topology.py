@@ -234,7 +234,7 @@ def test_connectivity_imports_no_scipy(tmp_path):
 def test_connectivity_memory_per_face():
     # each jump is held once, as the CSR arrays its matrix wraps, and the
     # topology reuses the mesh's edge keys: the mesh, its connectivity and
-    # the three jumps and three adjoints hold 988 B per face here, and a
+    # the three jumps and three adjoints hold 963 B per face here, and a
     # second copy of the jumps' slots (a padded table) reads ~1 600
     import scipy.sparse  # noqa: F401  (loaded before tracing: not held data)
 
