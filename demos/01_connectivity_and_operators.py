@@ -40,8 +40,13 @@ print("Applied to the jump of a face field, the line jump reproduces the")
 print("same-direction second difference 2*u - u(across) - u(across):")
 u1 = rng.normal(size=conn.topo.num_faces)
 lj = line_jump(conn.lines, edge_jump(conn.topo, u1))
-lines = conn.lines
-ref = 2 * u1[lines.line_face] - u1[lines.face_across_in] - u1[lines.face_across_out]
+# the reference read off the faces: line 3t + j sits at face t's corner j,
+# between the edge entering it and the edge leaving it; the face across a
+# directed edge (a, b) is the one that runs (b, a)
+faces = conn.mesh.faces.tolist()
+owner = {(f[k], f[(k + 1) % 3]): t for t, f in enumerate(faces) for k in range(3)}
+ref = np.array([2 * u1[t] - u1[owner[f[j], f[j - 1]]] - u1[owner[f[(j + 1) % 3], f[j]]]
+                for t, f in enumerate(faces) for j in range(3)])
 print("  max deviation:", np.abs(lj - ref).max())
 
 print()

@@ -138,7 +138,14 @@ def cmd_denoise(args) -> int:
     params = _solver_params(args)
     if args.vertex_iters < 1:
         raise ValueError("vertex-iters must be at least 1")
+    if args.error_map and not args.ground_truth:
+        raise ValueError("--error-map requires --ground-truth")
     mesh = load_mesh(args.input)
+    # the reference is checked before any sweep, so a bad one writes nothing
+    if args.ground_truth:
+        clean = load_mesh(args.ground_truth)
+        if clean.num_faces != mesh.num_faces:
+            raise MeshError("ground-truth face count does not match the input mesh")
     conn = build_connectivity(mesh)
     n_in = face_normals(mesh)
     result = filter_normals(conn, n_in, params, diagnostics_path=args.diagnostics)
@@ -153,9 +160,6 @@ def cmd_denoise(args) -> int:
         "vertex_count": mesh.num_vertices,
     }
     if args.ground_truth:
-        clean = load_mesh(args.ground_truth)
-        if clean.num_faces != mesh.num_faces:
-            raise MeshError("ground-truth face count does not match the input mesh")
         n_clean = face_normals(clean)
         n_out = face_normals(out_mesh)
         report["theta_filtered_degrees"] = mean_angular_difference(result.normals, n_clean)
@@ -163,8 +167,6 @@ def cmd_denoise(args) -> int:
         report["e_v"] = vertex_error(out_mesh, clean)
         if args.error_map:
             write_face_error_csv(args.error_map, face_angle_errors(n_out, n_clean))
-    elif args.error_map:
-        raise MeshError("--error-map requires --ground-truth")
     _emit(report)
     return 0
 

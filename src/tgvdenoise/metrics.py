@@ -3,6 +3,7 @@
 import numpy as np
 
 from .mesh import cross, row_dot, row_norm
+from .operators import edge_jump
 
 __all__ = [
     "face_angle_errors", "mean_angular_difference", "write_face_error_csv",
@@ -160,15 +161,10 @@ def vertex_error(denoised, reference) -> float:
 
 
 def feature_adjacent_faces(topo, normals, threshold_deg: float = 30.0) -> np.ndarray:
-    """Faces incident to an edge whose two face normals differ by more than
-    the threshold angle; used to score errors near sharp creases."""
-    n = np.asarray(normals, dtype=np.float64)
-    interior = ~topo.is_boundary
-    f0 = topo.edge_faces[:, 0]
-    f1 = np.where(topo.edge_faces[:, 1] >= 0, topo.edge_faces[:, 1], f0)
-    dots = np.clip(row_dot(np.take(n, f0, axis=0), np.take(n, f1, axis=0)), -1.0, 1.0)
-    sharp = interior & (np.degrees(np.arccos(dots)) > threshold_deg)
-    mask = np.zeros(topo.num_faces, dtype=bool)
-    mask[f0[sharp]] = True
-    mask[f1[sharp]] = True
-    return np.nonzero(mask)[0]
+    """Faces incident to an edge whose two unit face normals differ by more
+    than the threshold angle; used to score errors near sharp creases. The
+    edge jump of the normals, +-(n_0 - n_1), has squared length
+    2 - 2 cos(angle) on an interior edge and 0 on a boundary edge."""
+    jump = edge_jump(topo, normals)
+    sharp = row_dot(jump, jump) > 2.0 - 2.0 * np.cos(np.radians(threshold_deg))
+    return np.flatnonzero(np.take(sharp, topo.face_edges).any(axis=1))

@@ -154,16 +154,11 @@ def tv_seminorm(topo, u) -> float:
 
 
 def ho_seminorm(lines, u) -> float:
-    """High-order variation: per line, the magnitude of
-    2*u(own) - u(across in) - u(across out), times line length; lines whose
-    stencil touches the boundary are skipped."""
-    u2 = _as2d(u, lines.topo.num_faces, "face")
-    act = lines.active
-    own = np.take(u2, lines.line_face[act], axis=0)
-    across = np.take(u2, lines.face_across_in[act], axis=0) \
-        + np.take(u2, lines.face_across_out[act], axis=0)
-    mags = row_norm(2.0 * own - across)
-    return float((mags * lines.line_len[act]).sum())
+    """High-order variation: per line, the magnitude of line_jump(edge_jump(u)),
+    the second difference 2*u(own) - u(across in) - u(across out), times line
+    length; lines whose stencil touches the boundary carry 0."""
+    jump = line_jump(lines, edge_jump(lines.topo, u))
+    return float((_row_norms(jump) * lines.line_len).sum())
 
 
 def tgv_energy(conn, u, v, alpha1, alpha0) -> float:
@@ -184,13 +179,14 @@ def tgv_energy(conn, u, v, alpha1, alpha0) -> float:
     if u2.shape[1] != v2.shape[1]:
         raise ValueError("u and v must have the same channel count")
     return tgv_energy_of_jumps(conn, edge_jump(topo, u2) - v2, line_jump(conn.lines, v2),
-                               curve_jump(conn.curves, v2), alpha1, alpha0)
+                               curve_jump(conn.curves, v2), 1.0, alpha1, alpha0)
 
 
-def tgv_energy_of_jumps(conn, resid, jump_l, jump_c, alpha1, alpha0) -> float:
+def tgv_energy_of_jumps(conn, resid, jump_l, jump_c, w, alpha1, alpha0) -> float:
     """tgv_energy from the fields it is made of: resid = edge_jump(u) - v,
-    jump_l = line_jump(v) and jump_c = curve_jump(v), all (rows, C)."""
-    first = (row_norm(resid) * conn.topo.edge_len).sum()
+    jump_l = line_jump(v) and jump_c = curve_jump(v), all (rows, C), with
+    edge e's first-order term weighted by w (a scalar or one per edge)."""
+    first = (w * row_norm(resid) * conn.topo.edge_len).sum()
     second = (row_norm(jump_l) * conn.lines.line_len).sum() \
         + (row_norm(jump_c) * conn.curves.curve_len).sum()
     return float(alpha1 * first + alpha0 * second)

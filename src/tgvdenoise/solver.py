@@ -129,8 +129,8 @@ class SolverState:
         topo, lines, curves = conn.topo, conn.lines, conn.curves
         E, L, C = topo.num_edges, lines.num_lines, curves.num_curves
         ch = n_in.shape[1]
-        w = edge_weights(topo, n_in, params.sigma_e) if params.dynamic_weights \
-            else np.ones(E)
+        w = edge_weights(edge_jump(topo, n_in), params.sigma_e) \
+            if params.dynamic_weights else np.ones(E)
         return cls(
             N=np.zeros((topo.num_faces, ch)),
             v=np.zeros((E, ch)), P=np.zeros((E, ch)), lam_P=np.zeros((E, ch)),
@@ -181,16 +181,11 @@ def shrink(weight, penalty, z) -> np.ndarray:
     return out[0] if single else out
 
 
-def edge_weights(topo, normals, sigma_e) -> np.ndarray:
-    """Per-edge feature weights from the normals of the two incident faces;
-    boundary edges get weight 1."""
-    f0 = topo.edge_faces[:, 0]
-    f1 = np.where(topo.edge_faces[:, 1] >= 0, topo.edge_faces[:, 1], f0)
-    diff = np.take(normals, f0, axis=0) - np.take(normals, f1, axis=0)
-    diff2 = row_dot(diff, diff)
-    w = np.exp(-diff2 / (2.0 * sigma_e ** 2))
-    w[topo.is_boundary] = 1.0
-    return w
+def edge_weights(jump_n, sigma_e) -> np.ndarray:
+    """Per-edge feature weights exp(-|N_1 - N_2|^2 / (2 sigma_e^2)) from
+    ``jump_n`` = edge_jump(N), which is +-(N_1 - N_2) exactly on an interior
+    edge and 0, so weight 1, on a boundary edge."""
+    return np.exp(-row_dot(jump_n, jump_n) / (2.0 * sigma_e ** 2))
 
 
 def _cg_block(apply_op, rhs, measure, rel_tol, max_iters, label, x0=None):
@@ -427,18 +422,6 @@ def _split_steps(conn, state, params, v_system, jump_n):
     return jumps
 
 
-def _objective(conn, n_in, state, params, jump_n, jump_l, jump_c):
-    """The filter's objective at ``state``, given edge_jump(N),
-    line_jump(v) and curve_jump(v)."""
-    topo, lines, curves = conn.topo, conn.lines, conn.curves
-    fid = 0.5 * params.beta * inner_faces(topo, state.N - n_in, state.N - n_in)
-    resid = jump_n - state.v
-    first = (state.w * row_norm(resid) * topo.edge_len).sum()
-    second = (row_norm(jump_l) * lines.line_len).sum() \
-        + (row_norm(jump_c) * curves.curve_len).sum()
-    return float(fid + params.alpha1 * first + params.alpha0 * second)
-
-
 def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResult:
     """Run the full augmented-Lagrangian sweep loop on a unit normal field.
 
@@ -479,13 +462,14 @@ def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResu
         res_q2 = norm_curves(conn.curves, state.Q2 - jump_c)
         diff = state.N - n_prev
         change_sq = inner_faces(topo, diff, diff)
-        rows.append((k, _objective(conn, n_in, state, params, jump_n, jump_l, jump_c),
-                     res_p, res_q1, res_q2, change_sq))
+        fid = 0.5 * params.beta * inner_faces(topo, state.N - n_in, state.N - n_in)
+        objective = fid + tgv_energy_of_jumps(conn, jump_n - state.v, jump_l, jump_c,
+                                              state.w, params.alpha1, params.alpha0)
+        rows.append((k, objective, res_p, res_q1, res_q2, change_sq))
+        if params.dynamic_weights:
+            state.w = edge_weights(jump_n, params.sigma_e)
         # the jumps would otherwise stay alive through the next sweep's solves
         del jump_n, jump_l, jump_c
-
-        if params.dynamic_weights:
-            state.w = edge_weights(topo, state.N, params.sigma_e)
 
         if change_sq < params.stop_tol:
             stop_reason = "tolerance"
@@ -530,7 +514,8 @@ def minimize_tgv(conn, u, alpha1, alpha0, iters=200):
     jump_u = edge_jump(conn.topo, u2)
 
     def energy(v, jump_l, jump_c):
-        return tgv_energy_of_jumps(conn, jump_u - v, jump_l, jump_c, alpha1, alpha0)
+        return tgv_energy_of_jumps(conn, jump_u - v, jump_l, jump_c, state.w,
+                                   alpha1, alpha0)
 
     # seed the search with the two analytic candidates: v = 0 (reduces to the
     # first-order term alone) and v = jump_u (kills the first-order term)

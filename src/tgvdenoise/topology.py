@@ -2,12 +2,11 @@
 
 Three layers are built on top of a validated TriMesh:
 
-* EdgeTopology: the unique undirected edges, their incident faces, and the
-  relative orientation sign of each edge against each incident face's
-  counterclockwise traversal.
+* EdgeTopology: the unique undirected edges, their lengths and boundary
+  flags, and each face's three edges with the relative orientation sign of
+  each edge against the face's counterclockwise traversal.
 * LineSet: per triangle, the three segments from the barycenter to each
-  vertex. Each line knows the edge entering its vertex (counterclockwise)
-  and the edge leaving it, plus the triangles across those edges.
+  vertex, their lengths, and whether both edges at the vertex are interior.
 * CurveSet: per line, the four-edge stencil that wraps around the line's
   vertex through the two neighboring triangles.
 
@@ -17,7 +16,8 @@ measures of its output and input elements. The scipy matrix wrapping those
 arrays is made on first use. The adjoint is that matrix's transpose
 weighted by the element measures, also built on first use, so
 ``<jump(x), y> = -<x, adjoint(y)>`` holds by construction. Building the
-connectivity itself needs numpy only.
+connectivity itself needs numpy only. Which faces an edge, line or curve
+reads is held in its jump's rows and nowhere else.
 
 All three layers are indexed by the mesh's face slots: slot 3t + k is face
 t's local edge k, from its corner k to corner k + 1 (mod 3), and line 3t + k
@@ -101,46 +101,65 @@ class Stencil:
 
 
 class EdgeTopology:
-    """Oriented edge list with incidence, signs, and element measures.
+    """Edge lengths and boundary flags, each face's edges and their signs,
+    face areas, and the edge jump.
 
     Attributes
     ----------
-    edges : (E, 2) int, stored edge orientation (a -> b)
     edge_len : (E,) float
-    edge_faces : (E, 2) int, incident faces, -1 in the second slot for
-        boundary edges
-    edge_face_sign : (E, 2) float, sgn(e, face) per slot (0 where missing)
     is_boundary : (E,) bool
     face_edges : (T, 3) int, edge index of the face's local edge k
         (connecting face vertex k to vertex k+1)
-    face_edge_sign : (T, 3) float, sgn(face_edges[t, k], t)
+    face_edge_sign : (T, 3) float, sgn(face_edges[t, k], t): +1 where the
+        face runs the edge in its stored orientation
     face_area : (T,) float
-    jump : Stencil, the edge jump (faces -> edges, boundary rows pinned);
-        its adjoint maps edges -> faces
+    jump : Stencil, the edge jump (faces -> edges: each interior edge's two
+        faces in face order, signed; boundary rows pinned); its adjoint maps
+        edges -> faces
     """
 
-    def __init__(self, mesh, edges, edge_len, edge_faces, edge_face_sign,
-                 is_boundary, face_edges, face_edge_sign, face_area):
+    def __init__(self, mesh, _flip_edges=None):
+        f = mesh.faces
+        if len(f) == 0:
+            raise MeshError("mesh has no faces")
+
+        # directed boundary edges per face: local edge k goes f[t,k] -> f[t,k+1];
+        # the undirected edge (a, b), a < b, is keyed by the integer a * V + b.
+        # The mesh has already ranked the keys and paired each face slot 3t + k
+        # with its twin, the other slot of its edge (itself on the boundary)
+        V = len(mesh.vertices)
+        keys, inverse, twin = mesh._edge_keys
+        v = mesh.vertices
         self.mesh = mesh
-        self.edges = edges
-        self.edge_len = edge_len
-        self.edge_faces = edge_faces
-        self.edge_face_sign = edge_face_sign
-        self.is_boundary = is_boundary
-        self.face_edges = face_edges
-        self.face_edge_sign = face_edge_sign
-        self.face_area = face_area
-        for name in ("edges", "edge_len", "edge_faces", "edge_face_sign",
-                     "is_boundary", "face_edges", "face_edge_sign",
+        self.edge_len = row_norm(np.take(v, keys % V, axis=0) - np.take(v, keys // V, axis=0))
+
+        # each edge's slots in face order: the first is the one not above its
+        # twin, the second its twin, which is the first again on the boundary
+        lead = np.flatnonzero(twin >= np.arange(len(twin)))
+        edge_slots = np.empty((len(keys), 2), dtype=np.int64)
+        edge_of = np.take(inverse, lead)
+        edge_slots[edge_of, 0] = lead
+        edge_slots[edge_of, 1] = np.take(twin, lead)
+        self.is_boundary = edge_slots[:, 0] == edge_slots[:, 1]
+
+        # stored orientation agrees with the face traversal iff head < tail
+        sign_slots = np.where(f < np.roll(f, -1, axis=1), 1.0, -1.0).ravel()
+        if _flip_edges is not None:
+            sign_slots = sign_slots * np.where(np.asarray(_flip_edges, dtype=bool)[inverse],
+                                               -1.0, 1.0)
+        self.face_edges = inverse.reshape(f.shape)
+        self.face_edge_sign = sign_slots.reshape(f.shape)
+        self.face_area = mesh._face_areas
+        for name in ("edge_len", "is_boundary", "face_edges", "face_edge_sign",
                      "face_area"):
             getattr(self, name).setflags(write=False)
-        self.jump = Stencil(np.where(edge_faces >= 0, edge_faces, 0),
-                            edge_face_sign * ~is_boundary[:, None],
-                            edge_len, face_area)
+        signs = np.take(sign_slots, edge_slots)
+        signs *= ~self.is_boundary[:, None]
+        self.jump = Stencil(edge_slots // 3, signs, self.edge_len, self.face_area)
 
     @property
     def num_edges(self):
-        return len(self.edges)
+        return len(self.edge_len)
 
     @property
     def num_faces(self):
@@ -158,106 +177,48 @@ def build_edge_topology(mesh, _flip_edges=None) -> EdgeTopology:
     stored orientation of selected edges; it exists to test that results do
     not depend on the orientation choice.
     """
-    f = mesh.faces
-    T = len(f)
-    if T == 0:
-        raise MeshError("mesh has no faces")
-
-    # directed boundary edges per face: local edge k goes f[t,k] -> f[t,k+1];
-    # the undirected edge (a, b), a < b, is keyed by the integer a * V + b.
-    # The mesh has already ranked the keys and paired each face slot 3t + k
-    # with its twin, the other slot of its edge (itself on the boundary)
-    V = len(mesh.vertices)
-    keys, inverse, twin = mesh._edge_keys
-    edges = np.stack(np.divmod(keys, V), axis=1)
-    E = len(edges)
-
-    # each edge's slots in face order: the first is the one not above its
-    # twin, the second its twin, or -1 on the boundary
-    lead = np.flatnonzero(twin >= np.arange(len(twin)))
-    other = np.take(twin, lead)
-    edge_of = np.take(inverse, lead)
-    edge_slots = np.empty((E, 2), dtype=np.int64)
-    edge_slots[edge_of, 0] = lead
-    edge_slots[edge_of, 1] = np.where(other == lead, -1, other)
-
-    # stored orientation agrees with the face traversal iff head < tail
-    sign_slots = np.where(f < np.roll(f, -1, axis=1), 1.0, -1.0).ravel()
-    if _flip_edges is not None:
-        flip = np.asarray(_flip_edges, dtype=bool)
-        edges = np.where(flip[:, None], edges[:, ::-1], edges)
-        sign_slots = sign_slots * np.where(flip[inverse], -1.0, 1.0)
-
-    # a missing second face keeps the slot's -1 (-1 // 3 == -1) and sign 0
-    is_boundary = edge_slots[:, 1] < 0
-    edge_face_sign = np.take(sign_slots, edge_slots)
-    edge_face_sign[is_boundary, 1] = 0.0
-    v = mesh.vertices
-    return EdgeTopology(
-        mesh=mesh,
-        edges=edges,
-        edge_len=row_norm(np.take(v, edges[:, 1], axis=0) - np.take(v, edges[:, 0], axis=0)),
-        edge_faces=edge_slots // 3,
-        edge_face_sign=edge_face_sign,
-        is_boundary=is_boundary,
-        face_edges=inverse.reshape(T, 3),
-        face_edge_sign=sign_slots.reshape(T, 3),
-        face_area=mesh._face_areas,
-    )
+    return EdgeTopology(mesh, _flip_edges)
 
 
 class LineSet:
     """Barycenter-to-vertex lines, three per triangle (line 3*t + j sits in
-    triangle t at its j-th vertex).
+    triangle t at its j-th vertex, between the edge entering that vertex
+    and the edge leaving it in counterclockwise order).
 
     Attributes
     ----------
-    line_face : (3T,) int, owning triangle
-    line_vertex : (3T,) int, the vertex the line runs to
     line_len : (3T,) float, barycenter-to-vertex distance
-    edge_in / edge_out : (3T,) int, the face edges entering / leaving the
-        line's vertex in counterclockwise order
-    face_across_in / face_across_out : (3T,) int, triangle on the other side
-        of edge_in / edge_out (-1 at the boundary)
     active : (3T,) bool, False when either edge lies on the boundary (the
         jump over such a line is pinned to 0)
-    jump : Stencil, the line jump (edges -> lines: the two edge values
-        signed against the owning face)
+    jump : Stencil, the line jump (edges -> lines: the entering and the
+        leaving edge's values, signed against the owning face)
     """
 
     def __init__(self, topo):
         mesh = topo.mesh
         twin = mesh._edge_keys[2]
         # line 3t + j is slot 3t + j, the edge leaving face t's vertex j; the
-        # edge entering that vertex is the previous slot
+        # edge entering that vertex is the previous slot. A slot that is its
+        # own twin lies on the boundary
         out = np.arange(len(twin))
         into = _next_slot(out, 2)
-        twin_in = np.take(twin, into)
+        interior = twin != out
 
         self.topo = topo
-        self.line_face = out // 3
-        self.line_vertex = mesh.faces.ravel()
         self.line_len = row_norm(np.repeat(face_barycenters(mesh), 3, axis=0)
-                                 - np.take(mesh.vertices, self.line_vertex, axis=0))
-        self.edge_out = topo.face_edges.ravel()
-        self.edge_in = np.take(self.edge_out, into)
-        # the face across a slot holds its twin, unless the slot is its own
-        self.face_across_in = np.where(twin_in == into, -1, twin_in // 3)
-        self.face_across_out = np.where(twin == out, -1, twin // 3)
-        self.active = (self.face_across_in >= 0) & (self.face_across_out >= 0)
-
-        for name in ("line_face", "line_vertex", "line_len", "edge_in", "edge_out",
-                     "face_across_in", "face_across_out", "active"):
+                                 - np.take(mesh.vertices, mesh.faces.ravel(), axis=0))
+        self.active = interior & np.take(interior, into)
+        for name in ("line_len", "active"):
             getattr(self, name).setflags(write=False)
-        sign = topo.face_edge_sign.ravel()
-        signs = np.stack([np.take(sign, into), sign], axis=1)
+        slots = np.stack([into, out], axis=1)
+        signs = np.take(topo.face_edge_sign.ravel(), slots)
         signs *= self.active[:, None]
-        self.jump = Stencil(np.stack([self.edge_in, self.edge_out], axis=1), signs,
+        self.jump = Stencil(np.take(topo.face_edges.ravel(), slots), signs,
                             self.line_len, topo.edge_len)
 
     @property
     def num_lines(self):
-        return len(self.line_face)
+        return len(self.line_len)
 
     def __repr__(self):
         return f"LineSet(lines={self.num_lines}, active={int(self.active.sum())})"
@@ -290,21 +251,22 @@ class CurveSet:
         # is the slot after it; twin(prev(c)) leaves the vertex, so the far
         # edge is the slot before it. The slots leaving the vertex,
         # next(twin(c)) and twin(prev(c)), are those triangles' lines there
-        twin_in = np.take(twin, _next_slot(np.arange(len(twin)), 2))
+        slot = np.arange(len(twin))
+        into = _next_slot(slot, 2)
+        twin_in = np.take(twin, into)
         slots = np.stack([_next_slot(twin), twin, twin_in, _next_slot(twin_in, 2)], axis=1)
         valid = (np.take(twin, slots) != slots).all(axis=1)
 
         # len(c) = (len(l_out_nbr) + 2 len(l) + len(l_in_nbr)) / 4 with missing
-        # neighbor lines standing in as len(l); inert, since invalid curves
-        # only ever carry zero values
+        # neighbor lines, behind a slot that is its own twin, standing in as
+        # len(l); inert, since invalid curves only ever carry zero values
         l_len = lines.line_len
-        curve_len = np.where(lines.face_across_out >= 0, np.take(l_len, slots[:, 0]), l_len)
+        curve_len = np.where(twin != slot, np.take(l_len, slots[:, 0]), l_len)
         curve_len += 2.0 * l_len
-        curve_len += np.where(lines.face_across_in >= 0, np.take(l_len, twin_in), l_len)
+        curve_len += np.where(twin_in != into, np.take(l_len, twin_in), l_len)
         curve_len *= 0.25
 
         self.topo = topo
-        self.lines = lines
         self.valid = valid
         self.curve_len = curve_len
         for name in ("valid", "curve_len"):
@@ -313,7 +275,7 @@ class CurveSet:
         signs *= valid[:, None]
         edges = np.take(topo.face_edges.ravel(), slots)
         # the slots are freed before the CSR arrays are made
-        del slots, twin_in
+        del slots, slot, into, twin_in
         self.jump = Stencil(edges, signs, curve_len, topo.edge_len)
 
     @property

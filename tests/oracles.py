@@ -44,86 +44,141 @@ def closest_point_on_triangle(point, tri):
     return min(np.linalg.norm(point - q) for q in candidates)
 
 
-def _sign_in_face(topo, e, t):
-    """sgn(e, t), read from the edge's incident-face slots."""
-    (slot,) = [k for k in range(2) if topo.edge_faces[e, k] == t]
-    return topo.edge_face_sign[e, slot]
+class _DirectedEdges:
+    """A mesh's faces as a dictionary from each directed edge (a, b) to the
+    face that runs it, with the undirected edges numbered by their sorted
+    key min(a, b) * V + max(a, b) and stored from the lower vertex to the
+    higher. Built from ``mesh.faces`` alone, by loops."""
+
+    def __init__(self, mesh):
+        self.faces = mesh.faces.tolist()
+        self.owner = {}
+        for t, f in enumerate(self.faces):
+            for e in zip(f, f[1:] + f[:1]):
+                self.owner[e] = t
+        self.V = mesh.num_vertices
+        keys = sorted({min(a, b) * self.V + max(a, b) for a, b in self.owner})
+        self.index = {key: e for e, key in enumerate(keys)}
+
+    def edge(self, a, b):
+        return self.index[min(a, b) * self.V + max(a, b)]
+
+    def across(self, a, b):
+        """The face across the directed edge (a, b), -1 on the boundary."""
+        return self.owner.get((b, a), -1)
+
+    def sign(self, a, b, t):
+        """sgn(edge {a, b}, face t): +1 when t runs the edge from its lower
+        vertex to its higher."""
+        if self.owner.get((a, b)) != t:
+            a, b = b, a
+        assert self.owner[a, b] == t
+        return 1.0 if a < b else -1.0
+
+    def corners(self):
+        """Per line and curve 3t + j, in order: (t, p, out, into), with p
+        face t's corner j, out the directed edge leaving p and into the one
+        entering it."""
+        for t, f in enumerate(self.faces):
+            for j in range(3):
+                p = f[j]
+                yield t, p, (p, f[(j + 1) % 3]), (f[j - 1], p)
+
+    def far_edge(self, t, p, shared):
+        """The edge of face t, as t runs it, that meets p and is not the
+        edge ``shared``."""
+        f = self.faces[t]
+        (e,) = [e for e in zip(f, f[1:] + f[:1]) if p in e and set(e) != set(shared)]
+        return e
 
 
-def dense_edge_jump(topo):
+def dense_edge_jump(mesh):
     """(E, T): each interior edge reads its two incident faces, signed by
     sgn(edge, face); boundary rows are zero."""
-    J = np.zeros((topo.num_edges, topo.num_faces))
-    for e in range(topo.num_edges):
-        if not topo.is_boundary[e]:
-            for k in range(2):
-                J[e, topo.edge_faces[e, k]] += topo.edge_face_sign[e, k]
+    g = _DirectedEdges(mesh)
+    J = np.zeros((len(g.index), len(g.faces)))
+    for (a, b), t in g.owner.items():
+        if g.across(a, b) >= 0:
+            J[g.edge(a, b), t] += g.sign(a, b, t)
     return J
 
 
-def dense_line_jump(lines):
-    """(3T, E): each active line reads its entering and leaving edges, each
-    signed against the line's own triangle; other rows are zero."""
-    topo = lines.topo
-    J = np.zeros((lines.num_lines, topo.num_edges))
-    for l in range(lines.num_lines):
-        if lines.active[l]:
-            for e in (lines.edge_in[l], lines.edge_out[l]):
-                J[l, e] += _sign_in_face(topo, e, lines.line_face[l])
+def line_faces(mesh):
+    """(3T, 3): per line, its own face and the faces across its entering and
+    leaving edges, -1 where one is missing."""
+    g = _DirectedEdges(mesh)
+    return np.array([(t, g.across(*into), g.across(*out))
+                     for t, _, out, into in g.corners()])
+
+
+def line_edges(mesh):
+    """(3T, 2): per line, the edges entering and leaving its vertex."""
+    g = _DirectedEdges(mesh)
+    return np.array([(g.edge(*into), g.edge(*out)) for _, _, out, into in g.corners()])
+
+
+def dense_line_jump(mesh):
+    """(3T, E): each line with both edges interior reads its entering and
+    leaving edges, each signed against the line's own triangle; other rows
+    are zero."""
+    g = _DirectedEdges(mesh)
+    J = np.zeros((3 * len(g.faces), len(g.index)))
+    for l, (t, _, out, into) in enumerate(g.corners()):
+        if g.across(*out) >= 0 and g.across(*into) >= 0:
+            for e in (into, out):
+                J[l, g.edge(*e)] += g.sign(*e, t)
     return J
 
 
-def curve_edges(curves):
-    """(3T, 4): per curve, its stencil edges [far-out, out, in, far-in], found
-    one curve at a time: a far edge is the edge of the triangle across the
-    line's outgoing (incoming) edge that meets the line's vertex and is not
-    that edge; a missing far edge reads 0."""
-    topo, lines = curves.topo, curves.lines
-    rows = np.zeros((curves.num_curves, 4), dtype=np.int64)
-    for c in range(curves.num_curves):
-        p = lines.line_vertex[c]
-        far = []
-        for shared, nbr in ((lines.edge_out[c], lines.face_across_out[c]),
-                            (lines.edge_in[c], lines.face_across_in[c])):
-            (e,) = [e for e in topo.face_edges[nbr] if e != shared and p in topo.edges[e]] \
-                if nbr >= 0 else [0]
-            far.append(e)
-        rows[c] = far[0], lines.edge_out[c], lines.edge_in[c], far[1]
-    return rows
+def _curves(mesh):
+    """The directed-edge table, and per curve: its stencil edges [far-out,
+    out, in, far-in] as vertex pairs (a missing far edge is None), the
+    triangles across the line's outgoing and incoming edges (-1 where
+    missing) that the two pairs are read in, and whether all four edges are
+    interior. A far edge is the edge of such a triangle that meets the
+    line's vertex and is not the edge it shares with the line's triangle."""
+    g = _DirectedEdges(mesh)
+    rows = []
+    for t, p, out, into in g.corners():
+        nbr_out, nbr_in = g.across(*out), g.across(*into)
+        far_out = g.far_edge(nbr_out, p, out) if nbr_out >= 0 else None
+        far_in = g.far_edge(nbr_in, p, into) if nbr_in >= 0 else None
+        valid = far_out is not None and far_in is not None \
+            and g.across(*far_out) >= 0 and g.across(*far_in) >= 0
+        rows.append(([far_out, out, into, far_in], (nbr_out, nbr_in), valid))
+    return g, rows
 
 
-def dense_curve_jump(curves):
-    """(3T, E): each valid curve reads its four stencil edges, the two on
-    the outgoing side signed in the triangle across the line's outgoing edge
-    and the two on the incoming side in the triangle across its incoming
-    edge; other rows are zero."""
-    topo, lines = curves.topo, curves.lines
-    stencil_edges = curve_edges(curves)
-    J = np.zeros((curves.num_curves, topo.num_edges))
-    for c in range(curves.num_curves):
-        if curves.valid[c]:
-            far_out, out, into, far_in = stencil_edges[c]
-            for e, nbr in ((far_out, lines.face_across_out[c]),
-                           (out, lines.face_across_out[c]),
-                           (into, lines.face_across_in[c]),
-                           (far_in, lines.face_across_in[c])):
-                J[c, e] += _sign_in_face(topo, e, nbr)
+def curve_edges(mesh):
+    """(3T, 4): per curve, its stencil edges [far-out, out, in, far-in]; a
+    missing far edge reads 0."""
+    g, rows = _curves(mesh)
+    return np.array([[0 if e is None else g.edge(*e) for e in stencil]
+                     for stencil, _, _ in rows])
+
+
+def dense_curve_jump(mesh):
+    """(3T, E): each curve whose four edges are interior reads them, the two
+    on the outgoing side signed in the triangle across the line's outgoing
+    edge and the two on the incoming side in the triangle across its
+    incoming edge; other rows are zero."""
+    g, rows = _curves(mesh)
+    J = np.zeros((len(rows), len(g.index)))
+    for c, (stencil, (nbr_out, nbr_in), valid) in enumerate(rows):
+        if valid:
+            for e, nbr in zip(stencil, (nbr_out, nbr_out, nbr_in, nbr_in)):
+                J[c, g.edge(*e)] += g.sign(*e, nbr)
     return J
 
 
-def far_triangles(curves):
-    """(3T, 2): per valid curve, the triangles across its far-out and far-in
-    edges, i.e. the incident face of each far edge that is not the neighbour
-    triangle it is read in; -1 on invalid curves."""
-    topo, lines = curves.topo, curves.lines
-    stencil_edges = curve_edges(curves)
-    far = np.full((curves.num_curves, 2), -1)
-    for c in range(curves.num_curves):
-        if curves.valid[c]:
-            for k, e, nbr in ((0, stencil_edges[c, 0], lines.face_across_out[c]),
-                              (1, stencil_edges[c, 3], lines.face_across_in[c])):
-                (far[c, k],) = [t for t in topo.edge_faces[e] if t != nbr]
-    return far
+def far_triangles(mesh):
+    """(3T, 2): per curve whose four edges are interior, the triangles
+    across its far-out and far-in edges, i.e. the incident face of each far
+    edge that is not the neighbour triangle it is read in; -1 on other
+    curves."""
+    g, rows = _curves(mesh)
+    return np.array([(g.across(*stencil[0]), g.across(*stencil[3])) if valid else (-1, -1)
+                     for stencil, _, valid in rows])
 
 
 def update_vertices_reference(mesh, target_normals, iters=30):

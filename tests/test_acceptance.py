@@ -30,7 +30,7 @@ from tgvdenoise.solver import (_cg_block, _System, normal_system_operator, shrin
                                v_system_operator)
 from tgvdenoise.synth import make_plane
 from oracles import (closest_point_on_triangle, far_triangles,
-                     golden_section_shrink)
+                     golden_section_shrink, line_faces)
 
 BENCH_DIVISIONS = 10
 BENCH_SIZE = 0.05
@@ -107,14 +107,15 @@ def test_criterion_2_second_difference_identities():
         v = edge_jump(conn.topo, u)
 
         lj = line_jump(lines, v)
-        same_dir = 2 * u[lines.line_face] - u[lines.face_across_in] - u[lines.face_across_out]
+        own, across_in, across_out = line_faces(mesh).T
+        same_dir = 2 * u[own] - u[across_in] - u[across_out]
         err = np.abs(lj - same_dir).max()
         worst = max(worst, err)
         assert err <= 1e-12
 
         cj = curve_jump(curves, v)
-        far = far_triangles(curves)
-        near = u[lines.face_across_in] + u[lines.face_across_out] - u[lines.line_face]
+        far = far_triangles(mesh)
+        near = u[across_in] + u[across_out] - u[own]
         cross_dir = (near - u[far[:, 0]]) + (near - u[far[:, 1]])
         err = np.abs(cj - cross_dir).max()
         worst = max(worst, err)

@@ -226,6 +226,19 @@ def test_denoise_error_map_requires_ground_truth(capsys, tmp_path):
                            "--error-map", str(tmp_path / "m.csv"))
     assert code == 1
     assert "ground-truth" in err
+    assert not (tmp_path / "o.obj").exists()
+
+
+def test_denoise_mismatched_ground_truth_writes_nothing(capsys, tmp_path):
+    # the reference's face count is checked before any sweep runs
+    mesh_path, _ = gen(capsys, tmp_path, "cube", "cube.obj", divisions=2)
+    tet_path, _ = gen(capsys, tmp_path, "tetrahedron", "tet.obj")
+    out, diag = tmp_path / "o.obj", tmp_path / "d.csv"
+    code, stdout, err = run_cli(capsys, "denoise", str(mesh_path), "-o", str(out),
+                                "--ground-truth", str(tet_path), "--diagnostics", str(diag))
+    assert code == 1 and stdout == ""
+    assert "ground-truth face count" in err
+    assert not out.exists() and not diag.exists()
 
 
 WEIGHT_OPTIONS = ["--alpha1", "--alpha0", "--beta", "--r1", "--r0", "--sigma-e"]
@@ -293,8 +306,9 @@ def test_seminorms_float_option_over_every_decade(capsys, tmp_path, option, mini
     (["seminorms", "missing.obj", "--alpha0", "nan", "--minimize"], "between"),
     (["seminorms", "missing.obj", "--minimize", "--minimize-iters", "0"], "minimize-iters"),
     (["seminorms", "missing.obj", "--minimize", "--minimize-iters", "-3"], "minimize-iters"),
+    (["denoise", "missing.obj", "-o", "out.obj", "--error-map", "e.csv"], "ground-truth"),
 ], ids=["vertex-iters", "seminorms-alpha1", "seminorms-alpha0", "minimize-iters-0",
-        "minimize-iters-negative"])
+        "minimize-iters-negative", "error-map"])
 def test_bad_values_fail_before_the_mesh_is_read(capsys, tmp_path, argv, message):
     # the input does not exist, so an error about the value shows that it
     # was checked first

@@ -13,6 +13,7 @@ from tgvdenoise import (NoiseSpec, TriMesh, add_gaussian_noise,
 from tgvdenoise.metrics import closest_point_distances, write_face_error_csv
 from tgvdenoise.synth import make_plane
 from tgvdenoise import metrics
+from oracles import dense_edge_jump
 
 
 def test_theta_identical_fields_is_zero(rng):
@@ -237,12 +238,38 @@ def test_feature_adjacent_faces_on_cube():
     feat = set(feature_adjacent_faces(topo, n, threshold_deg=30.0).tolist())
     # oracle: walk all interior edges and collect faces at sharp creases
     expected = set()
-    for e in range(topo.num_edges):
-        f0, f1 = topo.edge_faces[e]
-        if f1 < 0:
+    for row in dense_edge_jump(mesh):
+        if not row.any():
             continue
+        f0, f1 = np.flatnonzero(row)
         angle = np.degrees(np.arccos(np.clip(n[f0] @ n[f1], -1, 1)))
         if angle > 30.0:
             expected |= {f0, f1}
     assert feat == expected
     assert feat  # the cube does have creases
+
+
+def _folded_plane(degrees):
+    """A 4 x 4 plane folded by ``degrees`` along its interior line x = 0.5,
+    and the faces with an edge on that line."""
+    plane = make_plane(4, 4)
+    x = plane.vertices[:, 0]
+    on_fold = np.isclose(x, 0.5)
+    theta = np.radians(degrees)
+    right = np.clip(x - 0.5, 0.0, None)
+    v = plane.vertices.copy()
+    v[:, 0] = np.where(x > 0.5, 0.5 + right * np.cos(theta), x)
+    v[:, 2] = right * np.sin(theta)
+    return TriMesh(v, plane.faces), np.flatnonzero(on_fold[plane.faces].sum(axis=1) == 2)
+
+
+@pytest.mark.parametrize("degrees", [20.0, 40.0])
+def test_feature_adjacent_faces_on_a_folded_plane(degrees):
+    # at the default 30 degree threshold a 20 degree fold is no crease and a
+    # 40 degree fold marks exactly the faces on either side of it; the
+    # plane's boundary edges, whose second face is missing, mark nothing
+    mesh, fold_faces = _folded_plane(degrees)
+    feat = feature_adjacent_faces(build_edge_topology(mesh), face_normals(mesh))
+    expected = fold_faces if degrees > 30.0 else []
+    assert len(fold_faces) == 8
+    np.testing.assert_array_equal(feat, expected)

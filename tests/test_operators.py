@@ -8,7 +8,7 @@ from tgvdenoise.operators import (curve_jump_adjoint, inner_curves, inner_lines,
                                   line_jump_adjoint)
 from conftest import random_fields
 from oracles import (curve_edges, dense_curve_jump, dense_edge_jump, dense_line_jump,
-                     far_triangles)
+                     far_triangles, line_faces)
 
 PAIRS = [
     ("edge", edge_jump, edge_jump_adjoint),
@@ -41,17 +41,17 @@ def _dense_and_measures(conn, name):
     """A layer's jump as a dense oracle, with its (row, column) measures."""
     topo = conn.topo
     if name == "edge":
-        return dense_edge_jump(topo), topo.edge_len, topo.face_area
+        return dense_edge_jump(conn.mesh), topo.edge_len, topo.face_area
     if name == "line":
-        return dense_line_jump(conn.lines), conn.lines.line_len, topo.edge_len
-    return dense_curve_jump(conn.curves), conn.curves.curve_len, topo.edge_len
+        return dense_line_jump(conn.mesh), conn.lines.line_len, topo.edge_len
+    return dense_curve_jump(conn.mesh), conn.curves.curve_len, topo.edge_len
 
 
 @pytest.mark.parametrize("name", ["edge", "line", "curve"])
 @pytest.mark.parametrize("which", ["jump", "jump_adjoint"])
 def test_stencil_matrix_matches_slot_gather(all_conns, rng, name, which):
-    # each jump against a dense matrix built slot by slot, by loops, from the
-    # topology's definitions; the adjoint is -diag(1/m_col) J^T diag(m_row)
+    # each jump against a dense matrix built by loops from the mesh's faces
+    # alone; the adjoint is -diag(1/m_col) J^T diag(m_row)
     for conn in all_conns.values():
         stencil = _args(conn, name).jump
         J, m_row, m_col = _dense_and_measures(conn, name)
@@ -143,7 +143,7 @@ def test_edge_jump_locality(tet_conn):
     u = np.zeros(topo.num_faces)
     u[2] = 1.0
     jump = edge_jump(topo, u)
-    touching = (topo.edge_faces == 2).any(axis=1) & ~topo.is_boundary
+    touching = dense_edge_jump(tet_conn.mesh)[:, 2] != 0
     assert np.all(jump[touching] != 0)
     assert np.all(jump[~touching] == 0)
 
@@ -160,8 +160,8 @@ def test_line_jump_of_gradient_matches_second_difference(tet_conn, cube_small_co
     for conn in (tet_conn, cube_small_conn):
         u = rng.normal(size=conn.topo.num_faces)
         lj = line_jump(conn.lines, edge_jump(conn.topo, u))
-        lines = conn.lines
-        ref = 2 * u[lines.line_face] - u[lines.face_across_in] - u[lines.face_across_out]
+        own, across_in, across_out = line_faces(conn.mesh).T
+        ref = 2 * u[own] - u[across_in] - u[across_out]
         assert np.abs(lj - ref).max() < 1e-12
 
 
@@ -169,10 +169,10 @@ def test_curve_jump_of_gradient_matches_cross_difference(tet_conn, cube_small_co
     for conn in (tet_conn, cube_small_conn):
         u = rng.normal(size=conn.topo.num_faces)
         cj = curve_jump(conn.curves, edge_jump(conn.topo, u))
-        lines, far = conn.lines, far_triangles(conn.curves)
-        own = u[lines.line_face]
-        near = u[lines.face_across_in] + u[lines.face_across_out]
-        ref = (near - own - u[far[:, 0]]) + (near - own - u[far[:, 1]])
+        own, across_in, across_out = line_faces(conn.mesh).T
+        far = far_triangles(conn.mesh)
+        near = u[across_in] + u[across_out]
+        ref = (near - u[own] - u[far[:, 0]]) + (near - u[own] - u[far[:, 1]])
         assert np.abs(cj - ref).max() < 1e-12
 
 
@@ -188,12 +188,12 @@ def test_line_jump_zero_inputs(tet_conn):
 
 
 def test_adjoint_locality_line(tet_conn):
-    lines, topo = tet_conn.lines, tet_conn.topo
+    lines = tet_conn.lines
     w = np.zeros(lines.num_lines)
     w[5] = 1.0
     out = line_jump_adjoint(lines, w)
     support = set(np.nonzero(out)[0].tolist())
-    assert support == {lines.edge_in[5], lines.edge_out[5]}
+    assert support == set(np.flatnonzero(dense_line_jump(tet_conn.mesh)[5]).tolist())
 
 
 def test_adjoint_locality_curve(tet_conn):
@@ -203,7 +203,7 @@ def test_adjoint_locality_curve(tet_conn):
     out = curve_jump_adjoint(curves, w)
     support = set(np.nonzero(out)[0].tolist())
     # contributions on coinciding stencil edges may cancel exactly
-    assert support <= set(curve_edges(curves)[3].tolist())
+    assert support <= set(curve_edges(tet_conn.mesh)[3].tolist())
 
 
 # -- adjoint identities, PSD, linearity --------------------------------------

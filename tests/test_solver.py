@@ -19,6 +19,7 @@ from tgvdenoise.solver import (SolverState, _cg_block, _System, edge_weights,
                                solve_q1_subproblem, solve_q2_subproblem,
                                solve_v_subproblem, update_multipliers,
                                v_system_operator)
+from oracles import dense_edge_jump
 
 
 # -- shrink -------------------------------------------------------------------
@@ -62,13 +63,13 @@ def test_shrink_matches_golden_section_oracle(rng):
 
 def test_edge_weights_identical_normals(tet_conn):
     n = np.tile([0.0, 0.0, 1.0], (tet_conn.topo.num_faces, 1))
-    assert np.allclose(edge_weights(tet_conn.topo, n, 0.5), 1.0)
+    assert np.allclose(edge_weights(edge_jump(tet_conn.topo, n), 0.5), 1.0)
 
 
 def test_edge_weights_opposite_normals(square_conn):
     topo = square_conn.topo
     n = np.array([[0.0, 0, 1], [0, 0, -1.0]])
-    w = edge_weights(topo, n, 1.0)
+    w = edge_weights(edge_jump(topo, n), 1.0)
     interior = ~topo.is_boundary
     assert np.allclose(w[interior], np.exp(-2.0))  # |n1 - n2|^2 = 4
     assert np.all(w[topo.is_boundary] == 1.0)
@@ -80,10 +81,25 @@ def test_edge_weights_monotone_in_normal_difference(square_conn):
     previous = 2.0
     for angle in np.linspace(0.0, np.pi, 7):
         n = np.array([[0.0, 0, 1], [np.sin(angle), 0, np.cos(angle)]])
-        w = float(edge_weights(topo, n, 0.7)[interior][0])
+        w = float(edge_weights(edge_jump(topo, n), 0.7)[interior][0])
         assert w < previous or angle == 0.0
         assert 0.0 < w <= 1.0
         previous = w
+
+
+def test_edge_weights_match_incident_face_normals(all_conns, rng):
+    # exp(-|n_0 - n_1|^2 / (2 sigma^2)) from the two faces each interior edge
+    # reads, found from the mesh's faces alone; 1 on the boundary
+    for conn in all_conns.values():
+        n = rng.normal(size=(conn.topo.num_faces, 3))
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        expected = []
+        for row in dense_edge_jump(conn.mesh):
+            faces = np.flatnonzero(row)
+            diff = n[faces[0]] - n[faces[1]] if len(faces) else np.zeros(3)
+            expected.append(np.exp(-(diff @ diff) / (2.0 * 0.7 ** 2)))
+        np.testing.assert_allclose(edge_weights(edge_jump(conn.topo, n), 0.7), expected,
+                                   rtol=1e-15, atol=0)
 
 
 # -- the linear systems --------------------------------------------------------
@@ -384,7 +400,7 @@ def test_one_sweep_matches_hand_stepped_oracle(square_conn):
     params = SolverParams(max_outer_iters=1)
     result = filter_normals(conn, n_in, params)
 
-    w = edge_weights(topo, n_in, params.sigma_e)
+    w = edge_weights(edge_jump(topo, n_in), params.sigma_e)
     # N-step: cold state means rhs = beta * n_in
     apply_n = normal_system_operator(conn, params)
     N, n_products = _cg_block(apply_n, params.beta * n_in, topo.face_area,
@@ -454,7 +470,8 @@ OPERATOR_NAMES = ("edge_jump", "edge_jump_adjoint", "line_jump", "line_jump_adjo
 
 def test_filter_applies_each_operator_once_per_sweep(filter_run, monkeypatch):
     # one jump of each kind per sweep, shared by the v right-hand side, the
-    # shrinks, the multipliers and the diagnostics row
+    # shrinks, the multipliers, the diagnostics row and the weight refresh,
+    # plus the edge jump of the input normals that seeds the weights
     conn, n_in, _, result = filter_run
     calls = dict.fromkeys(OPERATOR_NAMES, 0)
     for name in OPERATOR_NAMES:
@@ -466,7 +483,7 @@ def test_filter_applies_each_operator_once_per_sweep(filter_run, monkeypatch):
     sweeps = 7
     again = filter_normals(conn, n_in, SolverParams(max_outer_iters=sweeps))
     assert again.iterations == sweeps
-    assert calls == dict.fromkeys(OPERATOR_NAMES, sweeps)
+    assert calls == {**dict.fromkeys(OPERATOR_NAMES, sweeps), "edge_jump": sweeps + 1}
     assert np.array_equal(again.diagnostics, result.diagnostics[:sweeps])
 
 

@@ -10,14 +10,24 @@ from tgvdenoise import (TriMesh, build_connectivity, build_edge_topology,
                         make_icosphere, tv_seminorm)
 from tgvdenoise.topology import CurveSet, LineSet
 
-from oracles import curve_edges
+from oracles import curve_edges, dense_line_jump, line_edges, line_faces
+
+
+def _row_unique_edges(mesh):
+    """The mesh's edges as a row-wise unique of sorted vertex pairs, and
+    each face slot's row in it."""
+    f = mesh.faces
+    pairs = np.stack([f.ravel(), np.roll(f, -1, axis=1).ravel()], axis=1)
+    edges, inverse = np.unique(np.sort(pairs, axis=1), axis=0, return_inverse=True)
+    return edges, inverse.reshape(f.shape)
 
 
 def test_shared_edge_signs_cancel(square):
     topo = build_edge_topology(square)
     interior = ~topo.is_boundary
     assert interior.sum() == 1
-    signs = topo.edge_face_sign[interior][0]
+    signs = topo.face_edge_sign[topo.face_edges == np.flatnonzero(interior)[0]]
+    assert len(signs) == 2
     assert signs[0] * signs[1] == -1.0
 
 
@@ -31,11 +41,11 @@ def test_single_triangle_all_boundary():
 def test_edges_match_row_unique_oracle(all_conns):
     # the integer edge key orders edges as a row-wise unique of sorted pairs
     for conn in all_conns.values():
-        f = conn.mesh.faces
-        pairs = np.stack([f.ravel(), np.roll(f, -1, axis=1).ravel()], axis=1)
-        edges, inverse = np.unique(np.sort(pairs, axis=1), axis=0, return_inverse=True)
-        np.testing.assert_array_equal(conn.topo.edges, edges)
-        np.testing.assert_array_equal(conn.topo.face_edges, inverse.reshape(f.shape))
+        edges, inverse = _row_unique_edges(conn.mesh)
+        v = conn.mesh.vertices
+        np.testing.assert_array_equal(conn.topo.edge_len,
+                                      np.linalg.norm(v[edges[:, 1]] - v[edges[:, 0]], axis=1))
+        np.testing.assert_array_equal(conn.topo.face_edges, inverse)
 
 
 def test_tetrahedron_closed(tet_conn):
@@ -43,31 +53,29 @@ def test_tetrahedron_closed(tet_conn):
     assert topo.num_edges == 6
     assert not topo.is_boundary.any()
     # every interior edge: signs of the two incident faces sum to zero
-    assert np.all(topo.edge_face_sign.sum(axis=1) == 0.0)
+    sums = np.bincount(topo.face_edges.ravel(), weights=topo.face_edge_sign.ravel())
+    assert np.all(sums == 0.0)
 
 
 def test_every_face_contributes_three_edge_slots(tet_conn, plane_conn):
     for conn in (tet_conn, plane_conn):
         topo = conn.topo
-        counts = (topo.edge_faces >= 0).sum(axis=1)
+        counts = np.bincount(topo.face_edges.ravel(), minlength=topo.num_edges)
         assert counts.sum() == 3 * topo.num_faces
+        assert np.array_equal(counts, np.where(topo.is_boundary, 1, 2))
 
 
-def test_edge_in_out_convention():
-    # single counterclockwise triangle in the plane
-    m = TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
-    topo = build_edge_topology(m)
-    lines = LineSet(topo)
-    for l in range(3):
-        vertex = lines.line_vertex[l]
-        ein = topo.edges[lines.edge_in[l]]
-        eout = topo.edges[lines.edge_out[l]]
-        # the entering edge ends at the vertex when traversed with the face,
-        # the leaving edge starts there; both are incident to the vertex
-        assert vertex in ein and vertex in eout
-        face_cycle = [(0, 1), (1, 2), (2, 0)]
-        entering = [a for a, b in face_cycle if b == vertex][0]
-        leaving = [b for a, b in face_cycle if a == vertex][0]
+def test_edge_in_out_convention(tet):
+    # line 3t + j sits at face t's vertex j; its jump reads the edge entering
+    # that vertex when traversed with the face, then the edge leaving it
+    edges, _ = _row_unique_edges(tet)
+    lines = build_connectivity(tet).lines
+    jump = lines.jump
+    for l in range(lines.num_lines):
+        face = tet.faces[l // 3].tolist()
+        j = l % 3
+        vertex, entering, leaving = face[j], face[j - 1], face[(j + 1) % 3]
+        ein, eout = edges[jump.indices[jump.indptr[l]:jump.indptr[l + 1]]]
         assert set(ein) == {entering, vertex}
         assert set(eout) == {vertex, leaving}
 
@@ -94,10 +102,10 @@ def test_interior_edge_has_four_incident_lines(tet_conn):
 def test_b1_membership_matches_stencils(plane_conn):
     lines, topo = plane_conn.lines, plane_conn.topo
     adj = lines.jump.adjoint
+    dense = dense_line_jump(plane_conn.mesh)
     for e in range(topo.num_edges):
         table = set(adj.indices[adj.indptr[e]:adj.indptr[e + 1]].tolist())
-        direct = {l for l in range(lines.num_lines)
-                  if lines.active[l] and e in (lines.edge_in[l], lines.edge_out[l])}
+        direct = set(np.flatnonzero(dense[:, e]).tolist())
         assert table == direct
 
 
@@ -106,12 +114,13 @@ def test_structural_line_slot_counting(plane_conn):
     # every both-interior line twice and every one-interior line once
     lines, topo = plane_conn.lines, plane_conn.topo
     interior = ~topo.is_boundary
-    total = sum(int(interior[lines.edge_in[l]]) + int(interior[lines.edge_out[l]])
+    edge_in, edge_out = line_edges(plane_conn.mesh).T
+    total = sum(int(interior[edge_in[l]]) + int(interior[edge_out[l]])
                 for l in range(lines.num_lines))
     both = sum(1 for l in range(lines.num_lines)
-               if interior[lines.edge_in[l]] and interior[lines.edge_out[l]])
+               if interior[edge_in[l]] and interior[edge_out[l]])
     one = sum(1 for l in range(lines.num_lines)
-              if int(interior[lines.edge_in[l]]) + int(interior[lines.edge_out[l]]) == 1)
+              if int(interior[edge_in[l]]) + int(interior[edge_out[l]]) == 1)
     assert total == 2 * both + one
 
 
@@ -135,24 +144,27 @@ def _stencil_row(curves, c):
 
 def test_curve_stencil_edges_share_the_line_vertex(cube_small_conn):
     conn = cube_small_conn
-    topo, lines, curves = conn.topo, conn.lines, conn.curves
-    expected = curve_edges(curves)
+    curves = conn.curves
+    expected = curve_edges(conn.mesh)
+    edges, _ = _row_unique_edges(conn.mesh)
     for c in np.nonzero(curves.valid)[0][:60]:
-        p = lines.line_vertex[c]
+        p = conn.mesh.faces.ravel()[c]
         assert np.array_equal(_stencil_row(curves, c), expected[c])
         for e in _stencil_row(curves, c):
-            assert p in topo.edges[e]
+            assert p in edges[e]
 
 
 def test_far_edges_are_in_the_neighbor_triangles(cube_small_conn):
     conn = cube_small_conn
-    topo, lines, curves = conn.topo, conn.lines, conn.curves
+    topo, curves = conn.topo, conn.curves
+    _, across_in, across_out = line_faces(conn.mesh).T
+    edge_in, edge_out = line_edges(conn.mesh).T
     for c in np.nonzero(curves.valid)[0][:60]:
         far_out, _, _, far_in = _stencil_row(curves, c)
-        assert far_out in topo.face_edges[lines.face_across_out[c]]
-        assert far_in in topo.face_edges[lines.face_across_in[c]]
-        assert far_out != lines.edge_out[c]
-        assert far_in != lines.edge_in[c]
+        assert far_out in topo.face_edges[across_out[c]]
+        assert far_in in topo.face_edges[across_in[c]]
+        assert far_out != edge_out[c]
+        assert far_in != edge_in[c]
 
 
 def test_b2_slot_count_interior(tet_conn, cube_small_conn):
@@ -168,7 +180,6 @@ def test_orientation_flip_changes_only_signs(cube_small):
     flip = rng.random(topo.num_edges) < 0.5
     flipped = build_edge_topology(cube_small, _flip_edges=flip)
 
-    assert np.array_equal(np.sort(flipped.edges, axis=1), np.sort(topo.edges, axis=1))
     assert np.allclose(flipped.edge_len, topo.edge_len)
     assert np.allclose(flipped.face_area, topo.face_area)
     assert np.array_equal(flipped.face_edges, topo.face_edges)
@@ -232,10 +243,12 @@ def test_connectivity_imports_no_scipy(tmp_path):
 
 
 def test_connectivity_memory_per_face():
-    # each jump is held once, as the CSR arrays its matrix wraps, and the
-    # topology reuses the mesh's edge keys: the mesh, its connectivity and
-    # the three jumps and three adjoints hold 963 B per face here, and a
-    # second copy of the jumps' slots (a padded table) reads ~1 600
+    # each jump is held once, as the CSR arrays its matrix wraps, the
+    # topology reuses the mesh's edge keys, and which faces an edge or line
+    # reads is held in its jump alone: the mesh, its connectivity and the
+    # three jumps and three adjoints hold 794 B per face here; the edge and
+    # line index tables beside the jumps read 962, and a second copy of the
+    # jumps' slots (a padded table) ~1 600
     import scipy.sparse  # noqa: F401  (loaded before tracing: not held data)
 
     tracemalloc.start()
@@ -247,4 +260,4 @@ def test_connectivity_memory_per_face():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held <= 1200 * mesh.num_faces
+    assert held <= 900 * mesh.num_faces
