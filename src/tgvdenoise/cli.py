@@ -172,10 +172,11 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_add_noise(args) -> int:
+    # the level is checked before the mesh is read
+    spec = NoiseSpec(level=args.level, mode=args.mode, seed=args.seed)
     mesh = load_mesh(args.input)
     # a mesh without faces has no edge length, at any level
     le = mean_edge_length(mesh)
-    spec = NoiseSpec(level=args.level, mode=args.mode, seed=args.seed)
     noisy = add_gaussian_noise(mesh, spec)
     save_mesh(noisy, args.output)
 

@@ -1,5 +1,7 @@
 """Triangle mesh container and per-face geometry."""
 
+import numbers
+
 import numpy as np
 
 __all__ = ["MeshError", "TriMesh", "face_normals", "face_areas", "face_barycenters"]
@@ -49,7 +51,7 @@ class TriMesh:
         f.setflags(write=False)
         self.vertices = v
         self.faces = f
-        self._edge_keys = None
+        self._twin = None
         self._face_areas = None
 
         if f.size:
@@ -81,15 +83,13 @@ class TriMesh:
 
     def _check_manifold(self):
         f = self.faces
-        nxt = np.roll(f, -1, axis=1)
-        keys, inverse, counts, first, second = _rank_edges(
-            np.minimum(f, nxt).ravel() * len(self.vertices) + np.maximum(f, nxt).ravel())
-        if (counts > 2).any():
-            slot = int(np.nonzero(counts[inverse] > 2)[0][0])
-            raise MeshError(f"non-manifold edge in face {slot // 3} (3+ incident faces)")
-        # two faces on an edge must traverse it in opposite directions
-        forward = (f < nxt).ravel()
-        flipped = np.take(forward, first) == np.take(forward, second)
+        head, tail = f.ravel(), np.roll(f, -1, axis=1).ravel()
+        first, second, crowded = _pair_slots(
+            np.minimum(head, tail) * len(self.vertices) + np.maximum(head, tail))
+        if crowded >= 0:
+            raise MeshError(f"non-manifold edge in face {crowded // 3} (3+ incident faces)")
+        # two faces on an edge must run it in opposite directions
+        flipped = np.take(head, first) != np.take(tail, second)
         if flipped.any():
             k = int(np.argmax(flipped))
             raise MeshError(f"face {second[k] // 3} is oriented inconsistently with face "
@@ -106,21 +106,18 @@ class TriMesh:
         twin[second] = first
         succ = np.where(twin == slots, slots, _next_slot(twin))
         name, ahead = slots, succ
-        for _ in range(int(np.bincount(f.ravel()).max()).bit_length()):
+        for _ in range(int(np.bincount(head).max()).bit_length()):
             name = np.minimum(name, name[ahead])
             ahead = ahead[ahead]
         name = np.where(succ[ahead] == ahead, ahead, name)
-        fans = np.bincount(f.ravel()[name == slots], minlength=len(self.vertices))
+        fans = np.bincount(head[name == slots], minlength=len(self.vertices))
         if (fans > 1).any():
             bad = int(np.argmax(fans > 1))
             raise MeshError(f"non-manifold vertex {bad} (its faces form {int(fans[bad])} "
                             "fans that meet only at the vertex)")
-        # build_edge_topology is built on the ranked edge keys
-        # (min * V + max), their inverse over the face slots 3t + k and the
-        # twin of each slot
-        for a in (keys, inverse, twin):
-            a.setflags(write=False)
-        self._edge_keys = keys, inverse, twin
+        # the connectivity is built on the twin of each slot
+        twin.setflags(write=False)
+        self._twin = twin
 
     # -- basics ----------------------------------------------------------
 
@@ -143,7 +140,7 @@ class TriMesh:
         mesh = object.__new__(type(self))
         mesh.vertices = v
         mesh.faces = self.faces
-        mesh._edge_keys = self._edge_keys
+        mesh._twin = self._twin
         mesh._face_areas = None
         if self.faces.size:
             mesh._check_areas()
@@ -153,24 +150,24 @@ class TriMesh:
         return f"TriMesh(vertices={self.num_vertices}, faces={self.num_faces})"
 
 
-def _rank_edges(pairs):
-    """What ``np.unique(pairs, return_inverse=True, return_counts=True)``
-    returns, from one sort whose temporaries are freed on return, and the
-    two positions of each value that occurs exactly twice, smaller first."""
-    order = np.argsort(pairs)
-    ranked = pairs[order]
+def _pair_slots(keys):
+    """The two positions of each key that occurs twice, smaller first, and
+    the least position of a key that occurs three or more times (-1 when
+    none does), from one sort whose temporaries are freed on return."""
+    order = np.argsort(keys)
+    ranked = keys[order]
     new = np.empty(len(ranked), dtype=bool)
     new[0] = True
     np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
     starts = np.flatnonzero(new)
     counts = np.diff(starts, append=len(ranked))
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(new) - 1
+    crowded = counts > 2
+    crowded = int(order[np.repeat(crowded, counts)].min()) if crowded.any() else -1
     # the two positions of a pair sit next to each other in the order, in
     # either order
     shared = starts[counts == 2]
     a, b = np.take(order, shared), np.take(order, shared + 1)
-    return ranked[starts], inverse, counts, np.minimum(a, b), np.maximum(a, b)
+    return np.minimum(a, b), np.maximum(a, b), crowded
 
 
 def _next_slot(slots, step=1):
@@ -179,6 +176,14 @@ def _next_slot(slots, step=1):
     (mod 3): step 1 gives the edge leaving the corner a slot enters, step 2
     the edge entering the corner it leaves."""
     return slots - slots % 3 + (slots + step) % 3
+
+
+def _checked_count(name, value):
+    """Refuse a count that is not an integer (numpy's pass) of at least 1."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 def _checked_vertices(vertices):

@@ -25,8 +25,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("noise level must be non-negative")
+        if not 0 <= self.level < np.inf:
+            raise ValueError("noise level must be non-negative and finite")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .mesh import cross, row_dot, row_norm
+from .mesh import _checked_count, cross, row_dot, row_norm
 
 __all__ = ["update_vertices"]
 
@@ -20,8 +20,7 @@ def update_vertices(mesh, target_normals, iters: int = 30):
     left out of the sums for that sweep, so flipped triangles cannot drag
     their vertices further the wrong way. Connectivity is never changed.
     """
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
+    _checked_count("iters", iters)
     n_t = np.asarray(target_normals, dtype=np.float64)
     faces = mesh.faces
     if n_t.shape != (len(faces), 3):

@@ -32,17 +32,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import row_dot, row_norm
+from .mesh import _checked_count, row_dot, row_norm
 from .operators import (
     curve_jump, curve_jump_adjoint, edge_jump, edge_jump_adjoint,
     inner_faces, line_jump, line_jump_adjoint, norm_curves, norm_edges,
     norm_lines, tgv_energy_of_jumps,
 )
 
-# Largest mesh whose two systems are factored. The factor's fill grows much
-# faster on icosphere-like meshes than on cubes: the v factor took 42 ms at
-# 4.8k cube faces, 91 ms at 5.1k icosphere faces and 6.6 s on the 20k
-# icosphere, whose whole 5-sweep filter at beta 1000 takes 0.46 s with CG.
+# Largest mesh whose two systems are factored. The v factor's cost follows
+# the edge order, not the kind of mesh: on the 20k-face level-5 icosphere it
+# fills as much in the built order as with the edges sorted by midpoint x
+# (4.27M and 4.37M L+U) but takes 8.0 s against 0.34 s (2-core VM), while
+# the whole 5-sweep filter at beta 1000 takes 0.46 s with CG.
 _DIRECT_MAX_FACES = 5_000
 
 __all__ = [
@@ -79,8 +80,9 @@ class SolverParams:
     calibrated scale; a larger beta keeps more of the input's noise). r1 /
     r0 are the splitting penalties, sigma_e the weight bandwidth on
     unit-normal differences; each of these six lies in WEIGHT_RANGE. The
-    two tolerances are positive and finite. dynamic_weights=False freezes
-    all edge weights at 1. These defaults are the command line's too.
+    two tolerances are positive and finite, the two counts integers of at
+    least 1. dynamic_weights=False freezes all edge weights at 1. These
+    defaults are the command line's too.
     """
 
     alpha1: float = 1.0
@@ -103,10 +105,8 @@ class SolverParams:
         for name in ("stop_tol", "cg_rel_tol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
-        if self.cg_max_iters < 1:
-            raise ValueError("cg_max_iters must be at least 1")
+        for name in ("max_outer_iters", "cg_max_iters"):
+            _checked_count(name, getattr(self, name))
 
 
 @dataclass
@@ -501,8 +501,7 @@ def minimize_tgv(conn, u, alpha1, alpha0, iters=200):
     iterate. Returns (energy, v) at the best v found: an upper bound on the
     infimum, which may be one of the two seeds.
     """
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
+    _checked_count("iters", iters)
     u = np.asarray(u, dtype=np.float64)
     u2 = u[:, None] if u.ndim == 1 else u
     params = SolverParams(alpha1=alpha1, alpha0=alpha0, dynamic_weights=False)

@@ -27,9 +27,11 @@ other way, or the slot itself on the boundary. As the faces are
 consistently oriented, every neighbour a stencil reads is a fixed step from
 a slot: its twin, or the next or previous slot of the same face.
 
-Edge orientation is fixed as (min vertex index -> max vertex index) so runs
-are reproducible; every quantity derived downstream is invariant to this
-choice up to the sign of edge values.
+Edges are read off the same table: edge e is the e-th lead slot, a slot not
+above its twin, and runs as that slot does, so sgn(e, t) is +1 in the lead
+slot's face and -1 in its twin's. The jumps need only some fixed direction
+per edge; every quantity derived downstream is invariant to it up to the
+sign of edge values.
 """
 
 from functools import cached_property
@@ -110,51 +112,48 @@ class EdgeTopology:
     is_boundary : (E,) bool
     face_edges : (T, 3) int, edge index of the face's local edge k
         (connecting face vertex k to vertex k+1)
-    face_edge_sign : (T, 3) float, sgn(face_edges[t, k], t): +1 where the
-        face runs the edge in its stored orientation
+    face_edge_sign : (T, 3) float, sgn(face_edges[t, k], t): +1 in the
+        edge's lead slot, whose direction the edge takes, -1 in its twin
     face_area : (T,) float
     jump : Stencil, the edge jump (faces -> edges: each interior edge's two
         faces in face order, signed; boundary rows pinned); its adjoint maps
         edges -> faces
     """
 
-    def __init__(self, mesh, _flip_edges=None):
+    def __init__(self, mesh):
         f = mesh.faces
         if len(f) == 0:
             raise MeshError("mesh has no faces")
 
-        # directed boundary edges per face: local edge k goes f[t,k] -> f[t,k+1];
-        # the undirected edge (a, b), a < b, is keyed by the integer a * V + b.
-        # The mesh has already ranked the keys and paired each face slot 3t + k
-        # with its twin, the other slot of its edge (itself on the boundary)
-        V = len(mesh.vertices)
-        keys, inverse, twin = mesh._edge_keys
-        v = mesh.vertices
+        # an edge runs from its lead slot's corner to where its twin starts,
+        # or on the boundary to the next corner; both its slots name it
+        twin = mesh._twin
+        is_lead = twin >= np.arange(len(twin))
+        lead = np.flatnonzero(is_lead)
+        edge_slots = np.stack([lead, np.take(twin, lead)], axis=1)
+        self.is_boundary = is_boundary = edge_slots[:, 0] == edge_slots[:, 1]
+        corner = f.ravel()
+        tail = np.take(corner, edge_slots[:, 1])
+        tail[is_boundary] = np.take(corner, _next_slot(lead[is_boundary]))
+        # freed once read: at 20k faces fresh pages cost more than the sums
+        diff = np.take(mesh.vertices, tail, axis=0)
+        del tail
+        diff -= np.take(mesh.vertices, np.take(corner, lead), axis=0)
+        self.edge_len = row_norm(diff)
+        del diff
+        face_edges = np.empty_like(twin)
+        face_edges[lead] = np.arange(len(lead))
+        face_edges[edge_slots[:, 1]] = face_edges[lead]
         self.mesh = mesh
-        self.edge_len = row_norm(np.take(v, keys % V, axis=0) - np.take(v, keys // V, axis=0))
-
-        # each edge's slots in face order: the first is the one not above its
-        # twin, the second its twin, which is the first again on the boundary
-        lead = np.flatnonzero(twin >= np.arange(len(twin)))
-        edge_slots = np.empty((len(keys), 2), dtype=np.int64)
-        edge_of = np.take(inverse, lead)
-        edge_slots[edge_of, 0] = lead
-        edge_slots[edge_of, 1] = np.take(twin, lead)
-        self.is_boundary = edge_slots[:, 0] == edge_slots[:, 1]
-
-        # stored orientation agrees with the face traversal iff head < tail
-        sign_slots = np.where(f < np.roll(f, -1, axis=1), 1.0, -1.0).ravel()
-        if _flip_edges is not None:
-            sign_slots = sign_slots * np.where(np.asarray(_flip_edges, dtype=bool)[inverse],
-                                               -1.0, 1.0)
-        self.face_edges = inverse.reshape(f.shape)
-        self.face_edge_sign = sign_slots.reshape(f.shape)
+        self.face_edges = face_edges.reshape(f.shape)
+        self.face_edge_sign = np.where(is_lead, 1.0, -1.0).reshape(f.shape)
         self.face_area = mesh._face_areas
         for name in ("edge_len", "is_boundary", "face_edges", "face_edge_sign",
                      "face_area"):
             getattr(self, name).setflags(write=False)
-        signs = np.take(sign_slots, edge_slots)
-        signs *= ~self.is_boundary[:, None]
+        signs = np.empty(edge_slots.shape)
+        signs[:, 0], signs[:, 1] = 1.0, -1.0
+        signs[is_boundary] = 0.0
         self.jump = Stencil(edge_slots // 3, signs, self.edge_len, self.face_area)
 
     @property
@@ -170,14 +169,9 @@ class EdgeTopology:
         return f"EdgeTopology(edges={self.num_edges}, faces={self.num_faces}, boundary_edges={nb})"
 
 
-def build_edge_topology(mesh, _flip_edges=None) -> EdgeTopology:
-    """Extract unique edges, orientation signs, boundary flags, and measures.
-
-    ``_flip_edges`` (bool mask over the canonical edge order) reverses the
-    stored orientation of selected edges; it exists to test that results do
-    not depend on the orientation choice.
-    """
-    return EdgeTopology(mesh, _flip_edges)
+def build_edge_topology(mesh) -> EdgeTopology:
+    """Extract unique edges, orientation signs, boundary flags, and measures."""
+    return EdgeTopology(mesh)
 
 
 class LineSet:
@@ -196,7 +190,7 @@ class LineSet:
 
     def __init__(self, topo):
         mesh = topo.mesh
-        twin = mesh._edge_keys[2]
+        twin = mesh._twin
         # line 3t + j is slot 3t + j, the edge leaving face t's vertex j; the
         # edge entering that vertex is the previous slot. A slot that is its
         # own twin lies on the boundary
@@ -245,7 +239,7 @@ class CurveSet:
 
     def __init__(self, lines):
         topo = lines.topo
-        twin = topo.mesh._edge_keys[2]
+        twin = topo.mesh._twin
         # the triangles across curve c's outgoing slot c and incoming slot
         # prev(c) hold their twins. twin(c) enters the vertex, so the far edge
         # is the slot after it; twin(prev(c)) leaves the vertex, so the far

@@ -46,34 +46,37 @@ def closest_point_on_triangle(point, tri):
 
 class _DirectedEdges:
     """A mesh's faces as a dictionary from each directed edge (a, b) to the
-    face that runs it, with the undirected edges numbered by their sorted
-    key min(a, b) * V + max(a, b) and stored from the lower vertex to the
-    higher. Built from ``mesh.faces`` alone, by loops."""
+    face that runs it, with the undirected edges numbered in order of their
+    first occurrence, face by face and each face's edges from its corner k
+    to corner k + 1, and directed as they first occur. Built from
+    ``mesh.faces`` alone, by loops."""
 
     def __init__(self, mesh):
         self.faces = mesh.faces.tolist()
         self.owner = {}
+        self.index = {}
+        self.ends = []
         for t, f in enumerate(self.faces):
             for e in zip(f, f[1:] + f[:1]):
                 self.owner[e] = t
-        self.V = mesh.num_vertices
-        keys = sorted({min(a, b) * self.V + max(a, b) for a, b in self.owner})
-        self.index = {key: e for e, key in enumerate(keys)}
+                if frozenset(e) not in self.index:
+                    self.index[frozenset(e)] = len(self.ends)
+                    self.ends.append(e)
 
     def edge(self, a, b):
-        return self.index[min(a, b) * self.V + max(a, b)]
+        return self.index[frozenset((a, b))]
 
     def across(self, a, b):
         """The face across the directed edge (a, b), -1 on the boundary."""
         return self.owner.get((b, a), -1)
 
     def sign(self, a, b, t):
-        """sgn(edge {a, b}, face t): +1 when t runs the edge from its lower
-        vertex to its higher."""
+        """sgn(edge {a, b}, face t): +1 when t runs the edge in the direction
+        of its first occurrence."""
         if self.owner.get((a, b)) != t:
             a, b = b, a
         assert self.owner[a, b] == t
-        return 1.0 if a < b else -1.0
+        return 1.0 if self.ends[self.edge(a, b)] == (a, b) else -1.0
 
     def corners(self):
         """Per line and curve 3t + j, in order: (t, p, out, into), with p
@@ -90,6 +93,12 @@ class _DirectedEdges:
         f = self.faces[t]
         (e,) = [e for e in zip(f, f[1:] + f[:1]) if p in e and set(e) != set(shared)]
         return e
+
+
+def edge_ends(mesh):
+    """(E, 2): each edge's two vertices, in the direction of its first
+    occurrence."""
+    return np.array(_DirectedEdges(mesh).ends).reshape(-1, 2)
 
 
 def dense_edge_jump(mesh):

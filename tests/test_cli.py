@@ -307,8 +307,11 @@ def test_seminorms_float_option_over_every_decade(capsys, tmp_path, option, mini
     (["seminorms", "missing.obj", "--minimize", "--minimize-iters", "0"], "minimize-iters"),
     (["seminorms", "missing.obj", "--minimize", "--minimize-iters", "-3"], "minimize-iters"),
     (["denoise", "missing.obj", "-o", "out.obj", "--error-map", "e.csv"], "ground-truth"),
+    (["add-noise", "missing.obj", "-o", "out.obj", "--level", "nan"], "finite"),
+    (["add-noise", "missing.obj", "-o", "out.obj", "--level", "inf"], "finite"),
 ], ids=["vertex-iters", "seminorms-alpha1", "seminorms-alpha0", "minimize-iters-0",
-        "minimize-iters-negative", "error-map"])
+        "minimize-iters-negative", "error-map", "add-noise-level-nan",
+        "add-noise-level-inf"])
 def test_bad_values_fail_before_the_mesh_is_read(capsys, tmp_path, argv, message):
     # the input does not exist, so an error about the value shows that it
     # was checked first

@@ -61,5 +61,8 @@ def test_mean_edge_length_cube():
 def test_spec_validation():
     with pytest.raises(ValueError, match="non-negative"):
         NoiseSpec(-0.1)
+    for level in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSpec(level)
     with pytest.raises(ValueError, match="mode"):
         NoiseSpec(0.1, mode="sideways")

@@ -37,6 +37,16 @@ def test_iters_must_be_positive():
         update_vertices(mesh, face_normals(mesh), iters=0)
 
 
+def test_iters_must_be_an_integer():
+    mesh = make_plane(2, 2)
+    with pytest.raises(ValueError, match="iters must be an integer"):
+        update_vertices(mesh, face_normals(mesh), iters=2.5)
+    # numpy integers count as integers
+    targets = face_normals(mesh)
+    out = update_vertices(mesh, targets, iters=np.int32(2))
+    assert np.array_equal(out.vertices, update_vertices(mesh, targets, iters=2).vertices)
+
+
 def test_shape_mismatch_rejected():
     mesh = make_plane(2, 2)
     with pytest.raises(ValueError, match="shape"):

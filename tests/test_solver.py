@@ -557,6 +557,21 @@ def test_filter_rejects_bad_inputs(cube_small_conn):
         SolverParams(max_outer_iters=0)
 
 
+def test_counts_must_be_integers(cube_small_conn):
+    # a float count would otherwise fail as a TypeError inside the sweep loop
+    for name in ("max_outer_iters", "cg_max_iters"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SolverParams(**{name: 2.5})
+    u = face_normals(cube_small_conn.mesh)
+    with pytest.raises(ValueError, match="iters must be an integer"):
+        minimize_tgv(cube_small_conn, u, 1.0, 0.1, iters=2.5)
+    # numpy integers count as integers
+    params = SolverParams(max_outer_iters=np.int64(2), cg_max_iters=np.int32(500))
+    assert filter_normals(cube_small_conn, u, params).iterations == 2
+    assert minimize_tgv(cube_small_conn, u, 1.0, 0.1, iters=np.int64(3))[0] == \
+        minimize_tgv(cube_small_conn, u, 1.0, 0.1, iters=3)[0]
+
+
 def test_filter_writes_diagnostics_csv(tmp_path, filter_run):
     conn, n_in, params, _ = filter_run
     path = tmp_path / "diag.csv"
@@ -594,6 +609,21 @@ def test_minimize_tgv_below_both_bounds(cube_small_conn):
     best, v_best = minimize_tgv(conn, u, alpha1, alpha0, iters=60)
     assert best <= min(at_zero, at_jump) + 1e-12
     assert np.isclose(tgv_energy(conn, u, v_best, alpha1, alpha0), best, rtol=1e-12)
+
+
+def test_minimize_tgv_search_goes_below_both_seeds():
+    # at alpha0 = 0.1 the minimum is always a seed; at 0.2 on this noisy cube
+    # the search reaches 2.037 against 2.348 at v = 0 and 2.241 at v = jump
+    noisy = add_gaussian_noise(make_cube(4, size=0.05),
+                               NoiseSpec(0.3, mode="vertex-normal", seed=7))
+    conn = build_connectivity(noisy)
+    u = face_normals(noisy)
+    alpha1, alpha0 = 1.0, 0.2
+    at_zero = tgv_energy(conn, u, np.zeros((conn.topo.num_edges, 3)), alpha1, alpha0)
+    at_jump = tgv_energy(conn, u, edge_jump(conn.topo, u), alpha1, alpha0)
+    best, v_best = minimize_tgv(conn, u, alpha1, alpha0, iters=200)
+    assert best < at_zero and best < at_jump
+    assert best == tgv_energy(conn, u, v_best, alpha1, alpha0)
 
 
 def test_minimize_tgv_needs_an_iteration(cube_small_conn):

@@ -8,9 +8,9 @@ import numpy as np
 from tgvdenoise import (TriMesh, build_connectivity, build_edge_topology,
                         edge_jump, face_normals, ho_seminorm, make_cube,
                         make_icosphere, tv_seminorm)
-from tgvdenoise.topology import CurveSet, LineSet
+from tgvdenoise.topology import LineSet
 
-from oracles import curve_edges, dense_line_jump, line_edges, line_faces
+from oracles import curve_edges, dense_line_jump, edge_ends, line_edges, line_faces
 
 
 def _row_unique_edges(mesh):
@@ -38,14 +38,37 @@ def test_single_triangle_all_boundary():
     assert topo.is_boundary.all()
 
 
+def _topology_edge_ends(topo):
+    """Each edge's two vertices in its stored direction, read off the one
+    face slot that runs the edge that way."""
+    f = topo.mesh.faces
+    forward = topo.face_edge_sign == 1.0
+    ends = np.empty((topo.num_edges, 2), dtype=np.int64)
+    ends[topo.face_edges[forward]] = np.stack([f[forward], np.roll(f, -1, axis=1)[forward]],
+                                              axis=1)
+    return ends
+
+
 def test_edges_match_row_unique_oracle(all_conns):
-    # the integer edge key orders edges as a row-wise unique of sorted pairs
+    # the edges are the row-wise unique sorted vertex pairs, numbered in order
+    # of their first occurrence in the face slots and directed as they first
+    # occur; a length does not depend on the direction, bit for bit
     for conn in all_conns.values():
-        edges, inverse = _row_unique_edges(conn.mesh)
-        v = conn.mesh.vertices
-        np.testing.assert_array_equal(conn.topo.edge_len,
-                                      np.linalg.norm(v[edges[:, 1]] - v[edges[:, 0]], axis=1))
-        np.testing.assert_array_equal(conn.topo.face_edges, inverse)
+        topo, mesh = conn.topo, conn.mesh
+        edges, inverse = _row_unique_edges(mesh)
+        ends = edge_ends(mesh)
+        np.testing.assert_array_equal(_topology_edge_ends(topo), ends)
+        row = {pair: r for r, pair in enumerate(map(tuple, edges.tolist()))}
+        number = np.empty(len(edges), dtype=np.int64)
+        number[[row[pair] for pair in map(tuple, np.sort(ends, axis=1).tolist())]] = \
+            np.arange(len(ends))
+        np.testing.assert_array_equal(topo.face_edges, number[inverse])
+        _, first = np.unique(topo.face_edges.ravel(), return_index=True)
+        assert (np.diff(first) > 0).all()
+        v = mesh.vertices
+        np.testing.assert_array_equal(topo.edge_len,
+                                      np.linalg.norm(v[edges[:, 1]] - v[edges[:, 0]],
+                                                     axis=1)[np.argsort(number)])
 
 
 def test_tetrahedron_closed(tet_conn):
@@ -68,7 +91,7 @@ def test_every_face_contributes_three_edge_slots(tet_conn, plane_conn):
 def test_edge_in_out_convention(tet):
     # line 3t + j sits at face t's vertex j; its jump reads the edge entering
     # that vertex when traversed with the face, then the edge leaving it
-    edges, _ = _row_unique_edges(tet)
+    edges = edge_ends(tet)
     lines = build_connectivity(tet).lines
     jump = lines.jump
     for l in range(lines.num_lines):
@@ -146,7 +169,7 @@ def test_curve_stencil_edges_share_the_line_vertex(cube_small_conn):
     conn = cube_small_conn
     curves = conn.curves
     expected = curve_edges(conn.mesh)
-    edges, _ = _row_unique_edges(conn.mesh)
+    edges = edge_ends(conn.mesh)
     for c in np.nonzero(curves.valid)[0][:60]:
         p = conn.mesh.faces.ravel()[c]
         assert np.array_equal(_stencil_row(curves, c), expected[c])
@@ -174,44 +197,63 @@ def test_b2_slot_count_interior(tet_conn, cube_small_conn):
         assert np.all(slots == 8)
 
 
-def test_orientation_flip_changes_only_signs(cube_small):
-    topo = build_edge_topology(cube_small)
-    rng = np.random.default_rng(0)
-    flip = rng.random(topo.num_edges) < 0.5
-    flipped = build_edge_topology(cube_small, _flip_edges=flip)
-
-    assert np.allclose(flipped.edge_len, topo.edge_len)
-    assert np.allclose(flipped.face_area, topo.face_area)
-    assert np.array_equal(flipped.face_edges, topo.face_edges)
-    assert np.array_equal(np.abs(flipped.face_edge_sign), np.abs(topo.face_edge_sign))
-    expected = topo.face_edge_sign * np.where(flip[topo.face_edges], -1.0, 1.0)
-    assert np.array_equal(flipped.face_edge_sign, expected)
+def _relabeled(mesh, seed):
+    """The mesh with its faces permuted, and the permutation."""
+    perm = np.random.default_rng(seed).permutation(mesh.num_faces)
+    return TriMesh(mesh.vertices, mesh.faces[perm]), perm
 
 
-def test_orientation_flip_leaves_seminorms_unchanged(cube_small):
-    from tgvdenoise import Connectivity, tgv_energy
+def _edge_match(topo, moved):
+    """Per edge of ``topo``: the same vertex pair's edge in ``moved``, and
+    -1.0 where ``moved`` runs it the other way (else 1.0)."""
+    ends, moved_ends = _topology_edge_ends(topo), _topology_edge_ends(moved)
+    index = {frozenset(pair): e for e, pair in enumerate(moved_ends.tolist())}
+    match = np.array([index[frozenset(pair)] for pair in ends.tolist()])
+    return match, np.where(moved_ends[match, 0] == ends[:, 0], 1.0, -1.0)
 
-    topo = build_edge_topology(cube_small)
+
+def test_relabeling_faces_renumbers_and_reverses_edges(cube_small, plane):
+    # a face permutation changes which slot leads each edge, so it renumbers
+    # edges and reverses some; lengths, boundary flags and areas move along,
+    # and each face meets the same edges, signed by the new directions
+    for mesh in (cube_small, plane):
+        moved_mesh, perm = _relabeled(mesh, 0)
+        topo, moved = build_edge_topology(mesh), build_edge_topology(moved_mesh)
+        match, flip = _edge_match(topo, moved)
+        assert (match != np.arange(topo.num_edges)).any()
+        assert (flip == -1.0).any() and (flip == 1.0).any()
+        np.testing.assert_array_equal(moved.edge_len[match], topo.edge_len)
+        np.testing.assert_array_equal(moved.is_boundary[match], topo.is_boundary)
+        np.testing.assert_array_equal(moved.face_area, topo.face_area[perm])
+        np.testing.assert_array_equal(moved.face_edges, match[topo.face_edges[perm]])
+        np.testing.assert_array_equal(moved.face_edge_sign,
+                                      topo.face_edge_sign[perm] * flip[topo.face_edges[perm]])
+
+
+def test_relabeling_faces_leaves_seminorms_unchanged(cube_small):
+    from tgvdenoise import tgv_energy
+
+    moved_mesh, perm = _relabeled(cube_small, 3)
+    conn, moved = build_connectivity(cube_small), build_connectivity(moved_mesh)
+    match, flip = _edge_match(conn.topo, moved.topo)
     rng = np.random.default_rng(3)
-    flip = rng.random(topo.num_edges) < 0.5
-    topo_f = build_edge_topology(cube_small, _flip_edges=flip)
-    lines, lines_f = LineSet(topo), LineSet(topo_f)
-    u = face_normals(cube_small) + 0.1 * rng.normal(size=(topo.num_faces, 3))
+    u = face_normals(cube_small) + 0.1 * rng.normal(size=(cube_small.num_faces, 3))
+    u_moved = u[perm]
 
-    assert np.isclose(tv_seminorm(topo, u), tv_seminorm(topo_f, u), rtol=1e-12)
-    assert np.isclose(ho_seminorm(lines, u), ho_seminorm(lines_f, u), rtol=1e-12)
-    # jumps flip sign exactly on flipped edges
-    j, jf = edge_jump(topo, u), edge_jump(topo_f, u)
-    assert np.allclose(jf, np.where(flip[:, None], -j, j), atol=1e-15)
+    assert np.isclose(tv_seminorm(conn.topo, u), tv_seminorm(moved.topo, u_moved), rtol=1e-12)
+    assert np.isclose(ho_seminorm(conn.lines, u), ho_seminorm(moved.lines, u_moved),
+                      rtol=1e-12)
+    # each edge's jump is the difference of the same two faces, taken in
+    # the other order exactly where the edge is reversed
+    j, j_moved = edge_jump(conn.topo, u), edge_jump(moved.topo, u_moved)
+    np.testing.assert_array_equal(j_moved[match], flip[:, None] * j)
     # the full energy (curves included) is also invariant when the edge field
-    # is transported along with the orientations
-    conn = Connectivity(topo, lines, CurveSet(lines))
-    conn_f = Connectivity(topo_f, lines_f, CurveSet(lines_f))
+    # is transported along with the numbering and the directions
     assert np.isclose(tgv_energy(conn, u, j, 1.0, 0.1),
-                      tgv_energy(conn_f, u, jf, 1.0, 0.1), rtol=1e-12)
-    zero = np.zeros_like(j)
-    assert np.isclose(tgv_energy(conn, u, zero, 1.0, 0.1),
-                      tgv_energy(conn_f, u, zero, 1.0, 0.1), rtol=1e-12)
+                      tgv_energy(moved, u_moved, j_moved, 1.0, 0.1), rtol=1e-12)
+    assert np.isclose(tgv_energy(conn, u, np.zeros_like(j), 1.0, 0.1),
+                      tgv_energy(moved, u_moved, np.zeros_like(j_moved), 1.0, 0.1),
+                      rtol=1e-12)
 
 
 def test_connectivity_bundle(tet):
