@@ -17,7 +17,7 @@ from .fileio import load_mesh, save_mesh
 from .mesh import MeshError, face_normals
 from .metrics import (face_angle_errors, mean_angular_difference,
                       vertex_error, write_face_error_csv)
-from .noise import MODES, NoiseSpec, add_gaussian_noise, mean_edge_length, vertex_normals
+from .noise import MODES, NoiseSpec, _displaced, mean_edge_length, vertex_normals
 from .operators import edge_jump, ho_seminorm, tgv_energy, tv_seminorm
 from .reconstruct import update_vertices
 from .solver import (WEIGHT_RANGE, SolverError, SolverParams, filter_normals,
@@ -66,7 +66,8 @@ def _add_solver_flags(p):
     g.add_argument("--stop-tol", type=float,
                    help="stop when the squared normal change drops below this")
     g.add_argument("--cg-tol", dest="cg_rel_tol", metavar="CG_TOL", type=float,
-                   help="relative residual tolerance of the inner linear solves")
+                   help="relative residual tolerance of the inner linear solves, "
+                        "in the measure-weighted norm of all three channels at once")
     g.add_argument("--cg-max-iters", type=int)
     g.add_argument("--no-dynamic-weights", dest="dynamic_weights", action="store_false",
                    help="freeze all edge weights at 1 (ablation)")
@@ -172,12 +173,12 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_add_noise(args) -> int:
-    # the level is checked before the mesh is read
+    # the level and the seed are checked before the mesh is read
     spec = NoiseSpec(level=args.level, mode=args.mode, seed=args.seed)
     mesh = load_mesh(args.input)
     # a mesh without faces has no edge length, at any level
     le = mean_edge_length(mesh)
-    noisy = add_gaussian_noise(mesh, spec)
+    noisy = _displaced(mesh, spec, le) if spec.level else mesh
     save_mesh(noisy, args.output)
 
     disp = noisy.vertices - mesh.vertices

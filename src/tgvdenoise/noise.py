@@ -4,6 +4,7 @@ The random stream is a seeded PCG64 generator, so outputs are reproducible
 bit for bit across platforms for a fixed seed.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,8 @@ MODES = ("iid-coordinate", "vertex-normal")
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise level as a multiple of mean edge length, direction mode, seed."""
+    """Noise level as a multiple of mean edge length, direction mode, and a
+    seed that is a non-negative integer (numpy's pass)."""
 
     level: float
     mode: str = "iid-coordinate"
@@ -29,6 +31,8 @@ class NoiseSpec:
             raise ValueError("noise level must be non-negative and finite")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def mean_edge_length(mesh) -> float:
@@ -58,7 +62,13 @@ def add_gaussian_noise(mesh, spec: NoiseSpec):
     """
     if spec.level == 0:
         return mesh
-    sigma = spec.level * mean_edge_length(mesh)
+    return _displaced(mesh, spec, mean_edge_length(mesh))
+
+
+def _displaced(mesh, spec, edge_length):
+    """add_gaussian_noise at a level above 0, given the mesh's mean edge
+    length, so a caller that needs that length builds the edges once."""
+    sigma = spec.level * edge_length
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     if spec.mode == "iid-coordinate":
         disp = rng.normal(0.0, sigma, size=mesh.vertices.shape)

@@ -57,7 +57,8 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Linear solve failed; carries the relative residuals per channel."""
+    """Linear solve failed; ``residuals`` carries the relative block
+    residual of a conjugate-gradient solve that did not converge."""
 
     def __init__(self, message, residuals=None):
         super().__init__(message)
@@ -151,8 +152,9 @@ class FilterResult:
     ``diagnostics`` has one row per sweep with the DIAGNOSTIC_COLUMNS
     entries; ``stop_reason`` is "tolerance" or "max_iters".
     ``cg_iterations`` has one row per sweep: the conjugate-gradient
-    iterations of the normal and of the v solve (on a factored mesh, 1 when
-    the direct solution passes CG's first residual check).
+    iterations of the normal and of the v solve, each iteration one product
+    with the whole (n, 3) block (on a factored mesh, 1 when the direct
+    solution passes CG's first check of the block residual).
     """
 
     normals: np.ndarray
@@ -189,21 +191,21 @@ def edge_weights(jump_n, sigma_e) -> np.ndarray:
 
 
 def _cg_block(apply_op, rhs, measure, rel_tol, max_iters, label, x0=None):
-    """Conjugate gradients in the measure-weighted inner product, run on all
-    channels at once with per-channel scalars and per-channel freezing, so
-    each channel runs its own iteration (up to rounding in the dot
-    products).
+    """Conjugate gradients on the (n, C) block as one vector, in the
+    measure-weighted inner product <a, b> = measure @ row_dot(a, b): one
+    step size and one direction update per iteration for all channels.
 
-    ``x0`` is the starting guess; None or all zeros starts from zero. Each
-    channel stops once its residual's norm is at most ``rel_tol`` times its
-    right-hand side's, whatever the start, and a channel whose right-hand
-    side is exactly zero returns exactly zero. Returns the solution and the
-    iteration count, one per product with the system: a nonzero ``x0``
-    costs one more, for its residual. A non-finite residual, like one that
-    does not converge, raises SolverError.
+    ``x0`` is the starting guess; None or all zeros starts from zero. The
+    solve stops once the block residual's norm is at most ``rel_tol`` times
+    the block right-hand side's, whatever the start. The system does not
+    couple channels, so a channel whose right-hand side is exactly zero
+    returns exactly zero. Returns the solution and the iteration count, one
+    per product with the system: a nonzero ``x0`` costs one more, for its
+    residual. A non-finite residual, like one that does not converge,
+    raises SolverError.
     """
     def wdot(a, b):
-        return measure @ (a * b)
+        return measure @ row_dot(a, b)
 
     bnorm = np.sqrt(wdot(rhs, rhs))
     target = rel_tol * bnorm
@@ -212,45 +214,37 @@ def _cg_block(apply_op, rhs, measure, rel_tol, max_iters, label, x0=None):
         r = rhs.copy()
         products = 0
     else:
-        x = np.where(bnorm > 0, x0, 0.0)
+        x = np.where(rhs.any(axis=0), x0, 0.0)
         r = rhs - apply_op(x)
         products = 1
     rs = wdot(r, r)
     _check_finite(rs, label)
-    active = np.sqrt(rs) > target
-    p = np.where(active, r, 0.0)
-    # Per-channel scalings multiply by a diagonal matrix: BLAS does that
-    # faster than broadcasting a (3,) factor over rows of three, with the
-    # same bits, since the off-diagonal terms add exact zeros. A frozen
-    # channel's step is zero, so its direction needs no reset.
+    p = r.copy()
     for _ in range(max_iters):
-        if not active.any():
+        if np.sqrt(rs) <= target:
             break
         ap = apply_op(p)
         products += 1
-        pap = wdot(p, ap)
-        step = np.diag(np.divide(rs, pap, out=np.zeros_like(rs),
-                                 where=active & (pap > 0)))
-        x += p @ step
-        r -= ap @ step
+        alpha = rs / wdot(p, ap)
+        x += alpha * p
+        r -= alpha * ap
         rs_new = wdot(r, r)
         _check_finite(rs_new, label)
-        active = np.sqrt(rs_new) > target
-        p = p @ np.diag(np.divide(rs_new, rs, out=np.zeros_like(rs), where=active))
+        p *= rs_new / rs
         p += r
         rs = rs_new
-    if active.any():
+    if np.sqrt(rs) > target:
         raise SolverError(
             f"conjugate gradients did not converge for the {label} system "
             f"within {max_iters} iterations",
-            residuals=np.sqrt(rs) / np.maximum(bnorm, np.finfo(float).tiny),
+            residuals=np.sqrt(rs) / max(bnorm, np.finfo(float).tiny),
         )
     return x, products
 
 
 def _check_finite(rs, label):
     """A NaN residual norm would compare as converged: raise instead."""
-    if not np.isfinite(rs).all():
+    if not np.isfinite(rs):
         raise SolverError(f"conjugate gradients met a non-finite residual in the "
                           f"{label} system")
 

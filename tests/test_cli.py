@@ -309,9 +309,11 @@ def test_seminorms_float_option_over_every_decade(capsys, tmp_path, option, mini
     (["denoise", "missing.obj", "-o", "out.obj", "--error-map", "e.csv"], "ground-truth"),
     (["add-noise", "missing.obj", "-o", "out.obj", "--level", "nan"], "finite"),
     (["add-noise", "missing.obj", "-o", "out.obj", "--level", "inf"], "finite"),
+    (["add-noise", "missing.obj", "-o", "out.obj", "--level", "0.3", "--seed", "-1"],
+     "seed"),
 ], ids=["vertex-iters", "seminorms-alpha1", "seminorms-alpha0", "minimize-iters-0",
         "minimize-iters-negative", "error-map", "add-noise-level-nan",
-        "add-noise-level-inf"])
+        "add-noise-level-inf", "add-noise-seed-negative"])
 def test_bad_values_fail_before_the_mesh_is_read(capsys, tmp_path, argv, message):
     # the input does not exist, so an error about the value shows that it
     # was checked first

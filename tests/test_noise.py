@@ -66,3 +66,9 @@ def test_spec_validation():
             NoiseSpec(level)
     with pytest.raises(ValueError, match="mode"):
         NoiseSpec(0.1, mode="sideways")
+    for seed in (-1, 2.5, "7", None):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseSpec(0.1, seed=seed)
+    # numpy integers are integers
+    for seed in (np.int64(3), np.uint32(3)):
+        assert NoiseSpec(0.1, seed=seed).seed == 3

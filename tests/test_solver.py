@@ -215,7 +215,8 @@ def test_cg_nonconvergence_raises(cube_small_conn, rng):
     with pytest.raises(SolverError) as err:
         _cg_block(v_system_operator(conn, params), b, conn.topo.edge_len,
                   1e-14, 2, "test")
-    assert err.value.residuals is not None
+    # one relative residual for the whole block
+    assert np.ndim(err.value.residuals) == 0 and err.value.residuals > 1e-14
 
 
 @pytest.mark.parametrize("case", ["nan-start", "nan-operator"])
@@ -229,6 +230,24 @@ def test_cg_non_finite_residual_raises(case):
         apply_op, x0 = (lambda x: np.full_like(x, np.nan)), None
     with pytest.raises(SolverError, match="non-finite"):
         _cg_block(apply_op, rhs, measure, 1e-8, 50, "test", x0=x0)
+
+
+def test_cg_block_is_rotation_equivariant(cube_small_conn, rng):
+    # one step size per iteration for the whole block in a rotation-invariant
+    # inner product: rotating the right-hand side rotates every iterate, so
+    # the solves take the same products and agree to rounding, far inside
+    # the tolerance
+    conn = cube_small_conn
+    params = SolverParams()
+    rot, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    b = rng.normal(size=(conn.topo.num_edges, 3))
+    apply_op = v_system_operator(conn, params)
+    x, products = _cg_block(apply_op, b, conn.topo.edge_len, params.cg_rel_tol,
+                            params.cg_max_iters, "test")
+    x_rot, products_rot = _cg_block(apply_op, b @ rot.T, conn.topo.edge_len,
+                                    params.cg_rel_tol, params.cg_max_iters, "test")
+    assert products_rot == products > 1
+    assert np.abs(x_rot - x @ rot.T).max() <= 1e-12 * np.abs(x).max()
 
 
 def _counting(apply_op):
@@ -718,16 +737,22 @@ def test_filter_is_translation_invariant(noisy_cube_small):
     assert np.abs(_filtered(moved, params) - base).max() <= 1e-10
 
 
-def test_filter_is_rotation_equivariant(noisy_cube_small):
-    # rotating the input rotates the output. CG stops each channel at its
-    # own iterate, so the gap tracks cg_rel_tol: 2.7e-8 at the default
-    # 1e-8, and 9.4e-13 at the 1e-12 used here, after 20 sweeps
+@pytest.mark.parametrize("divisions", [2, 21], ids=["factored", "cg"])
+def test_filter_is_rotation_equivariant(divisions):
+    # rotating the input rotates the output. The 48-face cube is factored,
+    # so each solve is its direct solution: measured 4.4e-16 after 20
+    # sweeps, at cg_rel_tol 1e-12 and at the default 1e-8 alike. The
+    # 5 292-face cube is the first above the factoring threshold, so
+    # conjugate gradients iterate and the gap tracks cg_rel_tol: 2.2e-12 at
+    # the 1e-12 used here, 4.0e-9 at the default 1e-8
+    mesh = add_gaussian_noise(make_cube(divisions, size=0.05),
+                              NoiseSpec(0.3, mode="vertex-normal", seed=7))
+    assert (mesh.num_faces > solver._DIRECT_MAX_FACES) == (divisions == 21)
     rot, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
     rot[:, 0] *= np.sign(np.linalg.det(rot))
     params = SolverParams(max_outer_iters=20, cg_rel_tol=1e-12)
-    base = _filtered(noisy_cube_small, params)
-    turned = _filtered(noisy_cube_small.with_vertices(noisy_cube_small.vertices @ rot.T),
-                       params)
+    base = _filtered(mesh, params)
+    turned = _filtered(mesh.with_vertices(mesh.vertices @ rot.T), params)
     assert np.abs(turned - base @ rot.T).max() <= 1e-10
 
 
