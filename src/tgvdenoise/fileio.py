@@ -10,10 +10,12 @@ Only the minimal grammars are supported:
 
 Comments (``#``) and blank lines are ignored in both formats. Lines are
 split as ``str.splitlines`` and ``str.split`` split them, and each value is
-read with Python's ``float`` or ``int``. The reader converts a block of lines
-at a time; for a bad file it names the first bad line, as a reader going
-record by record would. Coordinates are written with 17 significant digits
-so a save/load round trip reproduces float64 positions exactly.
+converted by ``np.array(tokens, dtype)``, which hands each string to
+Python's ``float`` or ``int``, so the value grammar and its errors are
+Python's. The reader converts a block of lines at a time; for a bad file it
+names the first bad line, as a reader going record by record would.
+Coordinates are written with 17 significant digits so a save/load round
+trip reproduces float64 positions exactly.
 """
 
 import os
@@ -78,12 +80,6 @@ def _token_blocks(text):
         yield lineno, list(map(str.split, lines))
         lineno += len(lines)
         start = end
-
-
-def _array(tokens, convert, dtype):
-    """The tokens converted one by one with ``convert`` (``float`` or
-    ``int``, so the value grammar is Python's), as one array."""
-    return np.fromiter(map(convert, tokens), dtype, len(tokens))
 
 
 def _widths(rows, width):
@@ -169,11 +165,11 @@ def _obj_block(rows):
     n_faces = kinds.count("f")
     if kinds.count("v") + n_faces != len(kinds):
         raise ValueError("record kind")
-    # int() fails on a token with a '/', and beyond int64 the array does
-    idx = _array(tokens[:3 * n_faces], int, np.int64)
+    # int() fails on a token with a '/', and beyond int64 the cast does
+    idx = np.array(tokens[:3 * n_faces], dtype=np.int64)
     if (idx <= 0).any():
         raise ValueError("face index below 1")
-    return _array(tokens[3 * n_faces:], float, np.float64), idx - 1
+    return np.array(tokens[3 * n_faces:], dtype=np.float64), idx - 1
 
 
 def _parse_obj(text):
@@ -210,7 +206,7 @@ def _off_block(rows, n_vertices):
     ``n_vertices`` of them vertex records; ValueError or OverflowError if
     a record is bad."""
     _widths(rows[:n_vertices], 3)
-    coords = _array(list(chain.from_iterable(rows[:n_vertices])), float, np.float64)
+    coords = np.array(list(chain.from_iterable(rows[:n_vertices])), dtype=np.float64)
     face_rows = rows[n_vertices:]
     _widths(face_rows, 4)
     tokens = list(chain.from_iterable(face_rows))
@@ -218,7 +214,7 @@ def _off_block(rows, n_vertices):
     del tokens[::4]
     if lead.count("3") != len(lead):
         raise ValueError("face size")
-    idx = _array(tokens, int, np.int64)           # OverflowError beyond int64
+    idx = np.array(tokens, dtype=np.int64)        # OverflowError beyond int64
     if (idx == -_INDEX_MAX - 1).any():            # whose abs() is beyond it too
         raise ValueError("face index out of range")
     return coords, idx

@@ -4,7 +4,7 @@ import numbers
 
 import numpy as np
 
-__all__ = ["MeshError", "TriMesh", "face_normals", "face_areas", "face_barycenters"]
+__all__ = ["MeshError", "TriMesh", "face_normals", "face_barycenters"]
 
 
 class MeshError(ValueError):

@@ -23,8 +23,7 @@ import numpy as np
 from .mesh import row_dot, row_norm
 
 __all__ = [
-    "inner_faces", "inner_edges", "norm_edges",
-    "inner_lines", "norm_lines", "inner_curves", "norm_curves",
+    "inner_faces", "inner_edges", "norm_edges", "norm_lines", "norm_curves",
     "edge_jump", "edge_jump_adjoint",
     "line_jump", "line_jump_adjoint",
     "curve_jump", "curve_jump_adjoint",

@@ -16,9 +16,9 @@ multiplier ascent on the constraint residuals and a weight refresh. Neither
 system depends on the iterates or the edge weights, so each is assembled
 once per run as a sparse matrix, held with its solve rule by one
 ``_System`` that both the filter and ``minimize_tgv`` use. On meshes of at
-most ``_DIRECT_MAX_FACES`` faces each is also factored once per run (a
-sparse LU of the measure-scaled, symmetric matrix), and every solve's
-direct solution is the starting point of conjugate gradients in the
+most ``_DIRECT_MAX_FACES`` faces that one matrix is also factored once per
+run (a sparse LU with a symmetric ordering and diagonal pivots), and every
+solve's direct solution is the starting point of conjugate gradients in the
 weighted inner product, whose first residual checks it against
 ``cg_rel_tol``: one product per solve when it passes. On larger meshes,
 where a factor costs more than it saves, conjugate gradients start from the
@@ -262,40 +262,32 @@ def _system_matrix(diagonal, products):
     return matrix
 
 
-def _normal_matrix(conn, params):
-    return _system_matrix(params.beta, [(-params.r1, conn.topo.jump)])
-
-
-def _v_matrix(conn, params):
-    return _system_matrix(params.r1, [(-params.r0, conn.lines.jump),
-                                      (-params.r0, conn.curves.jump)])
-
-
-def normal_system_operator(conn, params):
-    """Matrix action of the normal subproblem: beta*X - r1*adj(jump(X)),
-    with the matrix assembled once."""
-    matrix = _normal_matrix(conn, params)
+def normal_system_operator(matrix):
+    """Matrix action of the normal subproblem, beta*X - r1*adj(jump(X)),
+    with ``matrix`` the system its _System assembled."""
     return lambda x: matrix @ x
 
 
-def v_system_operator(conn, params):
-    """Matrix action of the v subproblem:
-    r1*X - r0*adj(line_jump(X)) - r0*adj(curve_jump(X)), with the matrix
-    assembled once."""
-    matrix = _v_matrix(conn, params)
+def v_system_operator(matrix):
+    """Matrix action of the v subproblem,
+    r1*X - r0*adj(line_jump(X)) - r0*adj(curve_jump(X)), with ``matrix``
+    the system its _System assembled."""
     return lambda x: matrix @ x
 
 
 class _System:
     """One ALM system of a run, ``kind`` "normal" or "v", and its solve rule.
 
-    The product comes from the public factory, looked up when the system is
-    built, so a factory rebound after import (a tracer's) makes every
-    product. On meshes of at most
-    ``_DIRECT_MAX_FACES`` faces the system is also factored: a sparse LU of
-    diag(measure) @ matrix, which is symmetric because the system is
-    self-adjoint in the measure-weighted inner product, so the ordering and
-    the diagonal pivots may follow that symmetry. ``solve(rhs)`` runs
+    The matrix is assembled once. Its product comes from the public factory,
+    looked up when the system is built, so a factory rebound after import (a
+    tracer's) makes every product. On meshes of at most
+    ``_DIRECT_MAX_FACES`` faces the same matrix A is also factored, with a
+    symmetric ordering and diagonal pivots. That is sound although A itself
+    is not symmetric: S = diag(measure) @ A is symmetric positive definite,
+    because the system is self-adjoint in the measure-weighted inner
+    product, and if S = L U without pivoting then A = (D^-1 L D)(D^-1 U)
+    with D = diag(measure), a no-pivot LU of the same pattern whose pivots
+    are those of S divided by the measure, all positive. ``solve(rhs)`` runs
     conjugate gradients from the direct solution when factored, else from
     the previous ``solution``, and leaves the product count in ``products``.
     A failed factorization, or a direct solution that is not finite, raises
@@ -303,19 +295,22 @@ class _System:
     """
 
     def __init__(self, conn, params, kind):
-        normal = kind == "normal"
-        factory = normal_system_operator if normal else v_system_operator
-        self.kind, self.params, self.apply = kind, params, factory(conn, params)
-        self.measure = conn.topo.face_area if normal else conn.topo.edge_len
+        topo = conn.topo
+        if kind == "normal":
+            factory, self.measure = normal_system_operator, topo.face_area
+            diagonal, products = params.beta, [(-params.r1, topo.jump)]
+        else:
+            factory, self.measure = v_system_operator, topo.edge_len
+            diagonal, products = params.r1, [(-params.r0, conn.lines.jump),
+                                             (-params.r0, conn.curves.jump)]
+        matrix = _system_matrix(diagonal, products)
+        self.kind, self.params, self.apply = kind, params, factory(matrix)
         self.solution, self.products, self.factor = None, 0, None
-        if conn.topo.num_faces <= _DIRECT_MAX_FACES:
+        if topo.num_faces <= _DIRECT_MAX_FACES:
             from scipy.sparse.linalg import splu
 
-            scaled = (_normal_matrix if normal else _v_matrix)(conn, params)
-            scaled.data *= self.measure[np.repeat(np.arange(len(self.measure)),
-                                                  np.diff(scaled.indptr))]
             try:
-                self.factor = splu(scaled.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                self.factor = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
                                    diag_pivot_thresh=0.0,
                                    options={"SymmetricMode": True})
             except RuntimeError as exc:
@@ -323,7 +318,7 @@ class _System:
 
     def direct(self, rhs):
         """The factor's solution, before the CG check."""
-        x = self.factor.solve(self.measure[:, None] * rhs)
+        x = self.factor.solve(rhs)
         if not np.isfinite(x).all():
             raise SolverError(f"the factor of the {self.kind} system gave a "
                               "non-finite solution")

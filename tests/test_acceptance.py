@@ -26,8 +26,7 @@ from tgvdenoise.metrics import closest_point_distances
 from tgvdenoise.noise import mean_edge_length
 from tgvdenoise.operators import (curve_jump_adjoint, inner_curves, inner_lines,
                                   line_jump_adjoint)
-from tgvdenoise.solver import (_cg_block, _System, normal_system_operator, shrink,
-                               v_system_operator)
+from tgvdenoise.solver import _cg_block, _System, shrink
 from tgvdenoise.synth import make_plane
 from oracles import (closest_point_on_triangle, far_triangles,
                      golden_section_shrink, line_faces)
@@ -136,12 +135,12 @@ def test_criterion_3_subproblem_oracles():
     params = SolverParams(cg_rel_tol=1e-10)
     rng = np.random.default_rng(300)
     worst_rel = worst_factor = 0.0
-    for apply_op, kind, n, measure in [
-        (normal_system_operator(conn, params), "normal",
-         conn.topo.num_faces, conn.topo.face_area),
-        (v_system_operator(conn, params), "v",
-         conn.topo.num_edges, conn.topo.edge_len),
+    for kind, n, measure in [
+        ("normal", conn.topo.num_faces, conn.topo.face_area),
+        ("v", conn.topo.num_edges, conn.topo.edge_len),
     ]:
+        system = _System(conn, params, kind)
+        apply_op = system.apply
         dense = np.empty((n, n))
         for i in range(n):
             e = np.zeros((n, 1))
@@ -155,7 +154,7 @@ def test_criterion_3_subproblem_oracles():
         worst_rel = max(worst_rel, rel)
         assert rel < 1e-8
         # the sparse factor that small meshes solve with
-        x_factor = _System(conn, params, kind).direct(b)
+        x_factor = system.direct(b)
         rel = np.linalg.norm(x_factor - x_direct) / np.linalg.norm(x_direct)
         worst_factor = max(worst_factor, rel)
         assert rel < 1e-8

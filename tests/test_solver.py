@@ -14,11 +14,9 @@ from tgvdenoise import (NoiseSpec, SolverError, SolverParams, TriMesh,
 from tgvdenoise import solver
 from tgvdenoise.operators import curve_jump_adjoint, line_jump_adjoint
 from tgvdenoise.solver import (SolverState, _cg_block, _System, edge_weights,
-                               normal_system_operator, shrink,
-                               solve_n_subproblem, solve_p_subproblem,
+                               shrink, solve_n_subproblem, solve_p_subproblem,
                                solve_q1_subproblem, solve_q2_subproblem,
-                               solve_v_subproblem, update_multipliers,
-                               v_system_operator)
+                               solve_v_subproblem, update_multipliers)
 from oracles import dense_edge_jump
 
 
@@ -115,7 +113,7 @@ def _dense_from_operator(apply_op, n):
 
 def test_normal_system_on_constant_field(cube_small_conn):
     params = SolverParams()
-    apply_op = normal_system_operator(cube_small_conn, params)
+    apply_op = _System(cube_small_conn, params, "normal").apply
     const = np.tile([0.3, -0.2, 0.9], (cube_small_conn.topo.num_faces, 1))
     assert np.allclose(apply_op(const), params.beta * const, atol=1e-12)
 
@@ -123,8 +121,8 @@ def test_normal_system_on_constant_field(cube_small_conn):
 def test_system_operators_are_symmetric(cube_small_conn, rng):
     conn = cube_small_conn
     params = SolverParams()
-    apply_n = normal_system_operator(conn, params)
-    apply_v = v_system_operator(conn, params)
+    apply_n = _System(conn, params, "normal").apply
+    apply_v = _System(conn, params, "v").apply
     x = rng.normal(size=(conn.topo.num_faces, 3))
     y = rng.normal(size=(conn.topo.num_faces, 3))
     lhs = inner_faces(conn.topo, apply_n(x), y)
@@ -145,13 +143,13 @@ def test_system_matrices_match_composed_operators(all_conns, rng):
         topo, lines, curves = conn.topo, conn.lines, conn.curves
         x = rng.normal(size=(topo.num_faces, 3))
         composed = params.beta * x - params.r1 * edge_jump_adjoint(topo, edge_jump(topo, x))
-        got = normal_system_operator(conn, params)(x)
+        got = _System(conn, params, "normal").apply(x)
         assert np.abs(got - composed).max() <= 1e-12 * np.abs(composed).max()
         v = rng.normal(size=(topo.num_edges, 3))
         composed = (params.r1 * v
                     - params.r0 * line_jump_adjoint(lines, line_jump(lines, v))
                     - params.r0 * curve_jump_adjoint(curves, curve_jump(curves, v)))
-        got = v_system_operator(conn, params)(v)
+        got = _System(conn, params, "v").apply(v)
         assert np.abs(got - composed).max() <= 1e-12 * np.abs(composed).max()
 
 
@@ -162,10 +160,9 @@ def test_measure_weighted_system_matrices_are_symmetric(all_conns):
     params = SolverParams()
     for conn in all_conns.values():
         topo = conn.topo
-        for factory, measure in ((normal_system_operator, topo.face_area),
-                                 (v_system_operator, topo.edge_len)):
+        for kind, measure in (("normal", topo.face_area), ("v", topo.edge_len)):
             weighted = measure[:, None] * _dense_from_operator(
-                factory(conn, params), len(measure))
+                _System(conn, params, kind).apply, len(measure))
             gap = np.abs(weighted - weighted.T).max()
             assert gap <= 1e-12 * np.abs(weighted).max()
 
@@ -173,7 +170,7 @@ def test_measure_weighted_system_matrices_are_symmetric(all_conns):
 def test_v_system_is_positive_definite(cube_small_conn, rng):
     conn = cube_small_conn
     params = SolverParams()
-    apply_v = v_system_operator(conn, params)
+    apply_v = _System(conn, params, "v").apply
     for _ in range(5):
         v = rng.normal(size=(conn.topo.num_edges, 3))
         quad = inner_edges(conn.topo, apply_v(v), v)
@@ -185,8 +182,8 @@ def test_cg_matches_dense_solve(cube_small_conn, rng):
     conn = cube_small_conn
     params = SolverParams(cg_rel_tol=1e-10)
     for apply_op, n, measure in [
-        (normal_system_operator(conn, params), conn.topo.num_faces, conn.topo.face_area),
-        (v_system_operator(conn, params), conn.topo.num_edges, conn.topo.edge_len),
+        (_System(conn, params, "normal").apply, conn.topo.num_faces, conn.topo.face_area),
+        (_System(conn, params, "v").apply, conn.topo.num_edges, conn.topo.edge_len),
     ]:
         dense = _dense_from_operator(apply_op, n)
         b = rng.normal(size=(n, 3))
@@ -202,7 +199,7 @@ def test_cg_matches_dense_solve(cube_small_conn, rng):
 def test_cg_zero_rhs_returns_zero(cube_small_conn):
     conn = cube_small_conn
     params = SolverParams()
-    out, _ = _cg_block(v_system_operator(conn, params),
+    out, _ = _cg_block(_System(conn, params, "v").apply,
                        np.zeros((conn.topo.num_edges, 3)), conn.topo.edge_len,
                        params.cg_rel_tol, params.cg_max_iters, "test")
     assert np.all(out == 0.0)
@@ -213,7 +210,7 @@ def test_cg_nonconvergence_raises(cube_small_conn, rng):
     params = SolverParams()
     b = rng.normal(size=(conn.topo.num_edges, 3))
     with pytest.raises(SolverError) as err:
-        _cg_block(v_system_operator(conn, params), b, conn.topo.edge_len,
+        _cg_block(_System(conn, params, "v").apply, b, conn.topo.edge_len,
                   1e-14, 2, "test")
     # one relative residual for the whole block
     assert np.ndim(err.value.residuals) == 0 and err.value.residuals > 1e-14
@@ -241,7 +238,7 @@ def test_cg_block_is_rotation_equivariant(cube_small_conn, rng):
     params = SolverParams()
     rot, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
     b = rng.normal(size=(conn.topo.num_edges, 3))
-    apply_op = v_system_operator(conn, params)
+    apply_op = _System(conn, params, "v").apply
     x, products = _cg_block(apply_op, b, conn.topo.edge_len, params.cg_rel_tol,
                             params.cg_max_iters, "test")
     x_rot, products_rot = _cg_block(apply_op, b @ rot.T, conn.topo.edge_len,
@@ -265,7 +262,7 @@ def test_cg_warm_start_zero_rhs_channel_returns_zero(cube_small_conn, rng):
     params = SolverParams()
     b = rng.normal(size=(conn.topo.num_edges, 3))
     b[:, 1] = 0.0
-    out, _ = _cg_block(v_system_operator(conn, params), b, conn.topo.edge_len,
+    out, _ = _cg_block(_System(conn, params, "v").apply, b, conn.topo.edge_len,
                        params.cg_rel_tol, params.cg_max_iters, "test",
                        x0=rng.normal(size=b.shape))
     assert np.all(out[:, 1] == 0.0)
@@ -275,11 +272,11 @@ def test_cg_warm_start_zero_rhs_channel_returns_zero(cube_small_conn, rng):
 def test_cg_warm_start_at_the_solution_takes_one_product(cube_small_conn, rng):
     conn = cube_small_conn
     params = SolverParams()
-    for factory, n, measure in [
-        (normal_system_operator, conn.topo.num_faces, conn.topo.face_area),
-        (v_system_operator, conn.topo.num_edges, conn.topo.edge_len),
+    for kind, n, measure in [
+        ("normal", conn.topo.num_faces, conn.topo.face_area),
+        ("v", conn.topo.num_edges, conn.topo.edge_len),
     ]:
-        apply_op = factory(conn, params)
+        apply_op = _System(conn, params, kind).apply
         b = rng.normal(size=(n, 3))
         x_direct = np.linalg.solve(_dense_from_operator(apply_op, n), b)
         counted, calls = _counting(apply_op)
@@ -287,6 +284,39 @@ def test_cg_warm_start_at_the_solution_takes_one_product(cube_small_conn, rng):
                                    params.cg_max_iters, "test", x0=x_direct)
         assert len(calls) == products <= 1
         assert np.array_equal(x_cg, x_direct)
+
+
+@pytest.mark.parametrize("factored", [True, False], ids=["factored", "cg"])
+@pytest.mark.parametrize("kind", ["normal", "v"])
+def test_each_system_assembles_its_matrix_once(cube_small_conn, monkeypatch,
+                                               kind, factored):
+    # the product and the factor read the same matrix
+    calls = []
+
+    def counting(*args, _assemble=solver._system_matrix):
+        calls.append(1)
+        return _assemble(*args)
+
+    monkeypatch.setattr(solver, "_system_matrix", counting)
+    if not factored:
+        monkeypatch.setattr(solver, "_DIRECT_MAX_FACES", 0)
+    system = _System(cube_small_conn, SolverParams(), kind)
+    assert (system.factor is not None) == factored
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["normal", "v"])
+@pytest.mark.parametrize("mesh", ["cube_small_conn", "plane_conn"],
+                         ids=["cube", "bordered-plane"])
+def test_direct_solution_matches_dense_solve(request, mesh, kind, rng):
+    # the factor is of the matrix the product uses; measured <= 3.4e-16
+    conn = request.getfixturevalue(mesh)
+    system = _System(conn, SolverParams(), kind)
+    n = len(system.measure)
+    b = rng.normal(size=(n, 3))
+    x_dense = np.linalg.solve(_dense_from_operator(system.apply, n), b)
+    rel = np.linalg.norm(system.direct(b) - x_dense) / np.linalg.norm(x_dense)
+    assert rel <= 1e-12
 
 
 # -- subproblems ----------------------------------------------------------------
@@ -421,12 +451,12 @@ def test_one_sweep_matches_hand_stepped_oracle(square_conn):
 
     w = edge_weights(edge_jump(topo, n_in), params.sigma_e)
     # N-step: cold state means rhs = beta * n_in
-    apply_n = normal_system_operator(conn, params)
+    apply_n = _System(conn, params, "normal").apply
     N, n_products = _cg_block(apply_n, params.beta * n_in, topo.face_area,
                               params.cg_rel_tol, params.cg_max_iters, "n")
     N = N / np.linalg.norm(N, axis=1)[:, None]
     # v-step: only the P-constraint term is nonzero
-    apply_v = v_system_operator(conn, params)
+    apply_v = _System(conn, params, "v").apply
     v, _ = _cg_block(apply_v, params.r1 * edge_jump(topo, N), topo.edge_len,
                      params.cg_rel_tol, params.cg_max_iters, "v")
     P = shrink(params.alpha1 * w, params.r1, edge_jump(topo, N) - v)
