@@ -13,7 +13,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .fileio import load_mesh, save_mesh
+from .fileio import _format_of, load_mesh, save_mesh
 from .mesh import MeshError, face_normals
 from .metrics import (face_angle_errors, mean_angular_difference,
                       vertex_error, write_face_error_csv)
@@ -68,7 +68,9 @@ def _add_solver_flags(p):
     g.add_argument("--cg-tol", dest="cg_rel_tol", metavar="CG_TOL", type=float,
                    help="relative residual tolerance of the inner linear solves, "
                         "in the measure-weighted norm of all three channels at once")
-    g.add_argument("--cg-max-iters", type=int)
+    g.add_argument("--cg-max-iters", type=int,
+                   help="CG iterations allowed per linear solve, at least 1 (default "
+                        "%(default)s); a solve that misses --cg-tol in them exits 2")
     g.add_argument("--no-dynamic-weights", dest="dynamic_weights", action="store_false",
                    help="freeze all edge weights at 1 (ablation)")
     p.set_defaults(**_SOLVER_DEFAULTS)
@@ -279,6 +281,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # a command that writes a mesh looks up its format before any work
+        if getattr(args, "output", None) is not None:
+            _format_of(args.output)
         return _COMMANDS[args.command](args)
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

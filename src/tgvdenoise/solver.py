@@ -192,7 +192,8 @@ def edge_weights(jump_n, sigma_e) -> np.ndarray:
 
 def _cg_block(apply_op, rhs, measure, rel_tol, max_iters, label, x0=None):
     """Conjugate gradients on the (n, C) block as one vector, in the
-    measure-weighted inner product <a, b> = measure @ row_dot(a, b): one
+    measure-weighted inner product <a, b> = sum of measure * row_dot(a, b),
+    by einsum, not a BLAS dot, whose bits depend on its thread count: one
     step size and one direction update per iteration for all channels.
 
     ``x0`` is the starting guess; None or all zeros starts from zero. The
@@ -205,7 +206,7 @@ def _cg_block(apply_op, rhs, measure, rel_tol, max_iters, label, x0=None):
     raises SolverError.
     """
     def wdot(a, b):
-        return measure @ row_dot(a, b)
+        return np.einsum("i,i->", measure, row_dot(a, b))
 
     bnorm = np.sqrt(wdot(rhs, rhs))
     target = rel_tol * bnorm
@@ -375,12 +376,11 @@ def solve_q1_subproblem(conn, state, params, jump_l) -> np.ndarray:
 
 
 def solve_q2_subproblem(conn, state, params, jump_c) -> np.ndarray:
-    """Per-curve shrink of the 2-form jump; invalid curves stay 0.
-    ``jump_c`` is curve_jump(state.v)."""
+    """Per-curve shrink of the 2-form jump; ``jump_c`` is curve_jump(state.v).
+    An invalid curve's jump row is all zeros and its multiplier starts at 0,
+    so its shrink, and its multiplier, stay exactly 0 in every sweep."""
     z = jump_c - state.lam_Q2 / params.r0
-    out = shrink(params.alpha0, params.r0, z)
-    out[~conn.curves.valid] = 0.0
-    return out
+    return shrink(params.alpha0, params.r0, z)
 
 
 def update_multipliers(conn, state, params, jumps) -> "SolverState":

@@ -3,21 +3,20 @@
 Three layers are built on top of a validated TriMesh:
 
 * EdgeTopology: the unique undirected edges, their lengths and boundary
-  flags, and each face's three edges with the relative orientation sign of
-  each edge against the face's counterclockwise traversal.
+  flags, and each face's three edges.
 * LineSet: per triangle, the three segments from the barycenter to each
   vertex, their lengths, and whether both edges at the vertex are interior.
 * CurveSet: per line, the four-edge stencil that wraps around the line's
   vertex through the two neighboring triangles.
 
 Each layer stores its jump operator once, as a Stencil: the arrays of a
-compressed sparse row (CSR) matrix, whose pinned rows are empty, plus the
-measures of its output and input elements. The scipy matrix wrapping those
-arrays is made on first use. The adjoint is that matrix's transpose
-weighted by the element measures, also built on first use, so
-``<jump(x), y> = -<x, adjoint(y)>`` holds by construction. Building the
-connectivity itself needs numpy only. Which faces an edge, line or curve
-reads is held in its jump's rows and nowhere else.
+compressed sparse row (CSR) matrix whose rows all have the layer's width, a
+pinned slot holding an explicit zero, plus the measures of its output and input
+elements. The scipy matrix wrapping those arrays is made on first use. The
+adjoint is that matrix's transpose weighted by the element measures, also built
+on first use, so ``<jump(x), y> = -<x, adjoint(y)>`` holds by construction.
+Building the connectivity itself needs numpy only. Which faces an edge, line or
+curve reads is held in its jump's rows and nowhere else.
 
 All three layers are indexed by the mesh's face slots: slot 3t + k is face
 t's local edge k, from its corner k to corner k + 1 (mod 3), and line 3t + k
@@ -29,9 +28,9 @@ a slot: its twin, or the next or previous slot of the same face.
 
 Edges are read off the same table: edge e is the e-th lead slot, a slot not
 above its twin, and runs as that slot does, so sgn(e, t) is +1 in the lead
-slot's face and -1 in its twin's. The jumps need only some fixed direction
-per edge; every quantity derived downstream is invariant to it up to the
-sign of edge values.
+slot's face and -1 in its twin's; each stencil reads it off the twin table. The
+jumps need only some fixed direction per edge; every quantity derived
+downstream is invariant to it up to the sign of edge values.
 """
 
 from functools import cached_property
@@ -56,12 +55,13 @@ class Stencil:
 
         out[i] = sum over k in indptr[i]:indptr[i+1] of data[k] * x[indices[k]]
 
-    Built from a layer's rows ``(idx, coef)``, both (rows, width): row i
-    reads x[idx[i, k]] with weight coef[i, k], and the slots a row pins to 0
-    hold coefficient 0. Only the nonzero slots are kept, row by row and each
-    row in slot order, so a product sums in the order the layer lists them.
+    Kept as built from a layer's rows ``(idx, coef)``, both (rows, width):
+    row i reads x[idx[i, k]] with weight coef[i, k], and a slot the row pins
+    to 0 holds an explicit zero. A row's sum starts at +0, which adding a
+    signed zero leaves unchanged, and scipy drops exact zeros when it
+    assembles a system, so the explicit zeros change no result.
 
-    data : (nnz,) float64; indices : (nnz,) int32; indptr : (rows + 1,) int32
+    data, indices (int32) : (rows * width,); indptr : (rows + 1,) int32
     m_row / m_col : the measures of the output and input elements, which
         weight the inner products the adjoint is taken in
     num_cols : length of the input field
@@ -72,16 +72,11 @@ class Stencil:
     """
 
     def __init__(self, idx, coef, m_row, m_col):
-        keep = coef != 0
-        width = keep.shape[1]
-        self.data = coef[keep]
-        self.indices = idx.astype(np.int32)[keep]
-        # the running count of kept slots, read at the end of each row
-        self.indptr = np.zeros(len(keep) + 1, dtype=np.int32)
-        self.indptr[1:] = np.cumsum(keep, dtype=np.int32)[width - 1::width]
-        self.m_row = m_row
-        self.m_col = m_col
-        self.num_cols = len(m_col)
+        rows, width = coef.shape
+        self.data = coef.ravel()
+        self.indices = idx.astype(np.int32).ravel()
+        self.indptr = np.arange(0, rows * width + 1, width, dtype=np.int32)
+        self.m_row, self.m_col, self.num_cols = m_row, m_col, len(m_col)
 
     @cached_property
     def matrix(self):
@@ -103,21 +98,20 @@ class Stencil:
 
 
 class EdgeTopology:
-    """Edge lengths and boundary flags, each face's edges and their signs,
-    face areas, and the edge jump.
+    """Edge lengths and boundary flags, each face's edges, face areas, and
+    the edge jump.
 
     Attributes
     ----------
     edge_len : (E,) float
     is_boundary : (E,) bool
     face_edges : (T, 3) int, edge index of the face's local edge k
-        (connecting face vertex k to vertex k+1)
-    face_edge_sign : (T, 3) float, sgn(face_edges[t, k], t): +1 in the
-        edge's lead slot, whose direction the edge takes, -1 in its twin
+        (connecting face vertex k to vertex k+1), signed in face t by
+        ``_slot_signs`` of slot 3t + k on the mesh's twin table
     face_area : (T,) float
-    jump : Stencil, the edge jump (faces -> edges: each interior edge's two
-        faces in face order, signed; boundary rows pinned); its adjoint maps
-        edges -> faces
+    jump : Stencil, the edge jump (faces -> edges: each edge's lead face,
+        signed +1, then its twin's, signed -1; a boundary row reads its one
+        face twice, pinned to zeros); its adjoint maps edges -> faces
     """
 
     def __init__(self, mesh):
@@ -128,8 +122,7 @@ class EdgeTopology:
         # an edge runs from its lead slot's corner to where its twin starts,
         # or on the boundary to the next corner; both its slots name it
         twin = mesh._twin
-        is_lead = twin >= np.arange(len(twin))
-        lead = np.flatnonzero(is_lead)
+        lead = np.flatnonzero(twin >= np.arange(len(twin)))
         edge_slots = np.stack([lead, np.take(twin, lead)], axis=1)
         self.is_boundary = is_boundary = edge_slots[:, 0] == edge_slots[:, 1]
         corner = f.ravel()
@@ -146,14 +139,11 @@ class EdgeTopology:
         face_edges[edge_slots[:, 1]] = face_edges[lead]
         self.mesh = mesh
         self.face_edges = face_edges.reshape(f.shape)
-        self.face_edge_sign = np.where(is_lead, 1.0, -1.0).reshape(f.shape)
         self.face_area = mesh._face_areas
-        for name in ("edge_len", "is_boundary", "face_edges", "face_edge_sign",
-                     "face_area"):
+        for name in ("edge_len", "is_boundary", "face_edges", "face_area"):
             getattr(self, name).setflags(write=False)
-        signs = np.empty(edge_slots.shape)
-        signs[:, 0], signs[:, 1] = 1.0, -1.0
-        signs[is_boundary] = 0.0
+        signs = _slot_signs(twin, edge_slots)
+        signs *= ~is_boundary[:, None]
         self.jump = Stencil(edge_slots // 3, signs, self.edge_len, self.face_area)
 
     @property
@@ -169,8 +159,13 @@ class EdgeTopology:
         return f"EdgeTopology(edges={self.num_edges}, faces={self.num_faces}, boundary_edges={nb})"
 
 
+def _slot_signs(twin, slots):
+    """sgn(edge, face) per face slot: +1 where it leads its edge, else -1."""
+    return np.where(np.take(twin, slots) >= slots, 1.0, -1.0)
+
+
 def build_edge_topology(mesh) -> EdgeTopology:
-    """Extract unique edges, orientation signs, boundary flags, and measures."""
+    """Extract unique edges, boundary flags, measures and the edge jump."""
     return EdgeTopology(mesh)
 
 
@@ -205,7 +200,7 @@ class LineSet:
         for name in ("line_len", "active"):
             getattr(self, name).setflags(write=False)
         slots = np.stack([into, out], axis=1)
-        signs = np.take(topo.face_edge_sign.ravel(), slots)
+        signs = _slot_signs(twin, slots)
         signs *= self.active[:, None]
         self.jump = Stencil(np.take(topo.face_edges.ravel(), slots), signs,
                             self.line_len, topo.edge_len)
@@ -260,12 +255,10 @@ class CurveSet:
         curve_len += np.where(twin_in != into, np.take(l_len, twin_in), l_len)
         curve_len *= 0.25
 
-        self.topo = topo
-        self.valid = valid
-        self.curve_len = curve_len
+        self.topo, self.valid, self.curve_len = topo, valid, curve_len
         for name in ("valid", "curve_len"):
             getattr(self, name).setflags(write=False)
-        signs = np.take(topo.face_edge_sign.ravel(), slots)
+        signs = _slot_signs(twin, slots)
         signs *= valid[:, None]
         edges = np.take(topo.face_edges.ravel(), slots)
         # the slots are freed before the CSR arrays are made

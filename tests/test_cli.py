@@ -359,6 +359,28 @@ def test_denoise_unknown_extension_exits_1(capsys, tmp_path):
     assert "extension" in err
 
 
+@pytest.mark.parametrize("command", [["denoise", "IN"], ["add-noise", "IN", "--level", "0.3"],
+                                     ["gen", "--shape", "cube"]],
+                         ids=["denoise", "add-noise", "gen"])
+def test_unknown_output_extension_fails_before_any_work(capsys, tmp_path, monkeypatch,
+                                                        command):
+    # the output's format is looked up before the mesh is read or filtered
+    mesh_path, _ = gen(capsys, tmp_path, "tetrahedron", "tet.obj")
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the output format was checked")
+
+    for name in ("load_mesh", "filter_normals", "make_cube"):
+        monkeypatch.setattr(f"tgvdenoise.cli.{name}", never)
+    out = tmp_path / "x.ply"
+    argv = [str(mesh_path) if arg == "IN" else arg for arg in command]
+    code, stdout, err = run_cli(capsys, *argv, "-o", str(out))
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "extension" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tet.obj"]
+
+
 def test_denoise_solver_failure_exits_2(capsys, tmp_path):
     # on both solver paths: above the factoring threshold one CG product
     # cannot reach 1e-14; below it the factor's solution passes a 1e-14

@@ -1,3 +1,5 @@
+import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -10,7 +12,8 @@ from tgvdenoise import (NoiseSpec, SolverError, SolverParams, TriMesh,
                         add_gaussian_noise, build_connectivity, curve_jump,
                         edge_jump, edge_jump_adjoint, face_normals,
                         filter_normals, inner_edges, inner_faces, line_jump,
-                        make_cube, minimize_tgv, tgv_energy)
+                        make_cube, make_icosphere, minimize_tgv, save_mesh,
+                        tgv_energy)
 from tgvdenoise import solver
 from tgvdenoise.operators import curve_jump_adjoint, line_jump_adjoint
 from tgvdenoise.solver import (SolverState, _cg_block, _System, edge_weights,
@@ -568,6 +571,62 @@ def test_filter_above_the_factoring_threshold_runs_cg_alone():
     assert above
     assert fewest > 1
     assert not imported
+
+
+@pytest.fixture(scope="module")
+def preview_sphere(tmp_path_factory):
+    """The level-5 icosphere (20 480 faces) and its noisy copy, written as
+    OBJ files: the preview workload's input, far above _DIRECT_MAX_FACES."""
+    directory = tmp_path_factory.mktemp("preview_sphere")
+    clean = make_icosphere(5, 0.15)
+    noisy = add_gaussian_noise(clean, NoiseSpec(0.3, mode="vertex-normal", seed=7))
+    paths = {"clean": directory / "clean.obj", "noisy": directory / "noisy.obj"}
+    save_mesh(clean, paths["clean"])
+    save_mesh(noisy, paths["noisy"])
+    return noisy, paths
+
+
+def test_preview_sphere_stays_unfactored(preview_sphere, monkeypatch):
+    # five sweeps at beta 1000 on 20k faces: both systems run warm-started
+    # CG without a factor, and the products stay near the 105 normal and
+    # 128 v products measured when the test was written
+    systems = []
+    init = _System.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        systems.append(self)
+
+    monkeypatch.setattr(_System, "__init__", recording_init)
+    mesh, _ = preview_sphere
+    result = filter_normals(build_connectivity(mesh), face_normals(mesh),
+                            SolverParams(beta=1000, max_outer_iters=5))
+    assert sorted(system.kind for system in systems) == ["normal", "v"]
+    assert all(system.factor is None for system in systems)
+    n_total, v_total = result.cg_iterations.sum(axis=0)
+    assert 100 <= n_total <= 110 and 122 <= v_total <= 134
+
+
+def test_preview_sphere_output_does_not_depend_on_blas_threads(preview_sphere, tmp_path):
+    # above ~10k elements a BLAS dot splits its sum over threads, so an inner
+    # product taken through one would change the bits with the thread count
+    _, paths = preview_sphere
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        out, diag = tmp_path / f"out{threads}.obj", tmp_path / f"diag{threads}.csv"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tgvdenoise.cli", "denoise", str(paths["noisy"]),
+             "-o", str(out), "--beta", "1000", "--max-iters", "5",
+             "--diagnostics", str(diag), "--ground-truth", str(paths["clean"])],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        report.pop("output")
+        outputs.append((out.read_bytes(), diag.read_bytes(), report))
+    assert outputs[0] == outputs[1]
 
 
 class _NonFiniteFactor:

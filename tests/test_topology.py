@@ -22,13 +22,27 @@ def _row_unique_edges(mesh):
     return edges, inverse.reshape(f.shape)
 
 
+def _slot_signs(mesh):
+    """sgn(face_edges[t, k], t) per face slot, read off the twin table: +1
+    in the slot that leads its edge (not above its twin), else -1."""
+    twin = mesh._twin
+    return np.where(twin >= np.arange(len(twin)), 1.0, -1.0).reshape(mesh.faces.shape)
+
+
 def test_shared_edge_signs_cancel(square):
     topo = build_edge_topology(square)
     interior = ~topo.is_boundary
     assert interior.sum() == 1
-    signs = topo.face_edge_sign[topo.face_edges == np.flatnonzero(interior)[0]]
+    e = np.flatnonzero(interior)[0]
+    slot_signs, on_edge = _slot_signs(square), topo.face_edges == e
+    signs = slot_signs[on_edge]
     assert len(signs) == 2
     assert signs[0] * signs[1] == -1.0
+    # the edge jump reads the lead slot's face, then its twin's, with those signs
+    row = slice(topo.jump.indptr[e], topo.jump.indptr[e + 1])
+    lead_face = np.flatnonzero(on_edge & (slot_signs == 1.0))[0] // 3
+    assert topo.jump.indices[row][0] == lead_face
+    assert topo.jump.data[row].tolist() == [1.0, -1.0]
 
 
 def test_single_triangle_all_boundary():
@@ -42,7 +56,7 @@ def _topology_edge_ends(topo):
     """Each edge's two vertices in its stored direction, read off the one
     face slot that runs the edge that way."""
     f = topo.mesh.faces
-    forward = topo.face_edge_sign == 1.0
+    forward = _slot_signs(topo.mesh) == 1.0
     ends = np.empty((topo.num_edges, 2), dtype=np.int64)
     ends[topo.face_edges[forward]] = np.stack([f[forward], np.roll(f, -1, axis=1)[forward]],
                                               axis=1)
@@ -75,9 +89,11 @@ def test_tetrahedron_closed(tet_conn):
     topo = tet_conn.topo
     assert topo.num_edges == 6
     assert not topo.is_boundary.any()
-    # every interior edge: signs of the two incident faces sum to zero
-    sums = np.bincount(topo.face_edges.ravel(), weights=topo.face_edge_sign.ravel())
+    # every interior edge: signs of the two incident faces sum to zero, in
+    # the twin table and in each row of the edge jump
+    sums = np.bincount(topo.face_edges.ravel(), weights=_slot_signs(tet_conn.mesh).ravel())
     assert np.all(sums == 0.0)
+    assert np.all(topo.jump.data.reshape(-1, 2).sum(axis=1) == 0.0)
 
 
 def test_every_face_contributes_three_edge_slots(tet_conn, plane_conn):
@@ -127,7 +143,8 @@ def test_b1_membership_matches_stencils(plane_conn):
     adj = lines.jump.adjoint
     dense = dense_line_jump(plane_conn.mesh)
     for e in range(topo.num_edges):
-        table = set(adj.indices[adj.indptr[e]:adj.indptr[e + 1]].tolist())
+        row = slice(adj.indptr[e], adj.indptr[e + 1])
+        table = set(adj.indices[row][adj.data[row] != 0].tolist())
         direct = set(np.flatnonzero(dense[:, e]).tolist())
         assert table == direct
 
@@ -226,8 +243,8 @@ def test_relabeling_faces_renumbers_and_reverses_edges(cube_small, plane):
         np.testing.assert_array_equal(moved.is_boundary[match], topo.is_boundary)
         np.testing.assert_array_equal(moved.face_area, topo.face_area[perm])
         np.testing.assert_array_equal(moved.face_edges, match[topo.face_edges[perm]])
-        np.testing.assert_array_equal(moved.face_edge_sign,
-                                      topo.face_edge_sign[perm] * flip[topo.face_edges[perm]])
+        np.testing.assert_array_equal(_slot_signs(moved_mesh),
+                                      _slot_signs(mesh)[perm] * flip[topo.face_edges[perm]])
 
 
 def test_relabeling_faces_leaves_seminorms_unchanged(cube_small):
@@ -288,9 +305,10 @@ def test_connectivity_memory_per_face():
     # each jump is held once, as the CSR arrays its matrix wraps, the
     # topology reuses the mesh's edge keys, and which faces an edge or line
     # reads is held in its jump alone: the mesh, its connectivity and the
-    # three jumps and three adjoints hold 794 B per face here; the edge and
-    # line index tables beside the jumps read 962, and a second copy of the
-    # jumps' slots (a padded table) ~1 600
+    # three jumps and three adjoints hold 762 B per face here (786 with a
+    # per-slot sign table beside the twin table); the edge and line index
+    # tables beside the jumps read 962, and a second copy of the jumps'
+    # slots (a padded table) ~1 600
     import scipy.sparse  # noqa: F401  (loaded before tracing: not held data)
 
     tracemalloc.start()
