@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -281,7 +282,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # a command that writes a mesh looks up its format before any work
+        # a command checks where, and in what format, it writes before any work
+        for name in ("output", "diagnostics", "error_map"):
+            path = getattr(args, name, None)
+            if path is not None and not Path(path).parent.is_dir():
+                raise FileNotFoundError(f"--{name.replace('_', '-')}: no directory for {path}")
         if getattr(args, "output", None) is not None:
             _format_of(args.output)
         return _COMMANDS[args.command](args)

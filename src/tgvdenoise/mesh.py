@@ -179,8 +179,8 @@ def _next_slot(slots, step=1):
 
 
 def _checked_count(name, value):
-    """Refuse a count that is not an integer (numpy's pass) of at least 1."""
-    if not isinstance(value, numbers.Integral):
+    """Refuse a count that is not an integer of at least 1 (numpy's pass, bools not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be at least 1")

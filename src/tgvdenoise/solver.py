@@ -14,15 +14,16 @@ objective into five easy subproblems per sweep: two symmetric positive
 definite linear systems and three closed-form shrink steps, followed by
 multiplier ascent on the constraint residuals and a weight refresh. Neither
 system depends on the iterates or the edge weights, so each is assembled
-once per run as a sparse matrix, held with its solve rule by one
-``_System`` that both the filter and ``minimize_tgv`` use. On meshes of at
-most ``_DIRECT_MAX_FACES`` faces that one matrix is also factored once per
-run (a sparse LU with a symmetric ordering and diagonal pivots), and every
-solve's direct solution is the starting point of conjugate gradients in the
-weighted inner product, whose first residual checks it against
-``cg_rel_tol``: one product per solve when it passes. On larger meshes,
-where a factor costs more than it saves, conjugate gradients start from the
-system's previous solution, and ``scipy.sparse.linalg`` is never imported.
+once per run as a sparse matrix A and scaled once to the symmetric
+S = D A D^-1, D = diag(sqrt(measure)), which ``_System`` holds with its
+solve rule for both the filter and ``minimize_tgv``. On meshes of at most
+``_DIRECT_MAX_FACES`` faces S is also factored once per run (a sparse LU
+with a symmetric ordering and diagonal pivots), and every solve's direct
+solution starts plain conjugate gradients on S, whose first residual
+checks it against ``cg_rel_tol``: one product per solve when it passes. On
+larger meshes, where a factor costs more than it saves, conjugate gradients
+start from the system's previous solution, and ``scipy.sparse.linalg`` is
+never imported.
 
 The outer loop stops when the squared area-weighted change of the normal
 field drops below ``stop_tol`` or after ``max_outer_iters`` sweeps.
@@ -82,8 +83,8 @@ class SolverParams:
     r0 are the splitting penalties, sigma_e the weight bandwidth on
     unit-normal differences; each of these six lies in WEIGHT_RANGE. The
     two tolerances are positive and finite, the two counts integers of at
-    least 1. dynamic_weights=False freezes all edge weights at 1. These
-    defaults are the command line's too.
+    least 1. dynamic_weights is a bool; False freezes all edge weights at 1.
+    These defaults are the command line's too.
     """
 
     alpha1: float = 1.0
@@ -108,6 +109,8 @@ class SolverParams:
                 raise ValueError(f"{name} must be positive and finite")
         for name in ("max_outer_iters", "cg_max_iters"):
             _checked_count(name, getattr(self, name))
+        if not isinstance(self.dynamic_weights, (bool, np.bool_)):
+            raise ValueError(f"dynamic_weights must be a bool, got {self.dynamic_weights!r}")
 
 
 @dataclass
@@ -173,14 +176,12 @@ def shrink(weight, penalty, z) -> np.ndarray:
     ``weight`` may be a scalar or one value per row.
     """
     z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    z2 = z[None, :] if single else z
+    z2 = np.atleast_2d(z)
     norms = row_norm(z2)
     w = np.broadcast_to(np.asarray(weight, dtype=np.float64), norms.shape)
     scaled = np.divide(w, penalty * norms, out=np.full_like(norms, np.inf),
                        where=norms > 0)
-    out = np.maximum(0.0, 1.0 - scaled)[:, None] * z2
-    return out[0] if single else out
+    return (np.maximum(0.0, 1.0 - scaled)[:, None] * z2).reshape(z.shape)
 
 
 def edge_weights(jump_n, sigma_e) -> np.ndarray:
@@ -190,11 +191,10 @@ def edge_weights(jump_n, sigma_e) -> np.ndarray:
     return np.exp(-row_dot(jump_n, jump_n) / (2.0 * sigma_e ** 2))
 
 
-def _cg_block(apply_op, rhs, measure, rel_tol, max_iters, label, x0=None):
-    """Conjugate gradients on the (n, C) block as one vector, in the
-    measure-weighted inner product <a, b> = sum of measure * row_dot(a, b),
-    by einsum, not a BLAS dot, whose bits depend on its thread count: one
-    step size and one direction update per iteration for all channels.
+def _cg_block(apply_op, rhs, rel_tol, max_iters, label, x0=None):
+    """Plain conjugate gradients on the (n, C) block as one flat vector, one
+    step size per iteration for all channels; each inner product is an
+    einsum, not a BLAS dot, whose bits depend on its thread count.
 
     ``x0`` is the starting guess; None or all zeros starts from zero. The
     solve stops once the block residual's norm is at most ``rel_tol`` times
@@ -205,49 +205,38 @@ def _cg_block(apply_op, rhs, measure, rel_tol, max_iters, label, x0=None):
     residual. A non-finite residual, like one that does not converge,
     raises SolverError.
     """
-    def wdot(a, b):
-        return np.einsum("i,i->", measure, row_dot(a, b))
+    def dot(a, b):
+        return np.einsum("i,i->", a.ravel(), b.ravel())
 
-    bnorm = np.sqrt(wdot(rhs, rhs))
+    bnorm = np.sqrt(dot(rhs, rhs))
     target = rel_tol * bnorm
     if x0 is None or not x0.any():
-        x = np.zeros_like(rhs)
-        r = rhs.copy()
-        products = 0
+        x, r, products = np.zeros_like(rhs), rhs.copy(), 0
     else:
         x = np.where(rhs.any(axis=0), x0, 0.0)
-        r = rhs - apply_op(x)
-        products = 1
-    rs = wdot(r, r)
-    _check_finite(rs, label)
-    p = r.copy()
+        r, products = rhs - apply_op(x), 1
+    p, step, rs = r.copy(), np.empty_like(rhs), dot(r, r)
     for _ in range(max_iters):
-        if np.sqrt(rs) <= target:
+        if np.sqrt(rs) <= target or not np.isfinite(rs):
             break
         ap = apply_op(p)
         products += 1
-        alpha = rs / wdot(p, ap)
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = wdot(r, r)
-        _check_finite(rs_new, label)
+        alpha = rs / dot(p, ap)
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=step)
+        rs_new = dot(r, r)
         p *= rs_new / rs
         p += r
         rs = rs_new
-    if np.sqrt(rs) > target:
+    if not np.sqrt(rs) <= target:
         raise SolverError(
+            f"conjugate gradients met a non-finite residual in the {label} system"
+            if not np.isfinite(rs) else
             f"conjugate gradients did not converge for the {label} system "
             f"within {max_iters} iterations",
             residuals=np.sqrt(rs) / max(bnorm, np.finfo(float).tiny),
         )
     return x, products
-
-
-def _check_finite(rs, label):
-    """A NaN residual norm would compare as converged: raise instead."""
-    if not np.isfinite(rs):
-        raise SolverError(f"conjugate gradients met a non-finite residual in the "
-                          f"{label} system")
 
 
 def _system_matrix(diagonal, products):
@@ -264,35 +253,34 @@ def _system_matrix(diagonal, products):
 
 
 def normal_system_operator(matrix):
-    """Matrix action of the normal subproblem, beta*X - r1*adj(jump(X)),
-    with ``matrix`` the system its _System assembled."""
+    """Matrix action of the normal subproblem, beta*X - r1*adj(jump(X)), as
+    the symmetric ``matrix`` its _System scaled."""
     return lambda x: matrix @ x
 
 
 def v_system_operator(matrix):
     """Matrix action of the v subproblem,
-    r1*X - r0*adj(line_jump(X)) - r0*adj(curve_jump(X)), with ``matrix``
-    the system its _System assembled."""
+    r1*X - r0*adj(line_jump(X)) - r0*adj(curve_jump(X)), as the symmetric
+    ``matrix`` its _System scaled."""
     return lambda x: matrix @ x
 
 
 class _System:
     """One ALM system of a run, ``kind`` "normal" or "v", and its solve rule.
 
-    The matrix is assembled once. Its product comes from the public factory,
-    looked up when the system is built, so a factory rebound after import (a
-    tracer's) makes every product. On meshes of at most
-    ``_DIRECT_MAX_FACES`` faces the same matrix A is also factored, with a
-    symmetric ordering and diagonal pivots. That is sound although A itself
-    is not symmetric: S = diag(measure) @ A is symmetric positive definite,
-    because the system is self-adjoint in the measure-weighted inner
-    product, and if S = L U without pivoting then A = (D^-1 L D)(D^-1 U)
-    with D = diag(measure), a no-pivot LU of the same pattern whose pivots
-    are those of S divided by the measure, all positive. ``solve(rhs)`` runs
-    conjugate gradients from the direct solution when factored, else from
-    the previous ``solution``, and leaves the product count in ``products``.
-    A failed factorization, or a direct solution that is not finite, raises
-    SolverError.
+    The system A, self-adjoint in the inner product weighted by ``measure``
+    (face areas or edge lengths), is assembled once and scaled in place to
+    the symmetric positive definite S = D A D^-1, D = diag(sqrt(measure)),
+    with A's pattern. Its product comes from the public factory, looked up
+    when the system is built, so a factory rebound after import (a tracer's)
+    makes every product. On meshes of at most ``_DIRECT_MAX_FACES`` faces S
+    is also factored, with a symmetric ordering and diagonal pivots.
+    ``solve(rhs)`` scales ``rhs`` in place to D rhs and solves S y = D rhs
+    by conjugate gradients, from the direct solution when factored, else
+    from the previous ``solution`` y; it leaves the product count in
+    ``products`` and returns D^-1 y. As |D r| is r's measure-weighted norm,
+    the stop rule is A's. A failed factorization, or a direct solution that
+    is not finite, raises SolverError.
     """
 
     def __init__(self, conn, params, kind):
@@ -305,6 +293,9 @@ class _System:
             diagonal, products = params.r1, [(-params.r0, conn.lines.jump),
                                              (-params.r0, conn.curves.jump)]
         matrix = _system_matrix(diagonal, products)
+        d = np.sqrt(self.measure)
+        matrix.data *= d.repeat(np.diff(matrix.indptr))
+        matrix.data /= d[matrix.indices]
         self.kind, self.params, self.apply = kind, params, factory(matrix)
         self.solution, self.products, self.factor = None, 0, None
         if topo.num_faces <= _DIRECT_MAX_FACES:
@@ -318,19 +309,21 @@ class _System:
                 raise SolverError(f"could not factor the {kind} system: {exc}") from exc
 
     def direct(self, rhs):
-        """The factor's solution, before the CG check."""
-        x = self.factor.solve(rhs)
-        if not np.isfinite(x).all():
+        """The factor's solution of S y = rhs, before the CG check."""
+        y = self.factor.solve(rhs)
+        if not np.isfinite(y).all():
             raise SolverError(f"the factor of the {self.kind} system gave a "
                               "non-finite solution")
-        return x
+        return y
 
     def solve(self, rhs):
-        x0 = self.solution if self.factor is None else self.direct(rhs)
+        d = np.sqrt(self.measure)[:, None]
+        rhs *= d
+        y0 = self.solution if self.factor is None else self.direct(rhs)
         self.solution, self.products = _cg_block(
-            self.apply, rhs, self.measure, self.params.cg_rel_tol,
-            self.params.cg_max_iters, self.kind, x0=x0)
-        return self.solution
+            self.apply, rhs, self.params.cg_rel_tol, self.params.cg_max_iters,
+            self.kind, x0=y0)
+        return self.solution / d
 
 
 # -- the five subproblems ---------------------------------------------------
@@ -361,10 +354,10 @@ def solve_v_subproblem(conn, state, params, system, jump_n) -> np.ndarray:
     return system.solve(rhs)
 
 
-def solve_p_subproblem(conn, state, params, jump_n) -> np.ndarray:
-    """Per-edge shrink with the weighted first-order threshold; ``jump_n``
-    is edge_jump(state.N)."""
-    z = jump_n - state.v - state.lam_P / params.r1
+def solve_p_subproblem(conn, state, params, resid) -> np.ndarray:
+    """Per-edge shrink with the weighted first-order threshold; ``resid``
+    is edge_jump(state.N) - state.v."""
+    z = resid - state.lam_P / params.r1
     return shrink(params.alpha1 * state.w, params.r1, z)
 
 
@@ -383,32 +376,36 @@ def solve_q2_subproblem(conn, state, params, jump_c) -> np.ndarray:
     return shrink(params.alpha0, params.r0, z)
 
 
-def update_multipliers(conn, state, params, jumps) -> "SolverState":
-    """Ascent step on the three constraint residuals. ``jumps`` is
-    (edge_jump(state.N), line_jump(state.v), curve_jump(state.v))."""
-    jump_n, jump_l, jump_c = jumps
-    state.lam_P = state.lam_P + params.r1 * (state.P - (jump_n - state.v))
-    state.lam_Q1 = state.lam_Q1 + params.r0 * (state.Q1 - jump_l)
-    state.lam_Q2 = state.lam_Q2 + params.r0 * (state.Q2 - jump_c)
+def update_multipliers(conn, state, params, residuals) -> "SolverState":
+    """Ascent step on the three constraint ``residuals``:
+    P - (edge_jump(N) - v), Q1 - line_jump(v) and Q2 - curve_jump(v)."""
+    res_p, res_q1, res_q2 = residuals
+    state.lam_P = state.lam_P + params.r1 * res_p
+    state.lam_Q1 = state.lam_Q1 + params.r0 * res_q1
+    state.lam_Q2 = state.lam_Q2 + params.r0 * res_q2
     return state
 
 
 # -- the outer loop ---------------------------------------------------------
 
 def _split_steps(conn, state, params, v_system, jump_n):
-    """One sweep's updates after the normal step: v, the three shrinks,
-    then the multipliers. ``jump_n`` is edge_jump(state.N); line_jump(v)
-    and curve_jump(v) are applied once, after the v step. Returns the three
-    jumps, which the shrinks and multipliers leave valid."""
+    """One sweep's updates after the normal step: v, the three shrinks (line
+    and curve first, the largest) and the multipliers; ``jump_n`` is
+    edge_jump(state.N). edge_jump(N) - v, line_jump(v) and curve_jump(v) are
+    formed once for the shrinks and the TGV energy (weights state.w), then
+    overwritten by the constraint residuals. Returns the energy and those."""
     state.v = solve_v_subproblem(conn, state, params, v_system, jump_n)
-    jump_l = line_jump(conn.lines, state.v)
-    jump_c = curve_jump(conn.curves, state.v)
-    state.P = solve_p_subproblem(conn, state, params, jump_n)
+    jump_l, jump_c = line_jump(conn.lines, state.v), curve_jump(conn.curves, state.v)
     state.Q1 = solve_q1_subproblem(conn, state, params, jump_l)
     state.Q2 = solve_q2_subproblem(conn, state, params, jump_c)
-    jumps = jump_n, jump_l, jump_c
-    update_multipliers(conn, state, params, jumps)
-    return jumps
+    resid = jump_n - state.v
+    state.P = solve_p_subproblem(conn, state, params, resid)
+    energy = tgv_energy_of_jumps(conn, resid, jump_l, jump_c, state.w,
+                                 params.alpha1, params.alpha0)
+    residuals = [np.subtract(q, j, out=j) for q, j in
+                 ((state.P, resid), (state.Q1, jump_l), (state.Q2, jump_c))]
+    update_multipliers(conn, state, params, residuals)
+    return energy, residuals
 
 
 def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResult:
@@ -432,8 +429,9 @@ def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResu
     n_in = np.asarray(n_in, dtype=np.float64)
     if n_in.shape != (topo.num_faces, 3):
         raise ValueError(f"n_in must have shape ({topo.num_faces}, 3)")
-    if np.abs(row_norm(n_in) - 1.0).max() > 1e-8:
-        raise ValueError("n_in rows must be unit length")
+    # a NaN row fails this comparison too
+    if not np.abs(row_norm(n_in) - 1.0).max() <= 1e-8:
+        raise ValueError("n_in rows must be finite and unit length")
 
     state = SolverState.initial(conn, n_in, params)
     n_system, v_system = _System(conn, params, "normal"), _System(conn, params, "v")
@@ -442,23 +440,21 @@ def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResu
     for k in range(params.max_outer_iters):
         n_prev = state.N
         state.N = solve_n_subproblem(conn, state, n_in, params, n_system)
-        jump_n, jump_l, jump_c = _split_steps(conn, state, params, v_system,
-                                              edge_jump(topo, state.N))
+        jump_n = edge_jump(topo, state.N)
+        energy, (res_p, res_q1, res_q2) = _split_steps(conn, state, params,
+                                                       v_system, jump_n)
         cg_iterations.append((n_system.products, v_system.products))
 
-        res_p = norm_edges(topo, state.P - (jump_n - state.v))
-        res_q1 = norm_lines(conn.lines, state.Q1 - jump_l)
-        res_q2 = norm_curves(conn.curves, state.Q2 - jump_c)
         diff = state.N - n_prev
         change_sq = inner_faces(topo, diff, diff)
         fid = 0.5 * params.beta * inner_faces(topo, state.N - n_in, state.N - n_in)
-        objective = fid + tgv_energy_of_jumps(conn, jump_n - state.v, jump_l, jump_c,
-                                              state.w, params.alpha1, params.alpha0)
-        rows.append((k, objective, res_p, res_q1, res_q2, change_sq))
+        rows.append((k, fid + energy, norm_edges(topo, res_p),
+                     norm_lines(conn.lines, res_q1), norm_curves(conn.curves, res_q2),
+                     change_sq))
         if params.dynamic_weights:
             state.w = edge_weights(jump_n, params.sigma_e)
-        # the jumps would otherwise stay alive through the next sweep's solves
-        del jump_n, jump_l, jump_c
+        # the sweep's fields would otherwise stay alive through the next solves
+        del jump_n, res_p, res_q1, res_q2
 
         if change_sq < params.stop_tol:
             stop_reason = "tolerance"
@@ -492,32 +488,30 @@ def minimize_tgv(conn, u, alpha1, alpha0, iters=200):
     """
     _checked_count("iters", iters)
     u = np.asarray(u, dtype=np.float64)
+    if not np.isfinite(u).all():
+        raise ValueError("u must be finite")
     u2 = u[:, None] if u.ndim == 1 else u
     params = SolverParams(alpha1=alpha1, alpha0=alpha0, dynamic_weights=False)
     state = SolverState.initial(conn, u2, params)
     state.N = u2
 
     # the face field is fixed, so its jump is taken once; each sweep returns
-    # the jumps of its v
+    # the energy of its v
     jump_u = edge_jump(conn.topo, u2)
 
-    def energy(v, jump_l, jump_c):
-        return tgv_energy_of_jumps(conn, jump_u - v, jump_l, jump_c, state.w,
-                                   alpha1, alpha0)
+    def energy(v):
+        return tgv_energy_of_jumps(conn, jump_u - v, line_jump(conn.lines, v),
+                                   curve_jump(conn.curves, v), state.w, alpha1, alpha0)
 
     # seed the search with the two analytic candidates: v = 0 (reduces to the
     # first-order term alone) and v = jump_u (kills the first-order term)
-    best_v = state.v
-    best_energy = energy(best_v, line_jump(conn.lines, best_v),
-                         curve_jump(conn.curves, best_v))
-    at_jump = energy(jump_u, line_jump(conn.lines, jump_u), curve_jump(conn.curves, jump_u))
+    best_v, best_energy = state.v, energy(state.v)
+    at_jump = energy(jump_u)
     if at_jump < best_energy:
         best_energy, best_v = at_jump, jump_u
     v_system = _System(conn, params, "v")
     for _ in range(iters):
-        _, jump_l, jump_c = _split_steps(conn, state, params, v_system, jump_n=jump_u)
-        e = energy(state.v, jump_l, jump_c)
+        e, _ = _split_steps(conn, state, params, v_system, jump_n=jump_u)
         if e < best_energy:
-            best_energy = e
-            best_v = state.v
+            best_energy, best_v = e, state.v
     return best_energy, (best_v[:, 0] if u.ndim == 1 else best_v)

@@ -135,10 +135,7 @@ def test_criterion_3_subproblem_oracles():
     params = SolverParams(cg_rel_tol=1e-10)
     rng = np.random.default_rng(300)
     worst_rel = worst_factor = 0.0
-    for kind, n, measure in [
-        ("normal", conn.topo.num_faces, conn.topo.face_area),
-        ("v", conn.topo.num_edges, conn.topo.edge_len),
-    ]:
+    for kind, n in [("normal", conn.topo.num_faces), ("v", conn.topo.num_edges)]:
         system = _System(conn, params, kind)
         apply_op = system.apply
         dense = np.empty((n, n))
@@ -148,8 +145,8 @@ def test_criterion_3_subproblem_oracles():
             dense[:, i] = apply_op(e)[:, 0]
         b = rng.normal(size=(n, 3))
         x_direct = np.linalg.solve(dense, b)
-        x_cg, _ = _cg_block(apply_op, b, measure, params.cg_rel_tol,
-                            params.cg_max_iters, "acceptance")
+        x_cg, _ = _cg_block(apply_op, b, params.cg_rel_tol, params.cg_max_iters,
+                            "acceptance")
         rel = np.linalg.norm(x_cg - x_direct) / np.linalg.norm(x_direct)
         worst_rel = max(worst_rel, rel)
         assert rel < 1e-8

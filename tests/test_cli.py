@@ -381,6 +381,34 @@ def test_unknown_output_extension_fails_before_any_work(capsys, tmp_path, monkey
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tet.obj"]
 
 
+@pytest.mark.parametrize("option, command", [
+    ("--output", ["denoise", "IN", "-o", "MISSING"]),
+    ("--diagnostics", ["denoise", "IN", "-o", "OUT", "--diagnostics", "MISSING"]),
+    ("--error-map", ["denoise", "IN", "-o", "OUT", "--ground-truth", "IN",
+                     "--error-map", "MISSING"]),
+    ("--error-map", ["metrics", "IN", "IN", "--error-map", "MISSING"]),
+    ("--output", ["gen", "--shape", "cube", "-o", "MISSING"]),
+], ids=["output", "diagnostics", "error-map", "metrics-error-map", "gen"])
+def test_missing_output_directory_fails_before_any_work(capsys, tmp_path, monkeypatch,
+                                                        option, command):
+    # every path a command writes is checked before the mesh is read, so a
+    # denoise no longer leaves its mesh behind when the error map has no
+    # directory
+    mesh_path, _ = gen(capsys, tmp_path, "cube", "cube.obj", divisions=2)
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the output paths were checked")
+
+    for name in ("load_mesh", "filter_normals", "make_cube"):
+        monkeypatch.setattr(f"tgvdenoise.cli.{name}", never)
+    paths = {"IN": mesh_path, "OUT": tmp_path / "out.obj",
+             "MISSING": tmp_path / "missing" / "out.obj"}
+    code, stdout, err = run_cli(capsys, *(str(paths.get(arg, arg)) for arg in command))
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"error: {option}: ") and len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cube.obj"]
+
+
 def test_denoise_solver_failure_exits_2(capsys, tmp_path):
     # on both solver paths: above the factoring threshold one CG product
     # cannot reach 1e-14; below it the factor's solution passes a 1e-14

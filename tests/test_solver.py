@@ -114,9 +114,16 @@ def _dense_from_operator(apply_op, n):
     return np.array(cols).T
 
 
+def _unscaled(system):
+    """The system's own action A = D^-1 S D, S the symmetric matrix the
+    system stores and D = diag(sqrt(system.measure))."""
+    d = np.sqrt(system.measure)[:, None]
+    return lambda x: system.apply(d * x) / d
+
+
 def test_normal_system_on_constant_field(cube_small_conn):
     params = SolverParams()
-    apply_op = _System(cube_small_conn, params, "normal").apply
+    apply_op = _unscaled(_System(cube_small_conn, params, "normal"))
     const = np.tile([0.3, -0.2, 0.9], (cube_small_conn.topo.num_faces, 1))
     assert np.allclose(apply_op(const), params.beta * const, atol=1e-12)
 
@@ -124,8 +131,8 @@ def test_normal_system_on_constant_field(cube_small_conn):
 def test_system_operators_are_symmetric(cube_small_conn, rng):
     conn = cube_small_conn
     params = SolverParams()
-    apply_n = _System(conn, params, "normal").apply
-    apply_v = _System(conn, params, "v").apply
+    apply_n = _unscaled(_System(conn, params, "normal"))
+    apply_v = _unscaled(_System(conn, params, "v"))
     x = rng.normal(size=(conn.topo.num_faces, 3))
     y = rng.normal(size=(conn.topo.num_faces, 3))
     lhs = inner_faces(conn.topo, apply_n(x), y)
@@ -139,20 +146,21 @@ def test_system_operators_are_symmetric(cube_small_conn, rng):
 
 
 def test_system_matrices_match_composed_operators(all_conns, rng):
-    # each system is assembled once as a sum of sparse products; its action
-    # must be the operator composition it replaces (measured <= 3.4e-16)
+    # each system is assembled once as a sum of sparse products and stored
+    # as S = D A D^-1; D^-1 S D must be the operator composition it replaces
+    # (measured <= 3.4e-16)
     params = SolverParams(beta=7.0, r1=3.0, r0=0.5)
     for conn in all_conns.values():
         topo, lines, curves = conn.topo, conn.lines, conn.curves
         x = rng.normal(size=(topo.num_faces, 3))
         composed = params.beta * x - params.r1 * edge_jump_adjoint(topo, edge_jump(topo, x))
-        got = _System(conn, params, "normal").apply(x)
+        got = _unscaled(_System(conn, params, "normal"))(x)
         assert np.abs(got - composed).max() <= 1e-12 * np.abs(composed).max()
         v = rng.normal(size=(topo.num_edges, 3))
         composed = (params.r1 * v
                     - params.r0 * line_jump_adjoint(lines, line_jump(lines, v))
                     - params.r0 * curve_jump_adjoint(curves, curve_jump(curves, v)))
-        got = _System(conn, params, "v").apply(v)
+        got = _unscaled(_System(conn, params, "v"))(v)
         assert np.abs(got - composed).max() <= 1e-12 * np.abs(composed).max()
 
 
@@ -165,15 +173,26 @@ def test_measure_weighted_system_matrices_are_symmetric(all_conns):
         topo = conn.topo
         for kind, measure in (("normal", topo.face_area), ("v", topo.edge_len)):
             weighted = measure[:, None] * _dense_from_operator(
-                _System(conn, params, kind).apply, len(measure))
+                _unscaled(_System(conn, params, kind)), len(measure))
             gap = np.abs(weighted - weighted.T).max()
             assert gap <= 1e-12 * np.abs(weighted).max()
+
+
+@pytest.mark.parametrize("kind", ["normal", "v"])
+@pytest.mark.parametrize("mesh", ["cube_small_conn", "plane_conn"],
+                         ids=["cube", "bordered-plane"])
+def test_stored_system_matrices_are_symmetric(request, mesh, kind):
+    # plain conjugate gradients and the symmetric-mode factor need the stored
+    # S = D A D^-1 symmetric itself; measured <= 1.3e-16 of the largest entry
+    system = _System(request.getfixturevalue(mesh), SolverParams(), kind)
+    dense = _dense_from_operator(system.apply, len(system.measure))
+    assert np.abs(dense - dense.T).max() <= 1e-15 * np.abs(dense).max()
 
 
 def test_v_system_is_positive_definite(cube_small_conn, rng):
     conn = cube_small_conn
     params = SolverParams()
-    apply_v = _System(conn, params, "v").apply
+    apply_v = _unscaled(_System(conn, params, "v"))
     for _ in range(5):
         v = rng.normal(size=(conn.topo.num_edges, 3))
         quad = inner_edges(conn.topo, apply_v(v), v)
@@ -184,16 +203,14 @@ def test_v_system_is_positive_definite(cube_small_conn, rng):
 def test_cg_matches_dense_solve(cube_small_conn, rng):
     conn = cube_small_conn
     params = SolverParams(cg_rel_tol=1e-10)
-    for apply_op, n, measure in [
-        (_System(conn, params, "normal").apply, conn.topo.num_faces, conn.topo.face_area),
-        (_System(conn, params, "v").apply, conn.topo.num_edges, conn.topo.edge_len),
-    ]:
+    for apply_op, n in [(_System(conn, params, "normal").apply, conn.topo.num_faces),
+                        (_System(conn, params, "v").apply, conn.topo.num_edges)]:
         dense = _dense_from_operator(apply_op, n)
         b = rng.normal(size=(n, 3))
         x_direct = np.linalg.solve(dense, b)
         # from zero, and warm-started from a random guess
         for x0 in (None, 10.0 * np.random.default_rng(5).normal(size=(n, 3))):
-            x_cg, _ = _cg_block(apply_op, b, measure, params.cg_rel_tol,
+            x_cg, _ = _cg_block(apply_op, b, params.cg_rel_tol,
                                 params.cg_max_iters, "test", x0=x0)
             rel = np.linalg.norm(x_cg - x_direct) / np.linalg.norm(x_direct)
             assert rel < 1e-8
@@ -203,7 +220,7 @@ def test_cg_zero_rhs_returns_zero(cube_small_conn):
     conn = cube_small_conn
     params = SolverParams()
     out, _ = _cg_block(_System(conn, params, "v").apply,
-                       np.zeros((conn.topo.num_edges, 3)), conn.topo.edge_len,
+                       np.zeros((conn.topo.num_edges, 3)),
                        params.cg_rel_tol, params.cg_max_iters, "test")
     assert np.all(out == 0.0)
 
@@ -213,8 +230,7 @@ def test_cg_nonconvergence_raises(cube_small_conn, rng):
     params = SolverParams()
     b = rng.normal(size=(conn.topo.num_edges, 3))
     with pytest.raises(SolverError) as err:
-        _cg_block(_System(conn, params, "v").apply, b, conn.topo.edge_len,
-                  1e-14, 2, "test")
+        _cg_block(_System(conn, params, "v").apply, b, 1e-14, 2, "test")
     # one relative residual for the whole block
     assert np.ndim(err.value.residuals) == 0 and err.value.residuals > 1e-14
 
@@ -223,29 +239,28 @@ def test_cg_nonconvergence_raises(cube_small_conn, rng):
 def test_cg_non_finite_residual_raises(case):
     # a NaN residual norm compares as below any target, which used to pass
     # for convergence: all-NaN from a NaN start, zeros from a NaN operator
-    rhs, measure = np.ones((4, 3)), np.ones(4)
+    rhs = np.ones((4, 3))
     if case == "nan-start":
         apply_op, x0 = (lambda x: x), np.full((4, 3), np.nan)
     else:
         apply_op, x0 = (lambda x: np.full_like(x, np.nan)), None
     with pytest.raises(SolverError, match="non-finite"):
-        _cg_block(apply_op, rhs, measure, 1e-8, 50, "test", x0=x0)
+        _cg_block(apply_op, rhs, 1e-8, 50, "test", x0=x0)
 
 
 def test_cg_block_is_rotation_equivariant(cube_small_conn, rng):
-    # one step size per iteration for the whole block in a rotation-invariant
-    # inner product: rotating the right-hand side rotates every iterate, so
-    # the solves take the same products and agree to rounding, far inside
-    # the tolerance
+    # one step size per iteration for the whole block in the Euclidean
+    # inner product of the scaled coordinates, which is rotation-invariant:
+    # rotating the right-hand side rotates every iterate, so the solves take
+    # the same products and agree to rounding, far inside the tolerance
     conn = cube_small_conn
     params = SolverParams()
     rot, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
     b = rng.normal(size=(conn.topo.num_edges, 3))
     apply_op = _System(conn, params, "v").apply
-    x, products = _cg_block(apply_op, b, conn.topo.edge_len, params.cg_rel_tol,
-                            params.cg_max_iters, "test")
-    x_rot, products_rot = _cg_block(apply_op, b @ rot.T, conn.topo.edge_len,
-                                    params.cg_rel_tol, params.cg_max_iters, "test")
+    x, products = _cg_block(apply_op, b, params.cg_rel_tol, params.cg_max_iters, "test")
+    x_rot, products_rot = _cg_block(apply_op, b @ rot.T, params.cg_rel_tol,
+                                    params.cg_max_iters, "test")
     assert products_rot == products > 1
     assert np.abs(x_rot - x @ rot.T).max() <= 1e-12 * np.abs(x).max()
 
@@ -265,9 +280,8 @@ def test_cg_warm_start_zero_rhs_channel_returns_zero(cube_small_conn, rng):
     params = SolverParams()
     b = rng.normal(size=(conn.topo.num_edges, 3))
     b[:, 1] = 0.0
-    out, _ = _cg_block(_System(conn, params, "v").apply, b, conn.topo.edge_len,
-                       params.cg_rel_tol, params.cg_max_iters, "test",
-                       x0=rng.normal(size=b.shape))
+    out, _ = _cg_block(_System(conn, params, "v").apply, b, params.cg_rel_tol,
+                       params.cg_max_iters, "test", x0=rng.normal(size=b.shape))
     assert np.all(out[:, 1] == 0.0)
     assert np.any(out[:, [0, 2]] != 0.0)
 
@@ -275,15 +289,12 @@ def test_cg_warm_start_zero_rhs_channel_returns_zero(cube_small_conn, rng):
 def test_cg_warm_start_at_the_solution_takes_one_product(cube_small_conn, rng):
     conn = cube_small_conn
     params = SolverParams()
-    for kind, n, measure in [
-        ("normal", conn.topo.num_faces, conn.topo.face_area),
-        ("v", conn.topo.num_edges, conn.topo.edge_len),
-    ]:
+    for kind, n in [("normal", conn.topo.num_faces), ("v", conn.topo.num_edges)]:
         apply_op = _System(conn, params, kind).apply
         b = rng.normal(size=(n, 3))
         x_direct = np.linalg.solve(_dense_from_operator(apply_op, n), b)
         counted, calls = _counting(apply_op)
-        x_cg, products = _cg_block(counted, b, measure, params.cg_rel_tol,
+        x_cg, products = _cg_block(counted, b, params.cg_rel_tol,
                                    params.cg_max_iters, "test", x0=x_direct)
         assert len(calls) == products <= 1
         assert np.array_equal(x_cg, x_direct)
@@ -322,6 +333,44 @@ def test_direct_solution_matches_dense_solve(request, mesh, kind, rng):
     assert rel <= 1e-12
 
 
+def test_bench_cube_factors_keep_their_fill():
+    # the symmetric S has A's pattern, so its factor fills as A's did: L+U
+    # nonzeros of the 1 200-face cube's normal and v systems
+    conn = build_connectivity(make_cube(10, size=0.05))
+    systems = {kind: _System(conn, SolverParams(), kind) for kind in ("normal", "v")}
+    fill = {kind: s.factor.L.nnz + s.factor.U.nnz for kind, s in systems.items()}
+    assert fill == {"normal": 30_496, "v": 132_338}
+
+
+@pytest.mark.parametrize("factored", [True, False], ids=["factored", "cg"])
+@pytest.mark.parametrize("mesh", ["cube_small_conn", "plane_conn"],
+                         ids=["cube", "bordered-plane"])
+def test_solve_meets_the_tolerance_in_the_measure_weighted_norm(request, monkeypatch,
+                                                                mesh, factored, rng):
+    # conjugate gradients stop on |D r|, which is r's measure-weighted norm:
+    # the residual of the unscaled system, from the composed operators and
+    # that norm taken here, meets cg_rel_tol, cold and warm-started
+    conn = request.getfixturevalue(mesh)
+    topo, lines, curves = conn.topo, conn.lines, conn.curves
+    params = SolverParams()
+    if not factored:
+        monkeypatch.setattr(solver, "_DIRECT_MAX_FACES", 0)
+    cases = [("normal", topo.face_area,
+              lambda x: params.beta * x - params.r1 * edge_jump_adjoint(topo, edge_jump(topo, x))),
+             ("v", topo.edge_len,
+              lambda v: params.r1 * v
+              - params.r0 * line_jump_adjoint(lines, line_jump(lines, v))
+              - params.r0 * curve_jump_adjoint(curves, curve_jump(curves, v)))]
+    for kind, measure, composed in cases:
+        system = _System(conn, params, kind)
+        assert (system.factor is not None) == factored
+        for _ in range(2):
+            b = rng.normal(size=(len(measure), 3))
+            r = b - composed(system.solve(b.copy()))
+            norm_r, norm_b = (np.sqrt((measure[:, None] * a ** 2).sum()) for a in (r, b))
+            assert norm_r <= params.cg_rel_tol * norm_b
+
+
 # -- subproblems ----------------------------------------------------------------
 
 def _fresh_state(conn, n_in, params):
@@ -333,6 +382,13 @@ def _jumps(conn, state):
     them to its steps."""
     return (edge_jump(conn.topo, state.N), line_jump(conn.lines, state.v),
             curve_jump(conn.curves, state.v))
+
+
+def _residuals(conn, state):
+    """The three constraint residuals, as the sweep passes them to
+    update_multipliers."""
+    jump_n, jump_l, jump_c = _jumps(conn, state)
+    return state.P - (jump_n - state.v), state.Q1 - jump_l, state.Q2 - jump_c
 
 
 def test_n_subproblem_fidelity_only_limit(cube_small_conn):
@@ -361,7 +417,7 @@ def test_p_subproblem_zero_argument(cube_small_conn):
     state = _fresh_state(conn, n_in, params)
     state.N = np.zeros_like(n_in)
     assert np.all(solve_p_subproblem(conn, state, params,
-                                     edge_jump(conn.topo, state.N)) == 0.0)
+                                     edge_jump(conn.topo, state.N) - state.v) == 0.0)
 
 
 def test_q_subproblems_local_optimality(cube_small_conn, rng):
@@ -417,7 +473,7 @@ def test_update_multipliers_zero_residual_fixed_point(cube_small_conn, rng):
     state.Q1 = line_jump(conn.lines, state.v)
     state.Q2 = curve_jump(conn.curves, state.v)
     lam_before = (state.lam_P.copy(), state.lam_Q1.copy(), state.lam_Q2.copy())
-    update_multipliers(conn, state, params, _jumps(conn, state))
+    update_multipliers(conn, state, params, _residuals(conn, state))
     assert np.allclose(state.lam_P, lam_before[0], atol=1e-12)
     assert np.allclose(state.lam_Q1, lam_before[1], atol=1e-12)
     assert np.allclose(state.lam_Q2, lam_before[2], atol=1e-12)
@@ -433,7 +489,7 @@ def test_update_multipliers_linear_in_residual(cube_small_conn, rng):
         state.N = n_in
         state.P = scale * rng2.normal(size=state.P.shape)
         state.v = np.zeros_like(state.v)
-        update_multipliers(conn, state, params, _jumps(conn, state))
+        update_multipliers(conn, state, params, _residuals(conn, state))
         jump = edge_jump(conn.topo, n_in)
         return state.lam_P - params.r1 * (-jump)  # subtract the jump part
 
@@ -453,15 +509,20 @@ def test_one_sweep_matches_hand_stepped_oracle(square_conn):
     result = filter_normals(conn, n_in, params)
 
     w = edge_weights(edge_jump(topo, n_in), params.sigma_e)
-    # N-step: cold state means rhs = beta * n_in
-    apply_n = _System(conn, params, "normal").apply
-    N, n_products = _cg_block(apply_n, params.beta * n_in, topo.face_area,
+    # N-step: cold state means rhs = beta * n_in; each system solves in its
+    # scaled coordinates, D times the solution for D times the right-hand side
+    n_system = _System(conn, params, "normal")
+    d_n = np.sqrt(topo.face_area)[:, None]
+    N, n_products = _cg_block(n_system.apply, d_n * (params.beta * n_in),
                               params.cg_rel_tol, params.cg_max_iters, "n")
+    N = N / d_n
     N = N / np.linalg.norm(N, axis=1)[:, None]
     # v-step: only the P-constraint term is nonzero
-    apply_v = _System(conn, params, "v").apply
-    v, _ = _cg_block(apply_v, params.r1 * edge_jump(topo, N), topo.edge_len,
+    v_system = _System(conn, params, "v")
+    d_v = np.sqrt(topo.edge_len)[:, None]
+    v, _ = _cg_block(v_system.apply, d_v * (params.r1 * edge_jump(topo, N)),
                      params.cg_rel_tol, params.cg_max_iters, "v")
+    v = v / d_v
     P = shrink(params.alpha1 * w, params.r1, edge_jump(topo, N) - v)
     assert np.allclose(result.normals, N, atol=1e-12)
     assert result.iterations == 1
@@ -663,13 +724,25 @@ def test_filter_rejects_bad_inputs(cube_small_conn):
         filter_normals(conn, n_in[:-1])
     with pytest.raises(ValueError, match="max_outer_iters"):
         SolverParams(max_outer_iters=0)
+    # a NaN row fails the unit-length comparison too, before any solve
+    n_nan = n_in.copy()
+    n_nan[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        filter_normals(conn, n_nan)
+    with pytest.raises(ValueError, match="finite"):
+        minimize_tgv(conn, n_nan, 1.0, 0.1, iters=2)
 
 
 def test_counts_must_be_integers(cube_small_conn):
     # a float count would otherwise fail as a TypeError inside the sweep loop
     for name in ("max_outer_iters", "cg_max_iters"):
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            SolverParams(**{name: 2.5})
+        for value in (2.5, True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SolverParams(**{name: value})
+    # the switch is a bool: a string would otherwise be truthy
+    with pytest.raises(ValueError, match="dynamic_weights must be a bool"):
+        SolverParams(dynamic_weights="no")
+    assert not SolverParams(dynamic_weights=np.bool_(False)).dynamic_weights
     u = face_normals(cube_small_conn.mesh)
     with pytest.raises(ValueError, match="iters must be an integer"):
         minimize_tgv(cube_small_conn, u, 1.0, 0.1, iters=2.5)
