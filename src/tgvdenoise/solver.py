@@ -13,17 +13,16 @@ P = edge_jump(N) - v, Q1 = line_jump(v), Q2 = curve_jump(v) turn the
 objective into five easy subproblems per sweep: two symmetric positive
 definite linear systems and three closed-form shrink steps, followed by
 multiplier ascent on the constraint residuals and a weight refresh. Neither
-system depends on the iterates or the edge weights, so each is assembled
-once per run as a sparse matrix A and scaled once to the symmetric
-S = D A D^-1, D = diag(sqrt(measure)), which ``_System`` holds with its
-solve rule for both the filter and ``minimize_tgv``. On meshes of at most
-``_DIRECT_MAX_FACES`` faces S is also factored once per run (a sparse LU
-with a symmetric ordering and diagonal pivots), and every solve's direct
-solution starts plain conjugate gradients on S, whose first residual
-checks it against ``cg_rel_tol``: one product per solve when it passes. On
-larger meshes, where a factor costs more than it saves, conjugate gradients
-start from the system's previous solution, and ``scipy.sparse.linalg`` is
-never imported.
+system depends on the iterates or the edge weights, so ``_System`` builds
+each once per run for the filter and ``minimize_tgv``, in coordinates scaled
+by D = diag(sqrt(measure)), as S = c*I + sum of r * B^T B (B a jump balanced
+by its measures). On meshes of at most ``_DIRECT_MAX_FACES`` faces S is also
+factored once per run (a sparse LU with a symmetric ordering and diagonal
+pivots), and every solve's direct solution starts plain conjugate gradients
+on S, whose first residual checks it against ``cg_rel_tol``: one product per
+solve when it passes. On larger meshes, where a factor costs more than it
+saves, conjugate gradients start from the system's previous solution, and
+``scipy.sparse.linalg`` is never imported.
 
 The outer loop stops when the squared area-weighted change of the normal
 field drops below ``stop_tol`` or after ``max_outer_iters`` sweeps.
@@ -239,39 +238,42 @@ def _cg_block(apply_op, rhs, rel_tol, max_iters, label, x0=None):
     return x, products
 
 
-def _system_matrix(diagonal, products):
-    """diagonal*I + sum of scale * adjoint @ jump over the (scale, Stencil)
-    pairs in ``products``, assembled as one CSR matrix."""
+def _system_matrix(diagonal, terms):
+    """diagonal*I + sum of r * B^T B over the (r, Stencil) pairs in ``terms``
+    as one CSR matrix, B = diag(sqrt(m_row)) J diag(1/sqrt(m_col)) the jump J
+    balanced by its measures: an entry and its mirror sum the same products
+    in the same order, so the matrix is symmetric bit for bit."""
     from scipy.sparse import csr_array
 
-    n = products[0][1].num_cols
+    n = terms[0][1].num_cols
     matrix = csr_array((np.full(n, diagonal), np.arange(n), np.arange(n + 1)),
                        shape=(n, n))
-    for scale, stencil in products:
-        matrix = matrix + scale * (stencil.adjoint @ stencil.matrix)
+    for r, jump in terms:
+        balanced = jump.data * np.sqrt(jump.m_row).repeat(np.diff(jump.indptr)) \
+            / np.sqrt(jump.m_col)[jump.indices]
+        b = csr_array((balanced, jump.indices, jump.indptr), shape=(len(jump.indptr) - 1, n))
+        matrix = matrix + r * (b.T @ b)
     return matrix
 
 
 def normal_system_operator(matrix):
-    """Matrix action of the normal subproblem, beta*X - r1*adj(jump(X)), as
-    the symmetric ``matrix`` its _System scaled."""
+    """The normal _System's product with S = beta*I + r1*B^T B."""
     return lambda x: matrix @ x
 
 
 def v_system_operator(matrix):
-    """Matrix action of the v subproblem,
-    r1*X - r0*adj(line_jump(X)) - r0*adj(curve_jump(X)), as the symmetric
-    ``matrix`` its _System scaled."""
+    """The v _System's product with S = r1*I + r0*(B_l^T B_l + B_c^T B_c)."""
     return lambda x: matrix @ x
 
 
 class _System:
     """One ALM system of a run, ``kind`` "normal" or "v", and its solve rule.
 
-    The system A, self-adjoint in the inner product weighted by ``measure``
-    (face areas or edge lengths), is assembled once and scaled in place to
-    the symmetric positive definite S = D A D^-1, D = diag(sqrt(measure)),
-    with A's pattern. Its product comes from the public factory, looked up
+    In the coordinates y = D x, D = diag(sqrt(measure)) (face areas or edge
+    lengths; ``d`` holds D's diagonal as a column), the subproblem's
+    c |x|^2 + sum of r |J x|^2 in measure-weighted norms is c |y|^2 + sum of
+    r |B y|^2, so its system is S = c*I + sum of r * B^T B, assembled once by
+    ``_system_matrix``. Its product comes from the public factory, looked up
     when the system is built, so a factory rebound after import (a tracer's)
     makes every product. On meshes of at most ``_DIRECT_MAX_FACES`` faces S
     is also factored, with a symmetric ordering and diagonal pivots.
@@ -279,24 +281,22 @@ class _System:
     by conjugate gradients, from the direct solution when factored, else
     from the previous ``solution`` y; it leaves the product count in
     ``products`` and returns D^-1 y. As |D r| is r's measure-weighted norm,
-    the stop rule is A's. A failed factorization, or a direct solution that
-    is not finite, raises SolverError.
+    the stop rule is the model's. A failed factorization, or a direct
+    solution that is not finite, raises SolverError.
     """
 
     def __init__(self, conn, params, kind):
         topo = conn.topo
         if kind == "normal":
-            factory, self.measure = normal_system_operator, topo.face_area
-            diagonal, products = params.beta, [(-params.r1, topo.jump)]
+            factory, measure = normal_system_operator, topo.face_area
+            diagonal, terms = params.beta, [(params.r1, topo.jump)]
         else:
-            factory, self.measure = v_system_operator, topo.edge_len
-            diagonal, products = params.r1, [(-params.r0, conn.lines.jump),
-                                             (-params.r0, conn.curves.jump)]
-        matrix = _system_matrix(diagonal, products)
-        d = np.sqrt(self.measure)
-        matrix.data *= d.repeat(np.diff(matrix.indptr))
-        matrix.data /= d[matrix.indices]
+            factory, measure = v_system_operator, topo.edge_len
+            diagonal, terms = params.r1, [(params.r0, conn.lines.jump),
+                                          (params.r0, conn.curves.jump)]
+        matrix = _system_matrix(diagonal, terms)
         self.kind, self.params, self.apply = kind, params, factory(matrix)
+        self.d = np.sqrt(measure)[:, None]
         self.solution, self.products, self.factor = None, 0, None
         if topo.num_faces <= _DIRECT_MAX_FACES:
             from scipy.sparse.linalg import splu
@@ -317,13 +317,12 @@ class _System:
         return y
 
     def solve(self, rhs):
-        d = np.sqrt(self.measure)[:, None]
-        rhs *= d
+        rhs *= self.d
         y0 = self.solution if self.factor is None else self.direct(rhs)
         self.solution, self.products = _cg_block(
             self.apply, rhs, self.params.cg_rel_tol, self.params.cg_max_iters,
             self.kind, x0=y0)
-        return self.solution / d
+        return self.solution / self.d
 
 
 # -- the five subproblems ---------------------------------------------------
@@ -354,21 +353,21 @@ def solve_v_subproblem(conn, state, params, system, jump_n) -> np.ndarray:
     return system.solve(rhs)
 
 
-def solve_p_subproblem(conn, state, params, resid) -> np.ndarray:
+def solve_p_subproblem(state, params, resid) -> np.ndarray:
     """Per-edge shrink with the weighted first-order threshold; ``resid``
     is edge_jump(state.N) - state.v."""
     z = resid - state.lam_P / params.r1
     return shrink(params.alpha1 * state.w, params.r1, z)
 
 
-def solve_q1_subproblem(conn, state, params, jump_l) -> np.ndarray:
+def solve_q1_subproblem(state, params, jump_l) -> np.ndarray:
     """Per-line shrink of the 1-form jump; ``jump_l`` is
     line_jump(state.v)."""
     z = jump_l - state.lam_Q1 / params.r0
     return shrink(params.alpha0, params.r0, z)
 
 
-def solve_q2_subproblem(conn, state, params, jump_c) -> np.ndarray:
+def solve_q2_subproblem(state, params, jump_c) -> np.ndarray:
     """Per-curve shrink of the 2-form jump; ``jump_c`` is curve_jump(state.v).
     An invalid curve's jump row is all zeros and its multiplier starts at 0,
     so its shrink, and its multiplier, stay exactly 0 in every sweep."""
@@ -376,7 +375,7 @@ def solve_q2_subproblem(conn, state, params, jump_c) -> np.ndarray:
     return shrink(params.alpha0, params.r0, z)
 
 
-def update_multipliers(conn, state, params, residuals) -> "SolverState":
+def update_multipliers(state, params, residuals) -> "SolverState":
     """Ascent step on the three constraint ``residuals``:
     P - (edge_jump(N) - v), Q1 - line_jump(v) and Q2 - curve_jump(v)."""
     res_p, res_q1, res_q2 = residuals
@@ -396,15 +395,15 @@ def _split_steps(conn, state, params, v_system, jump_n):
     overwritten by the constraint residuals. Returns the energy and those."""
     state.v = solve_v_subproblem(conn, state, params, v_system, jump_n)
     jump_l, jump_c = line_jump(conn.lines, state.v), curve_jump(conn.curves, state.v)
-    state.Q1 = solve_q1_subproblem(conn, state, params, jump_l)
-    state.Q2 = solve_q2_subproblem(conn, state, params, jump_c)
+    state.Q1 = solve_q1_subproblem(state, params, jump_l)
+    state.Q2 = solve_q2_subproblem(state, params, jump_c)
     resid = jump_n - state.v
-    state.P = solve_p_subproblem(conn, state, params, resid)
+    state.P = solve_p_subproblem(state, params, resid)
     energy = tgv_energy_of_jumps(conn, resid, jump_l, jump_c, state.w,
                                  params.alpha1, params.alpha0)
     residuals = [np.subtract(q, j, out=j) for q, j in
                  ((state.P, resid), (state.Q1, jump_l), (state.Q2, jump_c))]
-    update_multipliers(conn, state, params, residuals)
+    update_multipliers(state, params, residuals)
     return energy, residuals
 
 

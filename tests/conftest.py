@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tgvdenoise import TriMesh, build_connectivity, make_cube, make_tetrahedron
+from tgvdenoise import (TriMesh, build_connectivity, make_cube, make_icosphere,
+                        make_tetrahedron)
 from tgvdenoise.synth import make_plane, make_two_triangle_square
 
 
@@ -59,11 +60,56 @@ def cube_relabeled_conn(cube_small):
     return build_connectivity(TriMesh(cube_small.vertices[vperm], faces))
 
 
+def flipped_icosphere(level, flips, seed):
+    """The icosphere of ``level`` after ``flips`` seeded edge flips. A flip
+    turns the edge a-b between faces (a, b, c) and (b, a, d) into c-d, and
+    is taken only if c-d is not an edge yet, a and b keep valence 3 or more,
+    and both new faces still face outward: irregular valence on a closed
+    mesh."""
+    mesh = make_icosphere(level)
+    v, f = mesh.vertices, mesh.faces.copy()
+    rng = np.random.default_rng(seed)
+    done = 0
+    while done < flips:
+        t, k = rng.integers(len(f)), rng.integers(3)
+        a, b, c = f[t, k], f[t, (k + 1) % 3], f[t, (k + 2) % 3]
+        u = np.flatnonzero(((f == b) & (np.roll(f, -1, axis=1) == a)).any(axis=1))[0]
+        d = f[u, (np.flatnonzero(f[u] == a)[0] + 1) % 3]
+        valence = np.bincount(f.ravel(), minlength=len(v))
+        if min(valence[a], valence[b]) <= 3 or \
+                ((f == c).any(axis=1) & (f == d).any(axis=1)).any():
+            continue
+        new = np.array([[a, d, c], [d, b, c]])
+        normal = np.cross(v[new[:, 1]] - v[new[:, 0]], v[new[:, 2]] - v[new[:, 0]])
+        if (np.einsum("ij,ij->i", normal, v[new].mean(axis=1)) <= 0).any():
+            continue
+        f[t], f[u] = new
+        done += 1
+    return TriMesh(v, f)
+
+
 @pytest.fixture(scope="session")
-def all_conns(tet_conn, cube_small_conn, plane_conn, square_conn, cube_relabeled_conn):
+def flipped_sphere_conn():
+    # 320 faces, vertex valence 3 to 13 where the level-2 icosphere has 5 and 6
+    return build_connectivity(flipped_icosphere(2, 150, seed=2))
+
+
+@pytest.fixture(scope="session")
+def holed_plane_conn():
+    # the 6 x 5 plane without its cells (2, 2) and (3, 2), two triangles each:
+    # a hole with no vertex inside, so the mesh has two boundary loops
+    plane = make_plane(6, 5)
+    keep = ~np.isin(np.arange(plane.num_faces) // 2, [2 * 5 + 2, 3 * 5 + 2])
+    return build_connectivity(TriMesh(plane.vertices, plane.faces[keep]))
+
+
+@pytest.fixture(scope="session")
+def all_conns(tet_conn, cube_small_conn, plane_conn, square_conn, cube_relabeled_conn,
+              flipped_sphere_conn, holed_plane_conn):
     # the square has no valid curve, so its curve jump is all zeros
     return {"tetrahedron": tet_conn, "cube": cube_small_conn, "plane": plane_conn,
-            "square": square_conn, "relabeled cube": cube_relabeled_conn}
+            "square": square_conn, "relabeled cube": cube_relabeled_conn,
+            "flipped sphere": flipped_sphere_conn, "holed plane": holed_plane_conn}
 
 
 def random_fields(conn, rng, channels=3):

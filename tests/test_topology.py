@@ -85,6 +85,20 @@ def test_edges_match_row_unique_oracle(all_conns):
                                                      axis=1)[np.argsort(number)])
 
 
+def test_irregular_fixtures_have_their_valence_and_holes(flipped_sphere_conn,
+                                                        holed_plane_conn):
+    # the flipped sphere is closed, with vertex valence 3 to 13; the holed
+    # plane has Euler characteristic 0, so two boundary loops: the plane's
+    # 22 outer edges and the hole's 6
+    sphere, holed = flipped_sphere_conn, holed_plane_conn
+    valence = np.bincount(sphere.mesh.faces.ravel())
+    assert (valence.min(), valence.max()) == (3, 13)
+    assert not sphere.topo.is_boundary.any()
+    topo = holed.topo
+    assert holed.mesh.num_vertices - topo.num_edges + topo.num_faces == 0
+    assert topo.is_boundary.sum() == 28
+
+
 def test_tetrahedron_closed(tet_conn):
     topo = tet_conn.topo
     assert topo.num_edges == 6
