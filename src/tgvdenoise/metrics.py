@@ -31,10 +31,11 @@ def mean_angular_difference(normals_a, normals_b) -> float:
 
 def write_face_error_csv(path, degrees):
     """Dump per-face angle errors as CSV rows (face index, degrees)."""
+    degrees = np.asarray(degrees, dtype=np.float64)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("face,angle_degrees\n")
-        for i, d in enumerate(np.asarray(degrees, dtype=np.float64)):
-            fh.write(f"{i},{'%.17g' % d}\n")
+        np.savetxt(fh, np.column_stack([np.arange(len(degrees)), degrees]),
+                   fmt=("%d", "%.17g"), delimiter=",", header="face,angle_degrees",
+                   comments="")
 
 
 # Point-triangle pairs screened at once; bounds the screen's two

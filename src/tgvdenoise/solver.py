@@ -47,8 +47,7 @@ from .operators import (
 _DIRECT_MAX_FACES = 5_000
 
 __all__ = [
-    "SolverParams", "SolverState", "SolverError", "FilterResult",
-    "shrink", "edge_weights",
+    "SolverParams", "SolverError", "FilterResult", "edge_weights",
     "normal_system_operator", "v_system_operator",
     "solve_n_subproblem", "solve_v_subproblem", "solve_p_subproblem",
     "solve_q1_subproblem", "solve_q2_subproblem", "update_multipliers",
@@ -238,20 +237,17 @@ def _cg_block(apply_op, rhs, rel_tol, max_iters, label, x0=None):
     return x, products
 
 
-def _system_matrix(diagonal, terms):
-    """diagonal*I + sum of r * B^T B over the (r, Stencil) pairs in ``terms``
-    as one CSR matrix, B = diag(sqrt(m_row)) J diag(1/sqrt(m_col)) the jump J
-    balanced by its measures: an entry and its mirror sum the same products
-    in the same order, so the matrix is symmetric bit for bit."""
+def _system_matrix(diagonal, r, jumps):
+    """diagonal*I + sum of r * B^T B over the ``jumps``' balanced forms B as
+    one CSR matrix: an entry and its mirror sum the same products in the
+    same order, so the matrix is symmetric bit for bit."""
     from scipy.sparse import csr_array
 
-    n = terms[0][1].num_cols
+    n = jumps[0].num_cols
     matrix = csr_array((np.full(n, diagonal), np.arange(n), np.arange(n + 1)),
                        shape=(n, n))
-    for r, jump in terms:
-        balanced = jump.data * np.sqrt(jump.m_row).repeat(np.diff(jump.indptr)) \
-            / np.sqrt(jump.m_col)[jump.indices]
-        b = csr_array((balanced, jump.indices, jump.indptr), shape=(len(jump.indptr) - 1, n))
+    for jump in jumps:
+        b = jump.balanced()
         matrix = matrix + r * (b.T @ b)
     return matrix
 
@@ -269,14 +265,15 @@ def v_system_operator(matrix):
 class _System:
     """One ALM system of a run, ``kind`` "normal" or "v", and its solve rule.
 
-    In the coordinates y = D x, D = diag(sqrt(measure)) (face areas or edge
-    lengths; ``d`` holds D's diagonal as a column), the subproblem's
-    c |x|^2 + sum of r |J x|^2 in measure-weighted norms is c |y|^2 + sum of
-    r |B y|^2, so its system is S = c*I + sum of r * B^T B, assembled once by
-    ``_system_matrix``. Its product comes from the public factory, looked up
-    when the system is built, so a factory rebound after import (a tracer's)
-    makes every product. On meshes of at most ``_DIRECT_MAX_FACES`` faces S
-    is also factored, with a symmetric ordering and diagonal pivots.
+    In the coordinates y = D x, D = diag(sqrt(m)) with m the measure of the
+    elements its jumps J read (``d`` holds D's diagonal as a column), the
+    subproblem's c |x|^2 + sum of r |J x|^2 in measure-weighted norms is
+    c |y|^2 + sum of r |B y|^2, B = J.balanced(), so its system is S = c*I +
+    sum of r * B^T B, assembled once by ``_system_matrix``. Its product
+    comes from the public factory, looked up when the system is built, so a
+    factory rebound after import (a tracer's) makes every product. On meshes
+    of at most ``_DIRECT_MAX_FACES`` faces S is also factored, with a
+    symmetric ordering and diagonal pivots.
     ``solve(rhs)`` scales ``rhs`` in place to D rhs and solves S y = D rhs
     by conjugate gradients, from the direct solution when factored, else
     from the previous ``solution`` y; it leaves the product count in
@@ -286,19 +283,17 @@ class _System:
     """
 
     def __init__(self, conn, params, kind):
-        topo = conn.topo
         if kind == "normal":
-            factory, measure = normal_system_operator, topo.face_area
-            diagonal, terms = params.beta, [(params.r1, topo.jump)]
+            factory, diagonal, r, jumps = (normal_system_operator, params.beta,
+                                           params.r1, [conn.topo.jump])
         else:
-            factory, measure = v_system_operator, topo.edge_len
-            diagonal, terms = params.r1, [(params.r0, conn.lines.jump),
-                                          (params.r0, conn.curves.jump)]
-        matrix = _system_matrix(diagonal, terms)
+            factory, diagonal, r, jumps = (v_system_operator, params.r1, params.r0,
+                                           [conn.lines.jump, conn.curves.jump])
+        matrix = _system_matrix(diagonal, r, jumps)
         self.kind, self.params, self.apply = kind, params, factory(matrix)
-        self.d = np.sqrt(measure)[:, None]
+        self.d = np.sqrt(jumps[0].m_col)[:, None]
         self.solution, self.products, self.factor = None, 0, None
-        if topo.num_faces <= _DIRECT_MAX_FACES:
+        if conn.topo.num_faces <= _DIRECT_MAX_FACES:
             from scipy.sparse.linalg import splu
 
             try:
@@ -469,10 +464,8 @@ def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResu
 
 def _write_diagnostics(path, diagnostics):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(DIAGNOSTIC_COLUMNS) + "\n")
-        for row in diagnostics:
-            cells = [str(int(row[0]))] + ["%.17g" % x for x in row[1:]]
-            fh.write(",".join(cells) + "\n")
+        np.savetxt(fh, diagnostics, fmt=["%d"] + ["%.17g"] * 5, delimiter=",",
+                   header=",".join(DIAGNOSTIC_COLUMNS), comments="")
 
 
 def minimize_tgv(conn, u, alpha1, alpha0, iters=200):

@@ -9,14 +9,16 @@ Three layers are built on top of a validated TriMesh:
 * CurveSet: per line, the four-edge stencil that wraps around the line's
   vertex through the two neighboring triangles.
 
-Each layer stores its jump operator once, as a Stencil: the arrays of a
-compressed sparse row (CSR) matrix whose rows all have the layer's width, a
-pinned slot holding an explicit zero, plus the measures of its output and input
-elements. The scipy matrix wrapping those arrays is made on first use. The
-adjoint is that matrix's transpose weighted by the element measures, also built
-on first use, so ``<jump(x), y> = -<x, adjoint(y)>`` holds by construction.
-Building the connectivity itself needs numpy only. Which faces an edge, line or
-curve reads is held in its jump's rows and nowhere else.
+Each layer stores its jump once, as a Stencil, the one owner of what derives
+from it. Given the face slots each row reads through, the rows to keep and the
+measures of its output and input elements, it signs each slot off the twin
+table and keeps the jump as the arrays of a compressed sparse row (CSR) matrix
+whose rows all have the layer's width. The scipy matrix on those arrays, the
+adjoint (that matrix's transpose weighted by the measures, so
+``<jump(x), y> = -<x, adjoint(y)>`` holds by construction) and the jump
+balanced by its measures, which the solver's systems are assembled from, are
+made on use. Building the connectivity itself needs numpy only. Which faces an
+edge, line or curve reads is held in its jump's rows and nowhere else.
 
 All three layers are indexed by the mesh's face slots: slot 3t + k is face
 t's local edge k, from its corner k to corner k + 1 (mod 3), and line 3t + k
@@ -28,9 +30,9 @@ a slot: its twin, or the next or previous slot of the same face.
 
 Edges are read off the same table: edge e is the e-th lead slot, a slot not
 above its twin, and runs as that slot does, so sgn(e, t) is +1 in the lead
-slot's face and -1 in its twin's; each stencil reads it off the twin table. The
-jumps need only some fixed direction per edge; every quantity derived
-downstream is invariant to it up to the sign of edge values.
+slot's face and -1 in its twin's, as each Stencil reads it off the twin
+table. The jumps need only some fixed direction per edge; every quantity
+derived downstream is invariant to it up to the sign of edge values.
 """
 
 from functools import cached_property
@@ -51,15 +53,18 @@ __all__ = [
 
 
 class Stencil:
-    """A jump between element fields as the arrays of a CSR matrix:
+    """One jump between element fields, and all that is derived from it.
+
+    Row i reads the input elements ``cols[i]`` through the face slots
+    ``slots[i]`` (both (rows, width)), each signed +1 where its slot leads
+    its edge (is not above its ``twin``), else -1; a row outside ``keep``
+    holds explicit zeros. The jump is kept as the arrays of a CSR matrix,
 
         out[i] = sum over k in indptr[i]:indptr[i+1] of data[k] * x[indices[k]]
 
-    Kept as built from a layer's rows ``(idx, coef)``, both (rows, width):
-    row i reads x[idx[i, k]] with weight coef[i, k], and a slot the row pins
-    to 0 holds an explicit zero. A row's sum starts at +0, which adding a
-    signed zero leaves unchanged, and scipy drops exact zeros when it
-    assembles a system, so the explicit zeros change no result.
+    A row's sum starts at +0, which adding a signed zero leaves unchanged,
+    and scipy drops exact zeros when it assembles a system, so the explicit
+    zeros change no result.
 
     data, indices (int32) : (rows * width,); indptr : (rows + 1,) int32
     m_row / m_col : the measures of the output and input elements, which
@@ -69,12 +74,15 @@ class Stencil:
         made on first use
     adjoint : the adjoint as a scipy CSR matrix (num_cols, rows), built on
         first use as the measure-weighted transpose of ``matrix``
+    balanced() : the jump balanced by its measures, made anew on each call
     """
 
-    def __init__(self, idx, coef, m_row, m_col):
+    def __init__(self, twin, slots, keep, cols, m_row, m_col):
+        coef = np.where(np.take(twin, slots) >= slots, 1.0, -1.0)
+        coef *= keep[:, None]
         rows, width = coef.shape
         self.data = coef.ravel()
-        self.indices = idx.astype(np.int32).ravel()
+        self.indices = cols.astype(np.int32).ravel()
         self.indptr = np.arange(0, rows * width + 1, width, dtype=np.int32)
         self.m_row, self.m_col, self.num_cols = m_row, m_col, len(m_col)
 
@@ -96,6 +104,16 @@ class Stencil:
         adj.data *= -self.m_row[adj.indices] / self.m_col[cols]
         return adj
 
+    def balanced(self):
+        """diag(sqrt(m_row)) @ matrix @ diag(1/sqrt(m_col)), the jump balanced
+        by its measures, as a new CSR matrix on the same index arrays; not
+        cached, so it is held only while a system is assembled."""
+        from scipy.sparse import csr_array
+
+        data = self.data * np.sqrt(self.m_row).repeat(np.diff(self.indptr)) \
+            / np.sqrt(self.m_col)[self.indices]
+        return csr_array((data, self.indices, self.indptr), shape=self.matrix.shape)
+
 
 class EdgeTopology:
     """Edge lengths and boundary flags, each face's edges, face areas, and
@@ -106,8 +124,8 @@ class EdgeTopology:
     edge_len : (E,) float
     is_boundary : (E,) bool
     face_edges : (T, 3) int, edge index of the face's local edge k
-        (connecting face vertex k to vertex k+1), signed in face t by
-        ``_slot_signs`` of slot 3t + k on the mesh's twin table
+        (connecting face vertex k to vertex k+1), signed in face t by the
+        orientation of slot 3t + k, as in ``Stencil``
     face_area : (T,) float
     jump : Stencil, the edge jump (faces -> edges: each edge's lead face,
         signed +1, then its twin's, signed -1; a boundary row reads its one
@@ -119,18 +137,15 @@ class EdgeTopology:
         if len(f) == 0:
             raise MeshError("mesh has no faces")
 
-        # an edge runs from its lead slot's corner to where its twin starts,
-        # or on the boundary to the next corner; both its slots name it
+        # an edge runs from its lead slot's corner to the next corner, where
+        # its twin, if any, starts; both its slots name it
         twin = mesh._twin
         lead = np.flatnonzero(twin >= np.arange(len(twin)))
         edge_slots = np.stack([lead, np.take(twin, lead)], axis=1)
-        self.is_boundary = is_boundary = edge_slots[:, 0] == edge_slots[:, 1]
+        self.is_boundary = edge_slots[:, 0] == edge_slots[:, 1]
         corner = f.ravel()
-        tail = np.take(corner, edge_slots[:, 1])
-        tail[is_boundary] = np.take(corner, _next_slot(lead[is_boundary]))
         # freed once read: at 20k faces fresh pages cost more than the sums
-        diff = np.take(mesh.vertices, tail, axis=0)
-        del tail
+        diff = np.take(mesh.vertices, np.take(corner, _next_slot(lead)), axis=0)
         diff -= np.take(mesh.vertices, np.take(corner, lead), axis=0)
         self.edge_len = row_norm(diff)
         del diff
@@ -142,9 +157,8 @@ class EdgeTopology:
         self.face_area = mesh._face_areas
         for name in ("edge_len", "is_boundary", "face_edges", "face_area"):
             getattr(self, name).setflags(write=False)
-        signs = _slot_signs(twin, edge_slots)
-        signs *= ~is_boundary[:, None]
-        self.jump = Stencil(edge_slots // 3, signs, self.edge_len, self.face_area)
+        self.jump = Stencil(twin, edge_slots, ~self.is_boundary, edge_slots // 3,
+                            self.edge_len, self.face_area)
 
     @property
     def num_edges(self):
@@ -157,11 +171,6 @@ class EdgeTopology:
     def __repr__(self):
         nb = int(self.is_boundary.sum())
         return f"EdgeTopology(edges={self.num_edges}, faces={self.num_faces}, boundary_edges={nb})"
-
-
-def _slot_signs(twin, slots):
-    """sgn(edge, face) per face slot: +1 where it leads its edge, else -1."""
-    return np.where(np.take(twin, slots) >= slots, 1.0, -1.0)
 
 
 def build_edge_topology(mesh) -> EdgeTopology:
@@ -200,9 +209,7 @@ class LineSet:
         for name in ("line_len", "active"):
             getattr(self, name).setflags(write=False)
         slots = np.stack([into, out], axis=1)
-        signs = _slot_signs(twin, slots)
-        signs *= self.active[:, None]
-        self.jump = Stencil(np.take(topo.face_edges.ravel(), slots), signs,
+        self.jump = Stencil(twin, slots, self.active, np.take(topo.face_edges.ravel(), slots),
                             self.line_len, topo.edge_len)
 
     @property
@@ -258,12 +265,10 @@ class CurveSet:
         self.topo, self.valid, self.curve_len = topo, valid, curve_len
         for name in ("valid", "curve_len"):
             getattr(self, name).setflags(write=False)
-        signs = _slot_signs(twin, slots)
-        signs *= valid[:, None]
-        edges = np.take(topo.face_edges.ravel(), slots)
-        # the slots are freed before the CSR arrays are made
-        del slots, slot, into, twin_in
-        self.jump = Stencil(edges, signs, curve_len, topo.edge_len)
+        # the per-slot tables are freed before the CSR arrays are made
+        del slot, into, twin_in
+        self.jump = Stencil(twin, slots, valid, np.take(topo.face_edges.ravel(), slots),
+                            curve_len, topo.edge_len)
 
     @property
     def num_curves(self):

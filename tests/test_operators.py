@@ -48,10 +48,11 @@ def _dense_and_measures(conn, name):
 
 
 @pytest.mark.parametrize("name", ["edge", "line", "curve"])
-@pytest.mark.parametrize("which", ["jump", "jump_adjoint"])
+@pytest.mark.parametrize("which", ["jump", "jump_adjoint", "balanced"])
 def test_stencil_matrix_matches_slot_gather(all_conns, rng, name, which):
     # each jump against a dense matrix built by loops from the mesh's faces
-    # alone; the adjoint is -diag(1/m_col) J^T diag(m_row)
+    # alone; the adjoint is -diag(1/m_col) J^T diag(m_row), and the balanced
+    # jump diag(sqrt(m_row)) J diag(1/sqrt(m_col))
     for conn in all_conns.values():
         stencil = _args(conn, name).jump
         J, m_row, m_col = _dense_and_measures(conn, name)
@@ -59,9 +60,12 @@ def test_stencil_matrix_matches_slot_gather(all_conns, rng, name, which):
             x = rng.normal(size=(stencil.num_cols, 3))
             ref = J @ x
             got = stencil.matrix @ x
-        else:
+        elif which == "jump_adjoint":
             ref = -(m_row[:, None] * J).T / m_col[:, None]
             got = stencil.adjoint.toarray()
+        else:
+            ref = np.sqrt(m_row)[:, None] * J / np.sqrt(m_col)
+            got = stencil.balanced().toarray()
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-14 * max(np.abs(ref).max(), 1.0)
 

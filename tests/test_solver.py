@@ -90,7 +90,11 @@ def test_edge_weights_monotone_in_normal_difference(square_conn):
 
 def test_edge_weights_match_incident_face_normals(all_conns, rng):
     # exp(-|n_0 - n_1|^2 / (2 sigma^2)) from the two faces each interior edge
-    # reads, found from the mesh's faces alone; 1 on the boundary
+    # reads, found from the mesh's faces alone; 1 on the boundary. The square
+    # sums its three components in column order, as row_dot does: summed in
+    # another order it can round one ulp apart, which exp turns into up to
+    # |exponent| ulps: measured 0 on every mesh here, 9.7e-16 relative
+    # with diff @ diff
     for conn in all_conns.values():
         n = rng.normal(size=(conn.topo.num_faces, 3))
         n /= np.linalg.norm(n, axis=1)[:, None]
@@ -98,7 +102,8 @@ def test_edge_weights_match_incident_face_normals(all_conns, rng):
         for row in dense_edge_jump(conn.mesh):
             faces = np.flatnonzero(row)
             diff = n[faces[0]] - n[faces[1]] if len(faces) else np.zeros(3)
-            expected.append(np.exp(-(diff @ diff) / (2.0 * 0.7 ** 2)))
+            sq = diff[0] * diff[0] + diff[1] * diff[1] + diff[2] * diff[2]
+            expected.append(np.exp(-sq / (2.0 * 0.7 ** 2)))
         np.testing.assert_allclose(edge_weights(edge_jump(conn.topo, n), 0.7), expected,
                                    rtol=1e-15, atol=0)
 
@@ -325,13 +330,28 @@ def test_each_system_assembles_its_matrix_once(cube_small_conn, monkeypatch,
 
 
 def test_system_assembly_reads_no_adjoint(cube_small):
-    # each system is built from its jumps' own arrays and measures; an
-    # adjoint is built only when a right-hand side first needs it
+    # each system is built from its jumps' balanced forms; an adjoint is
+    # built only when a right-hand side first needs it
     conn = build_connectivity(cube_small)
     for kind in ("normal", "v"):
         _System(conn, SolverParams(), kind)
     assert not any("adjoint" in vars(layer.jump)
                    for layer in (conn.topo, conn.lines, conn.curves))
+
+
+def test_system_matrix_reads_only_the_balanced_jumps(cube_small_conn):
+    # the assembly sees a jump only through num_cols and balanced(), and
+    # builds c*I + r * sum of B^T B: measured 2.8e-16 of the largest entry
+    # off the dense sum
+    class Balanced:
+        def __init__(self, jump):
+            self.num_cols, self.balanced = jump.num_cols, jump.balanced
+
+    lines, curves = cube_small_conn.lines.jump, cube_small_conn.curves.jump
+    got = solver._system_matrix(2.0, 3.0, [Balanced(lines), Balanced(curves)]).toarray()
+    b_l, b_c = lines.balanced().toarray(), curves.balanced().toarray()
+    ref = 2.0 * np.eye(lines.num_cols) + 3.0 * (b_l.T @ b_l + b_c.T @ b_c)
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("kind", ["normal", "v"])
@@ -898,9 +918,22 @@ def _filtered(mesh, params):
     return filter_normals(build_connectivity(mesh), face_normals(mesh), params).normals
 
 
+def _noisy(mesh):
+    return add_gaussian_noise(mesh, NoiseSpec(0.3, mode="vertex-normal", seed=7))
+
+
 @pytest.fixture(scope="module")
 def noisy_cube_small(cube_small):
-    return add_gaussian_noise(cube_small, NoiseSpec(0.3, mode="vertex-normal", seed=7))
+    return _noisy(cube_small)
+
+
+@pytest.fixture(scope="module")
+def noisy_meshes(noisy_cube_small, flipped_sphere_conn, holed_plane_conn):
+    # the small cube, factored; the first cube above the factoring threshold;
+    # the irregular-valence sphere and the holed plane, both factored
+    return {"factored": noisy_cube_small, "cg": _noisy(make_cube(21, size=0.05)),
+            "flipped-sphere": _noisy(flipped_sphere_conn.mesh),
+            "holed-plane": _noisy(holed_plane_conn.mesh)}
 
 
 def test_filter_is_translation_invariant(noisy_cube_small):
@@ -913,17 +946,17 @@ def test_filter_is_translation_invariant(noisy_cube_small):
     assert np.abs(_filtered(moved, params) - base).max() <= 1e-10
 
 
-@pytest.mark.parametrize("divisions", [2, 21], ids=["factored", "cg"])
-def test_filter_is_rotation_equivariant(divisions):
+@pytest.mark.parametrize("name", ["factored", "cg", "flipped-sphere", "holed-plane"])
+def test_filter_is_rotation_equivariant(noisy_meshes, name):
     # rotating the input rotates the output. The 48-face cube is factored,
     # so each solve is its direct solution: measured 4.4e-16 after 20
-    # sweeps, at cg_rel_tol 1e-12 and at the default 1e-8 alike. The
+    # sweeps, at cg_rel_tol 1e-12 and at the default 1e-8 alike, and
+    # 1.9e-15 on the flipped sphere and 4.2e-16 on the holed plane. The
     # 5 292-face cube is the first above the factoring threshold, so
     # conjugate gradients iterate and the gap tracks cg_rel_tol: 2.2e-12 at
     # the 1e-12 used here, 4.0e-9 at the default 1e-8
-    mesh = add_gaussian_noise(make_cube(divisions, size=0.05),
-                              NoiseSpec(0.3, mode="vertex-normal", seed=7))
-    assert (mesh.num_faces > solver._DIRECT_MAX_FACES) == (divisions == 21)
+    mesh = noisy_meshes[name]
+    assert (mesh.num_faces > solver._DIRECT_MAX_FACES) == (name == "cg")
     rot, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
     rot[:, 0] *= np.sign(np.linalg.det(rot))
     params = SolverParams(max_outer_iters=20, cg_rel_tol=1e-12)
@@ -932,20 +965,22 @@ def test_filter_is_rotation_equivariant(divisions):
     assert np.abs(turned - base @ rot.T).max() <= 1e-10
 
 
-def test_filter_is_relabeling_equivariant(noisy_cube_small):
+def test_filter_is_relabeling_equivariant(noisy_meshes):
     # permuting the vertex and face indices permutes the output normals.
     # Edge orientations and summation orders change with the labels, so
-    # the two runs round differently: measured 4.1e-14 after 20 sweeps at
-    # cg_rel_tol 1e-12 (4.4e-16 at the default 1e-8)
-    rng = np.random.default_rng(5)
-    vperm = rng.permutation(noisy_cube_small.num_vertices)
-    fperm = rng.permutation(noisy_cube_small.num_faces)
-    new_index = np.argsort(vperm)
-    relabeled = TriMesh(noisy_cube_small.vertices[vperm],
-                        new_index[noisy_cube_small.faces[fperm]])
+    # the two runs round differently: measured 4.1e-14 on the cube after 20
+    # sweeps at cg_rel_tol 1e-12 (4.4e-16 at the default 1e-8), 5.6e-16 on
+    # the flipped sphere and 2.2e-16 on the holed plane at either
     params = SolverParams(max_outer_iters=20, cg_rel_tol=1e-12)
-    base = _filtered(noisy_cube_small, params)
-    assert np.abs(_filtered(relabeled, params) - base[fperm]).max() <= 1e-10
+    for name in ("factored", "flipped-sphere", "holed-plane"):
+        mesh = noisy_meshes[name]
+        rng = np.random.default_rng(5)
+        vperm = rng.permutation(mesh.num_vertices)
+        fperm = rng.permutation(mesh.num_faces)
+        relabeled = TriMesh(mesh.vertices[vperm], np.argsort(vperm)[mesh.faces[fperm]])
+        base = _filtered(mesh, params)
+        gap = np.abs(_filtered(relabeled, params) - base[fperm]).max()
+        assert gap <= 1e-10, name
 
 
 @pytest.mark.parametrize("s", [10.0, 0.1])
