@@ -18,11 +18,11 @@ each once per run for the filter and ``minimize_tgv``, in coordinates scaled
 by D = diag(sqrt(measure)), as S = c*I + sum of r * B^T B (B a jump balanced
 by its measures). On meshes of at most ``_DIRECT_MAX_FACES`` faces S is also
 factored once per run (a sparse LU with a symmetric ordering and diagonal
-pivots), and every solve's direct solution starts plain conjugate gradients
-on S, whose first residual checks it against ``cg_rel_tol``: one product per
-solve when it passes. On larger meshes, where a factor costs more than it
-saves, conjugate gradients start from the system's previous solution, and
-``scipy.sparse.linalg`` is never imported.
+pivots), and every solve's direct solution starts conjugate gradients on S,
+preconditioned by S's diagonal, whose first residual checks it against
+``cg_rel_tol``: one product per solve when it passes. On larger meshes, where
+a factor costs more than it saves, conjugate gradients start from the
+system's previous solution, and ``scipy.sparse.linalg`` is never imported.
 
 The outer loop stops when the squared area-weighted change of the normal
 field drops below ``stop_tol`` or after ``max_outer_iters`` sweeps.
@@ -189,19 +189,21 @@ def edge_weights(jump_n, sigma_e) -> np.ndarray:
     return np.exp(-row_dot(jump_n, jump_n) / (2.0 * sigma_e ** 2))
 
 
-def _cg_block(apply_op, rhs, rel_tol, max_iters, label, x0=None):
-    """Plain conjugate gradients on the (n, C) block as one flat vector, one
-    step size per iteration for all channels; each inner product is an
-    einsum, not a BLAS dot, whose bits depend on its thread count.
+def _cg_block(apply_op, precondition, rhs, rel_tol, max_iters, label, x0=None):
+    """Conjugate gradients on the (n, C) block as one flat vector, one step
+    size per iteration for all channels, preconditioned by multiplying the
+    residual with ``precondition``: a positive (n, 1) column shared by the
+    channels (a Jacobi preconditioner; 1.0 is plain CG). Each inner product
+    is an einsum, not a BLAS dot, whose bits depend on its thread count.
 
     ``x0`` is the starting guess; None or all zeros starts from zero. The
-    solve stops once the block residual's norm is at most ``rel_tol`` times
-    the block right-hand side's, whatever the start. The system does not
-    couple channels, so a channel whose right-hand side is exactly zero
-    returns exactly zero. Returns the solution and the iteration count, one
-    per product with the system: a nonzero ``x0`` costs one more, for its
-    residual. A non-finite residual, like one that does not converge,
-    raises SolverError.
+    solve stops once the block residual's norm, not the preconditioned one,
+    is at most ``rel_tol`` times the block right-hand side's, whatever the
+    start. The system does not couple channels, so a channel whose
+    right-hand side is exactly zero returns exactly zero. Returns the
+    solution and the iteration count, one per product with the system: a
+    nonzero ``x0`` costs one more, for its residual. A non-finite residual,
+    like one that does not converge, raises SolverError.
     """
     def dot(a, b):
         return np.einsum("i,i->", a.ravel(), b.ravel())
@@ -213,19 +215,20 @@ def _cg_block(apply_op, rhs, rel_tol, max_iters, label, x0=None):
     else:
         x = np.where(rhs.any(axis=0), x0, 0.0)
         r, products = rhs - apply_op(x), 1
-    p, step, rs = r.copy(), np.empty_like(rhs), dot(r, r)
+    p, z, step = r * precondition, np.empty_like(rhs), np.empty_like(rhs)
+    rs, rz = dot(r, r), dot(r, p)
     for _ in range(max_iters):
         if np.sqrt(rs) <= target or not np.isfinite(rs):
             break
         ap = apply_op(p)
         products += 1
-        alpha = rs / dot(p, ap)
+        alpha = rz / dot(p, ap)
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, ap, out=step)
-        rs_new = dot(r, r)
-        p *= rs_new / rs
-        p += r
-        rs = rs_new
+        rs, rz_old = dot(r, r), rz
+        rz = dot(r, np.multiply(r, precondition, out=z))
+        p *= rz / rz_old
+        p += z
     if not np.sqrt(rs) <= target:
         raise SolverError(
             f"conjugate gradients met a non-finite residual in the {label} system"
@@ -280,6 +283,12 @@ class _System:
     ``products`` and returns D^-1 y. As |D r| is r's measure-weighted norm,
     the stop rule is the model's. A failed factorization, or a direct
     solution that is not finite, raises SolverError.
+    The CG is Jacobi-preconditioned by ``precondition``, S's diagonal taken
+    once as max(diag S) / diag S: the same iterates as diag(S)^-1 up to
+    rounding, but with every entry at least 1, so the preconditioned inner
+    products stay above the squared residual norm that the stop rule reads
+    instead of underflowing first (with diag(S)^-1, a ``cg_rel_tol`` near
+    1e-180 met a 0/0).
     """
 
     def __init__(self, conn, params, kind):
@@ -292,6 +301,8 @@ class _System:
         matrix = _system_matrix(diagonal, r, jumps)
         self.kind, self.params, self.apply = kind, params, factory(matrix)
         self.d = np.sqrt(jumps[0].m_col)[:, None]
+        jacobi = matrix.diagonal()
+        self.precondition = (jacobi.max() / jacobi)[:, None]
         self.solution, self.products, self.factor = None, 0, None
         if conn.topo.num_faces <= _DIRECT_MAX_FACES:
             from scipy.sparse.linalg import splu
@@ -315,8 +326,8 @@ class _System:
         rhs *= self.d
         y0 = self.solution if self.factor is None else self.direct(rhs)
         self.solution, self.products = _cg_block(
-            self.apply, rhs, self.params.cg_rel_tol, self.params.cg_max_iters,
-            self.kind, x0=y0)
+            self.apply, self.precondition, rhs, self.params.cg_rel_tol,
+            self.params.cg_max_iters, self.kind, x0=y0)
         return self.solution / self.d
 
 

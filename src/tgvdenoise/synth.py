@@ -1,5 +1,11 @@
-"""Procedural test meshes: everything the test suite and demos need, so no
-external data files are required."""
+"""Procedural test meshes: everything the test suite, the demos and the
+benchmark need, so no external data files are required.
+
+The cube and the icosphere number their vertices by one rule, ``_weld``: each
+distinct lattice point, or edge midpoint, gets the next number where it first
+occurs in the order the faces are written. That numbering is a contract, kept
+byte for byte: the noise model draws one amplitude per vertex in vertex order,
+so a renumbered vertex makes a different noisy input from the same seed."""
 
 import numpy as np
 
@@ -29,6 +35,19 @@ def make_two_triangle_square(size: float = 1.0) -> TriMesh:
     return TriMesh(v, [[0, 1, 2], [0, 2, 3]])
 
 
+def _weld(rows):
+    """Number the distinct rows of the integer array ``rows`` in order of
+    first occurrence. Returns those rows in that order and each input row's
+    number."""
+    distinct, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                         return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    # numpy 2.0.x shapes the inverse like ``rows``, other versions flat
+    return distinct[order], number[inverse.ravel()]
+
+
 def make_plane(nx: int = 4, ny: int = 4, size: float = 1.0) -> TriMesh:
     """Rectangular grid in the z=0 plane (a mesh with boundary)."""
     if nx < 1 or ny < 1:
@@ -37,17 +56,11 @@ def make_plane(nx: int = 4, ny: int = 4, size: float = 1.0) -> TriMesh:
     ys = np.linspace(0.0, size, ny + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     verts = np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=1)
-
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    faces = []
-    for i in range(nx):
-        for j in range(ny):
-            p00, p10 = vid(i, j), vid(i + 1, j)
-            p11, p01 = vid(i + 1, j + 1), vid(i, j + 1)
-            faces.append([p00, p10, p11])
-            faces.append([p00, p11, p01])
+    # grid point (i, j) is vertex i*(ny+1) + j; cells i-major
+    p00 = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
+    p10, p01 = p00 + ny + 1, p00 + 1
+    p11 = p10 + 1
+    faces = np.stack([p00, p10, p11, p00, p11, p01], axis=1).reshape(-1, 3)
     return TriMesh(verts, faces)
 
 
@@ -60,38 +73,23 @@ def make_cube(divisions: int = 10, size: float = 1.0) -> TriMesh:
         raise ValueError("divisions must be at least 1")
     # per side: origin and the two lattice directions, chosen so that
     # du x dv points outward
-    sides = [
+    sides = np.array([
         ((0, 0, 0), (0, 1, 0), (1, 0, 0)),   # z = 0, outward -z
         ((0, 0, n), (1, 0, 0), (0, 1, 0)),   # z = n, outward +z
         ((0, 0, 0), (1, 0, 0), (0, 0, 1)),   # y = 0, outward -y
         ((0, n, 0), (0, 0, 1), (1, 0, 0)),   # y = n, outward +y
         ((0, 0, 0), (0, 0, 1), (0, 1, 0)),   # x = 0, outward -x
         ((n, 0, 0), (0, 1, 0), (0, 0, 1)),   # x = n, outward +x
-    ]
-    index = {}
-    verts = []
-
-    def vid(point):
-        key = tuple(point)
-        if key not in index:
-            index[key] = len(verts)
-            verts.append(key)
-        return index[key]
-
-    faces = []
-    for origin, du, dv in sides:
-        o = np.array(origin)
-        u = np.array(du)
-        w = np.array(dv)
-        for i in range(n):
-            for j in range(n):
-                p00 = vid(o + i * u + j * w)
-                p10 = vid(o + (i + 1) * u + j * w)
-                p11 = vid(o + (i + 1) * u + (j + 1) * w)
-                p01 = vid(o + i * u + (j + 1) * w)
-                faces.append([p00, p10, p11])
-                faces.append([p00, p11, p01])
-    positions = np.array(verts, dtype=np.float64) * (size / n)
+    ])
+    origin, du, dv = (sides[:, None, None, None, k] for k in range(3))
+    # quad (i, j) of each side, i-major, and its corners (i, j), (i+1, j),
+    # (i+1, j+1), (i, j+1): the order in which the lattice points are numbered
+    i = np.arange(n)[:, None, None] + np.array([0, 1, 1, 0])
+    j = np.arange(n)[:, None] + np.array([0, 0, 1, 1])
+    points = origin + i[..., None] * du + j[..., None] * dv
+    lattice, corner = _weld(points.reshape(-1, 3))
+    faces = corner.reshape(-1, 4)[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    positions = lattice.astype(np.float64) * (size / n)
     return TriMesh(positions, faces)
 
 
@@ -101,35 +99,29 @@ def make_icosphere(subdivisions: int = 3, radius: float = 1.0) -> TriMesh:
     if subdivisions < 0:
         raise ValueError("subdivisions must be at least 0")
     phi = (1.0 + np.sqrt(5.0)) / 2.0
-    verts = [
+    verts = np.array([
         (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
         (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
         (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
-    ]
-    faces = [
+    ])
+    faces = np.array([
         (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
         (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    verts = [np.array(v, dtype=np.float64) for v in verts]
+    ])
 
     for _ in range(subdivisions):
-        cache = {}
-        new_faces = []
+        # each face's edges ab, bc, ca as sorted end pairs; a new vertex per
+        # distinct edge, numbered after the old ones where the edge first
+        # occurs, at the mean of its ends
+        ends = np.sort(np.stack([faces, np.roll(faces, -1, axis=1)], axis=2), axis=2)
+        edges, mid = _weld(ends.reshape(-1, 2))
+        a, b, c = faces.T
+        ab, bc, ca = (len(verts) + mid).reshape(-1, 3).T
+        verts = np.concatenate([verts, 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]])])
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
 
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                cache[key] = len(verts)
-                verts.append(0.5 * (verts[i] + verts[j]))
-            return cache[key]
-
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-
-    pos = np.array(verts)
-    pos = radius * pos / np.linalg.norm(pos, axis=1)[:, None]
-    return TriMesh(pos, np.array(faces, dtype=np.int64))
+    pos = radius * verts / np.linalg.norm(verts, axis=1)[:, None]
+    return TriMesh(pos, faces)

@@ -65,27 +65,40 @@ def flipped_icosphere(level, flips, seed):
     turns the edge a-b between faces (a, b, c) and (b, a, d) into c-d, and
     is taken only if c-d is not an edge yet, a and b keep valence 3 or more,
     and both new faces still face outward: irregular valence on a closed
-    mesh."""
+    mesh. The face of each directed edge and each vertex's valence are kept
+    up to date flip by flip, so an attempted flip costs O(1)."""
     mesh = make_icosphere(level)
-    v, f = mesh.vertices, mesh.faces.copy()
+    v, faces = mesh.vertices, mesh.faces.tolist()
+
+    def directed(face):
+        return zip(face, face[1:] + face[:1])
+
+    owner = {edge: t for t, face in enumerate(faces) for edge in directed(face)}
+    valence = np.bincount(mesh.faces.ravel(), minlength=len(v)).tolist()
     rng = np.random.default_rng(seed)
     done = 0
     while done < flips:
-        t, k = rng.integers(len(f)), rng.integers(3)
-        a, b, c = f[t, k], f[t, (k + 1) % 3], f[t, (k + 2) % 3]
-        u = np.flatnonzero(((f == b) & (np.roll(f, -1, axis=1) == a)).any(axis=1))[0]
-        d = f[u, (np.flatnonzero(f[u] == a)[0] + 1) % 3]
-        valence = np.bincount(f.ravel(), minlength=len(v))
-        if min(valence[a], valence[b]) <= 3 or \
-                ((f == c).any(axis=1) & (f == d).any(axis=1)).any():
+        t, k = rng.integers(len(faces)), rng.integers(3)
+        a, b, c = faces[t][k], faces[t][(k + 1) % 3], faces[t][(k + 2) % 3]
+        u = owner[b, a]
+        d = faces[u][(faces[u].index(a) + 1) % 3]
+        if min(valence[a], valence[b]) <= 3 or (c, d) in owner or (d, c) in owner:
             continue
         new = np.array([[a, d, c], [d, b, c]])
         normal = np.cross(v[new[:, 1]] - v[new[:, 0]], v[new[:, 2]] - v[new[:, 0]])
         if (np.einsum("ij,ij->i", normal, v[new].mean(axis=1)) <= 0).any():
             continue
-        f[t], f[u] = new
+        for edge in (*directed(faces[t]), *directed(faces[u])):
+            del owner[edge]
+        faces[t], faces[u] = new.tolist()
+        owner.update({edge: t for edge in directed(faces[t])})
+        owner.update({edge: u for edge in directed(faces[u])})
+        valence[a] -= 1
+        valence[b] -= 1
+        valence[c] += 1
+        valence[d] += 1
         done += 1
-    return TriMesh(v, f)
+    return TriMesh(v, faces)
 
 
 @pytest.fixture(scope="session")

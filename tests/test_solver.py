@@ -20,6 +20,7 @@ from tgvdenoise.solver import (SolverState, _cg_block, _System, edge_weights,
                                shrink, solve_n_subproblem, solve_p_subproblem,
                                solve_q1_subproblem, solve_q2_subproblem,
                                solve_v_subproblem, update_multipliers)
+from conftest import flipped_icosphere
 from oracles import dense_edge_jump
 
 
@@ -191,7 +192,7 @@ def test_measure_weighted_system_matrices_are_symmetric(all_conns):
 @pytest.mark.parametrize("kind", ["normal", "v"])
 @SYSTEM_MESHES
 def test_stored_system_matrices_are_symmetric(request, mesh, kind):
-    # plain conjugate gradients and the symmetric-mode factor need the stored
+    # conjugate gradients and the symmetric-mode factor need the stored
     # S symmetric itself; each B^T B sums the same products in the same order
     # on both sides of the diagonal, so S is symmetric bit for bit
     system = _System(request.getfixturevalue(mesh), SolverParams(), kind)
@@ -213,14 +214,14 @@ def test_v_system_is_positive_definite(cube_small_conn, rng):
 def test_cg_matches_dense_solve(cube_small_conn, rng):
     conn = cube_small_conn
     params = SolverParams(cg_rel_tol=1e-10)
-    for apply_op, n in [(_System(conn, params, "normal").apply, conn.topo.num_faces),
-                        (_System(conn, params, "v").apply, conn.topo.num_edges)]:
-        dense = _dense_from_operator(apply_op, n)
+    for kind, n in [("normal", conn.topo.num_faces), ("v", conn.topo.num_edges)]:
+        system = _System(conn, params, kind)
+        dense = _dense_from_operator(system.apply, n)
         b = rng.normal(size=(n, 3))
         x_direct = np.linalg.solve(dense, b)
         # from zero, and warm-started from a random guess
         for x0 in (None, 10.0 * np.random.default_rng(5).normal(size=(n, 3))):
-            x_cg, _ = _cg_block(apply_op, b, params.cg_rel_tol,
+            x_cg, _ = _cg_block(system.apply, system.precondition, b, params.cg_rel_tol,
                                 params.cg_max_iters, "test", x0=x0)
             rel = np.linalg.norm(x_cg - x_direct) / np.linalg.norm(x_direct)
             assert rel < 1e-8
@@ -229,7 +230,8 @@ def test_cg_matches_dense_solve(cube_small_conn, rng):
 def test_cg_zero_rhs_returns_zero(cube_small_conn):
     conn = cube_small_conn
     params = SolverParams()
-    out, _ = _cg_block(_System(conn, params, "v").apply,
+    system = _System(conn, params, "v")
+    out, _ = _cg_block(system.apply, system.precondition,
                        np.zeros((conn.topo.num_edges, 3)),
                        params.cg_rel_tol, params.cg_max_iters, "test")
     assert np.all(out == 0.0)
@@ -239,8 +241,9 @@ def test_cg_nonconvergence_raises(cube_small_conn, rng):
     conn = cube_small_conn
     params = SolverParams()
     b = rng.normal(size=(conn.topo.num_edges, 3))
+    system = _System(conn, params, "v")
     with pytest.raises(SolverError) as err:
-        _cg_block(_System(conn, params, "v").apply, b, 1e-14, 2, "test")
+        _cg_block(system.apply, system.precondition, b, 1e-14, 2, "test")
     # one relative residual for the whole block
     assert np.ndim(err.value.residuals) == 0 and err.value.residuals > 1e-14
 
@@ -255,7 +258,7 @@ def test_cg_non_finite_residual_raises(case):
     else:
         apply_op, x0 = (lambda x: np.full_like(x, np.nan)), None
     with pytest.raises(SolverError, match="non-finite"):
-        _cg_block(apply_op, rhs, 1e-8, 50, "test", x0=x0)
+        _cg_block(apply_op, 1.0, rhs, 1e-8, 50, "test", x0=x0)
 
 
 def test_cg_block_is_rotation_equivariant(cube_small_conn, rng):
@@ -267,10 +270,11 @@ def test_cg_block_is_rotation_equivariant(cube_small_conn, rng):
     params = SolverParams()
     rot, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
     b = rng.normal(size=(conn.topo.num_edges, 3))
-    apply_op = _System(conn, params, "v").apply
-    x, products = _cg_block(apply_op, b, params.cg_rel_tol, params.cg_max_iters, "test")
-    x_rot, products_rot = _cg_block(apply_op, b @ rot.T, params.cg_rel_tol,
-                                    params.cg_max_iters, "test")
+    system = _System(conn, params, "v")
+    x, products = _cg_block(system.apply, system.precondition, b, params.cg_rel_tol,
+                            params.cg_max_iters, "test")
+    x_rot, products_rot = _cg_block(system.apply, system.precondition, b @ rot.T,
+                                    params.cg_rel_tol, params.cg_max_iters, "test")
     assert products_rot == products > 1
     assert np.abs(x_rot - x @ rot.T).max() <= 1e-12 * np.abs(x).max()
 
@@ -290,7 +294,8 @@ def test_cg_warm_start_zero_rhs_channel_returns_zero(cube_small_conn, rng):
     params = SolverParams()
     b = rng.normal(size=(conn.topo.num_edges, 3))
     b[:, 1] = 0.0
-    out, _ = _cg_block(_System(conn, params, "v").apply, b, params.cg_rel_tol,
+    system = _System(conn, params, "v")
+    out, _ = _cg_block(system.apply, system.precondition, b, params.cg_rel_tol,
                        params.cg_max_iters, "test", x0=rng.normal(size=b.shape))
     assert np.all(out[:, 1] == 0.0)
     assert np.any(out[:, [0, 2]] != 0.0)
@@ -300,11 +305,11 @@ def test_cg_warm_start_at_the_solution_takes_one_product(cube_small_conn, rng):
     conn = cube_small_conn
     params = SolverParams()
     for kind, n in [("normal", conn.topo.num_faces), ("v", conn.topo.num_edges)]:
-        apply_op = _System(conn, params, kind).apply
+        system = _System(conn, params, kind)
         b = rng.normal(size=(n, 3))
-        x_direct = np.linalg.solve(_dense_from_operator(apply_op, n), b)
-        counted, calls = _counting(apply_op)
-        x_cg, products = _cg_block(counted, b, params.cg_rel_tol,
+        x_direct = np.linalg.solve(_dense_from_operator(system.apply, n), b)
+        counted, calls = _counting(system.apply)
+        x_cg, products = _cg_block(counted, system.precondition, b, params.cg_rel_tol,
                                    params.cg_max_iters, "test", x0=x_direct)
         assert len(calls) == products <= 1
         assert np.array_equal(x_cg, x_direct)
@@ -547,14 +552,16 @@ def test_one_sweep_matches_hand_stepped_oracle(square_conn):
     # scaled coordinates, D times the solution for D times the right-hand side
     n_system = _System(conn, params, "normal")
     d_n = np.sqrt(topo.face_area)[:, None]
-    N, n_products = _cg_block(n_system.apply, d_n * (params.beta * n_in),
+    N, n_products = _cg_block(n_system.apply, n_system.precondition,
+                              d_n * (params.beta * n_in),
                               params.cg_rel_tol, params.cg_max_iters, "n")
     N = N / d_n
     N = N / np.linalg.norm(N, axis=1)[:, None]
     # v-step: only the P-constraint term is nonzero
     v_system = _System(conn, params, "v")
     d_v = np.sqrt(topo.edge_len)[:, None]
-    v, _ = _cg_block(v_system.apply, d_v * (params.r1 * edge_jump(topo, N)),
+    v, _ = _cg_block(v_system.apply, v_system.precondition,
+                     d_v * (params.r1 * edge_jump(topo, N)),
                      params.cg_rel_tol, params.cg_max_iters, "v")
     v = v / d_v
     P = shrink(params.alpha1 * w, params.r1, edge_jump(topo, N) - v)
@@ -700,6 +707,23 @@ def test_preview_sphere_stays_unfactored(preview_sphere, monkeypatch):
     assert all(system.factor is None for system in systems)
     n_total, v_total = result.cg_iterations.sum(axis=0)
     assert 100 <= n_total <= 110 and 122 <= v_total <= 134
+
+
+def test_irregular_sphere_normal_solves_stay_few():
+    # 5 120 faces, so unfactored, with valence 3 to 15 and face areas spread
+    # 77x (the regular level-4 sphere's 1.9x): the normal system's diagonal
+    # spreads with them, and plain CG took 372 normal products over these
+    # five sweeps where Jacobi-preconditioned CG took 81 when the test was
+    # written (v: 150 and 142)
+    mesh = flipped_icosphere(4, 2400, seed=2)
+    mesh = TriMesh(0.15 * mesh.vertices, mesh.faces)
+    noisy = add_gaussian_noise(mesh, NoiseSpec(0.3, mode="vertex-normal", seed=7))
+    conn = build_connectivity(noisy)
+    assert conn.topo.num_faces > solver._DIRECT_MAX_FACES
+    result = filter_normals(conn, face_normals(noisy),
+                            SolverParams(beta=1000, max_outer_iters=5))
+    n_total, v_total = result.cg_iterations.sum(axis=0)
+    assert n_total <= 372 // 4 and v_total <= 150
 
 
 def test_preview_sphere_output_does_not_depend_on_blas_threads(preview_sphere, tmp_path):
@@ -953,8 +977,10 @@ def test_filter_is_rotation_equivariant(noisy_meshes, name):
     # sweeps, at cg_rel_tol 1e-12 and at the default 1e-8 alike, and
     # 1.9e-15 on the flipped sphere and 4.2e-16 on the holed plane. The
     # 5 292-face cube is the first above the factoring threshold, so
-    # conjugate gradients iterate and the gap tracks cg_rel_tol: 2.2e-12 at
-    # the 1e-12 used here, 4.0e-9 at the default 1e-8
+    # conjugate gradients iterate: Jacobi-preconditioned, 2.6e-14 at the
+    # 1e-12 used here and at most 4.8e-14 from 1e-12 to 1e-2; plain CG's
+    # gap tracked cg_rel_tol (1.2e-12, 6.3e-9 at the default 1e-8, 6.1e-5
+    # at 1e-4)
     mesh = noisy_meshes[name]
     assert (mesh.num_faces > solver._DIRECT_MAX_FACES) == (name == "cg")
     rot, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))

@@ -1,0 +1,54 @@
+import hashlib
+
+import numpy as np
+import pytest
+
+from tgvdenoise import synth
+from tgvdenoise.synth import make_cube, make_icosphere, make_plane
+
+_BUILDERS = {"plane": make_plane, "cube": make_cube, "icosphere": make_icosphere}
+
+# sha256 of vertices.tobytes() and faces.tobytes() (float64 and int64,
+# little-endian), recorded from the builders that numbered each lattice point
+# and edge midpoint through a dict at its first occurrence. The benchmark's
+# inputs are make_cube(10, 0.05) and make_icosphere(5, 0.15), and the noise
+# draws one amplitude per vertex in vertex order, so a renumbered vertex
+# changes them even where the mesh is the same set of triangles.
+_DIGESTS = [
+    ("plane", (6, 5), "0241436997b4aca4db1e0d3c76516ca5a436befd183c73a9f0b9ef8426b2014f",
+     "805f7edc2f115a4d95dd5935843d0e1f1c2c7dbcef8880efc1cdfadbdc722144"),
+    ("plane", (3, 7, 0.5), "186d34e2c8cdf2c1b8a3a356c3eeeb4fe2de1b06728152e43fcb0063f1276721",
+     "a272472ac174a484f0e1b40c1147ee035b7bb47407d23336fa5717bcab0faf2e"),
+    ("plane", (60, 40), "d15b06d0f5a3ccd293e80af4353cb05f90a4c97f4f603b87bc4548d45a53c3f5",
+     "e3a29d93002a05cd50368ac03fbb385ff697cef618e94842852070ccd5eef1f3"),
+    ("cube", (1,), "db160a311b02c0c24f14408230c7e36c40fda571da7604aa612829ddfb1600ef",
+     "6b57b51a04252d70d7361acb1e5341b9810133cf940799f5777dd5a5d599b451"),
+    ("cube", (3,), "1948a07a5beb5a4d409f18b32e8dfeafc2d0ed0f46cb2031c27acdd69244c68a",
+     "0d1e6cc83480f0b7b2ebabbf4309349ed1bf5a3083dd3973d3a80edc4aecaf08"),
+    ("cube", (10, 0.05), "bdcedf0b4b3691062f3b1657360e95b8c4919ae43a71864256129dd32b531ec6",
+     "68f8ccd58bb21c466afc5cba16b54fa58b237bba5a97953f4081f90952450a3c"),
+    ("cube", (21, 0.2), "a9c3857a96243fe1a42f8989fba6dfd438cbd23d7b876817895dd7d86a31bb78",
+     "89cc5461be823bfbd447a45a8eb766d12fc6cf86316385c2fa96f844ec13c967"),
+    ("icosphere", (0,), "25c2ce4291cc17ab13b6dc4303a96f09245fc2e636869cc7bd20cc1cae129df8",
+     "3db7a1822c9b623934e2e4740412c5fbeb065c97b1d30344bad8fa21007c31dc"),
+    ("icosphere", (3,), "cce9b7ed72f85df26668f5d1ccfc2a305b1c8ce4cb6cd6139e56dbe78eac72c7",
+     "52ba19c5cda73d335f2e29108333509a800acd29026ae2e6c65c32ec3dd5394b"),
+    ("icosphere", (5, 0.15), "5f163e820fa4dda48ac80b6a81863a546743a5ce68b33121bb1032ab102005e9",
+     "6bf33a7fc9429eef8639fd65852d853d10c4399075ba2e6a3789cf2ac7743fd9"),
+]
+
+
+@pytest.mark.parametrize("builder, args, vertices_sha, faces_sha", _DIGESTS,
+                         ids=[f"{name}{args}" for name, args, *_ in _DIGESTS])
+def test_builders_keep_their_bytes(builder, args, vertices_sha, faces_sha):
+    mesh = _BUILDERS[builder](*args)
+    assert hashlib.sha256(mesh.vertices.tobytes()).hexdigest() == vertices_sha
+    assert hashlib.sha256(mesh.faces.tobytes()).hexdigest() == faces_sha
+
+
+def test_weld_numbers_rows_where_they_first_occur():
+    rows = np.array([[2, 0], [1, 1], [2, 0], [0, 5], [1, 1]])
+    distinct, number = synth._weld(rows)
+    np.testing.assert_array_equal(distinct, [[2, 0], [1, 1], [0, 5]])
+    np.testing.assert_array_equal(number, [0, 1, 0, 2, 1])
+    np.testing.assert_array_equal(distinct[number], rows)
