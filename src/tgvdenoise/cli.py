@@ -165,12 +165,12 @@ def cmd_denoise(args) -> int:
     }
     if args.ground_truth:
         n_clean = face_normals(clean)
-        n_out = face_normals(out_mesh)
+        errors = face_angle_errors(face_normals(out_mesh), n_clean)
         report["theta_filtered_degrees"] = mean_angular_difference(result.normals, n_clean)
-        report["theta_output_degrees"] = mean_angular_difference(n_out, n_clean)
+        report["theta_output_degrees"] = float(errors.mean())
         report["e_v"] = vertex_error(out_mesh, clean)
         if args.error_map:
-            write_face_error_csv(args.error_map, face_angle_errors(n_out, n_clean))
+            write_face_error_csv(args.error_map, errors)
     _emit(report)
     return 0
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .mesh import _checked_count, cross, row_dot, row_norm
+from .mesh import _checked_count, cross, row_dot
 
 __all__ = ["update_vertices"]
 
@@ -16,9 +16,10 @@ def update_vertices(mesh, target_normals, iters: int = 30):
         x += (1/|ring|) * sum_faces n (n . (centroid - x))
 
     computed Jacobi style (all displacements from the previous sweep's
-    positions). A face whose current normal points against its target is
-    left out of the sums for that sweep, so flipped triangles cannot drag
-    their vertices further the wrong way. Connectivity is never changed.
+    positions). A face whose current cross product points against its
+    target is left out of the sums for that sweep, so flipped triangles
+    cannot drag their vertices further the wrong way. The test reads a sign,
+    so nothing is normalized. Connectivity is never changed.
     """
     _checked_count("iters", iters)
     n_t = np.asarray(target_normals, dtype=np.float64)
@@ -44,9 +45,7 @@ def update_vertices(mesh, target_normals, iters: int = 30):
         # the same sum and division as a mean over the corners
         centroid = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0         # (3, T)
         c = cross((p[:, 1] - p[:, 0]).T, (p[:, 2] - p[:, 0]).T)
-        norms = row_norm(c)[:, None]
-        current = np.divide(c, norms, out=np.zeros_like(c), where=norms > 0)
-        keep = row_dot(current, nt.T) >= 0.0
+        keep = row_dot(c, nt.T) >= 0.0
         offset = row_dot((centroid[:, None] - p).T, nt.T[:, None])  # (T, corner)
         offset *= keep[:, None]
         for j in range(3):

@@ -36,16 +36,16 @@ def make_two_triangle_square(size: float = 1.0) -> TriMesh:
 
 
 def _weld(rows):
-    """Number the distinct rows of the integer array ``rows`` in order of
-    first occurrence. Returns those rows in that order and each input row's
-    number."""
-    distinct, first, inverse = np.unique(rows, axis=0, return_index=True,
-                                         return_inverse=True)
+    """Number the distinct rows of the non-negative integer array ``rows``
+    (lattice points, vertex-index pairs) in order of first occurrence, by
+    one integer key per row. Returns those rows in that order and each input
+    row's number."""
+    key = np.ravel_multi_index(rows.T, rows.max(axis=0) + 1)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
     number = np.empty_like(order)
     number[order] = np.arange(len(order))
-    # numpy 2.0.x shapes the inverse like ``rows``, other versions flat
-    return distinct[order], number[inverse.ravel()]
+    return rows[first[order]], number[inverse]
 
 
 def make_plane(nx: int = 4, ny: int = 4, size: float = 1.0) -> TriMesh:

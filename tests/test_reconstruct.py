@@ -123,7 +123,23 @@ def _bench_cube():
     return noisy, face_normals(clean)
 
 
-@pytest.mark.parametrize("case", [_bench_cube, _negated_sphere_targets, _stray_vertex_plane])
+def _preview_sphere():
+    clean = make_icosphere(5, 0.15)
+    noisy = add_gaussian_noise(clean, NoiseSpec(0.3, mode="vertex-normal", seed=7))
+    return noisy, face_normals(clean)
+
+
+def _in_plane_target_plane():
+    # every third target lies in the plane, so on the first sweep its face's
+    # cross product (0, 0, c) has a dot product of exactly 0 with it
+    plane = make_plane(4, 3)
+    targets = face_normals(add_gaussian_noise(plane, NoiseSpec(0.2, seed=4)))
+    targets[::3] = [0.6, -0.8, 0.0]
+    return plane, targets
+
+
+@pytest.mark.parametrize("case", [_bench_cube, _negated_sphere_targets, _stray_vertex_plane,
+                                  _preview_sphere, _in_plane_target_plane])
 def test_update_matches_row_gather_reference_bit_for_bit(case):
     mesh, targets = case()
     out = update_vertices(mesh, targets, iters=30)
@@ -135,3 +151,7 @@ def test_reference_cases_reach_the_paths_they_name():
     assert ((face_normals(mesh) * targets).sum(axis=1) < 0).any()   # keep = False
     mesh, _ = _stray_vertex_plane()
     assert np.bincount(mesh.faces.ravel(), minlength=mesh.num_vertices).min() == 0
+    mesh, targets = _in_plane_target_plane()
+    p = mesh.vertices[mesh.faces]
+    dots = (np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) * targets).sum(axis=1)
+    assert (dots == 0.0).any()                                     # keep at a zero dot

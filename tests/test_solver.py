@@ -439,6 +439,36 @@ def test_n_subproblem_fidelity_only_limit(cube_small_conn):
     assert np.allclose(out, n_in, atol=1e-9)
 
 
+class _FixedSolve:
+    """A stand-in system whose solve returns fixed rows, whatever the rhs."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def solve(self, rhs):
+        return self.rows.copy()
+
+
+def test_n_subproblem_rows_solving_to_zero_fall_back(cube_small_conn, rng):
+    conn = cube_small_conn
+    n_in = face_normals(conn.mesh)
+    params = SolverParams()
+    state = _fresh_state(conn, n_in, params)
+    state.N = rng.normal(size=n_in.shape)
+    solved = rng.normal(size=n_in.shape)
+    # rows 0::3 solve to norm >= 1e-12; rows 1::3 and 2::3 below it, and
+    # rows 2::3 have a previous iterate below it too
+    solved[1::3] *= 1e-13 / np.linalg.norm(solved[1::3], axis=1)[:, None]
+    solved[2::3] *= 1e-13 / np.linalg.norm(solved[2::3], axis=1)[:, None]
+    state.N[2::3] *= 1e-13 / np.linalg.norm(state.N[2::3], axis=1)[:, None]
+    solved[2], state.N[2] = 0.0, 0.0
+    out = solve_n_subproblem(conn, state, n_in, params, _FixedSolve(solved))
+    for rows, expected in ((out[0::3], solved[0::3]), (out[1::3], state.N[1::3])):
+        np.testing.assert_allclose(
+            rows, expected / np.linalg.norm(expected, axis=1)[:, None], rtol=0, atol=1e-15)
+    assert np.array_equal(out[2::3], n_in[2::3])
+
+
 def test_v_subproblem_zero_inputs(cube_small_conn):
     conn = cube_small_conn
     n_in = face_normals(conn.mesh)

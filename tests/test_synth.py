@@ -23,18 +23,24 @@ _DIGESTS = [
      "e3a29d93002a05cd50368ac03fbb385ff697cef618e94842852070ccd5eef1f3"),
     ("cube", (1,), "db160a311b02c0c24f14408230c7e36c40fda571da7604aa612829ddfb1600ef",
      "6b57b51a04252d70d7361acb1e5341b9810133cf940799f5777dd5a5d599b451"),
+    ("cube", (2,), "940037ebfb1d2b3668401c9eb551a14dbc61107f7c500c7ed3dd5b0059caf194",
+     "64048f7f065714c91bef930aff0625a69574132cd5f22b33cdb0f2f093478778"),
     ("cube", (3,), "1948a07a5beb5a4d409f18b32e8dfeafc2d0ed0f46cb2031c27acdd69244c68a",
      "0d1e6cc83480f0b7b2ebabbf4309349ed1bf5a3083dd3973d3a80edc4aecaf08"),
     ("cube", (10, 0.05), "bdcedf0b4b3691062f3b1657360e95b8c4919ae43a71864256129dd32b531ec6",
      "68f8ccd58bb21c466afc5cba16b54fa58b237bba5a97953f4081f90952450a3c"),
     ("cube", (21, 0.2), "a9c3857a96243fe1a42f8989fba6dfd438cbd23d7b876817895dd7d86a31bb78",
      "89cc5461be823bfbd447a45a8eb766d12fc6cf86316385c2fa96f844ec13c967"),
+    ("cube", (40, 0.05), "b742e08109ae814a1f4f5212c28d8c6e656981cb93966187d473860b3190b85f",
+     "79f273f1d46e294187df88af9a87192b670152b11aff1203ecd27c6570596ca3"),
     ("icosphere", (0,), "25c2ce4291cc17ab13b6dc4303a96f09245fc2e636869cc7bd20cc1cae129df8",
      "3db7a1822c9b623934e2e4740412c5fbeb065c97b1d30344bad8fa21007c31dc"),
     ("icosphere", (3,), "cce9b7ed72f85df26668f5d1ccfc2a305b1c8ce4cb6cd6139e56dbe78eac72c7",
      "52ba19c5cda73d335f2e29108333509a800acd29026ae2e6c65c32ec3dd5394b"),
     ("icosphere", (5, 0.15), "5f163e820fa4dda48ac80b6a81863a546743a5ce68b33121bb1032ab102005e9",
      "6bf33a7fc9429eef8639fd65852d853d10c4399075ba2e6a3789cf2ac7743fd9"),
+    ("icosphere", (6,), "52495c462d164de3bdbbe0545f1f8f1d51c1abfd2199727781d631e36d9d8bba",
+     "f1fe5dd3aa14ecb18bf1a52f1ef643afff5b90f9688e1c603e127179164e67ae"),
 ]
 
 
