@@ -49,8 +49,8 @@ def _solver_params(args) -> SolverParams:
 def _add_solver_flags(p):
     g = p.add_argument_group(
         "solver parameters",
-        "the six weights, penalties and bandwidth must lie in [%g, %g]; the two "
-        "tolerances must be positive and finite" % WEIGHT_RANGE)
+        "the six weights, penalties and bandwidth must lie in [%g, %g]; --stop-tol "
+        "must be positive and finite, --cg-tol strictly between 0 and 1" % WEIGHT_RANGE)
     g.add_argument("--alpha1", type=float,
                    help="first-order weight (recommended range 0.5-3.0; default %(default)s)")
     g.add_argument("--alpha0", type=float,
@@ -68,7 +68,8 @@ def _add_solver_flags(p):
                    help="stop when the squared normal change drops below this")
     g.add_argument("--cg-tol", dest="cg_rel_tol", metavar="CG_TOL", type=float,
                    help="relative residual tolerance of the inner linear solves, "
-                        "in the measure-weighted norm of all three channels at once")
+                        "in the measure-weighted norm of all three channels at once "
+                        "(default %(default)s)")
     g.add_argument("--cg-max-iters", type=int,
                    help="CG iterations allowed per linear solve, at least 1 (default "
                         "%(default)s); a solve that misses --cg-tol in them exits 2")

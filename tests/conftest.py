@@ -1,5 +1,9 @@
+import hashlib
+import platform
+
 import numpy as np
 import pytest
+import scipy
 
 from tgvdenoise import (TriMesh, build_connectivity, make_cube, make_icosphere,
                         make_tetrahedron)
@@ -136,3 +140,38 @@ def random_fields(conn, rng, channels=3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# numpy, scipy, the architecture and the SIMD extensions numpy dispatches to
+# where the sha256 digests of the pinned runs were recorded
+PINNED_BUILD = ("2.4.6", "1.17.1", "x86_64",
+                ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
+
+
+def pinned_values(result, **measured):
+    """A filter run's values as a pinned run stores them: the ``measured``
+    floats (thetas, e_v) with the result's last diagnostics row, products per
+    system, sweeps, stop reason and the sha256 of its normals."""
+    return {**measured, "last_diagnostics": result.diagnostics[-1].tolist(),
+            "cg_totals": result.cg_iterations.sum(axis=0).tolist(),
+            "iterations": result.iterations, "stop_reason": result.stop_reason,
+            "normals_sha256": hashlib.sha256(result.normals.tobytes()).hexdigest()}
+
+
+def assert_pinned(got, pin):
+    """Each of ``got``'s values against ``pin``'s: floats to 1e-10 relative,
+    room for last-bit differences of np.exp between CPUs (refactors have
+    moved them by at most 1.3e-14); counts and the stop reason exactly; the
+    normals' digest only on PINNED_BUILD, since elsewhere the bits may
+    differ within that tolerance."""
+    simd = getattr(np.__config__, "CONFIG", {}).get("SIMD Extensions", {}).get("found", [])
+    on_pinned_build = (np.__version__, scipy.__version__, platform.machine(),
+                       tuple(simd)) == PINNED_BUILD
+    for key, value in got.items():
+        if key == "normals_sha256":
+            if on_pinned_build:
+                assert value == pin[key]
+        elif isinstance(value, float) or key == "last_diagnostics":
+            np.testing.assert_allclose(value, pin[key], rtol=1e-10, atol=0, err_msg=key)
+        else:
+            assert value == pin[key], key

@@ -21,13 +21,14 @@ from tgvdenoise import (NoiseSpec, SolverParams, TriMesh, add_gaussian_noise,
                         face_normals, feature_adjacent_faces, filter_normals,
                         ho_seminorm, inner_edges, inner_faces, line_jump,
                         make_cube, make_icosphere, make_tetrahedron,
-                        mean_angular_difference, update_vertices)
+                        mean_angular_difference, update_vertices, vertex_error)
 from tgvdenoise.metrics import closest_point_distances
 from tgvdenoise.noise import mean_edge_length
 from tgvdenoise.operators import (curve_jump_adjoint, inner_curves, inner_lines,
                                   line_jump_adjoint)
 from tgvdenoise.solver import _cg_block, _System, shrink
 from tgvdenoise.synth import make_plane
+from conftest import assert_pinned, pinned_values
 from oracles import (closest_point_on_triangle, far_triangles,
                      golden_section_shrink, line_faces)
 
@@ -197,6 +198,32 @@ def test_bench_cube_cg_work(bench_run):
     assert n_total == v_total == result.iterations
     print(f"\n[ACCEPTANCE] CG work on the bench cube: {n_total} normal and "
           f"{v_total} v products over {result.iterations} sweeps")
+
+
+# The benchmark cube's run as the filter gives it. A change that moves it on
+# purpose updates these values and logs the old and new ones.
+BENCH_PIN = {
+    "theta_filtered": 0.8448275289942638,
+    "theta_out": 0.846794902920693,
+    "e_v": 0.0025088866306460073,
+    "last_diagnostics": [99.0, 0.2560298059444733, 0.003362988855544748,
+                         0.0015988420169880798, 0.0014607015322357752,
+                         1.3454100040266982e-08],
+    "cg_totals": [100, 100],
+    "iterations": 100,
+    "stop_reason": "max_iters",
+    "normals_sha256": "b634df408d86360d3bb5cc107a6ae28dcb66ed71c8844743e1f303c63bbbf162",
+}
+
+
+def test_bench_cube_results_are_pinned(bench, bench_run):
+    result, output, _ = bench_run
+    n_clean = bench["n_clean"]
+    got = pinned_values(
+        result, theta_filtered=mean_angular_difference(result.normals, n_clean),
+        theta_out=float(face_angle_errors(face_normals(output), n_clean).mean()),
+        e_v=vertex_error(output, bench["clean"]))
+    assert_pinned(got, BENCH_PIN)
 
 
 def test_criterion_5_end_to_end_denoising(bench, bench_run):

@@ -1,11 +1,12 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tgvdenoise import load_mesh, solver
-from tgvdenoise.cli import main
+from tgvdenoise import SolverParams, load_mesh, solver
+from tgvdenoise.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -242,12 +243,14 @@ def test_denoise_mismatched_ground_truth_writes_nothing(capsys, tmp_path):
 
 
 WEIGHT_OPTIONS = ["--alpha1", "--alpha0", "--beta", "--r1", "--r0", "--sigma-e"]
-TOLERANCE_OPTIONS = ["--stop-tol", "--cg-tol"]
+# each tolerance's open range: --cg-tol at 1 or more accepted every solve's
+# start, and a filter from zero returned its input
+TOLERANCE_RANGES = {"--stop-tol": (0.0, np.inf), "--cg-tol": (0.0, 1.0)}
 # 1e-300 to 1e300 every 20 decades, and values no range holds
 DECADES = [f"1e{d}" for d in range(-300, 301, 20)] + ["0", "-1", "inf", "nan"]
 
 
-@pytest.mark.parametrize("option", WEIGHT_OPTIONS + TOLERANCE_OPTIONS)
+@pytest.mark.parametrize("option", WEIGHT_OPTIONS + list(TOLERANCE_RANGES))
 def test_denoise_float_option_over_every_decade(capsys, tmp_path, option):
     # 1e-300 to 1e300 every 20 decades, and values no range holds: outside
     # its documented range a value exits 1 with one error line naming the
@@ -256,22 +259,59 @@ def test_denoise_float_option_over_every_decade(capsys, tmp_path, option):
     mesh_path, _ = gen(capsys, tmp_path, "cube", "cube.obj", divisions=2)
     noisy, out = tmp_path / "noisy.obj", tmp_path / "out.obj"
     run_cli(capsys, "add-noise", str(mesh_path), "-o", str(noisy), "--level", "0.3")
-    lo, hi = solver.WEIGHT_RANGE if option in WEIGHT_OPTIONS else (5e-324, np.finfo(float).max)
     for value in DECADES:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, stdout, err = run_cli(capsys, "denoise", str(noisy), "-o", str(out),
                                         "--max-iters", "2", "--vertex-iters", "1",
                                         option, value)
-        if not lo <= float(value) <= hi:
+        if option in WEIGHT_OPTIONS:
+            lo, hi = solver.WEIGHT_RANGE
+            inside = lo <= float(value) <= hi
+        else:
+            lo, hi = TOLERANCE_RANGES[option]
+            inside = lo < float(value) < hi
+        if not inside:
             assert code == 1 and stdout == "", (option, value)
             assert err.startswith("error: ") and len(err.splitlines()) == 1
-            assert ("between" if option in WEIGHT_OPTIONS else "finite") in err
+            assert ("finite" if option == "--stop-tol" else "between") in err
         elif code == 0:
             assert np.isfinite(load_mesh(out).vertices).all(), (option, value)
         else:
             assert code == 2 and err.startswith("solver error: "), (option, value, err)
             assert len(err.splitlines()) == 1
+
+
+def _readme_parameter_defaults():
+    """Each flag of the README's Parameters table and the default it states;
+    a row naming two flags and one default gives both that default."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### Parameters", 1)[1]
+    defaults = {}
+    for line in section.strip().split("\n\n", 1)[0].splitlines():
+        if line.startswith("| `--"):
+            flags, stated = line.split("|")[1:3]
+            flags = [flag.strip(" `") for flag in flags.split(",")]
+            stated = [value.strip() for value in stated.split(",")]
+            defaults.update(zip(flags, stated * len(flags) if len(stated) == 1 else stated))
+    return defaults
+
+
+def test_readme_states_the_denoise_defaults():
+    # the README's defaults, from --alpha1 to --cg-max-iters and
+    # --vertex-iters, are the parser's and SolverParams()'s
+    stated = _readme_parameter_defaults()
+    parser = _build_parser()
+    denoise = parser._subparsers._group_actions[0].choices["denoise"]
+    dest = {flag: action.dest for action in denoise._actions
+            for flag in action.option_strings}
+    args = parser.parse_args(["denoise", "in.obj", "-o", "out.obj"])
+    params = SolverParams()
+    for flag in ("--alpha1", "--alpha0", "--beta", "--r1", "--r0", "--sigma-e",
+                 "--max-iters", "--stop-tol", "--cg-tol", "--cg-max-iters", "--vertex-iters"):
+        assert float(stated[flag]) == getattr(args, dest[flag]), flag
+        if flag != "--vertex-iters":
+            assert float(stated[flag]) == getattr(params, dest[flag]), flag
 
 
 @pytest.mark.parametrize("minimize", [False, True], ids=["plain", "minimize"])
@@ -307,13 +347,15 @@ def test_seminorms_float_option_over_every_decade(capsys, tmp_path, option, mini
     (["seminorms", "missing.obj", "--minimize", "--minimize-iters", "0"], "minimize-iters"),
     (["seminorms", "missing.obj", "--minimize", "--minimize-iters", "-3"], "minimize-iters"),
     (["denoise", "missing.obj", "-o", "out.obj", "--error-map", "e.csv"], "ground-truth"),
+    (["denoise", "missing.obj", "-o", "out.obj", "--cg-tol", "1"], "between 0 and 1"),
+    (["denoise", "missing.obj", "-o", "out.obj", "--cg-tol", "2"], "between 0 and 1"),
     (["add-noise", "missing.obj", "-o", "out.obj", "--level", "nan"], "finite"),
     (["add-noise", "missing.obj", "-o", "out.obj", "--level", "inf"], "finite"),
     (["add-noise", "missing.obj", "-o", "out.obj", "--level", "0.3", "--seed", "-1"],
      "seed"),
 ], ids=["vertex-iters", "seminorms-alpha1", "seminorms-alpha0", "minimize-iters-0",
-        "minimize-iters-negative", "error-map", "add-noise-level-nan",
-        "add-noise-level-inf", "add-noise-seed-negative"])
+        "minimize-iters-negative", "error-map", "cg-tol-1", "cg-tol-2",
+        "add-noise-level-nan", "add-noise-level-inf", "add-noise-seed-negative"])
 def test_bad_values_fail_before_the_mesh_is_read(capsys, tmp_path, argv, message):
     # the input does not exist, so an error about the value shows that it
     # was checked first
