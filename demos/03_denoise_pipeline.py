@@ -7,10 +7,11 @@ Run:  python3 demos/03_denoise_pipeline.py
 
 import os
 
-from tgvdenoise import (NoiseSpec, SolverParams, add_gaussian_noise,
-                        build_connectivity, face_angle_errors, face_normals,
-                        filter_normals, make_cube, mean_angular_difference,
-                        save_mesh, update_vertices, vertex_error)
+from tgvdenoise import (DIAGNOSTIC_COLUMNS, NoiseSpec, SolverParams,
+                        add_gaussian_noise, build_connectivity, face_angle_errors,
+                        face_normals, filter_normals, make_cube,
+                        mean_angular_difference, save_mesh, save_table,
+                        update_vertices, vertex_error)
 
 out_dir = os.path.join(os.path.dirname(__file__), "demo_output")
 os.makedirs(out_dir, exist_ok=True)
@@ -24,8 +25,9 @@ print(f"  input normal error: {mean_angular_difference(n_noisy, n_clean):.2f} de
 
 conn = build_connectivity(noisy)
 params = SolverParams(alpha1=1.0, alpha0=0.1, beta=100.0)
-result = filter_normals(conn, n_noisy, params,
-                        diagnostics_path=os.path.join(out_dir, "diagnostics.csv"))
+result = filter_normals(conn, n_noisy, params)
+save_table(os.path.join(out_dir, "diagnostics.csv"), DIAGNOSTIC_COLUMNS,
+           result.diagnostics)
 print(f"filtered normals in {result.iterations} sweeps (stopped by {result.stop_reason})")
 print(f"  filtered normal error: {mean_angular_difference(result.normals, n_clean):.2f} deg")
 

@@ -21,7 +21,7 @@ use, and the types those return or raise; everything else is imported from
 its module.
 """
 
-from .fileio import load_mesh, save_mesh
+from .fileio import load_mesh, save_mesh, save_table
 from .mesh import MeshError, TriMesh, face_normals
 from .metrics import (face_angle_errors, feature_adjacent_faces,
                       mean_angular_difference, vertex_error)
@@ -30,8 +30,8 @@ from .operators import (curve_jump, edge_jump, edge_jump_adjoint, ho_seminorm,
                         inner_edges, inner_faces, line_jump, tgv_energy,
                         tv_seminorm)
 from .reconstruct import update_vertices
-from .solver import (FilterResult, SolverError, SolverParams, filter_normals,
-                     minimize_tgv)
+from .solver import (DIAGNOSTIC_COLUMNS, FilterResult, SolverError, SolverParams,
+                     filter_normals, minimize_tgv)
 from .synth import make_cube, make_icosphere, make_tetrahedron
 from .topology import Connectivity, build_connectivity, build_edge_topology
 

@@ -14,15 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import _format_of, load_mesh, save_mesh
-from .mesh import MeshError, face_normals
-from .metrics import (face_angle_errors, mean_angular_difference,
-                      vertex_error, write_face_error_csv)
+from .fileio import _format_of, load_mesh, save_mesh, save_table
+from .mesh import MeshError, _checked_count, face_normals
+from .metrics import face_angle_errors, mean_angular_difference, vertex_error
 from .noise import MODES, NoiseSpec, _displaced, mean_edge_length, vertex_normals
 from .operators import edge_jump, ho_seminorm, tgv_energy, tv_seminorm
 from .reconstruct import update_vertices
-from .solver import (WEIGHT_RANGE, SolverError, SolverParams, filter_normals,
-                     minimize_tgv)
+from .solver import (_CG_MAX_ITERS, DIAGNOSTIC_COLUMNS, WEIGHT_RANGE, SolverError,
+                     SolverParams, filter_normals, minimize_tgv)
 from .synth import (make_cube, make_icosphere, make_plane, make_tetrahedron,
                     make_two_triangle_square)
 from .topology import build_connectivity
@@ -69,10 +68,8 @@ def _add_solver_flags(p):
     g.add_argument("--cg-tol", dest="cg_rel_tol", metavar="CG_TOL", type=float,
                    help="relative residual tolerance of the inner linear solves, "
                         "in the measure-weighted norm of all three channels at once "
-                        "(default %(default)s)")
-    g.add_argument("--cg-max-iters", type=int,
-                   help="CG iterations allowed per linear solve, at least 1 (default "
-                        "%(default)s); a solve that misses --cg-tol in them exits 2")
+                        "(default %%(default)s); a solve that misses it in %d "
+                        "iterations exits 2" % _CG_MAX_ITERS)
     g.add_argument("--no-dynamic-weights", dest="dynamic_weights", action="store_false",
                    help="freeze all edge weights at 1 (ablation)")
     p.set_defaults(**_SOLVER_DEFAULTS)
@@ -139,10 +136,20 @@ def _emit(obj):
     print(json.dumps(obj))
 
 
+def _compare(mesh, reference, error_map):
+    """Theta (the mean per-face normal angle, in degrees) and e_v of ``mesh``
+    against ``reference``; writes the per-face angles as CSV to ``error_map``."""
+    errors = face_angle_errors(face_normals(mesh), face_normals(reference))
+    e_v = vertex_error(mesh, reference)
+    if error_map:
+        save_table(error_map, ("face", "angle_degrees"),
+                   np.column_stack([np.arange(len(errors)), errors]))
+    return float(errors.mean()), e_v
+
+
 def cmd_denoise(args) -> int:
     params = _solver_params(args)
-    if args.vertex_iters < 1:
-        raise ValueError("vertex-iters must be at least 1")
+    _checked_count("vertex-iters", args.vertex_iters)
     if args.error_map and not args.ground_truth:
         raise ValueError("--error-map requires --ground-truth")
     mesh = load_mesh(args.input)
@@ -153,7 +160,9 @@ def cmd_denoise(args) -> int:
             raise MeshError("ground-truth face count does not match the input mesh")
     conn = build_connectivity(mesh)
     n_in = face_normals(mesh)
-    result = filter_normals(conn, n_in, params, diagnostics_path=args.diagnostics)
+    result = filter_normals(conn, n_in, params)
+    if args.diagnostics:
+        save_table(args.diagnostics, DIAGNOSTIC_COLUMNS, result.diagnostics)
     out_mesh = update_vertices(mesh, result.normals, iters=args.vertex_iters)
     save_mesh(out_mesh, args.output)
 
@@ -165,13 +174,10 @@ def cmd_denoise(args) -> int:
         "vertex_count": mesh.num_vertices,
     }
     if args.ground_truth:
-        n_clean = face_normals(clean)
-        errors = face_angle_errors(face_normals(out_mesh), n_clean)
-        report["theta_filtered_degrees"] = mean_angular_difference(result.normals, n_clean)
-        report["theta_output_degrees"] = float(errors.mean())
-        report["e_v"] = vertex_error(out_mesh, clean)
-        if args.error_map:
-            write_face_error_csv(args.error_map, errors)
+        report["theta_filtered_degrees"] = mean_angular_difference(
+            result.normals, face_normals(clean))
+        report["theta_output_degrees"], report["e_v"] = _compare(out_mesh, clean,
+                                                                 args.error_map)
     _emit(report)
     return 0
 
@@ -207,12 +213,10 @@ def cmd_metrics(args) -> int:
         raise MeshError(
             f"face counts differ ({denoised.num_faces} vs {reference.num_faces}); "
             "the normal comparison needs matching meshes")
-    errors = face_angle_errors(face_normals(denoised), face_normals(reference))
-    if args.error_map:
-        write_face_error_csv(args.error_map, errors)
+    theta, e_v = _compare(denoised, reference, args.error_map)
     _emit({
-        "theta_degrees": float(errors.mean()),
-        "e_v": vertex_error(denoised, reference),
+        "theta_degrees": theta,
+        "e_v": e_v,
         "face_count": denoised.num_faces,
         "vertex_count": denoised.num_vertices,
     })
@@ -222,8 +226,7 @@ def cmd_metrics(args) -> int:
 def cmd_seminorms(args) -> int:
     # range-checks both weights, as for denoise, before the mesh is read
     SolverParams(alpha1=args.alpha1, alpha0=args.alpha0)
-    if args.minimize_iters < 1:
-        raise ValueError("minimize-iters must be at least 1")
+    _checked_count("minimize-iters", args.minimize_iters)
     mesh = load_mesh(args.input)
     conn = build_connectivity(mesh)
     topo = conn.topo
@@ -283,11 +286,18 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # a command checks where, and in what format, it writes before any work
+        # a command checks where, and in what format, it writes before any
+        # work, and that no two of its outputs are one file
+        written = {}
         for name in ("output", "diagnostics", "error_map"):
-            path = getattr(args, name, None)
-            if path is not None and not Path(path).parent.is_dir():
-                raise FileNotFoundError(f"--{name.replace('_', '-')}: no directory for {path}")
+            path, flag = getattr(args, name, None), "--" + name.replace("_", "-")
+            if path is None:
+                continue
+            if not Path(path).parent.is_dir():
+                raise FileNotFoundError(f"{flag}: no directory for {path}")
+            clash = written.setdefault(Path(path).resolve(), flag)
+            if clash != flag:
+                raise ValueError(f"{clash} and {flag} both name {path}")
         if getattr(args, "output", None) is not None:
             _format_of(args.output)
         return _COMMANDS[args.command](args)

@@ -1,4 +1,4 @@
-"""Reading and writing meshes as plain-text OBJ or OFF.
+"""Reading and writing meshes as plain-text OBJ or OFF; writing CSV tables.
 
 Only the minimal grammars are supported:
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .mesh import MeshError, TriMesh
 
-__all__ = ["load_mesh", "save_mesh"]
+__all__ = ["load_mesh", "save_mesh", "save_table"]
 
 _COORDS_FMT = "%.17g %.17g %.17g"
 _INDEX_MAX = np.iinfo(np.int64).max
@@ -59,6 +59,14 @@ def save_mesh(mesh, path):
     text = format_text(mesh)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def save_table(path, columns, table):
+    """Write a 2-D table as CSV under a header of the ``columns`` names, the
+    first column as integers and the rest with 17 significant digits."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * (len(columns) - 1),
+                   delimiter=",", header=",".join(columns), comments="")
 
 
 # The readers convert a block of lines of about this many characters at a

@@ -6,8 +6,8 @@ from .mesh import cross, row_dot, row_norm
 from .operators import edge_jump
 
 __all__ = [
-    "face_angle_errors", "mean_angular_difference", "write_face_error_csv",
-    "closest_point_distances", "vertex_error", "feature_adjacent_faces",
+    "face_angle_errors", "mean_angular_difference", "closest_point_distances",
+    "vertex_error", "feature_adjacent_faces",
 ]
 
 
@@ -27,15 +27,6 @@ def face_angle_errors(normals_a, normals_b) -> np.ndarray:
 def mean_angular_difference(normals_a, normals_b) -> float:
     """Mean per-face angle between two unit normal fields, in degrees."""
     return float(face_angle_errors(normals_a, normals_b).mean())
-
-
-def write_face_error_csv(path, degrees):
-    """Dump per-face angle errors as CSV rows (face index, degrees)."""
-    degrees = np.asarray(degrees, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, np.column_stack([np.arange(len(degrees)), degrees]),
-                   fmt=("%d", "%.17g"), delimiter=",", header="face,angle_degrees",
-                   comments="")
 
 
 # Point-triangle pairs screened at once; bounds the screen's two

@@ -39,13 +39,15 @@ from .operators import (
     norm_lines, tgv_energy_of_jumps,
 )
 
-# Largest mesh whose two systems are factored. The v factor's cost follows
-# the edge order, not the kind of mesh: on the 20k-face level-5 icosphere it
-# fills as much in the built order as with the edges sorted by midpoint x
-# (4.27M and 4.37M L+U) but takes 8.0 s against 0.34 s (2-core VM), while
-# the whole 5-sweep filter at beta 1000 takes 0.34 s with CG (0.38 s at a
-# cg_rel_tol of 1e-8).
+# Largest mesh whose two systems are factored. Above it a factor costs more
+# than the solves it saves: on the 20k-face level-5 icosphere the v factor
+# (4.27M L+U) takes 6.3 s, while the whole 5-sweep filter at beta 1000 takes
+# 0.22 s with CG (2-core VM, one BLAS thread).
 _DIRECT_MAX_FACES = 5_000
+
+# Conjugate-gradient iterations allowed per linear solve; a solve that has
+# not met cg_rel_tol after them raises SolverError.
+_CG_MAX_ITERS = 2000
 
 __all__ = [
     "SolverParams", "SolverError", "FilterResult", "edge_weights",
@@ -81,7 +83,7 @@ class SolverParams:
     calibrated scale; a larger beta keeps more of the input's noise). r1 /
     r0 are the splitting penalties, sigma_e the weight bandwidth on
     unit-normal differences; each of these six lies in WEIGHT_RANGE.
-    stop_tol is positive and finite, the two counts integers of at least 1.
+    stop_tol is positive and finite, max_outer_iters an integer of at least 1.
     dynamic_weights is a bool; False freezes all edge weights at 1. These
     defaults are the command line's too.
 
@@ -104,7 +106,6 @@ class SolverParams:
     max_outer_iters: int = 100
     stop_tol: float = 1e-10
     cg_rel_tol: float = 1e-5
-    cg_max_iters: int = 2000
     dynamic_weights: bool = True
 
     def __post_init__(self):
@@ -116,8 +117,7 @@ class SolverParams:
             raise ValueError("stop_tol must be positive and finite")
         if not 0 < self.cg_rel_tol < 1:
             raise ValueError("cg_rel_tol must be between 0 and 1, exclusive")
-        for name in ("max_outer_iters", "cg_max_iters"):
-            _checked_count(name, getattr(self, name))
+        _checked_count("max_outer_iters", self.max_outer_iters)
         if not isinstance(self.dynamic_weights, (bool, np.bool_)):
             raise ValueError(f"dynamic_weights must be a bool, got {self.dynamic_weights!r}")
 
@@ -162,11 +162,11 @@ class FilterResult:
     """Filtered normals plus per-iteration diagnostics.
 
     ``diagnostics`` has one row per sweep with the DIAGNOSTIC_COLUMNS
-    entries; ``stop_reason`` is "tolerance" or "max_iters".
-    ``cg_iterations`` has one row per sweep: the conjugate-gradient
-    iterations of the normal and of the v solve, each iteration one product
-    with the whole (n, 3) block (on a factored mesh, 1 when the direct
-    solution passes CG's first check of the block residual).
+    entries (``fileio.save_table`` writes it as CSV); ``stop_reason`` is
+    "tolerance" or "max_iters". ``cg_iterations`` has one row per sweep:
+    the conjugate-gradient iterations of the normal and of the v solve, each
+    iteration one product with the whole (n, 3) block (on a factored mesh, 1
+    when the direct solution passes CG's first check of the block residual).
     """
 
     normals: np.ndarray
@@ -344,7 +344,7 @@ class _System:
         y0 = self.solution if self.factor is None else self.direct(rhs)
         self.solution, self.products = _cg_block(
             self.apply, self.precondition, rhs, self.params.cg_rel_tol,
-            self.params.cg_max_iters, self.kind, x0=y0)
+            _CG_MAX_ITERS, self.kind, x0=y0)
         return self.solution / self.d
 
 
@@ -430,7 +430,7 @@ def _split_steps(conn, state, params, v_system, jump_n):
     return energy, residuals
 
 
-def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResult:
+def filter_normals(conn, n_in, params=None) -> FilterResult:
     """Run the full augmented-Lagrangian sweep loop on a unit normal field.
 
     Parameters
@@ -440,9 +440,6 @@ def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResu
     n_in : (T, 3) float
         Unit input normals (the data term anchor).
     params : SolverParams, optional
-    diagnostics_path : str or Path, optional
-        When given, the per-iteration diagnostics table is also written
-        there as CSV.
 
     Returns a FilterResult whose ``normals`` are unit length per face.
     """
@@ -482,18 +479,10 @@ def filter_normals(conn, n_in, params=None, diagnostics_path=None) -> FilterResu
             stop_reason = "tolerance"
             break
 
-    diagnostics = np.array(rows, dtype=np.float64)
-    if diagnostics_path is not None:
-        _write_diagnostics(diagnostics_path, diagnostics)
     return FilterResult(normals=state.N, iterations=len(rows),
-                        stop_reason=stop_reason, diagnostics=diagnostics,
+                        stop_reason=stop_reason,
+                        diagnostics=np.array(rows, dtype=np.float64),
                         cg_iterations=np.array(cg_iterations, dtype=np.int64))
-
-
-def _write_diagnostics(path, diagnostics):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, diagnostics, fmt=["%d"] + ["%.17g"] * 5, delimiter=",",
-                   header=",".join(DIAGNOSTIC_COLUMNS), comments="")
 
 
 def minimize_tgv(conn, u, alpha1, alpha0, iters=200):

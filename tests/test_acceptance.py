@@ -26,7 +26,7 @@ from tgvdenoise.metrics import closest_point_distances
 from tgvdenoise.noise import mean_edge_length
 from tgvdenoise.operators import (curve_jump_adjoint, inner_curves, inner_lines,
                                   line_jump_adjoint)
-from tgvdenoise.solver import _cg_block, _System, shrink
+from tgvdenoise.solver import _CG_MAX_ITERS, _cg_block, _System, shrink
 from tgvdenoise.synth import make_plane
 from conftest import assert_pinned, pinned_values
 from oracles import (closest_point_on_triangle, far_triangles,
@@ -147,7 +147,7 @@ def test_criterion_3_subproblem_oracles():
         b = rng.normal(size=(n, 3))
         x_direct = np.linalg.solve(dense, b)
         x_cg, _ = _cg_block(apply_op, system.precondition, b, params.cg_rel_tol,
-                            params.cg_max_iters, "acceptance")
+                            _CG_MAX_ITERS, "acceptance")
         rel = np.linalg.norm(x_cg - x_direct) / np.linalg.norm(x_direct)
         worst_rel = max(worst_rel, rel)
         assert rel < 1e-8

@@ -220,6 +220,36 @@ def test_denoise_flags_and_outputs(capsys, tmp_path):
     assert header == "iteration,objective,residual_p,residual_q1,residual_q2,normal_change_sq"
 
 
+def _assert_csv_table(path, header, n_rows):
+    # the header without a "#", the first column integers 0, 1, ..., every
+    # other field exactly its own %.17g formatting
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[0] == header and lines[-1] == "" and len(lines) == n_rows + 2
+    for i, line in enumerate(lines[1:-1]):
+        first, *rest = line.split(",")
+        assert first == str(i)
+        assert len(rest) == header.count(",")
+        assert all(field == "%.17g" % float(field) for field in rest), line
+
+
+def test_csv_tables_keep_their_format(capsys, tmp_path):
+    mesh_path, info = gen(capsys, tmp_path, "cube", "cube.obj", divisions=3, size=0.05)
+    noisy = tmp_path / "noisy.obj"
+    run_cli(capsys, "add-noise", str(mesh_path), "-o", str(noisy), "--level", "0.3")
+    diag, emap, mmap = (tmp_path / name for name in ("diag.csv", "emap.csv", "mmap.csv"))
+    code, _, _ = run_cli(capsys, "denoise", str(noisy), "-o", str(tmp_path / "out.obj"),
+                         "--max-iters", "5", "--diagnostics", str(diag),
+                         "--ground-truth", str(mesh_path), "--error-map", str(emap))
+    assert code == 0
+    _assert_csv_table(
+        diag, "iteration,objective,residual_p,residual_q1,residual_q2,normal_change_sq", 5)
+    _assert_csv_table(emap, "face,angle_degrees", info["faces"])
+    code, _, _ = run_cli(capsys, "metrics", str(tmp_path / "out.obj"), str(mesh_path),
+                         "--error-map", str(mmap))
+    assert code == 0
+    assert mmap.read_bytes() == emap.read_bytes()
+
+
 def test_denoise_error_map_requires_ground_truth(capsys, tmp_path):
     mesh_path, _ = gen(capsys, tmp_path, "tetrahedron", "tet.obj")
     code, _, err = run_cli(capsys, "denoise", str(mesh_path),
@@ -298,8 +328,8 @@ def _readme_parameter_defaults():
 
 
 def test_readme_states_the_denoise_defaults():
-    # the README's defaults, from --alpha1 to --cg-max-iters and
-    # --vertex-iters, are the parser's and SolverParams()'s
+    # the README's defaults, from --alpha1 to --cg-tol and --vertex-iters,
+    # are the parser's and SolverParams()'s
     stated = _readme_parameter_defaults()
     parser = _build_parser()
     denoise = parser._subparsers._group_actions[0].choices["denoise"]
@@ -308,7 +338,7 @@ def test_readme_states_the_denoise_defaults():
     args = parser.parse_args(["denoise", "in.obj", "-o", "out.obj"])
     params = SolverParams()
     for flag in ("--alpha1", "--alpha0", "--beta", "--r1", "--r0", "--sigma-e",
-                 "--max-iters", "--stop-tol", "--cg-tol", "--cg-max-iters", "--vertex-iters"):
+                 "--max-iters", "--stop-tol", "--cg-tol", "--vertex-iters"):
         assert float(stated[flag]) == getattr(args, dest[flag]), flag
         if flag != "--vertex-iters":
             assert float(stated[flag]) == getattr(params, dest[flag]), flag
@@ -451,10 +481,47 @@ def test_missing_output_directory_fails_before_any_work(capsys, tmp_path, monkey
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cube.obj"]
 
 
-def test_denoise_solver_failure_exits_2(capsys, tmp_path):
-    # on both solver paths: above the factoring threshold one CG product
-    # cannot reach 1e-14; below it the factor's solution passes a 1e-14
-    # check, but no solve can meet 1e-300
+@pytest.mark.parametrize("first, second, command", [
+    ("--output", "--error-map", ["denoise", "IN", "-o", "SAME", "--ground-truth", "IN",
+                                 "--error-map", "same.obj"]),
+    ("--output", "--diagnostics", ["denoise", "IN", "-o", "SAME", "--diagnostics",
+                                   "same.obj"]),
+    ("--diagnostics", "--error-map", ["denoise", "IN", "-o", "OUT", "--diagnostics",
+                                      "SAME", "--ground-truth", "IN",
+                                      "--error-map", "same.obj"]),
+], ids=["output-error-map", "output-diagnostics", "diagnostics-error-map"])
+def test_outputs_naming_one_file_fail_before_any_work(capsys, tmp_path, monkeypatch,
+                                                      first, second, command):
+    # the two paths resolve to one file, spelled once absolute and once
+    # relative to the working directory
+    mesh_path, _ = gen(capsys, tmp_path, "cube", "cube.obj", divisions=2)
+    monkeypatch.chdir(tmp_path)
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the output paths were checked")
+
+    for name in ("load_mesh", "filter_normals"):
+        monkeypatch.setattr(f"tgvdenoise.cli.{name}", never)
+    paths = {"IN": mesh_path, "OUT": tmp_path / "out.obj", "SAME": tmp_path / "same.obj"}
+    code, stdout, err = run_cli(capsys, *(str(paths.get(arg, arg)) for arg in command))
+    assert code == 1 and stdout == ""
+    assert err == f"error: {first} and {second} both name same.obj\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cube.obj"]
+
+
+def test_add_noise_may_overwrite_its_input(capsys, tmp_path):
+    mesh_path, _ = gen(capsys, tmp_path, "cube", "cube.obj", divisions=2)
+    before = mesh_path.read_bytes()
+    code, _, _ = run_cli(capsys, "add-noise", str(mesh_path), "-o", str(mesh_path),
+                         "--level", "0.3")
+    assert code == 0 and mesh_path.read_bytes() != before
+
+
+def test_denoise_solver_failure_exits_2(capsys, tmp_path, monkeypatch):
+    # on both solver paths, with one CG iteration allowed per solve: above
+    # the factoring threshold one CG product cannot reach 1e-14; below it
+    # the factor's solution passes a 1e-14 check, but no solve can meet 1e-300
+    monkeypatch.setattr(solver, "_CG_MAX_ITERS", 1)
     for shape, divisions, cg_tol, factored in [("icosphere", 4, "1e-14", False),
                                                ("cube", 3, "1e-300", True)]:
         mesh_path, info = gen(capsys, tmp_path, shape, f"{shape}.obj", divisions=divisions)
@@ -462,7 +529,7 @@ def test_denoise_solver_failure_exits_2(capsys, tmp_path):
         noisy = tmp_path / "noisy.obj"
         run_cli(capsys, "add-noise", str(mesh_path), "-o", str(noisy), "--level", "0.3")
         code, _, err = run_cli(capsys, "denoise", str(noisy), "-o", str(tmp_path / "o.obj"),
-                               "--cg-max-iters", "1", "--cg-tol", cg_tol)
+                               "--cg-tol", cg_tol)
         assert code == 2
         assert "solver error" in err
 

@@ -9,8 +9,8 @@ import pytest
 from tgvdenoise import (NoiseSpec, TriMesh, add_gaussian_noise,
                         build_edge_topology, face_angle_errors, face_normals,
                         feature_adjacent_faces, make_cube, make_tetrahedron,
-                        mean_angular_difference, vertex_error)
-from tgvdenoise.metrics import closest_point_distances, write_face_error_csv
+                        mean_angular_difference, save_table, vertex_error)
+from tgvdenoise.metrics import closest_point_distances
 from tgvdenoise.synth import make_plane
 from tgvdenoise import metrics
 from oracles import dense_edge_jump
@@ -66,7 +66,7 @@ def test_error_map_csv_mean_matches(tmp_path, rng):
     b /= np.linalg.norm(b, axis=1)[:, None]
     errs = face_angle_errors(a, b)
     path = tmp_path / "map.csv"
-    write_face_error_csv(path, errs)
+    save_table(path, ("face", "angle_degrees"), np.column_stack([np.arange(12), errs]))
     rows = path.read_text().strip().splitlines()[1:]
     values = np.array([float(r.split(",")[1]) for r in rows])
     assert np.isclose(values.mean(), mean_angular_difference(a, b), rtol=1e-15)

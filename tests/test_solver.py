@@ -14,7 +14,7 @@ from tgvdenoise import (NoiseSpec, SolverError, SolverParams, TriMesh,
                         face_normals, filter_normals, inner_edges, inner_faces,
                         line_jump, load_mesh, make_cube, make_icosphere,
                         mean_angular_difference, minimize_tgv, save_mesh,
-                        tgv_energy, update_vertices)
+                        save_table, tgv_energy, update_vertices)
 from tgvdenoise import solver
 from tgvdenoise.operators import curve_jump_adjoint, line_jump_adjoint
 from tgvdenoise.solver import (SolverState, _cg_block, _System, edge_weights,
@@ -223,7 +223,7 @@ def test_cg_matches_dense_solve(cube_small_conn, rng):
         # from zero, and warm-started from a random guess
         for x0 in (None, 10.0 * np.random.default_rng(5).normal(size=(n, 3))):
             x_cg, _ = _cg_block(system.apply, system.precondition, b, params.cg_rel_tol,
-                                params.cg_max_iters, "test", x0=x0)
+                                solver._CG_MAX_ITERS, "test", x0=x0)
             rel = np.linalg.norm(x_cg - x_direct) / np.linalg.norm(x_direct)
             assert rel < 1e-8
 
@@ -234,7 +234,7 @@ def test_cg_zero_rhs_returns_zero(cube_small_conn):
     system = _System(conn, params, "v")
     out, _ = _cg_block(system.apply, system.precondition,
                        np.zeros((conn.topo.num_edges, 3)),
-                       params.cg_rel_tol, params.cg_max_iters, "test")
+                       params.cg_rel_tol, solver._CG_MAX_ITERS, "test")
     assert np.all(out == 0.0)
 
 
@@ -273,9 +273,9 @@ def test_cg_block_is_rotation_equivariant(cube_small_conn, rng):
     b = rng.normal(size=(conn.topo.num_edges, 3))
     system = _System(conn, params, "v")
     x, products = _cg_block(system.apply, system.precondition, b, params.cg_rel_tol,
-                            params.cg_max_iters, "test")
+                            solver._CG_MAX_ITERS, "test")
     x_rot, products_rot = _cg_block(system.apply, system.precondition, b @ rot.T,
-                                    params.cg_rel_tol, params.cg_max_iters, "test")
+                                    params.cg_rel_tol, solver._CG_MAX_ITERS, "test")
     assert products_rot == products > 1
     assert np.abs(x_rot - x @ rot.T).max() <= 1e-12 * np.abs(x).max()
 
@@ -297,7 +297,7 @@ def test_cg_warm_start_zero_rhs_channel_returns_zero(cube_small_conn, rng):
     b[:, 1] = 0.0
     system = _System(conn, params, "v")
     out, _ = _cg_block(system.apply, system.precondition, b, params.cg_rel_tol,
-                       params.cg_max_iters, "test", x0=rng.normal(size=b.shape))
+                       solver._CG_MAX_ITERS, "test", x0=rng.normal(size=b.shape))
     assert np.all(out[:, 1] == 0.0)
     assert np.any(out[:, [0, 2]] != 0.0)
 
@@ -311,7 +311,7 @@ def test_cg_warm_start_at_the_solution_takes_one_product(cube_small_conn, rng):
         x_direct = np.linalg.solve(_dense_from_operator(system.apply, n), b)
         counted, calls = _counting(system.apply)
         x_cg, products = _cg_block(counted, system.precondition, b, params.cg_rel_tol,
-                                   params.cg_max_iters, "test", x0=x_direct)
+                                   solver._CG_MAX_ITERS, "test", x0=x_direct)
         assert len(calls) == products <= 1
         assert np.array_equal(x_cg, x_direct)
 
@@ -585,7 +585,7 @@ def test_one_sweep_matches_hand_stepped_oracle(square_conn):
     d_n = np.sqrt(topo.face_area)[:, None]
     N, n_products = _cg_block(n_system.apply, n_system.precondition,
                               d_n * (params.beta * n_in),
-                              params.cg_rel_tol, params.cg_max_iters, "n")
+                              params.cg_rel_tol, solver._CG_MAX_ITERS, "n")
     N = N / d_n
     N = N / np.linalg.norm(N, axis=1)[:, None]
     # v-step: only the P-constraint term is nonzero
@@ -593,7 +593,7 @@ def test_one_sweep_matches_hand_stepped_oracle(square_conn):
     d_v = np.sqrt(topo.edge_len)[:, None]
     v, _ = _cg_block(v_system.apply, v_system.precondition,
                      d_v * (params.r1 * edge_jump(topo, N)),
-                     params.cg_rel_tol, params.cg_max_iters, "v")
+                     params.cg_rel_tol, solver._CG_MAX_ITERS, "v")
     v = v / d_v
     P = shrink(params.alpha1 * w, params.r1, edge_jump(topo, N) - v)
     assert np.allclose(result.normals, N, atol=1e-12)
@@ -799,24 +799,27 @@ def test_irregular_sphere_normal_solves_stay_few():
 
 def test_preview_sphere_output_does_not_depend_on_blas_threads(preview_sphere, tmp_path):
     # above ~10k elements a BLAS dot splits its sum over threads, so an inner
-    # product taken through one would change the bits with the thread count
+    # product taken through one would change the bits with the thread count.
+    # Only the one-thread run computes the errors against the clean sphere,
+    # its e_v alone taking seconds.
     _, paths = preview_sphere
     src = Path(__file__).resolve().parents[1] / "src"
     outputs = []
-    for threads in ("1", "2"):
+    for threads, extra in (("1", ["--ground-truth", str(paths["clean"])]), ("2", [])):
         out, diag = tmp_path / f"out{threads}.obj", tmp_path / f"diag{threads}.csv"
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "tgvdenoise.cli", "denoise", str(paths["noisy"]),
              "-o", str(out), "--beta", "1000", "--max-iters", "5",
-             "--diagnostics", str(diag), "--ground-truth", str(paths["clean"])],
+             "--diagnostics", str(diag), *extra],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout)
-        report.pop("output")
-        outputs.append((out.read_bytes(), diag.read_bytes(), report))
-    assert outputs[0] == outputs[1]
+        outputs.append((out.read_bytes(), diag.read_bytes(), json.loads(proc.stdout)))
+    (out1, diag1, report), (out2, diag2, report2) = outputs
+    assert out1 == out2 and diag1 == diag2
+    shared = report2.keys() - {"output"}
+    assert {k: report[k] for k in shared} == {k: report2[k] for k in shared}
     assert_pinned({"theta_filtered": report["theta_filtered_degrees"],
                    "theta_out": report["theta_output_degrees"], "e_v": report["e_v"]},
                   PREVIEW_PIN)
@@ -867,10 +870,9 @@ def test_filter_rejects_bad_inputs(cube_small_conn):
 
 def test_counts_must_be_integers(cube_small_conn):
     # a float count would otherwise fail as a TypeError inside the sweep loop
-    for name in ("max_outer_iters", "cg_max_iters"):
-        for value in (2.5, True):
-            with pytest.raises(ValueError, match=f"{name} must be an integer"):
-                SolverParams(**{name: value})
+    for value in (2.5, True):
+        with pytest.raises(ValueError, match="max_outer_iters must be an integer"):
+            SolverParams(max_outer_iters=value)
     # the switch is a bool: a string would otherwise be truthy
     with pytest.raises(ValueError, match="dynamic_weights must be a bool"):
         SolverParams(dynamic_weights="no")
@@ -879,19 +881,19 @@ def test_counts_must_be_integers(cube_small_conn):
     with pytest.raises(ValueError, match="iters must be an integer"):
         minimize_tgv(cube_small_conn, u, 1.0, 0.1, iters=2.5)
     # numpy integers count as integers
-    params = SolverParams(max_outer_iters=np.int64(2), cg_max_iters=np.int32(500))
+    params = SolverParams(max_outer_iters=np.int64(2))
     assert filter_normals(cube_small_conn, u, params).iterations == 2
     assert minimize_tgv(cube_small_conn, u, 1.0, 0.1, iters=np.int64(3))[0] == \
         minimize_tgv(cube_small_conn, u, 1.0, 0.1, iters=3)[0]
 
 
-def test_filter_writes_diagnostics_csv(tmp_path, filter_run):
-    conn, n_in, params, _ = filter_run
+def test_filter_diagnostics_save_as_csv(tmp_path, filter_run):
+    _, _, _, result = filter_run
     path = tmp_path / "diag.csv"
-    filter_normals(conn, n_in, params, diagnostics_path=path)
+    save_table(path, solver.DIAGNOSTIC_COLUMNS, result.diagnostics)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "iteration,objective,residual_p,residual_q1,residual_q2,normal_change_sq"
-    assert len(lines) >= 2
+    assert len(lines) == 1 + result.iterations
 
 
 def test_stronger_weights_flatten_the_output_field():
