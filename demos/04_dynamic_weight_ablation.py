@@ -6,9 +6,10 @@ Run:  python3 demos/04_dynamic_weight_ablation.py
 """
 
 from tgvdenoise import (NoiseSpec, SolverParams, add_gaussian_noise,
-                        build_connectivity, build_edge_topology,
-                        face_angle_errors, face_normals, feature_adjacent_faces,
-                        filter_normals, make_cube, update_vertices)
+                        build_connectivity, face_angle_errors, face_normals,
+                        feature_adjacent_faces, filter_normals, make_cube,
+                        update_vertices)
+from tgvdenoise.topology import EdgeTopology
 
 clean = make_cube(10, size=0.05)
 noisy = add_gaussian_noise(clean, NoiseSpec(level=0.3, mode="vertex-normal", seed=7))
@@ -16,7 +17,7 @@ conn = build_connectivity(noisy)
 n_clean = face_normals(clean)
 n_noisy = face_normals(noisy)
 
-feature = feature_adjacent_faces(build_edge_topology(clean), n_clean)
+feature = feature_adjacent_faces(EdgeTopology(clean), n_clean)
 print(f"{len(feature)} of {clean.num_faces} faces touch one of the cube's 12 creases")
 print()
 

@@ -33,6 +33,6 @@ from .reconstruct import update_vertices
 from .solver import (DIAGNOSTIC_COLUMNS, FilterResult, SolverError, SolverParams,
                      filter_normals, minimize_tgv)
 from .synth import make_cube, make_icosphere, make_tetrahedron
-from .topology import Connectivity, build_connectivity, build_edge_topology
+from .topology import Connectivity, build_connectivity
 
 __version__ = "0.1.0"

@@ -64,9 +64,9 @@ def save_mesh(mesh, path):
 def save_table(path, columns, table):
     """Write a 2-D table as CSV under a header of the ``columns`` names, the
     first column as integers and the rest with 17 significant digits."""
+    fmt = ",".join(["%d"] + ["%.17g"] * (len(columns) - 1))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * (len(columns) - 1),
-                   delimiter=",", header=",".join(columns), comments="")
+        fh.write(",".join(columns) + "\n" + _records(fmt, np.asarray(table)))
 
 
 # The readers convert a block of lines of about this many characters at a

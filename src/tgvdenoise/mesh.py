@@ -77,7 +77,7 @@ class TriMesh:
         small = areas <= eps
         if small.any():
             raise MeshError(f"face {int(np.nonzero(small)[0][0])} is degenerate (area <= eps)")
-        # the positions never change, so build_edge_topology reuses these
+        # the positions never change, so EdgeTopology reuses these
         areas.setflags(write=False)
         self._face_areas = areas
 

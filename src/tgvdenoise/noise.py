@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import _face_cross
-from .topology import build_edge_topology
+from .topology import EdgeTopology
 
 __all__ = ["NoiseSpec", "add_gaussian_noise", "mean_edge_length", "vertex_normals"]
 
@@ -37,7 +37,7 @@ class NoiseSpec:
 
 def mean_edge_length(mesh) -> float:
     """Mean length of the unique (undirected) edges."""
-    return float(build_edge_topology(mesh).edge_len.mean())
+    return float(EdgeTopology(mesh).edge_len.mean())
 
 
 def vertex_normals(mesh) -> np.ndarray:
@@ -62,17 +62,19 @@ def add_gaussian_noise(mesh, spec: NoiseSpec):
     """
     if spec.level == 0:
         return mesh
-    return _displaced(mesh, spec, mean_edge_length(mesh))
+    normals = vertex_normals(mesh) if spec.mode == "vertex-normal" else None
+    return _displaced(mesh, spec, mean_edge_length(mesh), normals)
 
 
-def _displaced(mesh, spec, edge_length):
+def _displaced(mesh, spec, edge_length, normals):
     """add_gaussian_noise at a level above 0, given the mesh's mean edge
-    length, so a caller that needs that length builds the edges once."""
+    length and, in mode "vertex-normal", its vertex normals (else None), so
+    a caller that needs either computes it once."""
     sigma = spec.level * edge_length
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     if spec.mode == "iid-coordinate":
         disp = rng.normal(0.0, sigma, size=mesh.vertices.shape)
     else:
         amp = rng.normal(0.0, sigma, size=mesh.num_vertices)
-        disp = amp[:, None] * vertex_normals(mesh)
+        disp = amp[:, None] * normals
     return mesh.with_vertices(mesh.vertices + disp)

@@ -25,7 +25,8 @@ a factor costs more than it saves, conjugate gradients start from the
 system's previous solution, and ``scipy.sparse.linalg`` is never imported.
 
 The outer loop stops when the squared area-weighted change of the normal
-field drops below ``stop_tol`` or after ``max_outer_iters`` sweeps.
+field, per unit of the mesh's total face area, drops below ``stop_tol``, or
+after ``max_outer_iters`` sweeps.
 """
 
 from dataclasses import dataclass, field
@@ -84,6 +85,10 @@ class SolverParams:
     r0 are the splitting penalties, sigma_e the weight bandwidth on
     unit-normal differences; each of these six lies in WEIGHT_RANGE.
     stop_tol is positive and finite, max_outer_iters an integer of at least 1.
+    The loop stops once a sweep's area-weighted squared normal change over
+    the total face area is below stop_tol, so a mesh scaled by s stops after
+    the same sweep at beta / s; 6.7e-9 is about the former raw threshold,
+    1e-10, over the 1.2k-face bench cube's clean area 0.015.
     dynamic_weights is a bool; False freezes all edge weights at 1. These
     defaults are the command line's too.
 
@@ -104,7 +109,7 @@ class SolverParams:
     r0: float = 2.0
     sigma_e: float = 0.5
     max_outer_iters: int = 100
-    stop_tol: float = 1e-10
+    stop_tol: float = 6.7e-9
     cg_rel_tol: float = 1e-5
     dynamic_weights: bool = True
 
@@ -162,7 +167,8 @@ class FilterResult:
     """Filtered normals plus per-iteration diagnostics.
 
     ``diagnostics`` has one row per sweep with the DIAGNOSTIC_COLUMNS
-    entries (``fileio.save_table`` writes it as CSV); ``stop_reason`` is
+    entries (``fileio.save_table`` writes it as CSV), ``normal_change_sq``
+    not divided by the area; ``stop_reason`` is
     "tolerance" or "max_iters". ``cg_iterations`` has one row per sweep:
     the conjugate-gradient iterations of the normal and of the v solve, each
     iteration one product with the whole (n, 3) block (on a factored mesh, 1
@@ -179,18 +185,16 @@ class FilterResult:
 # -- building blocks -------------------------------------------------------
 
 def shrink(weight, penalty, z) -> np.ndarray:
-    """Row-wise soft shrinkage: max(0, 1 - weight / (penalty * |z|)) * z.
+    """Row-wise soft shrinkage of the (rows, C) array ``z``:
+    max(0, 1 - weight / (penalty * |z|)) * z.
 
     Rows with |z| = 0 (or below the threshold weight / penalty) map to 0.
     ``weight`` may be a scalar or one value per row.
     """
-    z = np.asarray(z, dtype=np.float64)
-    z2 = np.atleast_2d(z)
-    norms = row_norm(z2)
-    w = np.broadcast_to(np.asarray(weight, dtype=np.float64), norms.shape)
-    scaled = np.divide(w, penalty * norms, out=np.full_like(norms, np.inf),
+    norms = row_norm(z)
+    scaled = np.divide(weight, penalty * norms, out=np.full_like(norms, np.inf),
                        where=norms > 0)
-    return (np.maximum(0.0, 1.0 - scaled)[:, None] * z2).reshape(z.shape)
+    return np.maximum(0.0, 1.0 - scaled)[:, None] * z
 
 
 def edge_weights(jump_n, sigma_e) -> np.ndarray:
@@ -200,7 +204,7 @@ def edge_weights(jump_n, sigma_e) -> np.ndarray:
     return np.exp(-row_dot(jump_n, jump_n) / (2.0 * sigma_e ** 2))
 
 
-def _cg_block(apply_op, precondition, rhs, rel_tol, max_iters, label, x0=None):
+def _cg_block(apply_op, precondition, rhs, rel_tol, label, x0=None):
     """Conjugate gradients on the (n, C) block as one flat vector, one step
     size per iteration for all channels, preconditioned by multiplying the
     residual with ``precondition``: positive and broadcastable to the block
@@ -218,7 +222,8 @@ def _cg_block(apply_op, precondition, rhs, rel_tol, max_iters, label, x0=None):
     right-hand side is exactly zero returns exactly zero. Returns the
     solution and the iteration count, one per product with the system: a
     nonzero ``x0`` costs one more, for its residual. A non-finite residual,
-    like one that does not converge, raises SolverError.
+    like one that does not converge within ``_CG_MAX_ITERS`` iterations,
+    raises SolverError.
     """
     def dot(a, b):
         return np.einsum("i,i->", a.ravel(), b.ravel())
@@ -232,7 +237,7 @@ def _cg_block(apply_op, precondition, rhs, rel_tol, max_iters, label, x0=None):
         r, products = rhs - apply_op(x), 1
     p, z = r * precondition, np.empty_like(rhs)
     rs, rz = dot(r, r), dot(r, p)
-    for _ in range(max_iters):
+    for _ in range(_CG_MAX_ITERS):
         if np.sqrt(rs) <= target or not np.isfinite(rs):
             break
         ap = apply_op(p)
@@ -249,7 +254,7 @@ def _cg_block(apply_op, precondition, rhs, rel_tol, max_iters, label, x0=None):
             f"conjugate gradients met a non-finite residual in the {label} system"
             if not np.isfinite(rs) else
             f"conjugate gradients did not converge for the {label} system "
-            f"within {max_iters} iterations",
+            f"within {_CG_MAX_ITERS} iterations",
             residuals=np.sqrt(rs) / max(bnorm, np.finfo(float).tiny),
         )
     return x, products
@@ -344,7 +349,7 @@ class _System:
         y0 = self.solution if self.factor is None else self.direct(rhs)
         self.solution, self.products = _cg_block(
             self.apply, self.precondition, rhs, self.params.cg_rel_tol,
-            _CG_MAX_ITERS, self.kind, x0=y0)
+            self.kind, x0=y0)
         return self.solution / self.d
 
 
@@ -454,6 +459,7 @@ def filter_normals(conn, n_in, params=None) -> FilterResult:
 
     state = SolverState.initial(conn, n_in, params)
     n_system, v_system = _System(conn, params, "normal"), _System(conn, params, "v")
+    area = topo.face_area.sum()
     rows, cg_iterations = [], []
     stop_reason = "max_iters"
     for k in range(params.max_outer_iters):
@@ -466,7 +472,8 @@ def filter_normals(conn, n_in, params=None) -> FilterResult:
 
         diff = state.N - n_prev
         change_sq = inner_faces(topo, diff, diff)
-        fid = 0.5 * params.beta * inner_faces(topo, state.N - n_in, state.N - n_in)
+        diff = state.N - n_in
+        fid = 0.5 * params.beta * inner_faces(topo, diff, diff)
         rows.append((k, fid + energy, norm_edges(topo, res_p),
                      norm_lines(conn.lines, res_q1), norm_curves(conn.curves, res_q2),
                      change_sq))
@@ -475,7 +482,7 @@ def filter_normals(conn, n_in, params=None) -> FilterResult:
         # the sweep's fields would otherwise stay alive through the next solves
         del jump_n, res_p, res_q1, res_q2
 
-        if change_sq < params.stop_tol:
+        if change_sq / area < params.stop_tol:
             stop_reason = "tolerance"
             break
 

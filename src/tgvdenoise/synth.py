@@ -11,10 +11,7 @@ import numpy as np
 
 from .mesh import TriMesh
 
-__all__ = [
-    "make_tetrahedron", "make_cube", "make_icosphere", "make_plane",
-    "make_two_triangle_square",
-]
+__all__ = ["make_tetrahedron", "make_cube", "make_icosphere", "make_plane"]
 
 
 def make_tetrahedron(scale: float = 1.0) -> TriMesh:
@@ -27,12 +24,6 @@ def make_tetrahedron(scale: float = 1.0) -> TriMesh:
     ])
     f = [[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]]
     return TriMesh(v, f)
-
-
-def make_two_triangle_square(size: float = 1.0) -> TriMesh:
-    """Unit square in the z=0 plane split into two triangles (all boundary)."""
-    v = size * np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
-    return TriMesh(v, [[0, 1, 2], [0, 2, 3]])
 
 
 def _weld(rows):

@@ -47,7 +47,6 @@ __all__ = [
     "LineSet",
     "CurveSet",
     "Connectivity",
-    "build_edge_topology",
     "build_connectivity",
 ]
 
@@ -173,11 +172,6 @@ class EdgeTopology:
         return f"EdgeTopology(edges={self.num_edges}, faces={self.num_faces}, boundary_edges={nb})"
 
 
-def build_edge_topology(mesh) -> EdgeTopology:
-    """Extract unique edges, boundary flags, measures and the edge jump."""
-    return EdgeTopology(mesh)
-
-
 class LineSet:
     """Barycenter-to-vertex lines, three per triangle (line 3*t + j sits in
     triangle t at its j-th vertex, between the edge entering that vertex
@@ -293,7 +287,7 @@ class Connectivity:
 
 def build_connectivity(mesh) -> Connectivity:
     """Build the full edge/line/curve connectivity in one call."""
-    topo = build_edge_topology(mesh)
+    topo = EdgeTopology(mesh)
     lines = LineSet(topo)
     curves = CurveSet(lines)
     return Connectivity(topo, lines, curves)

@@ -7,7 +7,7 @@ import scipy
 
 from tgvdenoise import (TriMesh, build_connectivity, make_cube, make_icosphere,
                         make_tetrahedron)
-from tgvdenoise.synth import make_plane, make_two_triangle_square
+from tgvdenoise.synth import make_plane
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +22,8 @@ def tet_conn(tet):
 
 @pytest.fixture(scope="session")
 def square():
-    return make_two_triangle_square()
+    # the unit square in the z=0 plane, split into two triangles
+    return make_plane(1, 1)
 
 
 @pytest.fixture(scope="session")

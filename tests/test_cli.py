@@ -404,7 +404,7 @@ def test_bad_values_fail_before_the_mesh_is_read(capsys, tmp_path, argv, message
     ("cube", ["--size", "-1"], "size"),
     ("tetrahedron", ["--size", "-1"], "size"),
     ("icosphere", ["--size", "-1", "--divisions", "1"], "size"),
-    ("square", ["--size", "0"], "size"),
+    ("plane", ["--size", "0"], "size"),
     ("cube", ["--size", "inf"], "size"),
     ("icosphere", ["--size", "nan", "--divisions", "1"], "size"),
 ])

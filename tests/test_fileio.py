@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tgvdenoise import (MeshError, NoiseSpec, TriMesh, add_gaussian_noise,
-                        build_edge_topology, load_mesh, make_icosphere,
-                        make_tetrahedron, save_mesh)
+                        load_mesh, make_icosphere, make_tetrahedron, save_mesh)
+from tgvdenoise.topology import EdgeTopology
 
 from oracles import format_mesh_reference
 
@@ -45,7 +45,7 @@ def test_off_tetrahedron_edge_count(tmp_path):
     path = tmp_path / "tet.off"
     path.write_text(TET_OFF)
     m = load_mesh(path)
-    topo = build_edge_topology(m)
+    topo = EdgeTopology(m)
     # Euler: V - E + F = 2 for a closed genus-0 surface
     assert topo.num_edges == 6
     assert not topo.is_boundary.any()

@@ -6,12 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tgvdenoise import (NoiseSpec, TriMesh, add_gaussian_noise,
-                        build_edge_topology, face_angle_errors, face_normals,
-                        feature_adjacent_faces, make_cube, make_tetrahedron,
-                        mean_angular_difference, save_table, vertex_error)
+from tgvdenoise import (NoiseSpec, TriMesh, add_gaussian_noise, face_angle_errors,
+                        face_normals, feature_adjacent_faces, make_cube,
+                        make_tetrahedron, mean_angular_difference, save_table,
+                        vertex_error)
 from tgvdenoise.metrics import closest_point_distances
 from tgvdenoise.synth import make_plane
+from tgvdenoise.topology import EdgeTopology
 from tgvdenoise import metrics
 from oracles import dense_edge_jump
 
@@ -233,7 +234,7 @@ def test_vertex_error_rejects_empty():
 
 def test_feature_adjacent_faces_on_cube():
     mesh = make_cube(3)
-    topo = build_edge_topology(mesh)
+    topo = EdgeTopology(mesh)
     n = face_normals(mesh)
     feat = set(feature_adjacent_faces(topo, n, threshold_deg=30.0).tolist())
     # oracle: walk all interior edges and collect faces at sharp creases
@@ -269,7 +270,7 @@ def test_feature_adjacent_faces_on_a_folded_plane(degrees):
     # 40 degree fold marks exactly the faces on either side of it; the
     # plane's boundary edges, whose second face is missing, mark nothing
     mesh, fold_faces = _folded_plane(degrees)
-    feat = feature_adjacent_faces(build_edge_topology(mesh), face_normals(mesh))
+    feat = feature_adjacent_faces(EdgeTopology(mesh), face_normals(mesh))
     expected = fold_faces if degrees > 30.0 else []
     assert len(fold_faces) == 8
     np.testing.assert_array_equal(feat, expected)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from tgvdenoise import (TriMesh, build_edge_topology, curve_jump, edge_jump,
-                        edge_jump_adjoint, ho_seminorm, inner_edges,
-                        inner_faces, line_jump, tgv_energy, tv_seminorm)
+from tgvdenoise import (TriMesh, curve_jump, edge_jump, edge_jump_adjoint,
+                        ho_seminorm, inner_edges, inner_faces, line_jump,
+                        tgv_energy, tv_seminorm)
 from tgvdenoise.operators import (curve_jump_adjoint, inner_curves, inner_lines,
                                   line_jump_adjoint)
+from tgvdenoise.topology import EdgeTopology
 from conftest import random_fields
 from oracles import (curve_edges, dense_curve_jump, dense_edge_jump, dense_line_jump,
                      far_triangles, line_faces)
@@ -106,7 +107,7 @@ def test_inner_edges_constant_on_equilateral_pair():
     s3 = np.sqrt(3) / 2
     m = TriMesh([[0, 0, 0], [1, 0, 0], [0.5, s3, 0], [1.5, s3, 0]],
                 [[0, 1, 2], [1, 3, 2]])
-    topo = build_edge_topology(m)
+    topo = EdgeTopology(m)
     ones = np.ones(topo.num_edges)
     assert np.isclose(inner_edges(topo, ones, ones), topo.edge_len.sum(), rtol=1e-14)
     assert np.isclose(topo.edge_len.sum(), 5.0, atol=1e-12)
@@ -154,7 +155,7 @@ def test_edge_jump_locality(tet_conn):
 
 def test_edge_jump_adjoint_single_triangle_is_zero():
     m = TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
-    topo = build_edge_topology(m)
+    topo = EdgeTopology(m)
     v = np.ones(topo.num_edges)
     assert np.all(edge_jump_adjoint(topo, v) == 0.0)  # all edges on the boundary
 

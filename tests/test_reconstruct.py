@@ -5,7 +5,7 @@ from tgvdenoise import (NoiseSpec, SolverParams, TriMesh, add_gaussian_noise,
                         build_connectivity, face_normals, filter_normals,
                         make_cube, make_icosphere, mean_angular_difference,
                         update_vertices)
-from tgvdenoise.synth import make_plane, make_two_triangle_square
+from tgvdenoise.synth import make_plane
 
 from oracles import projection_residual, update_vertices_reference
 
@@ -55,9 +55,9 @@ def test_shape_mismatch_rejected():
 
 def test_flat_quad_reaches_tilted_targets():
     # hinge the two triangles of a square around their shared diagonal
-    mesh = make_two_triangle_square()
+    mesh = make_plane(1, 1)
     n = face_normals(mesh)
-    diagonal = mesh.vertices[2] - mesh.vertices[0]
+    diagonal = mesh.vertices[3] - mesh.vertices[0]
     tilt = 0.15
     targets = np.stack([
         _rotation(diagonal, +tilt) @ n[0],

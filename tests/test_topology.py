@@ -5,10 +5,9 @@ from pathlib import Path
 
 import numpy as np
 
-from tgvdenoise import (TriMesh, build_connectivity, build_edge_topology,
-                        edge_jump, face_normals, ho_seminorm, make_cube,
-                        make_icosphere, tv_seminorm)
-from tgvdenoise.topology import LineSet
+from tgvdenoise import (TriMesh, build_connectivity, edge_jump, face_normals,
+                        ho_seminorm, make_cube, make_icosphere, tv_seminorm)
+from tgvdenoise.topology import EdgeTopology, LineSet
 
 from oracles import curve_edges, dense_line_jump, edge_ends, line_edges, line_faces
 
@@ -30,7 +29,7 @@ def _slot_signs(mesh):
 
 
 def test_shared_edge_signs_cancel(square):
-    topo = build_edge_topology(square)
+    topo = EdgeTopology(square)
     interior = ~topo.is_boundary
     assert interior.sum() == 1
     e = np.flatnonzero(interior)[0]
@@ -47,7 +46,7 @@ def test_shared_edge_signs_cancel(square):
 
 def test_single_triangle_all_boundary():
     m = TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
-    topo = build_edge_topology(m)
+    topo = EdgeTopology(m)
     assert topo.num_edges == 3
     assert topo.is_boundary.all()
 
@@ -142,7 +141,7 @@ def test_line_count_and_length(tet_conn):
 def test_equilateral_line_length():
     # side-1 equilateral triangle: barycenter-to-vertex distance is 1/sqrt(3)
     m = TriMesh([[0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0]], [[0, 1, 2]])
-    topo = build_edge_topology(m)
+    topo = EdgeTopology(m)
     lines = LineSet(topo)
     assert np.allclose(lines.line_len, 1 / np.sqrt(3), atol=1e-14)
 
@@ -250,7 +249,7 @@ def test_relabeling_faces_renumbers_and_reverses_edges(cube_small, plane, flippe
     # and each face meets the same edges, signed by the new directions
     for mesh in (cube_small, plane, flipped_sphere_conn.mesh, holed_plane_conn.mesh):
         moved_mesh, perm = _relabeled(mesh, 0)
-        topo, moved = build_edge_topology(mesh), build_edge_topology(moved_mesh)
+        topo, moved = EdgeTopology(mesh), EdgeTopology(moved_mesh)
         match, flip = _edge_match(topo, moved)
         assert (match != np.arange(topo.num_edges)).any()
         assert (flip == -1.0).any() and (flip == 1.0).any()
@@ -302,7 +301,7 @@ def test_connectivity_bundle(tet):
 def test_cube_counts():
     m = make_cube(3)
     assert m.num_faces == 12 * 9
-    topo = build_edge_topology(m)
+    topo = EdgeTopology(m)
     # closed surface: V - E + F = 2
     assert m.num_vertices - topo.num_edges + m.num_faces == 2
 
