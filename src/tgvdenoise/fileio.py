@@ -8,12 +8,22 @@ Only the minimal grammars are supported:
 * OFF: ``OFF`` header, a ``V F E`` counts line, V coordinate lines, then F
   face lines each starting with the vertex count 3 (0-based indices).
 
-Comments (``#``) and blank lines are ignored in both formats. Lines are
-split as ``str.splitlines`` and ``str.split`` split them, and each value is
+Comments (``#``) and blank lines are ignored in both formats, and a
+leading UTF-8 byte-order mark is skipped. Lines are split as
+``str.splitlines`` and ``str.split`` split them, and each value is
 converted by ``np.array(tokens, dtype)``, which hands each string to
 Python's ``float`` or ``int``, so the value grammar and its errors are
 Python's. The reader converts a block of lines at a time; for a bad file it
 names the first bad line, as a reader going record by record would.
+
+An OBJ block that is plain (ASCII, no comment, no line break but newlines,
+every line starting with ``v`` or ``f``, four tokens for each line) is split
+into tokens by one ``str.split`` of the whole block: once its values
+convert, its lines are all ``kind a b c`` (see ``_plain_obj_block``). Every
+other block, and a plain one that fails to convert, is split line by line,
+and that path names the first bad record. OFF files are always split line
+by line.
+
 Coordinates are written with 17 significant digits so a save/load round
 trip reproduces float64 positions exactly.
 """
@@ -47,7 +57,7 @@ def load_mesh(path) -> TriMesh:
     for meshes failing validation (degenerate faces, non-manifold edges).
     """
     parse, _ = _format_of(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         # the text is parsed without a name, so it is freed before validation
         vertices, faces = parse(fh.read())
     return TriMesh(vertices, faces)
@@ -74,20 +84,34 @@ def save_table(path, columns, table):
 _BLOCK_CHARS = 1 << 14
 
 
-def _token_blocks(text):
-    """Per block of lines: the number of its first line and the tokens of
-    each of its lines, comments removed (a blank line has none). A block
-    ends with a newline, so the lines are those of ``text.splitlines()``."""
-    lineno, start = 1, 0
+def _blocks(text):
+    """The text in blocks of whole lines: a block ends with a newline or
+    with the text, so the lines of the blocks are those of
+    ``text.splitlines()``."""
+    start = 0
     while start < len(text):
         end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
-        block = text[start:end]
-        lines = block.splitlines()
-        if "#" in block:
-            lines = [line.partition("#")[0] for line in lines]
-        yield lineno, list(map(str.split, lines))
-        lineno += len(lines)
+        yield text[start:end]
         start = end
+
+
+def _line_tokens(block):
+    """The tokens of each line of a block, comments removed (a blank line
+    has none)."""
+    lines = block.splitlines()
+    if "#" in block:
+        lines = [line.partition("#")[0] for line in lines]
+    return list(map(str.split, lines))
+
+
+def _token_blocks(text):
+    """Per block: the number of its first line and the tokens of each of
+    its lines."""
+    lineno = 1
+    for block in _blocks(text):
+        rows = _line_tokens(block)
+        yield lineno, rows
+        lineno += len(rows)
 
 
 def _widths(rows, width):
@@ -161,18 +185,21 @@ def _first_bad_record(lineno, rows, record_error):
 
 # -- OBJ ---------------------------------------------------------------------
 
-def _obj_block(rows):
-    """The coordinates and 0-based face indices of one block's records,
-    each flat; ValueError or OverflowError if a record is bad."""
-    # faces first, each kind in file order (the sort is stable)
-    records = sorted(filter(None, rows), key=itemgetter(0))
-    _widths(records, 4)
-    tokens = list(chain.from_iterable(records))
+def _obj_block(tokens):
+    """The coordinates and 0-based face indices of a block's records, given
+    as their tokens, four for each record with its kind first, each flat;
+    ValueError or OverflowError if a record is bad."""
     kinds = tokens[::4]
-    del tokens[::4]
     n_faces = kinds.count("f")
     if kinds.count("v") + n_faces != len(kinds):
         raise ValueError("record kind")
+    if 0 < n_faces < len(kinds):
+        # faces first, each kind in file order (the sort is stable); the
+        # records are lists, as freed tuples would stay on a free list
+        records = sorted((tokens[i:i + 4] for i in range(0, len(tokens), 4)),
+                         key=itemgetter(0))
+        tokens = list(chain.from_iterable(records))
+    del tokens[::4]
     # int() fails on a token with a '/', and beyond int64 the cast does
     idx = np.array(tokens[:3 * n_faces], dtype=np.int64)
     if (idx <= 0).any():
@@ -180,17 +207,63 @@ def _obj_block(rows):
     return np.array(tokens[3 * n_faces:], dtype=np.float64), idx - 1
 
 
+# Characters that end a line for str.splitlines (or start a comment) and
+# are ASCII but not a newline; a plain block holds none of them.
+_NOT_PLAIN = "#\r\x0b\x0c\x1c\x1d\x1e"
+
+
+def _plain_obj_block(block):
+    """(coordinates, face indices, line count) of a plain block, one whose
+    lines are all ``kind a b c`` records, read with one ``block.split()``;
+    None for any other block.
+
+    An ASCII block with none of _NOT_PLAIN in it breaks lines at its
+    newlines alone. Say every line starts with ``v`` or ``f``, the block
+    has four tokens for each line and every fourth token is ``v`` or ``f``.
+    If the lines did not all have four tokens, some line's first token
+    would land in a number's place, and neither float() nor int() converts
+    a token that starts with ``v`` or ``f``; so once the values convert,
+    every line is one record."""
+    if not block.isascii() or block[0] not in "vf" or any(c in block for c in _NOT_PLAIN):
+        return None
+    n_lines = block.count("\n") + (block[-1] != "\n")
+    # most blocks hold one kind of record, so one count usually tells
+    first, other = ("\nv", "\nf") if block[0] == "v" else ("\nf", "\nv")
+    rest = n_lines - 1 - block.count(first)
+    if rest and rest != block.count(other):
+        return None
+    tokens = block.split()
+    if len(tokens) != 4 * n_lines:
+        return None
+    try:
+        return (*_obj_block(tokens), n_lines)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _obj_lines(block, lineno):
+    """(coordinates, face indices, line count) of any block, its first line
+    numbered ``lineno``, read line by line; MeshError naming the first bad
+    record."""
+    rows = _line_tokens(block)
+    records = list(filter(None, rows))
+    try:
+        _widths(records, 4)
+        return (*_obj_block(list(chain.from_iterable(records))), len(rows))
+    except (ValueError, OverflowError) as exc:
+        error = _first_bad_record(lineno, rows,
+                                  lambda k, tokens: _obj_record_error(tokens))
+        raise (error or exc) from None
+
+
 def _parse_obj(text):
     vertices, faces = [np.empty(0)], [np.empty(0, dtype=np.int64)]
-    for lineno, rows in _token_blocks(text):
-        try:
-            coords, idx = _obj_block(rows)
-        except (ValueError, OverflowError) as exc:
-            error = _first_bad_record(lineno, rows,
-                                      lambda k, tokens: _obj_record_error(tokens))
-            raise (error or exc) from None
+    lineno = 1
+    for block in _blocks(text):
+        coords, idx, n_lines = _plain_obj_block(block) or _obj_lines(block, lineno)
         vertices.append(coords)
         faces.append(idx)
+        lineno += n_lines
     return np.concatenate(vertices).reshape(-1, 3), np.concatenate(faces).reshape(-1, 3)
 
 

@@ -175,7 +175,8 @@ def _next_slot(slots, step=1):
     3t + k is face t's local edge k, from its corner k to corner k + 1
     (mod 3): step 1 gives the edge leaving the corner a slot enters, step 2
     the edge entering the corner it leaves."""
-    return slots - slots % 3 + (slots + step) % 3
+    corner = np.arange(3)
+    return slots + np.take((corner + step) % 3 - corner, slots % 3)
 
 
 def _checked_count(name, value):

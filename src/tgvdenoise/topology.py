@@ -54,10 +54,12 @@ __all__ = [
 class Stencil:
     """One jump between element fields, and all that is derived from it.
 
-    Row i reads the input elements ``cols[i]`` through the face slots
-    ``slots[i]`` (both (rows, width)), each signed +1 where its slot leads
-    its edge (is not above its ``twin``), else -1; a row outside ``keep``
-    holds explicit zeros. The jump is kept as the arrays of a CSR matrix,
+    Place k of row i reads the input element ``cols[k][i]`` through the
+    face slot ``slots[k][i]``: ``slots`` holds one (rows,) array per place,
+    and ``cols`` as many, read once and in step with ``slots``. Each entry
+    is signed +1 where its slot leads its edge (is not above its ``twin``),
+    else -1; a row outside ``keep`` holds explicit zeros. The jump is kept
+    as the arrays of a CSR matrix,
 
         out[i] = sum over k in indptr[i]:indptr[i+1] of data[k] * x[indices[k]]
 
@@ -77,11 +79,16 @@ class Stencil:
     """
 
     def __init__(self, twin, slots, keep, cols, m_row, m_col):
-        coef = np.where(np.take(twin, slots) >= slots, 1.0, -1.0)
-        coef *= keep[:, None]
-        rows, width = coef.shape
-        self.data = coef.ravel()
-        self.indices = cols.astype(np.int32).ravel()
+        # each place is written in its column of the row-major arrays, so no
+        # (rows, width) table of slots is made
+        rows, width = len(keep), len(slots)
+        data = np.empty((rows, width))
+        indices = np.empty((rows, width), dtype=np.int32)
+        for k, (slot, col) in enumerate(zip(slots, cols)):
+            np.multiply(np.where(np.take(twin, slot) >= slot, 1.0, -1.0), keep,
+                        out=data[:, k])
+            indices[:, k] = col
+        self.data, self.indices = data.ravel(), indices.ravel()
         self.indptr = np.arange(0, rows * width + 1, width, dtype=np.int32)
         self.m_row, self.m_col, self.num_cols = m_row, m_col, len(m_col)
 
@@ -140,8 +147,8 @@ class EdgeTopology:
         # its twin, if any, starts; both its slots name it
         twin = mesh._twin
         lead = np.flatnonzero(twin >= np.arange(len(twin)))
-        edge_slots = np.stack([lead, np.take(twin, lead)], axis=1)
-        self.is_boundary = edge_slots[:, 0] == edge_slots[:, 1]
+        mate = np.take(twin, lead)
+        self.is_boundary = lead == mate
         corner = f.ravel()
         # freed once read: at 20k faces fresh pages cost more than the sums
         diff = np.take(mesh.vertices, np.take(corner, _next_slot(lead)), axis=0)
@@ -150,13 +157,13 @@ class EdgeTopology:
         del diff
         face_edges = np.empty_like(twin)
         face_edges[lead] = np.arange(len(lead))
-        face_edges[edge_slots[:, 1]] = face_edges[lead]
+        face_edges[mate] = face_edges[lead]
         self.mesh = mesh
         self.face_edges = face_edges.reshape(f.shape)
         self.face_area = mesh._face_areas
         for name in ("edge_len", "is_boundary", "face_edges", "face_area"):
             getattr(self, name).setflags(write=False)
-        self.jump = Stencil(twin, edge_slots, ~self.is_boundary, edge_slots // 3,
+        self.jump = Stencil(twin, (lead, mate), ~self.is_boundary, (lead // 3, mate // 3),
                             self.edge_len, self.face_area)
 
     @property
@@ -202,8 +209,9 @@ class LineSet:
         self.active = interior & np.take(interior, into)
         for name in ("line_len", "active"):
             getattr(self, name).setflags(write=False)
-        slots = np.stack([into, out], axis=1)
-        self.jump = Stencil(twin, slots, self.active, np.take(topo.face_edges.ravel(), slots),
+        # the edge of slot s is face_edges.ravel()[s], and out is every slot
+        edges = topo.face_edges.ravel()
+        self.jump = Stencil(twin, (into, out), self.active, (np.take(edges, into), edges),
                             self.line_len, topo.edge_len)
 
     @property
@@ -244,14 +252,17 @@ class CurveSet:
         slot = np.arange(len(twin))
         into = _next_slot(slot, 2)
         twin_in = np.take(twin, into)
-        slots = np.stack([_next_slot(twin), twin, twin_in, _next_slot(twin_in, 2)], axis=1)
-        valid = (np.take(twin, slots) != slots).all(axis=1)
+        far_out, far_in = _next_slot(twin), _next_slot(twin_in, 2)
+        # the twin of twin(c) is c and that of twin_in is prev(c), so the two
+        # middle edges are interior exactly where line c is active
+        valid = lines.active & (np.take(twin, far_out) != far_out)
+        valid &= np.take(twin, far_in) != far_in
 
         # len(c) = (len(l_out_nbr) + 2 len(l) + len(l_in_nbr)) / 4 with missing
         # neighbor lines, behind a slot that is its own twin, standing in as
         # len(l); inert, since invalid curves only ever carry zero values
         l_len = lines.line_len
-        curve_len = np.where(twin != slot, np.take(l_len, slots[:, 0]), l_len)
+        curve_len = np.where(twin != slot, np.take(l_len, far_out), l_len)
         curve_len += 2.0 * l_len
         curve_len += np.where(twin_in != into, np.take(l_len, twin_in), l_len)
         curve_len *= 0.25
@@ -259,9 +270,12 @@ class CurveSet:
         self.topo, self.valid, self.curve_len = topo, valid, curve_len
         for name in ("valid", "curve_len"):
             getattr(self, name).setflags(write=False)
-        # the per-slot tables are freed before the CSR arrays are made
-        del slot, into, twin_in
-        self.jump = Stencil(twin, slots, valid, np.take(topo.face_edges.ravel(), slots),
+        # the per-slot tables are freed before the CSR arrays are made, and
+        # each place's edges are read only as its column is written
+        del slot, into
+        slots = (far_out, twin, twin_in, far_in)
+        edges = topo.face_edges.ravel()
+        self.jump = Stencil(twin, slots, valid, (np.take(edges, s) for s in slots),
                             curve_len, topo.edge_len)
 
     @property

@@ -149,6 +149,14 @@ PINNED_BUILD = ("2.4.6", "1.17.1", "x86_64",
                 ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
 
 
+def on_pinned_build():
+    """Whether numpy, scipy, the architecture and the SIMD extensions are
+    PINNED_BUILD's, where the digests of float arrays were recorded."""
+    simd = getattr(np.__config__, "CONFIG", {}).get("SIMD Extensions", {}).get("found", [])
+    return (np.__version__, scipy.__version__, platform.machine(),
+            tuple(simd)) == PINNED_BUILD
+
+
 def pinned_values(result, **measured):
     """A filter run's values as a pinned run stores them: the ``measured``
     floats (thetas, e_v) with the result's last diagnostics row, products per
@@ -165,12 +173,9 @@ def assert_pinned(got, pin):
     moved them by at most 1.3e-14); counts and the stop reason exactly; the
     normals' digest only on PINNED_BUILD, since elsewhere the bits may
     differ within that tolerance."""
-    simd = getattr(np.__config__, "CONFIG", {}).get("SIMD Extensions", {}).get("found", [])
-    on_pinned_build = (np.__version__, scipy.__version__, platform.machine(),
-                       tuple(simd)) == PINNED_BUILD
     for key, value in got.items():
         if key == "normals_sha256":
-            if on_pinned_build:
+            if on_pinned_build():
                 assert value == pin[key]
         elif isinstance(value, float) or key == "last_diagnostics":
             np.testing.assert_allclose(value, pin[key], rtol=1e-10, atol=0, err_msg=key)

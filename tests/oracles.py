@@ -234,7 +234,7 @@ def load_mesh_reference(path):
     """The OBJ / OFF reader (by the path's extension) as a loop over one
     record at a time: the grammar and the error messages, line numbers
     included, that fileio's block-wise reader must reproduce."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     parse = _parse_obj_reference if str(path).endswith(".obj") else _parse_off_reference
     return TriMesh(*parse(text))

@@ -210,7 +210,14 @@ EDGE_TEXTS = {
             "v 0 0 0#\nv 1 0 0 # x\nv 0 1 0\n#f 1 2 3\nf 1 2 3#\n",
             "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 -9223372036854775808\n",
             "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9223372036854775808\n",
-            "\x0bv 1 2 3\x85f\u2028v\x0c1"],
+            "\x0bv 1 2 3\x85f\u2028v\x0c1",
+            # look-alikes of a plain block (four tokens for each line, every
+            # fourth a kind), which the reader must still read line by line
+            "v 1 2 3 v\n1 2 3\n", "v 1 2 3 f\nf 1 2\n", "v 1 2\x0b3\nv 4 5 6\n",
+            "v 1 2 3\n\nv 4 5 6\n", " v 1 2 3\n", "vv 1 2 3\n",
+            # a bad record after plain blocks: its line number counts their lines
+            "".join(f"v {i} 0 1\n" for i in range(2500)) + "f 1 2 3\n" * 9 + "f 1 2\n",
+            "\ufeffv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"],
     "off": ["", "\n", "OFF", "OFF\n", "OFF 0 0 0\n", "OFF\n0 0 0\n", "OFF\n0 0 0",
             "OFF\n1 0 0\n1 2 3", "OFF\n-1 1 0\n", "OFF\n-1 2 0\n1 2 3\n",
             "OFF\n5 -2 0\n0 0 0\n1 0 0\n0 1 0\n",
@@ -220,7 +227,8 @@ EDGE_TEXTS = {
             "OFF\n3 1 0\n0 0 0\n1 0 0 0\n0 1 0\n3 0 1 x\n",
             "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 x\n4 0 1 2 3\n",
             "OFF\n99999999999999999999 1 0\n0 0 0\n",
-            "# c\n\nOFF # c\n\n3 1 0 # c\n0 0 0\n\n1 0 0\n0 1 0\n3 0 1 2\n"],
+            "# c\n\nOFF # c\n\n3 1 0 # c\n0 0 0\n\n1 0 0\n0 1 0\n3 0 1 2\n",
+            "\ufeffOFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"],
 }
 
 
@@ -235,3 +243,17 @@ def test_reader_matches_the_reference_on_edge_cases(tmp_path, monkeypatch, fmt, 
         want = _outcome(load_mesh_reference, path)
         got = _outcome(load_mesh, path)
         assert _same(got, want), f"{text!r}\nreference: {want}\ngot: {got}"
+
+
+@pytest.mark.parametrize("fmt", ["obj", "off"])
+def test_byte_order_mark_is_skipped(tmp_path, fmt):
+    # the last edge case of each format, a file that starts with a UTF-8
+    # byte-order mark, loads as the same file without it
+    text = EDGE_TEXTS[fmt][-1]
+    assert text.startswith("\ufeff")
+    marked, plain = tmp_path / f"marked.{fmt}", tmp_path / f"plain.{fmt}"
+    marked.write_text(text, encoding="utf-8", newline="")
+    plain.write_text(text[1:], encoding="utf-8", newline="")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    got, want = load_mesh(marked), load_mesh(plain)
+    assert _same((got.vertices, got.faces), (want.vertices, want.faces))

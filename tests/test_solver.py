@@ -629,6 +629,24 @@ def test_filter_diagnostics_shape_and_reason(filter_run):
         assert result.diagnostics[-1, 5] / conn.topo.face_area.sum() < params.stop_tol
 
 
+def test_tolerance_stop_leaves_its_diagnostics():
+    # the noisy 48-face cube stops by tolerance after 59 sweeps: its last
+    # change per unit area is 6.49e-9, under stop_tol 6.7e-9, and each
+    # earlier one is at or above it
+    noisy = add_gaussian_noise(make_cube(2, size=0.05),
+                               NoiseSpec(0.3, mode="vertex-normal", seed=7))
+    conn = build_connectivity(noisy)
+    params = SolverParams(max_outer_iters=150)
+    result = filter_normals(conn, face_normals(noisy), params)
+    assert result.stop_reason == "tolerance"
+    assert result.iterations < params.max_outer_iters
+    assert result.diagnostics.shape == (result.iterations, 6)
+    assert result.cg_iterations.shape == (result.iterations, 2)
+    change = result.diagnostics[:, 5] / conn.topo.face_area.sum()
+    assert change[-1] < params.stop_tol
+    assert (change[:-1] >= params.stop_tol).all()
+
+
 def test_filter_counts_cg_iterations_per_sweep(filter_run, monkeypatch):
     conn, n_in, params, result = filter_run
     assert result.cg_iterations.shape == (result.iterations, 2)

@@ -1,14 +1,18 @@
+import hashlib
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from tgvdenoise import (TriMesh, build_connectivity, edge_jump, face_normals,
-                        ho_seminorm, make_cube, make_icosphere, tv_seminorm)
+from tgvdenoise import (NoiseSpec, TriMesh, add_gaussian_noise, build_connectivity,
+                        edge_jump, face_normals, ho_seminorm, load_mesh, make_cube,
+                        make_icosphere, save_mesh, tv_seminorm)
 from tgvdenoise.topology import EdgeTopology, LineSet
 
+from conftest import on_pinned_build
 from oracles import curve_edges, dense_line_jump, edge_ends, line_edges, line_faces
 
 
@@ -339,3 +343,91 @@ def test_connectivity_memory_per_face():
     finally:
         tracemalloc.stop()
     assert held <= 900 * mesh.num_faces
+
+
+def test_connectivity_build_peak(tmp_path):
+    # the transient peak of connecting the preview input sets the preview
+    # run's peak memory: 11.59 MB under tracemalloc when the curve stencil
+    # stacked its slots into (rows, 4) tables, 10.85 MB with one column at
+    # a time, which leaves 0.75 MB under this bound
+    path = tmp_path / "preview.obj"
+    save_mesh(_preview_input(), path)
+    mesh = load_mesh(path)
+    tracemalloc.start()
+    try:
+        build_connectivity(mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11_600_000
+
+
+def _preview_input():
+    # the benchmark's preview input: the level-5 sphere, noise 0.3, seed 7
+    return add_gaussian_noise(make_icosphere(5, 0.15),
+                              NoiseSpec(0.3, mode="vertex-normal", seed=7))
+
+
+def _setup_arrays(path):
+    """The integer and the float arrays that loading ``path`` and building
+    its connectivity make, by name."""
+    mesh = load_mesh(path)
+    conn = build_connectivity(mesh)
+    topo, lines, curves = conn.topo, conn.lines, conn.curves
+    integer = {"faces": mesh.faces, "twin": mesh._twin, "face_edges": topo.face_edges,
+               "is_boundary": topo.is_boundary, "active": lines.active,
+               "valid": curves.valid}
+    floats = {"vertices": mesh.vertices, "face_areas": mesh._face_areas,
+              "edge_len": topo.edge_len, "line_len": lines.line_len,
+              "curve_len": curves.curve_len}
+    for name, layer in (("edge", topo), ("line", lines), ("curve", curves)):
+        integer[f"{name}.indices"] = layer.jump.indices
+        integer[f"{name}.indptr"] = layer.jump.indptr
+        floats[f"{name}.data"] = layer.jump.data
+    return integer, floats
+
+
+# the first 16 hex digits of the sha256 of each array's bytes, integer
+# arrays then float arrays
+SETUP_DIGESTS = {
+    "preview": (
+        {"faces": "6bf33a7fc9429eef", "twin": "a207730ee995b169",
+         "face_edges": "b02e6219767ef8b6", "is_boundary": "4c7eea521d2218c5",
+         "active": "5c20b482f5be4e6b", "valid": "5c20b482f5be4e6b",
+         "edge.indices": "5d2e3bd80a54af0e", "edge.indptr": "0c0b471408b1976d",
+         "line.indices": "08fc54ccc428c1ab", "line.indptr": "f0c909e23b3af58a",
+         "curve.indices": "0cb2cf0e9043f198", "curve.indptr": "28525100c02218d8"},
+        {"vertices": "a0f28ec66f18eec8", "face_areas": "58b9230b04de9fc2",
+         "edge_len": "9628119aa66c3320", "line_len": "d4914e99133c8b89",
+         "curve_len": "20c59787c58649a5", "edge.data": "a75fbf821c6a8da7",
+         "line.data": "a9b22ec88788757b", "curve.data": "d420466cfa931ff7"},
+    ),
+    "holed plane": (
+        {"faces": "adfe20711e81ad64", "twin": "3f02d9d3684a359b",
+         "face_edges": "8fd8bb08aef14198", "is_boundary": "d8f18739582b8992",
+         "active": "46dd313e4604f4aa", "valid": "045dde7bb39b0284",
+         "edge.indices": "9bdb8890fd1003db", "edge.indptr": "f51689df153acc39",
+         "line.indices": "c5a13bbe244a4c64", "line.indptr": "991406e5a9943838",
+         "curve.indices": "5c4fe88a6e134cfc", "curve.indptr": "6cc78e784eec0954"},
+        {"vertices": "0241436997b4aca4", "face_areas": "c58ee332a7bdd43c",
+         "edge_len": "53c059b4ac097c36", "line_len": "659a38aff87b025b",
+         "curve_len": "97e5533d9e698c5c", "edge.data": "d9f20263aeea7fd5",
+         "line.data": "7bb018bc7d0f87c3", "curve.data": "5e8119f77357e884"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ["preview", "holed plane"])
+def test_setup_arrays_are_pinned(tmp_path, holed_plane_conn, name):
+    # loading and connecting a mesh is pure index work on the integer
+    # arrays, so their bytes are pinned everywhere; the floats only on the
+    # build their digests were recorded on
+    path = tmp_path / "input.obj"
+    save_mesh(_preview_input() if name == "preview" else holed_plane_conn.mesh, path)
+    integer, floats = _setup_arrays(path)
+    pin_integer, pin_floats = SETUP_DIGESTS[name]
+    digest = {key: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+              for key, a in {**integer, **floats}.items()}
+    assert {key: digest[key] for key in integer} == pin_integer
+    if on_pinned_build():
+        assert {key: digest[key] for key in floats} == pin_floats
