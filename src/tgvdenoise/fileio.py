@@ -19,10 +19,10 @@ names the first bad line, as a reader going record by record would.
 An OBJ block that is plain (ASCII, no comment, no line break but newlines,
 every line starting with ``v`` or ``f``, four tokens for each line) is split
 into tokens by one ``str.split`` of the whole block: once its values
-convert, its lines are all ``kind a b c`` (see ``_plain_obj_block``). Every
-other block, and a plain one that fails to convert, is split line by line,
-and that path names the first bad record. OFF files are always split line
-by line.
+convert, its lines are all ``kind a b c`` (see ``_obj_tokens``). Any other
+block is split line by line. Either way a block's tokens are converted
+once; a block whose values do not convert is then split line by line to
+name its first bad record. OFF files are always split line by line.
 
 Coordinates are written with 17 significant digits so a save/load round
 trip reproduces float64 positions exactly.
@@ -212,55 +212,45 @@ def _obj_block(tokens):
 _NOT_PLAIN = "#\r\x0b\x0c\x1c\x1d\x1e"
 
 
-def _plain_obj_block(block):
-    """(coordinates, face indices, line count) of a plain block, one whose
-    lines are all ``kind a b c`` records, read with one ``block.split()``;
-    None for any other block.
+def _obj_tokens(block):
+    """The tokens of a block's records, four for each record with its kind
+    first, flat, and the block's line count; ValueError if a record does
+    not have four tokens.
 
-    An ASCII block with none of _NOT_PLAIN in it breaks lines at its
-    newlines alone. Say every line starts with ``v`` or ``f``, the block
-    has four tokens for each line and every fourth token is ``v`` or ``f``.
-    If the lines did not all have four tokens, some line's first token
-    would land in a number's place, and neither float() nor int() converts
-    a token that starts with ``v`` or ``f``; so once the values convert,
-    every line is one record."""
-    if not block.isascii() or block[0] not in "vf" or any(c in block for c in _NOT_PLAIN):
-        return None
-    n_lines = block.count("\n") + (block[-1] != "\n")
-    # most blocks hold one kind of record, so one count usually tells
-    first, other = ("\nv", "\nf") if block[0] == "v" else ("\nf", "\nv")
-    rest = n_lines - 1 - block.count(first)
-    if rest and rest != block.count(other):
-        return None
-    tokens = block.split()
-    if len(tokens) != 4 * n_lines:
-        return None
-    try:
-        return (*_obj_block(tokens), n_lines)
-    except (ValueError, OverflowError):
-        return None
-
-
-def _obj_lines(block, lineno):
-    """(coordinates, face indices, line count) of any block, its first line
-    numbered ``lineno``, read line by line; MeshError naming the first bad
-    record."""
+    A plain block is split by one ``block.split()``. An ASCII block with
+    none of _NOT_PLAIN in it breaks lines at its newlines alone. Say every
+    line starts with ``v`` or ``f``, the block has four tokens for each
+    line and every fourth token is ``v`` or ``f``. If the lines did not all
+    have four tokens, some line's first token would land in a number's
+    place, and neither float() nor int() converts a token that starts with
+    ``v`` or ``f``; so once the values convert, every line is one record.
+    Any other block is split line by line."""
+    if block.isascii() and block[0] in "vf" and not any(c in block for c in _NOT_PLAIN):
+        n_lines = block.count("\n") + (block[-1] != "\n")
+        # most blocks hold one kind of record, so one count usually tells
+        first, other = ("\nv", "\nf") if block[0] == "v" else ("\nf", "\nv")
+        rest = n_lines - 1 - block.count(first)
+        if not rest or rest == block.count(other):
+            tokens = block.split()
+            if len(tokens) == 4 * n_lines:
+                return tokens, n_lines
     rows = _line_tokens(block)
     records = list(filter(None, rows))
-    try:
-        _widths(records, 4)
-        return (*_obj_block(list(chain.from_iterable(records))), len(rows))
-    except (ValueError, OverflowError) as exc:
-        error = _first_bad_record(lineno, rows,
-                                  lambda k, tokens: _obj_record_error(tokens))
-        raise (error or exc) from None
+    _widths(records, 4)
+    return list(chain.from_iterable(records)), len(rows)
 
 
 def _parse_obj(text):
     vertices, faces = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     lineno = 1
     for block in _blocks(text):
-        coords, idx, n_lines = _plain_obj_block(block) or _obj_lines(block, lineno)
+        try:
+            tokens, n_lines = _obj_tokens(block)
+            coords, idx = _obj_block(tokens)
+        except (ValueError, OverflowError) as exc:
+            error = _first_bad_record(lineno, _line_tokens(block),
+                                      lambda k, tokens: _obj_record_error(tokens))
+            raise (error or exc) from None
         vertices.append(coords)
         faces.append(idx)
         lineno += n_lines

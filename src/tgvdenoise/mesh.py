@@ -23,7 +23,7 @@ class TriMesh:
         when seen from outside / above).
 
     Validation rejects non-finite (NaN or infinite) vertex coordinates,
-    out-of-range indices, repeated vertices within a face,
+    out-of-range or non-integer indices, repeated vertices within a face,
     degenerate (near zero area) triangles, non-manifold edges (an edge
     shared by three or more faces), inconsistently oriented faces (two
     faces that traverse their shared edge in the same direction), and
@@ -33,11 +33,16 @@ class TriMesh:
 
     def __init__(self, vertices, faces):
         v = _checked_vertices(vertices)
-        f = np.asarray(faces, dtype=np.int64)
+        f = np.asarray(faces)
         if f.size == 0:
             f = f.reshape(0, 3)
         if f.ndim != 2 or f.shape[1] != 3:
             raise MeshError(f"faces must have shape (T, 3), got {f.shape}")
+        # checked before the cast to int64, which truncates 0.7 and warns on NaN
+        if f.dtype.kind == "f":
+            whole = (np.trunc(f) == f).all(axis=1)     # NaN is not
+            if not whole.all():
+                raise MeshError(f"face {int(np.argmin(whole))} has a non-integer vertex index")
 
         if f.size:
             if f.min() < 0 or f.max() >= len(v):
@@ -46,6 +51,7 @@ class TriMesh:
             same = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])
             if same.any():
                 raise MeshError(f"face {int(np.nonzero(same)[0][0])} repeats a vertex")
+        f = f.astype(np.int64, copy=False)
 
         v.setflags(write=False)
         f.setflags(write=False)
@@ -179,12 +185,13 @@ def _next_slot(slots, step=1):
     return slots + np.take((corner + step) % 3 - corner, slots % 3)
 
 
-def _checked_count(name, value):
-    """Refuse a count that is not an integer of at least 1 (numpy's pass, bools not)."""
+def _checked_count(name, value, least=1):
+    """The count as an int; ValueError unless an integer (numpy's pass, bools not) >= ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return int(value)
 
 
 def _checked_vertices(vertices):

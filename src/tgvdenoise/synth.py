@@ -9,7 +9,7 @@ so a renumbered vertex makes a different noisy input from the same seed."""
 
 import numpy as np
 
-from .mesh import TriMesh
+from .mesh import TriMesh, _checked_count
 
 __all__ = ["make_tetrahedron", "make_cube", "make_icosphere", "make_plane"]
 
@@ -41,8 +41,7 @@ def _weld(rows):
 
 def make_plane(nx: int = 4, ny: int = 4, size: float = 1.0) -> TriMesh:
     """Rectangular grid in the z=0 plane (a mesh with boundary)."""
-    if nx < 1 or ny < 1:
-        raise ValueError("nx and ny must be at least 1")
+    nx, ny = (_checked_count("nx and ny", count) for count in (nx, ny))
     xs = np.linspace(0.0, size, nx + 1)
     ys = np.linspace(0.0, size, ny + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -59,9 +58,7 @@ def make_cube(divisions: int = 10, size: float = 1.0) -> TriMesh:
     """Axis-aligned cube with each side split into divisions^2 quads (two
     triangles each), vertices welded along the cube edges, outward
     counterclockwise orientation. 12 * divisions^2 faces total."""
-    n = int(divisions)
-    if n < 1:
-        raise ValueError("divisions must be at least 1")
+    n = _checked_count("divisions", divisions)
     # per side: origin and the two lattice directions, chosen so that
     # du x dv points outward
     sides = np.array([
@@ -87,8 +84,7 @@ def make_cube(divisions: int = 10, size: float = 1.0) -> TriMesh:
 def make_icosphere(subdivisions: int = 3, radius: float = 1.0) -> TriMesh:
     """Icosahedron subdivided ``subdivisions`` times, projected onto the
     sphere; 20 * 4^k faces, outward orientation."""
-    if subdivisions < 0:
-        raise ValueError("subdivisions must be at least 0")
+    subdivisions = _checked_count("subdivisions", subdivisions, least=0)
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array([
         (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),

@@ -51,6 +51,13 @@ __all__ = [
 ]
 
 
+def _slot_tables(twin):
+    """Each slot, the slot before it in its face (the edge entering its corner)
+    and whether its edge is interior: a slot that is its own twin is not."""
+    slot = np.arange(len(twin))
+    return slot, _next_slot(slot, 2), twin != slot
+
+
 class Stencil:
     """One jump between element fields, and all that is derived from it.
 
@@ -196,12 +203,8 @@ class LineSet:
     def __init__(self, topo):
         mesh = topo.mesh
         twin = mesh._twin
-        # line 3t + j is slot 3t + j, the edge leaving face t's vertex j; the
-        # edge entering that vertex is the previous slot. A slot that is its
-        # own twin lies on the boundary
-        out = np.arange(len(twin))
-        into = _next_slot(out, 2)
-        interior = twin != out
+        # line 3t + j is slot 3t + j, the edge leaving face t's vertex j
+        out, into, interior = _slot_tables(twin)
 
         self.topo = topo
         self.line_len = row_norm(np.repeat(face_barycenters(mesh), 3, axis=0)
@@ -213,6 +216,8 @@ class LineSet:
         edges = topo.face_edges.ravel()
         self.jump = Stencil(twin, (into, out), self.active, (np.take(edges, into), edges),
                             self.line_len, topo.edge_len)
+        # held only until the CurveSet on these lines takes them over
+        self._handover = into, interior
 
     @property
     def num_lines(self):
@@ -244,27 +249,27 @@ class CurveSet:
     def __init__(self, lines):
         topo = lines.topo
         twin = topo.mesh._twin
+        # the lines' slot tables, taken over so the connectivity holds neither
+        into, interior = vars(lines).pop("_handover", None) or _slot_tables(twin)[1:]
         # the triangles across curve c's outgoing slot c and incoming slot
         # prev(c) hold their twins. twin(c) enters the vertex, so the far edge
         # is the slot after it; twin(prev(c)) leaves the vertex, so the far
         # edge is the slot before it. The slots leaving the vertex,
         # next(twin(c)) and twin(prev(c)), are those triangles' lines there
-        slot = np.arange(len(twin))
-        into = _next_slot(slot, 2)
         twin_in = np.take(twin, into)
         far_out, far_in = _next_slot(twin), _next_slot(twin_in, 2)
         # the twin of twin(c) is c and that of twin_in is prev(c), so the two
         # middle edges are interior exactly where line c is active
-        valid = lines.active & (np.take(twin, far_out) != far_out)
-        valid &= np.take(twin, far_in) != far_in
+        valid = lines.active & np.take(interior, far_out)
+        valid &= np.take(interior, far_in)
 
         # len(c) = (len(l_out_nbr) + 2 len(l) + len(l_in_nbr)) / 4 with missing
         # neighbor lines, behind a slot that is its own twin, standing in as
         # len(l); inert, since invalid curves only ever carry zero values
         l_len = lines.line_len
-        curve_len = np.where(twin != slot, np.take(l_len, far_out), l_len)
+        curve_len = np.where(interior, np.take(l_len, far_out), l_len)
         curve_len += 2.0 * l_len
-        curve_len += np.where(twin_in != into, np.take(l_len, twin_in), l_len)
+        curve_len += np.where(np.take(interior, into), np.take(l_len, twin_in), l_len)
         curve_len *= 0.25
 
         self.topo, self.valid, self.curve_len = topo, valid, curve_len
@@ -272,7 +277,7 @@ class CurveSet:
             getattr(self, name).setflags(write=False)
         # the per-slot tables are freed before the CSR arrays are made, and
         # each place's edges are read only as its column is written
-        del slot, into
+        del into, interior
         slots = (far_out, twin, twin_in, far_in)
         edges = topo.face_edges.ravel()
         self.jump = Stencil(twin, slots, valid, (np.take(edges, s) for s in slots),

@@ -149,12 +149,17 @@ PINNED_BUILD = ("2.4.6", "1.17.1", "x86_64",
                 ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
 
 
+def _build():
+    """numpy's and scipy's versions, the architecture and the SIMD
+    extensions numpy found, in PINNED_BUILD's order."""
+    simd = getattr(np.__config__, "CONFIG", {}).get("SIMD Extensions", {}).get("found", [])
+    return np.__version__, scipy.__version__, platform.machine(), tuple(simd)
+
+
 def on_pinned_build():
     """Whether numpy, scipy, the architecture and the SIMD extensions are
     PINNED_BUILD's, where the digests of float arrays were recorded."""
-    simd = getattr(np.__config__, "CONFIG", {}).get("SIMD Extensions", {}).get("found", [])
-    return (np.__version__, scipy.__version__, platform.machine(),
-            tuple(simd)) == PINNED_BUILD
+    return _build() == PINNED_BUILD
 
 
 def pinned_values(result, **measured):
@@ -181,3 +186,17 @@ def assert_pinned(got, pin):
             np.testing.assert_allclose(value, pin[key], rtol=1e-10, atol=0, err_msg=key)
         else:
             assert value == pin[key], key
+
+
+def pytest_report_header(config):
+    """Whether the run is on PINNED_BUILD: elsewhere the sha256 digests of
+    float results are not checked, and the log says so."""
+    verdict = "matched, float digests checked" if on_pinned_build() \
+        else "not matched, float digests skipped"
+    return f"PINNED_BUILD {verdict}; numpy, scipy, machine, SIMD: {_build()}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q leaves out the header, so a quiet run ends with its line instead
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(pytest_report_header(config))

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tgvdenoise import (MeshError, NoiseSpec, TriMesh, add_gaussian_noise,
-                        load_mesh, make_icosphere, make_tetrahedron, save_mesh)
+from tgvdenoise import (MeshError, NoiseSpec, TriMesh, add_gaussian_noise, fileio,
+                        load_mesh, make_cube, make_icosphere, make_tetrahedron, save_mesh)
 from tgvdenoise.topology import EdgeTopology
 
 from oracles import format_mesh_reference
@@ -164,6 +164,43 @@ def test_off_face_index_beyond_int64_rejected(tmp_path):
     path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n")
     with pytest.raises(MeshError, match="line 6: face index out of range"):
         load_mesh(path)
+
+
+def test_bad_plain_block_is_converted_once(tmp_path, monkeypatch):
+    # the block is plain (four tokens for each line, each line a v or an f),
+    # so it is split in one piece; its values are converted once, and only
+    # the naming of the bad record splits it again, line by line
+    calls = []
+
+    def counted(tokens):
+        calls.append(len(tokens))
+        return convert(tokens)
+
+    convert = fileio._obj_block
+    monkeypatch.setattr(fileio, "_obj_block", counted)
+    path = tmp_path / "bad.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 x 0\nf 1 2 3\n")
+    with pytest.raises(MeshError, match="line 3: bad vertex coordinate"):
+        load_mesh(path)
+    assert calls == [16]
+
+
+@pytest.mark.parametrize("workload", ["denoise-cube-1k2", "preview-sphere-20k"])
+def test_benchmark_inputs_are_split_in_one_piece(tmp_path, monkeypatch, workload):
+    # what save_mesh writes is plain in every block, so the benchmark's
+    # inputs, clean and noisy, never take the line-by-line split
+    def refuse(block):
+        raise AssertionError(f"split line by line: {block[:40]!r}")
+
+    clean = make_cube(10, 0.05) if workload == "denoise-cube-1k2" else make_icosphere(5, 0.15)
+    noisy = add_gaussian_noise(clean, NoiseSpec(0.3, mode="vertex-normal", seed=7))
+    monkeypatch.setattr(fileio, "_line_tokens", refuse)
+    for mesh in (clean, noisy):
+        path = tmp_path / "input.obj"
+        save_mesh(mesh, path)
+        back = load_mesh(path)
+        assert np.array_equal(back.vertices, mesh.vertices)
+        assert np.array_equal(back.faces, mesh.faces)
 
 
 def _traced_peak(fn):

@@ -142,3 +142,30 @@ def test_overflowing_coordinates_rejected_without_warning(verts, what):
         mesh = TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
         with pytest.raises(MeshError, match="coordinates overflow"):
             mesh.with_vertices(verts)
+
+
+@pytest.mark.parametrize("faces, message", [
+    ([[0.7, 1.2, 2.9]], "face 0 has a non-integer vertex index"),
+    ([[0, 1, 2], [0, 1, np.nan]], "face 1 has a non-integer vertex index"),
+    ([[0, 1, 1e30]], "face 0 references vertex index out of range"),
+    ([[0, 1, np.inf]], "face 0 references vertex index out of range"),
+    ([[-np.inf, 1, 2]], "face 0 references vertex index out of range"),
+], ids=["fraction", "nan", "beyond-int64", "inf", "minus-inf"])
+def test_non_integer_face_index_rejected_without_warning(faces, message):
+    # a cast to int64 would truncate 0.7, 1.2, 2.9 to the face (0, 1, 2),
+    # and warn on NaN or 1e30 before failing on a garbage index
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshError, match=message):
+            TriMesh(verts, np.array(faces))
+
+
+@pytest.mark.parametrize("faces", [
+    [[0, 1, 2]], np.array([[0, 1, 2]], dtype=np.uint8), np.array([[0.0, 1.0, 2.0]]),
+    np.array([[0, 1, 2]], dtype=np.float32), np.zeros((0, 3)), [],
+], ids=["list", "uint8", "float64", "float32", "empty-float", "empty-list"])
+def test_integer_and_integral_float_faces_accepted(faces):
+    mesh = TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], faces)
+    assert mesh.faces.dtype == np.int64
+    np.testing.assert_array_equal(mesh.faces, np.reshape(faces, (-1, 3)))

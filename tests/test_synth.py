@@ -58,3 +58,38 @@ def test_weld_numbers_rows_where_they_first_occur():
     np.testing.assert_array_equal(distinct, [[2, 0], [1, 1], [0, 5]])
     np.testing.assert_array_equal(number, [0, 1, 0, 2, 1])
     np.testing.assert_array_equal(distinct[number], rows)
+
+
+_BAD_COUNTS = [
+    ("cube", (2.7,), "divisions must be an integer"),
+    ("cube", (True,), "divisions must be an integer"),
+    ("cube", (np.bool_(True),), "divisions must be an integer"),
+    ("cube", (0,), "divisions must be at least 1"),
+    ("icosphere", (True,), "subdivisions must be an integer"),
+    ("icosphere", (1.5,), "subdivisions must be an integer"),
+    ("icosphere", (-1,), "subdivisions must be at least 0"),
+    ("plane", (2.5, 2), "nx and ny must be an integer"),
+    ("plane", (2, False), "nx and ny must be an integer"),
+    ("plane", (3, 0), "nx and ny must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("builder, args, message", _BAD_COUNTS,
+                         ids=[f"{name}{args}" for name, args, _ in _BAD_COUNTS])
+def test_builders_reject_counts_that_are_not_integers(builder, args, message):
+    # int() would make 2.7 a 2-division cube and True a 1-division one, and
+    # a fractional plane or icosphere count would fail inside numpy
+    with pytest.raises(ValueError, match=message):
+        _BUILDERS[builder](*args)
+
+
+@pytest.mark.parametrize("builder, args, faces", [
+    ("cube", (np.int64(2),), 48), ("icosphere", (np.int32(1),), 80),
+    ("plane", (np.uint8(255), np.int16(1)), 510),
+], ids=["cube", "icosphere", "plane"])
+def test_builders_take_numpy_integer_counts(builder, args, faces):
+    mesh = _BUILDERS[builder](*args)
+    assert mesh.num_faces == faces
+    reference = _BUILDERS[builder](*map(int, args))
+    np.testing.assert_array_equal(mesh.vertices, reference.vertices)
+    np.testing.assert_array_equal(mesh.faces, reference.faces)

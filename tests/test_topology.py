@@ -10,7 +10,7 @@ import pytest
 from tgvdenoise import (NoiseSpec, TriMesh, add_gaussian_noise, build_connectivity,
                         edge_jump, face_normals, ho_seminorm, load_mesh, make_cube,
                         make_icosphere, save_mesh, tv_seminorm)
-from tgvdenoise.topology import EdgeTopology, LineSet
+from tgvdenoise.topology import CurveSet, EdgeTopology, LineSet
 
 from conftest import on_pinned_build
 from oracles import curve_edges, dense_line_jump, edge_ends, line_edges, line_faces
@@ -148,6 +148,20 @@ def test_equilateral_line_length():
     topo = EdgeTopology(m)
     lines = LineSet(topo)
     assert np.allclose(lines.line_len, 1 / np.sqrt(3), atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["holed plane", "relabeled cube", "flipped sphere"])
+def test_curves_rebuilt_from_their_lines_are_the_same(all_conns, name):
+    # the curves take over the slot tables their lines made, so the
+    # connectivity holds neither; curves built again from those lines make
+    # the tables anew, and must come out the same
+    conn = all_conns[name]
+    assert not hasattr(conn.lines, "_handover")
+    again, curves = CurveSet(conn.lines), conn.curves
+    for key in ("valid", "curve_len"):
+        assert np.array_equal(getattr(again, key), getattr(curves, key)), key
+    for key in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(again.jump, key), getattr(curves.jump, key)), key
 
 
 def test_interior_edge_has_four_incident_lines(tet_conn):
