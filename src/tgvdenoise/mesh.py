@@ -38,11 +38,13 @@ class TriMesh:
             f = f.reshape(0, 3)
         if f.ndim != 2 or f.shape[1] != 3:
             raise MeshError(f"faces must have shape (T, 3), got {f.shape}")
-        # checked before the cast to int64, which truncates 0.7 and warns on NaN
-        if f.dtype.kind == "f":
-            whole = (np.trunc(f) == f).all(axis=1)     # NaN is not
+        # checked before the cast to int64, which truncates 0.7, drops an
+        # imaginary part and warns on NaN
+        if f.dtype.kind not in "iub":
+            whole = (np.trunc(f.real) == f).all(axis=1)     # NaN and 1j are not
             if not whole.all():
                 raise MeshError(f"face {int(np.argmin(whole))} has a non-integer vertex index")
+            f = f.real
 
         if f.size:
             if f.min() < 0 or f.max() >= len(v):

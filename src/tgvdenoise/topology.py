@@ -216,8 +216,6 @@ class LineSet:
         edges = topo.face_edges.ravel()
         self.jump = Stencil(twin, (into, out), self.active, (np.take(edges, into), edges),
                             self.line_len, topo.edge_len)
-        # held only until the CurveSet on these lines takes them over
-        self._handover = into, interior
 
     @property
     def num_lines(self):
@@ -249,8 +247,7 @@ class CurveSet:
     def __init__(self, lines):
         topo = lines.topo
         twin = topo.mesh._twin
-        # the lines' slot tables, taken over so the connectivity holds neither
-        into, interior = vars(lines).pop("_handover", None) or _slot_tables(twin)[1:]
+        _, into, interior = _slot_tables(twin)
         # the triangles across curve c's outgoing slot c and incoming slot
         # prev(c) hold their twins. twin(c) enters the vertex, so the far edge
         # is the slot after it; twin(prev(c)) leaves the vertex, so the far

@@ -198,5 +198,5 @@ def pytest_report_header(config):
 
 def pytest_terminal_summary(terminalreporter, config):
     # -q leaves out the header, so a quiet run ends with its line instead
-    if config.get_verbosity() < 0:
+    if config.getoption("verbose") < 0:
         terminalreporter.write_line(pytest_report_header(config))

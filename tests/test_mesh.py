@@ -150,7 +150,11 @@ def test_overflowing_coordinates_rejected_without_warning(verts, what):
     ([[0, 1, 1e30]], "face 0 references vertex index out of range"),
     ([[0, 1, np.inf]], "face 0 references vertex index out of range"),
     ([[-np.inf, 1, 2]], "face 0 references vertex index out of range"),
-], ids=["fraction", "nan", "beyond-int64", "inf", "minus-inf"])
+    ([[0.7 + 0j, 1, 2]], "face 0 has a non-integer vertex index"),
+    ([[0, 1, 2 + 1j]], "face 0 has a non-integer vertex index"),
+    (np.array([[0, 1, 2], [0.5, 1, 2]], dtype=object), "face 1 has a non-integer vertex index"),
+], ids=["fraction", "nan", "beyond-int64", "inf", "minus-inf", "complex-fraction",
+        "complex-imaginary", "object-fraction"])
 def test_non_integer_face_index_rejected_without_warning(faces, message):
     # a cast to int64 would truncate 0.7, 1.2, 2.9 to the face (0, 1, 2),
     # and warn on NaN or 1e30 before failing on a garbage index
@@ -164,7 +168,9 @@ def test_non_integer_face_index_rejected_without_warning(faces, message):
 @pytest.mark.parametrize("faces", [
     [[0, 1, 2]], np.array([[0, 1, 2]], dtype=np.uint8), np.array([[0.0, 1.0, 2.0]]),
     np.array([[0, 1, 2]], dtype=np.float32), np.zeros((0, 3)), [],
-], ids=["list", "uint8", "float64", "float32", "empty-float", "empty-list"])
+    np.array([[0, 1, 2]], dtype=complex), np.array([[0, 1, 2]], dtype=object),
+], ids=["list", "uint8", "float64", "float32", "empty-float", "empty-list", "complex",
+        "object"])
 def test_integer_and_integral_float_faces_accepted(faces):
     mesh = TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], faces)
     assert mesh.faces.dtype == np.int64

@@ -152,11 +152,9 @@ def test_equilateral_line_length():
 
 @pytest.mark.parametrize("name", ["holed plane", "relabeled cube", "flipped sphere"])
 def test_curves_rebuilt_from_their_lines_are_the_same(all_conns, name):
-    # the curves take over the slot tables their lines made, so the
-    # connectivity holds neither; curves built again from those lines make
-    # the tables anew, and must come out the same
+    # building curves leaves their lines as they were, so curves built again
+    # from the same lines must come out the same
     conn = all_conns[name]
-    assert not hasattr(conn.lines, "_handover")
     again, curves = CurveSet(conn.lines), conn.curves
     for key in ("valid", "curve_len"):
         assert np.array_equal(getattr(again, key), getattr(curves, key)), key
