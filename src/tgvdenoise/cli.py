@@ -17,7 +17,7 @@ import numpy as np
 from .fileio import _format_of, load_mesh, save_mesh, save_table
 from .mesh import MeshError, _checked_count, face_normals
 from .metrics import face_angle_errors, mean_angular_difference, vertex_error
-from .noise import MODES, NoiseSpec, _displaced, mean_edge_length, vertex_normals
+from .noise import MODES, NoiseSpec, add_gaussian_noise, mean_edge_length, vertex_normals
 from .operators import edge_jump, ho_seminorm, tgv_energy, tv_seminorm
 from .reconstruct import update_vertices
 from .solver import (_CG_MAX_ITERS, DIAGNOSTIC_COLUMNS, WEIGHT_RANGE, SolverError,
@@ -189,15 +189,14 @@ def cmd_add_noise(args) -> int:
     mesh = load_mesh(args.input)
     # a mesh without faces has no edge length, at any level
     le = mean_edge_length(mesh)
-    normals = vertex_normals(mesh) if args.mode == "vertex-normal" else None
-    noisy = _displaced(mesh, spec, le, normals) if spec.level else mesh
+    noisy = add_gaussian_noise(mesh, spec)
     save_mesh(noisy, args.output)
 
     disp = noisy.vertices - mesh.vertices
-    if normals is None:
+    if args.mode == "iid-coordinate":
         realized = float(disp.std())
     else:
-        realized = float((disp * normals).sum(axis=1).std())
+        realized = float((disp * vertex_normals(mesh)).sum(axis=1).std())
     _emit({
         "output": args.output,
         "mean_edge_length": le,

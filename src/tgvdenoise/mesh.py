@@ -29,10 +29,14 @@ class TriMesh:
     faces that traverse their shared edge in the same direction), and
     non-manifold vertices (faces around a vertex that form more than one
     edge-connected fan, as in a bowtie).
+
+    Every mesh passes this constructor, whether loaded, generated or made
+    from another by ``with_vertices``. It owns read-only C-order copies of
+    its vertices and faces, so the caller's arrays stay writeable.
     """
 
     def __init__(self, vertices, faces):
-        v = _checked_vertices(vertices)
+        v = _checked_vertices(vertices).copy()
         f = np.asarray(faces)
         if f.size == 0:
             f = f.reshape(0, 3)
@@ -53,7 +57,7 @@ class TriMesh:
             same = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])
             if same.any():
                 raise MeshError(f"face {int(np.nonzero(same)[0][0])} repeats a vertex")
-        f = f.astype(np.int64, copy=False)
+        f = f.astype(np.int64, order="C")
 
         v.setflags(write=False)
         f.setflags(write=False)
@@ -138,21 +142,12 @@ class TriMesh:
         return len(self.faces)
 
     def with_vertices(self, vertices):
-        """Same connectivity, new positions. The faces were validated with
-        this mesh, so only the checks that depend on positions rerun: shape
-        and vertex count, finite coordinates, and degenerate triangles."""
+        """A new mesh with this one's faces and new positions, one per
+        vertex, validated and copied by the constructor like any other."""
         v = _checked_vertices(vertices)
         if len(v) != self.num_vertices:
             raise MeshError(f"expected {self.num_vertices} vertices, got {len(v)}")
-        v.setflags(write=False)
-        mesh = object.__new__(type(self))
-        mesh.vertices = v
-        mesh.faces = self.faces
-        mesh._twin = self._twin
-        mesh._face_areas = None
-        if self.faces.size:
-            mesh._check_areas()
-        return mesh
+        return TriMesh(v, self.faces)
 
     def __repr__(self):
         return f"TriMesh(vertices={self.num_vertices}, faces={self.num_faces})"

@@ -58,23 +58,16 @@ def add_gaussian_noise(mesh, spec: NoiseSpec):
 
     Mode "iid-coordinate" draws an independent sample per coordinate; mode
     "vertex-normal" draws one amplitude per vertex and displaces along its
-    area-weighted normal.
+    area-weighted normal. The result is a new mesh from
+    ``mesh.with_vertices``, or ``mesh`` itself at level 0.
     """
     if spec.level == 0:
         return mesh
-    normals = vertex_normals(mesh) if spec.mode == "vertex-normal" else None
-    return _displaced(mesh, spec, mean_edge_length(mesh), normals)
-
-
-def _displaced(mesh, spec, edge_length, normals):
-    """add_gaussian_noise at a level above 0, given the mesh's mean edge
-    length and, in mode "vertex-normal", its vertex normals (else None), so
-    a caller that needs either computes it once."""
-    sigma = spec.level * edge_length
+    sigma = spec.level * mean_edge_length(mesh)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     if spec.mode == "iid-coordinate":
         disp = rng.normal(0.0, sigma, size=mesh.vertices.shape)
     else:
         amp = rng.normal(0.0, sigma, size=mesh.num_vertices)
-        disp = amp[:, None] * normals
+        disp = amp[:, None] * vertex_normals(mesh)
     return mesh.with_vertices(mesh.vertices + disp)

@@ -52,4 +52,4 @@ def update_vertices(mesh, target_normals, iters: int = 30):
             terms = (offset * nt[j][:, None]).T                 # (corner, T)
             x[j] += np.bincount(corner_vertex, weights=terms.ravel(),
                                 minlength=num_vertices) * scale
-    return mesh.with_vertices(x.T.copy())
+    return mesh.with_vertices(x.T)

@@ -9,6 +9,9 @@ from tgvdenoise import (TriMesh, build_connectivity, make_cube, make_icosphere,
                         make_tetrahedron)
 from tgvdenoise.synth import make_plane
 
+# the hooks below are tested by running pytest inside a test
+pytest_plugins = ["pytester"]
+
 
 @pytest.fixture(scope="session")
 def tet():

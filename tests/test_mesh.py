@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tgvdenoise import MeshError, TriMesh, face_normals, make_tetrahedron
+from tgvdenoise import MeshError, TriMesh, face_normals, make_icosphere, make_tetrahedron
 from tgvdenoise.mesh import face_areas
 
 
@@ -95,6 +95,29 @@ def test_vertices_are_read_only():
     m = make_tetrahedron()
     with pytest.raises(ValueError):
         m.vertices[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_mesh_copies_the_callers_arrays(order):
+    # the mesh freezes copies, so the caller's arrays stay writeable and apart
+    tet = make_tetrahedron()
+    v, f = np.array(tet.vertices, order=order), np.array(tet.faces, order=order)
+    for mesh, given in ((TriMesh(v, f), (v, f)), (tet.with_vertices(v), (v,))):
+        for mine in given:
+            assert mine.flags.writeable
+            assert not any(np.shares_memory(mine, a) for a in (mesh.vertices, mesh.faces))
+        for a in (mesh.vertices, mesh.faces):
+            assert a.flags.c_contiguous and not a.flags.writeable
+
+
+def test_with_vertices_builds_what_the_constructor_builds():
+    sphere = make_icosphere(2)
+    moved = np.asfortranarray(sphere.vertices * 1.5 + [0.1, -0.2, 0.3])
+    derived, built = sphere.with_vertices(moved), TriMesh(moved, sphere.faces)
+    for name in ("vertices", "faces", "_twin", "_face_areas"):
+        a, b = getattr(derived, name), getattr(built, name)
+        assert a.dtype == b.dtype and a.strides == b.strides, name
+        assert np.array_equal(a, b) and not a.flags.writeable, name
 
 
 def test_with_vertices_keeps_faces():

@@ -1,6 +1,10 @@
 import re
 from pathlib import Path
 
+import pytest
+
+import conftest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -27,3 +31,14 @@ def test_ci_tests_the_declared_python_floor():
               for version in re.findall(r'"([\d.]+)"', entry)]
     assert floor and tested
     assert min(tested, key=_version) == floor.group(1)
+
+
+@pytest.mark.parametrize("args", [["-q"], []], ids=["quiet", "normal"])
+def test_run_states_its_build_once(pytester, args):
+    # -q leaves out pytest's header, so a quiet run prints the build line at
+    # its end instead; either way the log has it exactly once
+    pytester.makepyfile("def test_one():\n    pass\n")
+    result = pytester.runpytest(*args, plugins=[conftest])
+    result.assert_outcomes(passed=1)
+    assert [line for line in result.outlines if line.startswith("PINNED_BUILD")] == \
+        [conftest.pytest_report_header(None)]
