@@ -20,8 +20,8 @@ from .metrics import face_angle_errors, mean_angular_difference, vertex_error
 from .noise import MODES, NoiseSpec, add_gaussian_noise, mean_edge_length, vertex_normals
 from .operators import edge_jump, ho_seminorm, tgv_energy, tv_seminorm
 from .reconstruct import update_vertices
-from .solver import (_CG_MAX_ITERS, DIAGNOSTIC_COLUMNS, WEIGHT_RANGE, SolverError,
-                     SolverParams, filter_normals, minimize_tgv)
+from .solver import (DIAGNOSTIC_COLUMNS, WEIGHT_RANGE, SolverError, SolverParams,
+                     filter_normals, minimize_tgv)
 from .synth import make_cube, make_icosphere, make_plane, make_tetrahedron
 from .topology import build_connectivity
 
@@ -48,7 +48,7 @@ def _add_solver_flags(p):
     g = p.add_argument_group(
         "solver parameters",
         "the six weights, penalties and bandwidth must lie in [%g, %g]; --stop-tol "
-        "must be positive and finite, --cg-tol strictly between 0 and 1" % WEIGHT_RANGE)
+        "must be positive and finite" % WEIGHT_RANGE)
     g.add_argument("--alpha1", type=float,
                    help="first-order weight (recommended range 0.5-3.0; default %(default)s)")
     g.add_argument("--alpha0", type=float,
@@ -65,11 +65,6 @@ def _add_solver_flags(p):
     g.add_argument("--stop-tol", type=float,
                    help="stop when the area-weighted squared normal change per "
                         "unit area drops below this (default %(default)s)")
-    g.add_argument("--cg-tol", dest="cg_rel_tol", metavar="CG_TOL", type=float,
-                   help="relative residual tolerance of the inner linear solves, "
-                        "in the measure-weighted norm of all three channels at once "
-                        "(default %%(default)s); a solve that misses it in %d "
-                        "iterations exits 2" % _CG_MAX_ITERS)
     g.add_argument("--no-dynamic-weights", dest="dynamic_weights", action="store_false",
                    help="freeze all edge weights at 1 (ablation)")
     p.set_defaults(**_SOLVER_DEFAULTS)
@@ -253,9 +248,6 @@ def cmd_seminorms(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    # a negative size would turn the closed shapes inside out
-    if not 0 < args.size < np.inf:
-        raise ValueError("size must be positive and finite")
     divisions = args.divisions
     if divisions is None:
         divisions = 3 if args.shape == "icosphere" else 10

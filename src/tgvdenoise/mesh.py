@@ -191,6 +191,12 @@ def _checked_count(name, value, least=1):
     return int(value)
 
 
+def _check_unit_rows(name, n):
+    """ValueError unless every row of ``n`` is finite and of unit length to 1e-8."""
+    if not (np.abs(row_norm(n) - 1.0) <= 1e-8).all():
+        raise ValueError(f"{name} rows must be finite and unit length")
+
+
 def _checked_vertices(vertices):
     v = np.asarray(vertices, dtype=np.float64)
     if v.ndim != 2 or v.shape[1] != 3:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .mesh import _checked_count, cross, row_dot
+from .mesh import _check_unit_rows, _checked_count, cross, row_dot
 
 __all__ = ["update_vertices"]
 
@@ -19,13 +19,15 @@ def update_vertices(mesh, target_normals, iters: int = 30):
     positions). A face whose current cross product points against its
     target is left out of the sums for that sweep, so flipped triangles
     cannot drag their vertices further the wrong way. The test reads a sign,
-    so nothing is normalized. Connectivity is never changed.
+    so nothing is normalized. Connectivity is never changed. The projection
+    assumes unit targets: a row not of unit length to 1e-8 raises ValueError.
     """
     _checked_count("iters", iters)
     n_t = np.asarray(target_normals, dtype=np.float64)
     faces = mesh.faces
     if n_t.shape != (len(faces), 3):
         raise ValueError(f"target_normals must have shape ({len(faces)}, 3)")
+    _check_unit_rows("target_normals", n_t)
 
     # coordinate-major throughout: x[j] and nt[j] are contiguous coordinate
     # arrays, and the .T views hand the row helpers contiguous columns

@@ -20,7 +20,7 @@ by its measures). On meshes of at most ``_DIRECT_MAX_FACES`` faces S is also
 factored once per run (a sparse LU with a symmetric ordering and diagonal
 pivots), and every solve's direct solution starts conjugate gradients on S,
 preconditioned by S's diagonal, whose first residual checks it against
-``cg_rel_tol``: one product per solve when it passes. On larger meshes, where
+``_CG_REL_TOL``: one product per solve when it passes. On larger meshes, where
 a factor costs more than it saves, conjugate gradients start from the
 system's previous solution, and ``scipy.sparse.linalg`` is never imported.
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import _checked_count, row_dot, row_norm
+from .mesh import _check_unit_rows, _checked_count, row_dot, row_norm
 from .operators import (
     curve_jump, curve_jump_adjoint, edge_jump, edge_jump_adjoint,
     inner_faces, line_jump, line_jump_adjoint, norm_curves, norm_edges,
@@ -46,8 +46,15 @@ from .operators import (
 # 0.22 s with CG (2-core VM, one BLAS thread).
 _DIRECT_MAX_FACES = 5_000
 
-# Conjugate-gradient iterations allowed per linear solve; a solve that has
-# not met cg_rel_tol after them raises SolverError.
+# Every linear solve iterates until its residual, in the measure-weighted norm
+# of the whole (n, C) block, is at most _CG_REL_TOL times its right-hand
+# side's, or raises SolverError after _CG_MAX_ITERS iterations. The splitting
+# tolerates inexact solves: on the 19.2k-face benchmark cube, 100 sweeps at
+# 1e-5 took 4 192 normal and 1 500 v products where 1e-8 took 9 027 and
+# 2 457, while the final objective moved by 1.3e-6 relative and the mean
+# normal error by 4.8e-5. A factored mesh's direct solutions pass at any
+# tolerance in one product each.
+_CG_REL_TOL = 1e-5
 _CG_MAX_ITERS = 2000
 
 __all__ = [
@@ -77,7 +84,7 @@ WEIGHT_RANGE = (1e-100, 1e100)
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Weights, penalties, and tolerances for the normal filter.
+    """Weights, penalties, and the stop rule of the normal filter.
 
     alpha1 / alpha0 weight the first- and second-order terms, beta the
     fidelity term (100 suits both CAD-like and smooth surfaces at the
@@ -90,16 +97,7 @@ class SolverParams:
     the same sweep at beta / s; 6.7e-9 is about the former raw threshold,
     1e-10, over the 1.2k-face bench cube's clean area 0.015.
     dynamic_weights is a bool; False freezes all edge weights at 1. These
-    defaults are the command line's too.
-
-    cg_rel_tol lies strictly between 0 and 1: at 1 or more a solve from zero
-    would return zero at once, and the filter its input. Its default 1e-5 is
-    measured: the splitting tolerates inexact solves, and on the 19.2k-face
-    benchmark cube 100 sweeps at 1e-5 took 4 192 normal and 1 500 v
-    products where 1e-8 took 9 027 and 2 457, while the final objective
-    moved by 1.3e-6 relative and the mean normal error by 4.8e-5. A
-    factored mesh's direct solutions pass at any tolerance in one product
-    each, so its results do not depend on it.
+    defaults are the command line's too; every solve meets ``_CG_REL_TOL``.
     """
 
     alpha1: float = 1.0
@@ -110,7 +108,6 @@ class SolverParams:
     sigma_e: float = 0.5
     max_outer_iters: int = 100
     stop_tol: float = 6.7e-9
-    cg_rel_tol: float = 1e-5
     dynamic_weights: bool = True
 
     def __post_init__(self):
@@ -120,8 +117,6 @@ class SolverParams:
                 raise ValueError(f"{name} must be between {lo:g} and {hi:g}")
         if not 0 < self.stop_tol < np.inf:
             raise ValueError("stop_tol must be positive and finite")
-        if not 0 < self.cg_rel_tol < 1:
-            raise ValueError("cg_rel_tol must be between 0 and 1, exclusive")
         _checked_count("max_outer_iters", self.max_outer_iters)
         if not isinstance(self.dynamic_weights, (bool, np.bool_)):
             raise ValueError(f"dynamic_weights must be a bool, got {self.dynamic_weights!r}")
@@ -299,18 +294,17 @@ class _System:
     of at most ``_DIRECT_MAX_FACES`` faces S is also factored, with a
     symmetric ordering and diagonal pivots.
     ``solve(rhs)`` scales ``rhs`` in place to D rhs and solves S y = D rhs
-    by conjugate gradients, from the direct solution when factored, else
-    from the previous ``solution`` y; it leaves the product count in
-    ``products`` and returns D^-1 y. As |D r| is r's measure-weighted norm,
-    the stop rule is the model's. A failed factorization, or a direct
-    solution that is not finite, raises SolverError.
+    by conjugate gradients to ``_CG_REL_TOL`` (read at each call), from the
+    direct solution when factored, else from the previous ``solution`` y;
+    it leaves the product count in ``products`` and returns D^-1 y. As
+    |D r| is r's measure-weighted norm, the stop rule is the model's. A
+    failed factorization, or a non-finite direct solution, raises SolverError.
     The CG is Jacobi-preconditioned by ``precondition``, S's diagonal taken
     once as max(diag S) / diag S and, like ``d``, repeated over the
     channels, so no product of a solve broadcasts. It gives the same
     iterates as diag(S)^-1 up to rounding, but with every entry at least 1,
-    so the preconditioned inner products stay above the squared residual
-    norm that the stop rule reads instead of underflowing first (with
-    diag(S)^-1, a ``cg_rel_tol`` near 1e-180 met a 0/0).
+    so the preconditioned inner products stay at or above the squared
+    residual norm that the stop rule reads and cannot underflow first.
     """
 
     def __init__(self, conn, params, kind, channels=3):
@@ -321,7 +315,7 @@ class _System:
             factory, diagonal, r, jumps = (v_system_operator, params.r1, params.r0,
                                            [conn.lines.jump, conn.curves.jump])
         matrix = _system_matrix(diagonal, r, jumps)
-        self.kind, self.params, self.apply = kind, params, factory(matrix)
+        self.kind, self.apply = kind, factory(matrix)
         self.d = np.repeat(np.sqrt(jumps[0].m_col)[:, None], channels, axis=1)
         jacobi = matrix.diagonal()
         self.precondition = np.repeat((jacobi.max() / jacobi)[:, None], channels, axis=1)
@@ -348,8 +342,7 @@ class _System:
         rhs *= self.d
         y0 = self.solution if self.factor is None else self.direct(rhs)
         self.solution, self.products = _cg_block(
-            self.apply, self.precondition, rhs, self.params.cg_rel_tol,
-            self.kind, x0=y0)
+            self.apply, self.precondition, rhs, _CG_REL_TOL, self.kind, x0=y0)
         return self.solution / self.d
 
 
@@ -453,9 +446,7 @@ def filter_normals(conn, n_in, params=None) -> FilterResult:
     n_in = np.asarray(n_in, dtype=np.float64)
     if n_in.shape != (topo.num_faces, 3):
         raise ValueError(f"n_in must have shape ({topo.num_faces}, 3)")
-    # a NaN row fails this comparison too
-    if not np.abs(row_norm(n_in) - 1.0).max() <= 1e-8:
-        raise ValueError("n_in rows must be finite and unit length")
+    _check_unit_rows("n_in", n_in)
 
     state = SolverState.initial(conn, n_in, params)
     n_system, v_system = _System(conn, params, "normal"), _System(conn, params, "v")
@@ -497,10 +488,9 @@ def minimize_tgv(conn, u, alpha1, alpha0, iters=200):
     the infimum over v of tgv_energy(conn, u, v, alpha1, alpha0).
 
     Runs ``iters`` (at least 1) of the filter's own sweep steps, and its v
-    _System, at the filter's default penalties and tolerances (so on an
-    unfactored mesh the v solves stop at cg_rel_tol 1e-5), with the face
-    field held fixed as N and all edge weights at 1, tracking the best
-    iterate. Returns (energy, v) at the best v found: an upper bound on the
+    _System, at the filter's default penalties and its ``_CG_REL_TOL``,
+    with the face field held fixed as N and all edge weights at 1, tracking
+    the best iterate. Returns (energy, v) at the best v found: an upper bound on the
     infimum however inexact the solves, since each energy is evaluated at
     the v it is returned with. It may be one of the two seeds.
     """

@@ -14,9 +14,16 @@ from .mesh import TriMesh, _checked_count
 __all__ = ["make_tetrahedron", "make_cube", "make_icosphere", "make_plane"]
 
 
+def _checked_size(name, value):
+    """``value``, if positive and finite: a negative size turns a shape inside out."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    return value
+
+
 def make_tetrahedron(scale: float = 1.0) -> TriMesh:
     """Regular tetrahedron centered at the origin, outward orientation."""
-    v = scale * np.array([
+    v = _checked_size("scale", scale) * np.array([
         [1.0, 1.0, 1.0],
         [1.0, -1.0, -1.0],
         [-1.0, 1.0, -1.0],
@@ -42,7 +49,7 @@ def _weld(rows):
 def make_plane(nx: int = 4, ny: int = 4, size: float = 1.0) -> TriMesh:
     """Rectangular grid in the z=0 plane (a mesh with boundary)."""
     nx, ny = (_checked_count("nx and ny", count) for count in (nx, ny))
-    xs = np.linspace(0.0, size, nx + 1)
+    xs = np.linspace(0.0, _checked_size("size", size), nx + 1)
     ys = np.linspace(0.0, size, ny + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     verts = np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=1)
@@ -59,6 +66,7 @@ def make_cube(divisions: int = 10, size: float = 1.0) -> TriMesh:
     triangles each), vertices welded along the cube edges, outward
     counterclockwise orientation. 12 * divisions^2 faces total."""
     n = _checked_count("divisions", divisions)
+    _checked_size("size", size)
     # per side: origin and the two lattice directions, chosen so that
     # du x dv points outward
     sides = np.array([
@@ -85,6 +93,7 @@ def make_icosphere(subdivisions: int = 3, radius: float = 1.0) -> TriMesh:
     """Icosahedron subdivided ``subdivisions`` times, projected onto the
     sphere; 20 * 4^k faces, outward orientation."""
     subdivisions = _checked_count("subdivisions", subdivisions, least=0)
+    _checked_size("radius", radius)
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array([
         (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),

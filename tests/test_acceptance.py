@@ -134,7 +134,7 @@ def test_criterion_2_second_difference_identities():
 def test_criterion_3_subproblem_oracles():
     mesh = make_cube(2, size=0.05)  # 48 faces
     conn = build_connectivity(mesh)
-    params = SolverParams(cg_rel_tol=1e-10)
+    params = SolverParams()
     rng = np.random.default_rng(300)
     worst_rel = worst_factor = 0.0
     for kind, n in [("normal", conn.topo.num_faces), ("v", conn.topo.num_edges)]:
@@ -147,8 +147,7 @@ def test_criterion_3_subproblem_oracles():
             dense[:, i] = apply_op(e)[:, 0]
         b = rng.normal(size=(n, 3))
         x_direct = np.linalg.solve(dense, b)
-        x_cg, _ = _cg_block(apply_op, system.precondition, b, params.cg_rel_tol,
-                            "acceptance")
+        x_cg, _ = _cg_block(apply_op, system.precondition, b, 1e-10, "acceptance")
         rel = np.linalg.norm(x_cg - x_direct) / np.linalg.norm(x_direct)
         worst_rel = max(worst_rel, rel)
         assert rel < 1e-8

@@ -1,5 +1,7 @@
+import argparse
 import json
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -273,9 +275,8 @@ def test_denoise_mismatched_ground_truth_writes_nothing(capsys, tmp_path):
 
 
 WEIGHT_OPTIONS = ["--alpha1", "--alpha0", "--beta", "--r1", "--r0", "--sigma-e"]
-# each tolerance's open range: --cg-tol at 1 or more accepted every solve's
-# start, and a filter from zero returned its input
-TOLERANCE_RANGES = {"--stop-tol": (0.0, np.inf), "--cg-tol": (0.0, 1.0)}
+# the stop tolerance's open range
+TOLERANCE_RANGES = {"--stop-tol": (0.0, np.inf)}
 # 1e-300 to 1e300 every 20 decades, and values no range holds
 DECADES = [f"1e{d}" for d in range(-300, 301, 20)] + ["0", "-1", "inf", "nan"]
 
@@ -328,20 +329,26 @@ def _readme_parameter_defaults():
 
 
 def test_readme_states_the_denoise_defaults():
-    # the README's defaults, from --alpha1 to --cg-tol and --vertex-iters,
-    # are the parser's and SolverParams()'s
+    # every row of the README's Parameters table names a denoise option, and
+    # every denoise option with a default has a row stating it ("off" for a
+    # switch), which for a solver flag is SolverParams()'s default too: a
+    # removed option cannot linger in the README, nor a new one go unlisted
     stated = _readme_parameter_defaults()
-    parser = _build_parser()
-    denoise = parser._subparsers._group_actions[0].choices["denoise"]
-    dest = {flag: action.dest for action in denoise._actions
-            for flag in action.option_strings}
-    args = parser.parse_args(["denoise", "in.obj", "-o", "out.obj"])
-    params = SolverParams()
-    for flag in ("--alpha1", "--alpha0", "--beta", "--r1", "--r0", "--sigma-e",
-                 "--max-iters", "--stop-tol", "--cg-tol", "--vertex-iters"):
-        assert float(stated[flag]) == getattr(args, dest[flag]), flag
-        if flag != "--vertex-iters":
-            assert float(stated[flag]) == getattr(params, dest[flag]), flag
+    denoise = _build_parser()._subparsers._group_actions[0].choices["denoise"]
+    options = {flag: action for action in denoise._actions
+               for flag in action.option_strings}
+    assert set(stated) <= set(options), set(stated) - set(options)
+    params = asdict(SolverParams())
+    for flag, action in options.items():
+        if action.default in (None, argparse.SUPPRESS):
+            continue
+        assert flag in stated, flag
+        if action.nargs == 0:
+            assert stated[flag] == "off", flag
+            continue
+        assert float(stated[flag]) == action.default, flag
+        if action.dest in params:
+            assert float(stated[flag]) == params[action.dest], flag
 
 
 @pytest.mark.parametrize("minimize", [False, True], ids=["plain", "minimize"])
@@ -377,14 +384,12 @@ def test_seminorms_float_option_over_every_decade(capsys, tmp_path, option, mini
     (["seminorms", "missing.obj", "--minimize", "--minimize-iters", "0"], "minimize-iters"),
     (["seminorms", "missing.obj", "--minimize", "--minimize-iters", "-3"], "minimize-iters"),
     (["denoise", "missing.obj", "-o", "out.obj", "--error-map", "e.csv"], "ground-truth"),
-    (["denoise", "missing.obj", "-o", "out.obj", "--cg-tol", "1"], "between 0 and 1"),
-    (["denoise", "missing.obj", "-o", "out.obj", "--cg-tol", "2"], "between 0 and 1"),
     (["add-noise", "missing.obj", "-o", "out.obj", "--level", "nan"], "finite"),
     (["add-noise", "missing.obj", "-o", "out.obj", "--level", "inf"], "finite"),
     (["add-noise", "missing.obj", "-o", "out.obj", "--level", "0.3", "--seed", "-1"],
      "seed"),
 ], ids=["vertex-iters", "seminorms-alpha1", "seminorms-alpha0", "minimize-iters-0",
-        "minimize-iters-negative", "error-map", "cg-tol-1", "cg-tol-2",
+        "minimize-iters-negative", "error-map",
         "add-noise-level-nan", "add-noise-level-inf", "add-noise-seed-negative"])
 def test_bad_values_fail_before_the_mesh_is_read(capsys, tmp_path, argv, message):
     # the input does not exist, so an error about the value shows that it
@@ -402,11 +407,11 @@ def test_bad_values_fail_before_the_mesh_is_read(capsys, tmp_path, argv, message
     ("plane", ["--divisions", "-2"], "nx and ny"),
     ("cube", ["--divisions", "-2"], "divisions"),
     ("cube", ["--size", "-1"], "size"),
-    ("tetrahedron", ["--size", "-1"], "size"),
-    ("icosphere", ["--size", "-1", "--divisions", "1"], "size"),
+    ("tetrahedron", ["--size", "-1"], "scale"),
+    ("icosphere", ["--size", "-1", "--divisions", "1"], "radius"),
     ("plane", ["--size", "0"], "size"),
     ("cube", ["--size", "inf"], "size"),
-    ("icosphere", ["--size", "nan", "--divisions", "1"], "size"),
+    ("icosphere", ["--size", "nan", "--divisions", "1"], "radius"),
 ])
 def test_gen_bad_shape_arguments_fail_before_a_mesh_is_built(capsys, tmp_path, shape,
                                                              args, message):
@@ -522,16 +527,27 @@ def test_denoise_solver_failure_exits_2(capsys, tmp_path, monkeypatch):
     # the factoring threshold one CG product cannot reach 1e-14; below it
     # the factor's solution passes a 1e-14 check, but no solve can meet 1e-300
     monkeypatch.setattr(solver, "_CG_MAX_ITERS", 1)
-    for shape, divisions, cg_tol, factored in [("icosphere", 4, "1e-14", False),
-                                               ("cube", 3, "1e-300", True)]:
+    for shape, divisions, cg_tol, factored in [("icosphere", 4, 1e-14, False),
+                                               ("cube", 3, 1e-300, True)]:
         mesh_path, info = gen(capsys, tmp_path, shape, f"{shape}.obj", divisions=divisions)
         assert (info["faces"] <= solver._DIRECT_MAX_FACES) == factored
         noisy = tmp_path / "noisy.obj"
         run_cli(capsys, "add-noise", str(mesh_path), "-o", str(noisy), "--level", "0.3")
-        code, _, err = run_cli(capsys, "denoise", str(noisy), "-o", str(tmp_path / "o.obj"),
-                               "--cg-tol", cg_tol)
+        monkeypatch.setattr(solver, "_CG_REL_TOL", cg_tol)
+        code, _, err = run_cli(capsys, "denoise", str(noisy), "-o", str(tmp_path / "o.obj"))
         assert code == 2
         assert "solver error" in err
+
+
+def test_denoise_has_no_cg_tol_option(capsys, tmp_path):
+    # the inner solves' tolerance is the constant solver._CG_REL_TOL
+    with pytest.raises(SystemExit) as exc:
+        main(["denoise", str(tmp_path / "in.obj"), "-o", str(tmp_path / "out.obj"),
+              "--cg-tol", "1e-5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--cg-tol" in errors[0]
 
 
 def test_seminorms_flat_plane_all_zero(capsys, tmp_path):

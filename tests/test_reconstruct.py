@@ -53,6 +53,21 @@ def test_shape_mismatch_rejected():
         update_vertices(mesh, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("row", [1.5, np.nan], ids=["scaled", "nan"])
+def test_targets_must_be_finite_unit_rows(row):
+    # the projection n (n . (c - x)) assumes unit n: on the clean cube, 3x
+    # targets collapsed a face, and 1.5x ones moved a noisy cube's output
+    # 0.697 degrees off the targets where unit ones ended 0.094 degrees off
+    mesh = make_cube(3, size=0.05)
+    targets = face_normals(mesh)
+    targets[4] *= row
+    with pytest.raises(ValueError, match="target_normals rows must be finite and unit"):
+        update_vertices(mesh, targets)
+    # within 1e-8 of unit length, as filter_normals takes its input
+    targets[4] = face_normals(mesh)[4] * (1.0 + 5e-9)
+    update_vertices(mesh, targets)
+
+
 def test_flat_quad_reaches_tilted_targets():
     # hinge the two triangles of a square around their shared diagonal
     mesh = make_plane(1, 1)

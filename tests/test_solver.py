@@ -216,7 +216,7 @@ def test_v_system_is_positive_definite(cube_small_conn, rng):
 
 def test_cg_matches_dense_solve(cube_small_conn, rng):
     conn = cube_small_conn
-    params = SolverParams(cg_rel_tol=1e-10)
+    params = SolverParams()
     for kind, n in [("normal", conn.topo.num_faces), ("v", conn.topo.num_edges)]:
         system = _System(conn, params, kind)
         dense = _dense_from_operator(system.apply, n)
@@ -224,8 +224,7 @@ def test_cg_matches_dense_solve(cube_small_conn, rng):
         x_direct = np.linalg.solve(dense, b)
         # from zero, and warm-started from a random guess
         for x0 in (None, 10.0 * np.random.default_rng(5).normal(size=(n, 3))):
-            x_cg, _ = _cg_block(system.apply, system.precondition, b, params.cg_rel_tol,
-                                "test", x0=x0)
+            x_cg, _ = _cg_block(system.apply, system.precondition, b, 1e-10, "test", x0=x0)
             rel = np.linalg.norm(x_cg - x_direct) / np.linalg.norm(x_direct)
             assert rel < 1e-8
 
@@ -235,7 +234,7 @@ def test_cg_zero_rhs_returns_zero(cube_small_conn):
     params = SolverParams()
     system = _System(conn, params, "v")
     out, _ = _cg_block(system.apply, system.precondition,
-                       np.zeros((conn.topo.num_edges, 3)), params.cg_rel_tol, "test")
+                       np.zeros((conn.topo.num_edges, 3)), 1e-5, "test")
     assert np.all(out == 0.0)
 
 
@@ -274,10 +273,9 @@ def test_cg_block_is_rotation_equivariant(cube_small_conn, rng):
     rot, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
     b = rng.normal(size=(conn.topo.num_edges, 3))
     system = _System(conn, params, "v")
-    x, products = _cg_block(system.apply, system.precondition, b, params.cg_rel_tol,
-                            "test")
-    x_rot, products_rot = _cg_block(system.apply, system.precondition, b @ rot.T,
-                                    params.cg_rel_tol, "test")
+    x, products = _cg_block(system.apply, system.precondition, b, 1e-5, "test")
+    x_rot, products_rot = _cg_block(system.apply, system.precondition, b @ rot.T, 1e-5,
+                                    "test")
     assert products_rot == products > 1
     assert np.abs(x_rot - x @ rot.T).max() <= 1e-12 * np.abs(x).max()
 
@@ -298,8 +296,8 @@ def test_cg_warm_start_zero_rhs_channel_returns_zero(cube_small_conn, rng):
     b = rng.normal(size=(conn.topo.num_edges, 3))
     b[:, 1] = 0.0
     system = _System(conn, params, "v")
-    out, _ = _cg_block(system.apply, system.precondition, b, params.cg_rel_tol,
-                       "test", x0=rng.normal(size=b.shape))
+    out, _ = _cg_block(system.apply, system.precondition, b, 1e-5, "test",
+                       x0=rng.normal(size=b.shape))
     assert np.all(out[:, 1] == 0.0)
     assert np.any(out[:, [0, 2]] != 0.0)
 
@@ -312,8 +310,8 @@ def test_cg_warm_start_at_the_solution_takes_one_product(cube_small_conn, rng):
         b = rng.normal(size=(n, 3))
         x_direct = np.linalg.solve(_dense_from_operator(system.apply, n), b)
         counted, calls = _counting(system.apply)
-        x_cg, products = _cg_block(counted, system.precondition, b, params.cg_rel_tol,
-                                   "test", x0=x_direct)
+        x_cg, products = _cg_block(counted, system.precondition, b, 1e-5, "test",
+                                   x0=x_direct)
         assert len(calls) == products <= 1
         assert np.array_equal(x_cg, x_direct)
 
@@ -391,7 +389,7 @@ def test_solve_meets_the_tolerance_in_the_measure_weighted_norm(request, monkeyp
                                                                 mesh, factored, rng):
     # conjugate gradients stop on |D r|, which is r's measure-weighted norm:
     # the residual of the unscaled system, from the composed operators and
-    # that norm taken here, meets cg_rel_tol, cold and warm-started
+    # that norm taken here, meets _CG_REL_TOL, cold and warm-started
     conn = request.getfixturevalue(mesh)
     topo, lines, curves = conn.topo, conn.lines, conn.curves
     params = SolverParams()
@@ -410,7 +408,7 @@ def test_solve_meets_the_tolerance_in_the_measure_weighted_norm(request, monkeyp
             b = rng.normal(size=(len(measure), 3))
             r = b - composed(system.solve(b.copy()))
             norm_r, norm_b = (np.sqrt((measure[:, None] * a ** 2).sum()) for a in (r, b))
-            assert norm_r <= params.cg_rel_tol * norm_b
+            assert norm_r <= solver._CG_REL_TOL * norm_b
 
 
 # -- subproblems ----------------------------------------------------------------
@@ -586,14 +584,14 @@ def test_one_sweep_matches_hand_stepped_oracle(square_conn):
     n_system = _System(conn, params, "normal")
     d_n = np.sqrt(topo.face_area)[:, None]
     N, n_products = _cg_block(n_system.apply, n_system.precondition,
-                              d_n * (params.beta * n_in), params.cg_rel_tol, "n")
+                              d_n * (params.beta * n_in), 1e-5, "n")
     N = N / d_n
     N = N / np.linalg.norm(N, axis=1)[:, None]
     # v-step: only the P-constraint term is nonzero
     v_system = _System(conn, params, "v")
     d_v = np.sqrt(topo.edge_len)[:, None]
     v, _ = _cg_block(v_system.apply, v_system.precondition,
-                     d_v * (params.r1 * edge_jump(topo, N)), params.cg_rel_tol, "v")
+                     d_v * (params.r1 * edge_jump(topo, N)), 1e-5, "v")
     v = v / d_v
     P = shrink(params.alpha1 * w, params.r1, edge_jump(topo, N) - v)
     assert np.allclose(result.normals, N, atol=1e-12)
@@ -760,7 +758,7 @@ def preview_run(preview_sphere):
 def test_preview_sphere_stays_unfactored(preview_run):
     # five sweeps at beta 1000 on 20k faces: both systems run warm-started
     # CG without a factor, and the products stay near the 60 normal and 77
-    # v products measured at the default cg_rel_tol 1e-5 (101 and 124 at
+    # v products measured at the default _CG_REL_TOL 1e-5 (101 and 124 at
     # 1e-8)
     result, systems = preview_run
     assert sorted(system.kind for system in systems) == ["normal", "v"]
@@ -803,7 +801,7 @@ def test_irregular_sphere_normal_solves_stay_few():
     # 77x (the regular level-4 sphere's 1.9x): the normal system's diagonal
     # spreads with them, and plain CG took 372 normal products over these
     # five sweeps where Jacobi-preconditioned CG took 81 when the test was
-    # written (v: 150 and 142), at cg_rel_tol 1e-8. At the default 1e-5
+    # written (v: 150 and 142), at _CG_REL_TOL 1e-8. At the default 1e-5
     # they take 244 and 50 (v: 88 with Jacobi)
     mesh = flipped_icosphere(4, 2400, seed=2)
     mesh = TriMesh(0.15 * mesh.vertices, mesh.faces)
@@ -1091,36 +1089,38 @@ def test_filter_is_translation_invariant(noisy_cube_small):
     assert np.abs(_filtered(moved, params) - base).max() <= 1e-10
 
 
-@pytest.mark.parametrize("name, cg_rel_tol, bound", [
+@pytest.mark.parametrize("name, tol, bound", [
     ("factored", 1e-12, 1e-10), ("cg", 1e-12, 1e-10), ("flipped-sphere", 1e-12, 1e-10),
-    ("holed-plane", 1e-12, 1e-10), ("cg", SolverParams().cg_rel_tol, 1e-12),
+    ("holed-plane", 1e-12, 1e-10), ("cg", solver._CG_REL_TOL, 1e-12),
 ], ids=["factored", "cg", "flipped-sphere", "holed-plane", "cg-default-tol"])
-def test_filter_is_rotation_equivariant(noisy_meshes, name, cg_rel_tol, bound):
+def test_filter_is_rotation_equivariant(noisy_meshes, monkeypatch, name, tol, bound):
     # rotating the input rotates the output. The 48-face cube is factored,
     # so each solve is its direct solution: measured 4.4e-16 after 20
-    # sweeps, at cg_rel_tol 1e-12 and 1e-8 alike, and 1.9e-15 on the
+    # sweeps, at _CG_REL_TOL 1e-12 and 1e-8 alike, and 1.9e-15 on the
     # flipped sphere and 4.2e-16 on the holed plane. The 5 292-face cube is
     # the first above the factoring threshold, so conjugate gradients
     # iterate: Jacobi-preconditioned, 2.6e-14 at 1e-12, 2.3e-14 at the
     # default 1e-5 and at most 5.2e-14 from 1e-12 to 1e-2; plain CG's gap
-    # tracked cg_rel_tol (1.2e-12, 6.3e-9 at 1e-8, 6.1e-5 at 1e-4)
+    # tracked the tolerance (1.2e-12, 6.3e-9 at 1e-8, 6.1e-5 at 1e-4)
     mesh = noisy_meshes[name]
     assert (mesh.num_faces > solver._DIRECT_MAX_FACES) == (name == "cg")
     rot, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
     rot[:, 0] *= np.sign(np.linalg.det(rot))
-    params = SolverParams(max_outer_iters=20, cg_rel_tol=cg_rel_tol)
+    monkeypatch.setattr(solver, "_CG_REL_TOL", tol)
+    params = SolverParams(max_outer_iters=20)
     base = _filtered(mesh, params)
     turned = _filtered(mesh.with_vertices(mesh.vertices @ rot.T), params)
     assert np.abs(turned - base @ rot.T).max() <= bound
 
 
-def test_filter_is_relabeling_equivariant(noisy_meshes):
+def test_filter_is_relabeling_equivariant(noisy_meshes, monkeypatch):
     # permuting the vertex and face indices permutes the output normals.
     # Edge orientations and summation orders change with the labels, so
     # the two runs round differently: measured 4.6e-16 on the cube after 20
-    # sweeps at cg_rel_tol 1e-12, 1e-8 and the default 1e-5 alike, 5.6e-16
+    # sweeps at _CG_REL_TOL 1e-12, 1e-8 and the default 1e-5 alike, 5.6e-16
     # on the flipped sphere and 2.2e-16 on the holed plane at 1e-12 or 1e-8
-    params = SolverParams(max_outer_iters=20, cg_rel_tol=1e-12)
+    monkeypatch.setattr(solver, "_CG_REL_TOL", 1e-12)
+    params = SolverParams(max_outer_iters=20)
     for name in ("factored", "flipped-sphere", "holed-plane"):
         mesh = noisy_meshes[name]
         rng = np.random.default_rng(5)
@@ -1132,16 +1132,16 @@ def test_filter_is_relabeling_equivariant(noisy_meshes):
         assert gap <= 1e-10, name
 
 
-@pytest.mark.parametrize("name, s, cg_rel_tol, sweeps, bound", [
+@pytest.mark.parametrize("name, s, tol, sweeps, bound", [
     ("factored", 10.0, 1e-12, 20, 1e-10), ("factored", 0.1, 1e-12, 20, 1e-10),
-    ("cg", 0.1, SolverParams().cg_rel_tol, 20, 1e-12),
-    ("factored", 0.5, SolverParams().cg_rel_tol, 150, 1e-12),
-    ("factored", 2.0, SolverParams().cg_rel_tol, 150, 1e-12),
+    ("cg", 0.1, solver._CG_REL_TOL, 20, 1e-12),
+    ("factored", 0.5, solver._CG_REL_TOL, 150, 1e-12),
+    ("factored", 2.0, solver._CG_REL_TOL, 150, 1e-12),
 ], ids=["10.0", "0.1", "cg-default-tol", "default-rule-0.5", "default-rule-2.0"])
-def test_filter_follows_the_scale_law(noisy_meshes, name, s, cg_rel_tol, sweeps, bound):
+def test_filter_follows_the_scale_law(noisy_meshes, monkeypatch, name, s, tol, sweeps, bound):
     # README: areas scale by s^2 and lengths by s, so the mesh scaled by s
     # with beta / s is the same problem divided by s; measured 4.1e-14
-    # (s = 10) and 5.7e-14 (s = 0.1) on the factored cube at cg_rel_tol
+    # (s = 10) and 5.7e-14 (s = 0.1) on the factored cube at _CG_REL_TOL
     # 1e-12 after 20 sweeps. CG's stop rule is relative, so the unfactored
     # 5 292-face cube keeps the law at the default 1e-5 too: 3.0e-14 at
     # s = 0.1 (2.8e-14 at s = 10). With 150 sweeps allowed, the default
@@ -1150,12 +1150,30 @@ def test_filter_follows_the_scale_law(noisy_meshes, name, s, cg_rel_tol, sweeps,
     # sweeps, 6.2e-16 apart. A fixed threshold on the raw change stopped
     # them after 59 / 50 / 70 sweeps, 2.9e-3 apart at s = 0.5)
     mesh = noisy_meshes[name]
-    params = SolverParams(max_outer_iters=sweeps, cg_rel_tol=cg_rel_tol)
+    monkeypatch.setattr(solver, "_CG_REL_TOL", tol)
+    params = SolverParams(max_outer_iters=sweeps)
     base = filter_normals(build_connectivity(mesh), face_normals(mesh), params)
     scaled = mesh.with_vertices(mesh.vertices * s)
     got = filter_normals(build_connectivity(scaled), face_normals(scaled),
-                         SolverParams(max_outer_iters=sweeps, cg_rel_tol=cg_rel_tol,
-                                      beta=params.beta / s))
+                         SolverParams(max_outer_iters=sweeps, beta=params.beta / s))
     assert base.stop_reason == ("max_iters" if sweeps == 20 else "tolerance")
     assert (got.iterations, got.stop_reason) == (base.iterations, base.stop_reason)
     assert np.abs(got.normals - base.normals).max() <= bound
+
+
+@pytest.mark.parametrize("divisions", [2, 10], ids=["48-faces", "1200-faces"])
+def test_factored_filter_does_not_depend_on_the_tolerance(monkeypatch, divisions):
+    # README: a factored solve passes at any tolerance in one product, so the
+    # two factored noisy cubes give the same bits at 1e-3, the default and
+    # 1e-12, one product per solve over all 100 sweeps
+    mesh = _noisy(make_cube(divisions, size=0.05))
+    conn, n_in = build_connectivity(mesh), face_normals(mesh)
+    assert mesh.num_faces <= solver._DIRECT_MAX_FACES
+    params = SolverParams(stop_tol=1e-300)
+    base = filter_normals(conn, n_in, params)
+    for tol in (1e-3, solver._CG_REL_TOL, 1e-12):
+        monkeypatch.setattr(solver, "_CG_REL_TOL", tol)
+        result = filter_normals(conn, n_in, params)
+        assert result.iterations == 100
+        assert result.cg_iterations.sum(axis=0).tolist() == [100, 100]
+        assert np.array_equal(result.normals, base.normals), tol

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tgvdenoise import synth
-from tgvdenoise.synth import make_cube, make_icosphere, make_plane
+from tgvdenoise.synth import make_cube, make_icosphere, make_plane, make_tetrahedron
 
 _BUILDERS = {"plane": make_plane, "cube": make_cube, "icosphere": make_icosphere}
 
@@ -93,3 +93,16 @@ def test_builders_take_numpy_integer_counts(builder, args, faces):
     reference = _BUILDERS[builder](*map(int, args))
     np.testing.assert_array_equal(mesh.vertices, reference.vertices)
     np.testing.assert_array_equal(mesh.faces, reference.faces)
+
+
+@pytest.mark.parametrize("builder, name", [
+    (make_tetrahedron, "scale"), (lambda size: make_cube(2, size=size), "size"),
+    (lambda radius: make_icosphere(1, radius=radius), "radius"),
+    (lambda size: make_plane(2, 2, size=size), "size"),
+], ids=["tetrahedron", "cube", "icosphere", "plane"])
+@pytest.mark.parametrize("value", [-1.0, 0.0, np.inf, np.nan])
+def test_builders_reject_sizes_that_are_not_positive_and_finite(builder, name, value):
+    # a negative size turned the closed shapes inside out: every face normal
+    # pointed toward the centroid, against the outward orientation promised
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+        builder(value)
