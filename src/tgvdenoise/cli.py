@@ -38,19 +38,31 @@ class _Parser(argparse.ArgumentParser):
 # Each solver flag is stored under the name of its SolverParams field, and
 # defaults to that field's default.
 _SOLVER_DEFAULTS = asdict(SolverParams())
+_SOLVER_FLAGS = {name: "--" + name.replace("_", "-") for name in _SOLVER_DEFAULTS}
+_SOLVER_FLAGS["max_outer_iters"] = "--max-iters"
 
 
-def _solver_params(args) -> SolverParams:
-    return SolverParams(**{name: getattr(args, name) for name in _SOLVER_DEFAULTS})
+def _solver_params(args, names=tuple(_SOLVER_DEFAULTS)) -> SolverParams:
+    """SolverParams from the parsed ``names``, each checked alone first so
+    that a value out of range is reported with the flag that set it."""
+    values = {name: getattr(args, name) for name in names}
+    for name, value in values.items():
+        try:
+            SolverParams(**{name: value})
+        except ValueError as exc:
+            raise ValueError(f"{_SOLVER_FLAGS[name]}: {exc}") from exc
+    return SolverParams(**values)
 
 
 def _add_solver_flags(p):
     g = p.add_argument_group(
         "solver parameters",
-        "the six weights, penalties and bandwidth must lie in [%g, %g]; --stop-tol "
-        "must be positive and finite" % WEIGHT_RANGE)
+        "the six weights, penalties and bandwidth must lie in [%g, %g], and "
+        "--sigma-e may also be inf; --stop-tol must be positive and finite" % WEIGHT_RANGE)
     g.add_argument("--alpha1", type=float,
-                   help="first-order weight (recommended range 0.5-3.0; default %(default)s)")
+                   help="first-order weight (0.5-3.0 is a good range, but at the default "
+                        "penalties 2-3 end 3-4x worse than 1 on the benchmark cube; "
+                        "default %(default)s)")
     g.add_argument("--alpha0", type=float,
                    help="second-order weight (recommended range 0.05-1; default %(default)s)")
     g.add_argument("--beta", type=float,
@@ -59,14 +71,13 @@ def _add_solver_flags(p):
     g.add_argument("--r1", type=float, help="first-order penalty weight")
     g.add_argument("--r0", type=float, help="second-order penalty weight")
     g.add_argument("--sigma-e", type=float,
-                   help="edge-weight bandwidth on unit-normal differences")
+                   help="edge-weight bandwidth on unit-normal differences; inf "
+                        "turns the weights off (the ablation)")
     g.add_argument("--max-iters", dest="max_outer_iters", metavar="MAX_ITERS", type=int,
                    help="outer iteration cap")
     g.add_argument("--stop-tol", type=float,
                    help="stop when the area-weighted squared normal change per "
                         "unit area drops below this (default %(default)s)")
-    g.add_argument("--no-dynamic-weights", dest="dynamic_weights", action="store_false",
-                   help="freeze all edge weights at 1 (ablation)")
     p.set_defaults(**_SOLVER_DEFAULTS)
 
 
@@ -112,16 +123,15 @@ def _build_parser():
     p.set_defaults(alpha1=_SOLVER_DEFAULTS["alpha1"], alpha0=_SOLVER_DEFAULTS["alpha0"])
     p.add_argument("--minimize", action="store_true",
                    help="also search for the minimizing auxiliary field")
-    p.add_argument("--minimize-iters", type=int, default=200,
-                   help="sweeps of that search, at least 1 (default %(default)s)")
+    p.add_argument("--minimize-iters", type=int,
+                   help="with --minimize: sweeps of that search, at least 1 (default 200)")
 
     p = sub.add_parser("gen", help="write a procedural test mesh")
-    p.add_argument("--shape", required=True,
-                   choices=["tetrahedron", "cube", "icosphere", "plane"])
+    p.add_argument("--shape", required=True, choices=list(_SHAPES))
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--divisions", type=int,
                    help="grid divisions (cube/plane, default 10) or subdivision "
-                        "level (icosphere, default 3)")
+                        "level (icosphere, default 3); not for the tetrahedron")
     p.add_argument("--size", type=float, default=1.0,
                    help="edge length or radius, positive and finite")
     return parser
@@ -145,7 +155,7 @@ def _compare(mesh, reference, n_ref, error_map):
 
 def cmd_denoise(args) -> int:
     params = _solver_params(args)
-    _checked_count("vertex-iters", args.vertex_iters)
+    _checked_count("--vertex-iters", args.vertex_iters)
     if args.error_map and not args.ground_truth:
         raise ValueError("--error-map requires --ground-truth")
     mesh = load_mesh(args.input)
@@ -220,9 +230,13 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_seminorms(args) -> int:
-    # range-checks both weights, as for denoise, before the mesh is read
-    SolverParams(alpha1=args.alpha1, alpha0=args.alpha0)
-    _checked_count("minimize-iters", args.minimize_iters)
+    # range-checks both weights, as for denoise, and the search's sweeps
+    # before the mesh is read
+    _solver_params(args, ("alpha1", "alpha0"))
+    if args.minimize_iters is not None:
+        if not args.minimize:
+            raise ValueError("--minimize-iters requires --minimize")
+        _checked_count("--minimize-iters", args.minimize_iters)
     mesh = load_mesh(args.input)
     conn = build_connectivity(mesh)
     topo = conn.topo
@@ -240,25 +254,36 @@ def cmd_seminorms(args) -> int:
         "face_count": mesh.num_faces,
     }
     if args.minimize:
-        energy, _ = minimize_tgv(conn, u, args.alpha1, args.alpha0,
-                                 iters=args.minimize_iters)
+        iters = {} if args.minimize_iters is None else {"iters": args.minimize_iters}
+        energy, _ = minimize_tgv(conn, u, args.alpha1, args.alpha0, **iters)
         report["tgv_minimized"] = energy
     _emit(report)
     return 0
 
 
+# Each gen shape's builder, the parameters that --divisions sets and their
+# default, and the parameter that --size sets
+_SHAPES = {
+    "tetrahedron": (make_tetrahedron, (), None, "scale"),
+    "cube": (make_cube, ("divisions",), 10, "size"),
+    "icosphere": (make_icosphere, ("subdivisions",), 3, "radius"),
+    "plane": (make_plane, ("nx", "ny"), 10, "size"),
+}
+
+
 def cmd_gen(args) -> int:
-    divisions = args.divisions
-    if divisions is None:
-        divisions = 3 if args.shape == "icosphere" else 10
-    if args.shape == "tetrahedron":
-        mesh = make_tetrahedron(scale=args.size)
-    elif args.shape == "cube":
-        mesh = make_cube(divisions=divisions, size=args.size)
-    elif args.shape == "icosphere":
-        mesh = make_icosphere(subdivisions=divisions, radius=args.size)
-    else:
-        mesh = make_plane(nx=divisions, ny=divisions, size=args.size)
+    build, counts, default, size = _SHAPES[args.shape]
+    if args.divisions is not None and not counts:
+        raise ValueError(f"--divisions does not apply to --shape {args.shape}")
+    divisions = default if args.divisions is None else args.divisions
+    try:
+        mesh = build(**dict.fromkeys(counts, divisions), **{size: args.size})
+    except MeshError:
+        raise
+    except ValueError as exc:
+        # a builder's range error begins with the parameter it names
+        flag = "--size" if str(exc).startswith(size) else "--divisions"
+        raise ValueError(f"{flag}: {exc}") from exc
     save_mesh(mesh, args.output)
     _emit({"output": args.output, "vertices": mesh.num_vertices,
            "faces": mesh.num_faces})

@@ -12,7 +12,8 @@ near sharp creases so those jumps are penalized less. Splitting variables
 P = edge_jump(N) - v, Q1 = line_jump(v), Q2 = curve_jump(v) turn the
 objective into five easy subproblems per sweep: two symmetric positive
 definite linear systems and three closed-form shrink steps, followed by
-multiplier ascent on the constraint residuals and a weight refresh. Neither
+multiplier ascent on the constraint residuals and a weight refresh; at
+sigma_e = inf every weight is exactly 1, the unweighted model. Neither
 system depends on the iterates or the edge weights, so ``_System`` builds
 each once per run for the filter and ``minimize_tgv``, in coordinates scaled
 by D = diag(sqrt(measure)), as S = c*I + sum of r * B^T B (B a jump balanced
@@ -78,7 +79,8 @@ class SolverError(RuntimeError):
 # The range of every weight, penalty and bandwidth. Within it the squares and
 # products the sweeps form stay far from float64's overflow and underflow:
 # beta or r1 near 1e300 overflowed the CG inner products, sigma_e near 1e300
-# overflowed its square, and near 1e-300 that square was 0.
+# overflowed its square, and near 1e-300 that square was 0. sigma_e may also
+# be inf, where exp(-x / inf) is exactly 1 for every finite x >= 0.
 WEIGHT_RANGE = (1e-100, 1e100)
 
 
@@ -90,13 +92,13 @@ class SolverParams:
     fidelity term (100 suits both CAD-like and smooth surfaces at the
     calibrated scale; a larger beta keeps more of the input's noise). r1 /
     r0 are the splitting penalties, sigma_e the weight bandwidth on
-    unit-normal differences; each of these six lies in WEIGHT_RANGE.
+    unit-normal differences; each of these six lies in WEIGHT_RANGE, and
+    sigma_e may be inf, which turns the edge weights off (all exactly 1).
     stop_tol is positive and finite, max_outer_iters an integer of at least 1.
     The loop stops once a sweep's area-weighted squared normal change over
     the total face area is below stop_tol, so a mesh scaled by s stops after
     the same sweep at beta / s; 6.7e-9 is about the former raw threshold,
-    1e-10, over the 1.2k-face bench cube's clean area 0.015.
-    dynamic_weights is a bool; False freezes all edge weights at 1. These
+    1e-10, over the 1.2k-face bench cube's clean area 0.015. These
     defaults are the command line's too; every solve meets ``_CG_REL_TOL``.
     """
 
@@ -108,18 +110,17 @@ class SolverParams:
     sigma_e: float = 0.5
     max_outer_iters: int = 100
     stop_tol: float = 6.7e-9
-    dynamic_weights: bool = True
 
     def __post_init__(self):
         lo, hi = WEIGHT_RANGE
-        for name in ("alpha1", "alpha0", "beta", "r1", "r0", "sigma_e"):
+        for name in ("alpha1", "alpha0", "beta", "r1", "r0"):
             if not lo <= getattr(self, name) <= hi:
                 raise ValueError(f"{name} must be between {lo:g} and {hi:g}")
+        if not (lo <= self.sigma_e <= hi or self.sigma_e == np.inf):
+            raise ValueError(f"sigma_e must be between {lo:g} and {hi:g}, or inf")
         if not 0 < self.stop_tol < np.inf:
             raise ValueError("stop_tol must be positive and finite")
         _checked_count("max_outer_iters", self.max_outer_iters)
-        if not isinstance(self.dynamic_weights, (bool, np.bool_)):
-            raise ValueError(f"dynamic_weights must be a bool, got {self.dynamic_weights!r}")
 
 
 @dataclass
@@ -137,19 +138,17 @@ class SolverState:
     w: np.ndarray
 
     @classmethod
-    def initial(cls, conn, n_in, params):
-        """Zero iterates shaped like ``n_in``; weights seeded from it."""
+    def initial(cls, conn, jump_in, params):
+        """Zero iterates, and weights from ``jump_in``, the input's edge jump."""
         topo, lines, curves = conn.topo, conn.lines, conn.curves
         E, L, C = topo.num_edges, lines.num_lines, curves.num_curves
-        ch = n_in.shape[1]
-        w = edge_weights(edge_jump(topo, n_in), params.sigma_e) \
-            if params.dynamic_weights else np.ones(E)
+        ch = jump_in.shape[1]
         return cls(
             N=np.zeros((topo.num_faces, ch)),
             v=np.zeros((E, ch)), P=np.zeros((E, ch)), lam_P=np.zeros((E, ch)),
             Q1=np.zeros((L, ch)), lam_Q1=np.zeros((L, ch)),
             Q2=np.zeros((C, ch)), lam_Q2=np.zeros((C, ch)),
-            w=w,
+            w=edge_weights(jump_in, params.sigma_e),
         )
 
 
@@ -195,7 +194,8 @@ def shrink(weight, penalty, z) -> np.ndarray:
 def edge_weights(jump_n, sigma_e) -> np.ndarray:
     """Per-edge feature weights exp(-|N_1 - N_2|^2 / (2 sigma_e^2)) from
     ``jump_n`` = edge_jump(N), which is +-(N_1 - N_2) exactly on an interior
-    edge and 0, so weight 1, on a boundary edge."""
+    edge and 0, so weight 1, on a boundary edge. ``sigma_e`` = inf gives
+    exactly 1 on every edge."""
     return np.exp(-row_dot(jump_n, jump_n) / (2.0 * sigma_e ** 2))
 
 
@@ -448,7 +448,7 @@ def filter_normals(conn, n_in, params=None) -> FilterResult:
         raise ValueError(f"n_in must have shape ({topo.num_faces}, 3)")
     _check_unit_rows("n_in", n_in)
 
-    state = SolverState.initial(conn, n_in, params)
+    state = SolverState.initial(conn, edge_jump(topo, n_in), params)
     n_system, v_system = _System(conn, params, "normal"), _System(conn, params, "v")
     area = topo.face_area.sum()
     rows, cg_iterations = [], []
@@ -468,8 +468,7 @@ def filter_normals(conn, n_in, params=None) -> FilterResult:
         rows.append((k, fid + energy, norm_edges(topo, res_p),
                      norm_lines(conn.lines, res_q1), norm_curves(conn.curves, res_q2),
                      change_sq))
-        if params.dynamic_weights:
-            state.w = edge_weights(jump_n, params.sigma_e)
+        state.w = edge_weights(jump_n, params.sigma_e)
         # the sweep's fields would otherwise stay alive through the next solves
         del jump_n, res_p, res_q1, res_q2
 
@@ -489,23 +488,23 @@ def minimize_tgv(conn, u, alpha1, alpha0, iters=200):
 
     Runs ``iters`` (at least 1) of the filter's own sweep steps, and its v
     _System, at the filter's default penalties and its ``_CG_REL_TOL``,
-    with the face field held fixed as N and all edge weights at 1, tracking
-    the best iterate. Returns (energy, v) at the best v found: an upper bound on the
-    infimum however inexact the solves, since each energy is evaluated at
-    the v it is returned with. It may be one of the two seeds.
+    with the face field held fixed as N and sigma_e = inf, so all edge
+    weights are 1, tracking the best iterate. Returns (energy, v) at the
+    best v found: an upper bound on the infimum however inexact the solves,
+    since each energy is evaluated at the v it is returned with. It may be
+    one of the two seeds.
     """
     _checked_count("iters", iters)
     u = np.asarray(u, dtype=np.float64)
     if not np.isfinite(u).all():
         raise ValueError("u must be finite")
     u2 = u[:, None] if u.ndim == 1 else u
-    params = SolverParams(alpha1=alpha1, alpha0=alpha0, dynamic_weights=False)
-    state = SolverState.initial(conn, u2, params)
-    state.N = u2
-
+    params = SolverParams(alpha1=alpha1, alpha0=alpha0, sigma_e=np.inf)
     # the face field is fixed, so its jump is taken once; each sweep returns
     # the energy of its v
     jump_u = edge_jump(conn.topo, u2)
+    state = SolverState.initial(conn, jump_u, params)
+    state.N = u2
 
     def energy(v):
         return tgv_energy_of_jumps(conn, jump_u - v, line_jump(conn.lines, v),

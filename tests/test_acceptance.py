@@ -64,7 +64,7 @@ def bench_run(bench):
 
 @pytest.fixture(scope="module")
 def bench_run_unweighted(bench):
-    params = SolverParams(alpha1=1.0, alpha0=0.1, beta=100.0, dynamic_weights=False)
+    params = SolverParams(alpha1=1.0, alpha0=0.1, beta=100.0, sigma_e=np.inf)
     result = filter_normals(bench["conn"], bench["n_noisy"], params)
     output = update_vertices(bench["noisy"], result.normals, iters=30)
     return result, output

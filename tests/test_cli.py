@@ -210,7 +210,7 @@ def test_denoise_flags_and_outputs(capsys, tmp_path):
     emap = tmp_path / "errors.csv"
     code, report, _ = run_cli(
         capsys, "denoise", str(noisy), "-o", str(out),
-        "--no-dynamic-weights", "--max-iters", "20",
+        "--sigma-e", "inf", "--max-iters", "20",
         "--diagnostics", str(diag), "--ground-truth", str(mesh_path),
         "--error-map", str(emap))
     assert code == 0
@@ -298,13 +298,14 @@ def test_denoise_float_option_over_every_decade(capsys, tmp_path, option):
                                         option, value)
         if option in WEIGHT_OPTIONS:
             lo, hi = solver.WEIGHT_RANGE
-            inside = lo <= float(value) <= hi
+            # inf is the bandwidth's weights-off limit
+            inside = lo <= float(value) <= hi or (option, value) == ("--sigma-e", "inf")
         else:
             lo, hi = TOLERANCE_RANGES[option]
             inside = lo < float(value) < hi
         if not inside:
             assert code == 1 and stdout == "", (option, value)
-            assert err.startswith("error: ") and len(err.splitlines()) == 1
+            assert err.startswith(f"error: {option}: ") and len(err.splitlines()) == 1
             assert ("finite" if option == "--stop-tol" else "between") in err
         elif code == 0:
             assert np.isfinite(load_mesh(out).vertices).all(), (option, value)
@@ -314,41 +315,50 @@ def test_denoise_float_option_over_every_decade(capsys, tmp_path, option):
 
 
 def _readme_parameter_defaults():
-    """Each flag of the README's Parameters table and the default it states;
-    a row naming two flags and one default gives both that default."""
+    """Each (subcommand, flag) of the README's Parameters table and the
+    default it states. A row's flags belong to the subcommand that its first
+    flag names, denoise if none; a row naming two flags and one default
+    gives both that default."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text(encoding="utf-8").split("### Parameters", 1)[1]
     defaults = {}
     for line in section.strip().split("\n\n", 1)[0].splitlines():
-        if line.startswith("| `--"):
+        if line.startswith("| `"):
             flags, stated = line.split("|")[1:3]
             flags = [flag.strip(" `") for flag in flags.split(",")]
+            command, _, flags[0] = flags[0].rpartition(" ")
             stated = [value.strip() for value in stated.split(",")]
-            defaults.update(zip(flags, stated * len(flags) if len(stated) == 1 else stated))
+            stated = stated * len(flags) if len(stated) == 1 else stated
+            defaults.update(((command or "denoise", flag), value)
+                            for flag, value in zip(flags, stated))
     return defaults
 
 
-def test_readme_states_the_denoise_defaults():
-    # every row of the README's Parameters table names a denoise option, and
-    # every denoise option with a default has a row stating it ("off" for a
-    # switch), which for a solver flag is SolverParams()'s default too: a
-    # removed option cannot linger in the README, nor a new one go unlisted
+def test_readme_states_every_subcommand_default():
+    # every row of the README's Parameters table names an option of its
+    # subcommand, and every option that is not required and has a default
+    # or takes a number has a row: the parser's default where it has one
+    # ("off" for a switch), which for a solver flag is SolverParams()'s too.
+    # A removed option cannot linger in the README, nor a new one go unlisted
     stated = _readme_parameter_defaults()
-    denoise = _build_parser()._subparsers._group_actions[0].choices["denoise"]
-    options = {flag: action for action in denoise._actions
-               for flag in action.option_strings}
+    subcommands = _build_parser()._subparsers._group_actions[0].choices
+    options = {(command, flag): action for command, parser in subcommands.items()
+               for action in parser._actions for flag in action.option_strings}
     assert set(stated) <= set(options), set(stated) - set(options)
     params = asdict(SolverParams())
-    for flag, action in options.items():
-        if action.default in (None, argparse.SUPPRESS):
+    for key, action in options.items():
+        no_default = action.default in (None, argparse.SUPPRESS)
+        if action.required or no_default and action.type not in (int, float):
             continue
-        assert flag in stated, flag
+        assert key in stated, key
         if action.nargs == 0:
-            assert stated[flag] == "off", flag
-            continue
-        assert float(stated[flag]) == action.default, flag
-        if action.dest in params:
-            assert float(stated[flag]) == params[action.dest], flag
+            assert stated[key] == "off", key
+        elif isinstance(action.default, str):
+            assert stated[key] == action.default, key
+        elif not no_default:
+            assert float(stated[key]) == action.default, key
+            if action.dest in params:
+                assert float(stated[key]) == params[action.dest], key
 
 
 @pytest.mark.parametrize("minimize", [False, True], ids=["plain", "minimize"])
@@ -377,28 +387,42 @@ def test_seminorms_float_option_over_every_decade(capsys, tmp_path, option, mini
             assert np.isfinite(energies).all(), (option, value)
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["denoise", "missing.obj", "-o", "out.obj", "--vertex-iters", "0"], "vertex-iters"),
-    (["seminorms", "missing.obj", "--alpha1", "1e308"], "between"),
-    (["seminorms", "missing.obj", "--alpha0", "nan", "--minimize"], "between"),
-    (["seminorms", "missing.obj", "--minimize", "--minimize-iters", "0"], "minimize-iters"),
-    (["seminorms", "missing.obj", "--minimize", "--minimize-iters", "-3"], "minimize-iters"),
-    (["denoise", "missing.obj", "-o", "out.obj", "--error-map", "e.csv"], "ground-truth"),
-    (["add-noise", "missing.obj", "-o", "out.obj", "--level", "nan"], "finite"),
-    (["add-noise", "missing.obj", "-o", "out.obj", "--level", "inf"], "finite"),
+@pytest.mark.parametrize("argv, words", [
+    (["denoise", "missing.obj", "-o", "out.obj", "--vertex-iters", "0"],
+     ["--vertex-iters"]),
+    (["seminorms", "missing.obj", "--alpha1", "1e308"], ["--alpha1", "between"]),
+    (["seminorms", "missing.obj", "--alpha0", "nan", "--minimize"], ["--alpha0", "between"]),
+    (["seminorms", "missing.obj", "--minimize", "--minimize-iters", "0"],
+     ["--minimize-iters"]),
+    (["seminorms", "missing.obj", "--minimize", "--minimize-iters", "-3"],
+     ["--minimize-iters"]),
+    (["denoise", "missing.obj", "-o", "out.obj", "--error-map", "e.csv"],
+     ["--error-map", "ground-truth"]),
+    (["add-noise", "missing.obj", "-o", "out.obj", "--level", "nan"], ["finite"]),
+    (["add-noise", "missing.obj", "-o", "out.obj", "--level", "inf"], ["finite"]),
     (["add-noise", "missing.obj", "-o", "out.obj", "--level", "0.3", "--seed", "-1"],
-     "seed"),
+     ["seed"]),
+    (["denoise", "missing.obj", "-o", "out.obj", "--max-iters", "0"],
+     ["--max-iters", "max_outer_iters must be at least 1"]),
+    (["denoise", "missing.obj", "-o", "out.obj", "--stop-tol", "0"],
+     ["--stop-tol", "stop_tol", "finite"]),
+    (["denoise", "missing.obj", "-o", "out.obj", "--sigma-e", "0"],
+     ["--sigma-e", "sigma_e", "between", "inf"]),
+    (["seminorms", "missing.obj", "--minimize-iters", "5"],
+     ["--minimize-iters requires --minimize"]),
 ], ids=["vertex-iters", "seminorms-alpha1", "seminorms-alpha0", "minimize-iters-0",
         "minimize-iters-negative", "error-map",
-        "add-noise-level-nan", "add-noise-level-inf", "add-noise-seed-negative"])
-def test_bad_values_fail_before_the_mesh_is_read(capsys, tmp_path, argv, message):
+        "add-noise-level-nan", "add-noise-level-inf", "add-noise-seed-negative",
+        "max-iters", "stop-tol", "sigma-e", "minimize-iters-without-minimize"])
+def test_bad_values_fail_before_the_mesh_is_read(capsys, tmp_path, argv, words):
     # the input does not exist, so an error about the value shows that it
-    # was checked first
+    # was checked first; a range error names the flag as typed and the
+    # library's parameter
     argv = [str(tmp_path / a) if a.endswith(".obj") else a for a in argv]
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 1 and stdout == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert message in err
+    assert all(word in err for word in words), err
 
 
 @pytest.mark.parametrize("shape, args, message", [
@@ -412,17 +436,21 @@ def test_bad_values_fail_before_the_mesh_is_read(capsys, tmp_path, argv, message
     ("plane", ["--size", "0"], "size"),
     ("cube", ["--size", "inf"], "size"),
     ("icosphere", ["--size", "nan", "--divisions", "1"], "radius"),
+    ("tetrahedron", ["--divisions", "-3"], "does not apply"),
+    ("tetrahedron", ["--divisions", "2"], "does not apply"),
 ])
 def test_gen_bad_shape_arguments_fail_before_a_mesh_is_built(capsys, tmp_path, shape,
                                                              args, message):
     # a negative size would write the closed shapes inside out, and a
-    # division count below the shape's least a degenerate mesh or a numpy error
+    # division count below the shape's least a degenerate mesh or a numpy
+    # error; the tetrahedron has no divisions to set. The error names the
+    # builder's parameter and the flag as typed, which each case gives first
     out = tmp_path / "out.obj"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, stdout, err = run_cli(capsys, "gen", "--shape", shape, "-o", str(out), *args)
     assert code == 1 and stdout == "" and not out.exists()
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {args[0]}") and len(err.splitlines()) == 1
     assert message in err and caught == []
 
 

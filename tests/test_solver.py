@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,8 @@ from tgvdenoise.solver import (SolverState, _cg_block, _System, edge_weights,
                                solve_q1_subproblem, solve_q2_subproblem,
                                solve_v_subproblem, update_multipliers)
 from tgvdenoise.synth import make_plane
-from conftest import assert_pinned, flipped_icosphere, pinned_values
+from conftest import (assert_pinned, flipped_icosphere, on_pinned_build,
+                      pinned_values)
 from oracles import dense_edge_jump
 
 
@@ -414,7 +417,7 @@ def test_solve_meets_the_tolerance_in_the_measure_weighted_norm(request, monkeyp
 # -- subproblems ----------------------------------------------------------------
 
 def _fresh_state(conn, n_in, params):
-    return SolverState.initial(conn, n_in, params)
+    return SolverState.initial(conn, edge_jump(conn.topo, n_in), params)
 
 
 def _jumps(conn, state):
@@ -842,6 +845,56 @@ def test_preview_sphere_output_does_not_depend_on_blas_threads(preview_sphere, t
                   PREVIEW_PIN)
 
 
+# The unweighted ablation on the noise-7 bench cube (factored, 100 sweeps) and
+# the noise-7 level-4 sphere of radius 0.15 (5 120 faces, CG, stopping on
+# tolerance), recorded when a boolean switch froze every weight at 1:
+# sigma_e = inf must give the same bits. The diagnostics' digest, like the
+# normals', is checked only on PINNED_BUILD.
+UNWEIGHTED_PINS = {
+    "cube": (lambda: make_cube(10, size=0.05), {
+        "last_diagnostics": [99.0, 0.6620116413843582, 0.0017313394113432563,
+                             0.0006668674592909237, 0.0008358616682827021,
+                             7.682914291024102e-09],
+        "cg_totals": [100, 100],
+        "iterations": 100,
+        "stop_reason": "max_iters",
+        "normals_sha256": "77816dddb5298829c9cadde983078fa392fbbafddbbb3b07a580a998890d22e9",
+        "diagnostics_sha256":
+            "a9c87b00e25fc36ae35375785d8e4f2c5e43065052a88ec0329b08af55998277",
+    }),
+    "sphere": (lambda: make_icosphere(4, 0.15), {
+        "last_diagnostics": [37.0, 5.017770396227441, 0.0025955008580233036,
+                             0.0011806637939630075, 0.0016063086023375003,
+                             1.8664573523026377e-09],
+        "cg_totals": [636, 457],
+        "iterations": 38,
+        "stop_reason": "tolerance",
+        "normals_sha256": "005ce5045086cbf5b532415ccd7e3734f334f548341a17b2c3cbcaf04d9cb6ba",
+        "diagnostics_sha256":
+            "2b38a6cdbde902696975f418136399530d63ef471ac154faad9b63035af634f3",
+    }),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(UNWEIGHTED_PINS))
+def test_unweighted_runs_are_pinned(shape):
+    build, pin = UNWEIGHTED_PINS[shape]
+    noisy = add_gaussian_noise(build(), NoiseSpec(0.3, mode="vertex-normal", seed=7))
+    conn = build_connectivity(noisy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # exp(-x / inf) is exactly 1 for zero jumps, rows of 1e150 and the input's
+        jumps = [np.zeros((4, 3)), np.full((4, 3), 1e150),
+                 edge_jump(conn.topo, face_normals(noisy))]
+        for jump in jumps:
+            assert np.array_equal(edge_weights(jump, np.inf), np.ones(len(jump)))
+        result = filter_normals(conn, face_normals(noisy), SolverParams(sigma_e=np.inf))
+    assert_pinned(pinned_values(result), pin)
+    if on_pinned_build():
+        assert hashlib.sha256(result.diagnostics.tobytes()).hexdigest() == \
+            pin["diagnostics_sha256"]
+
+
 class _NonFiniteFactor:
     def solve(self, rhs):
         return np.full_like(rhs, np.nan)
@@ -890,10 +943,6 @@ def test_counts_must_be_integers(cube_small_conn):
     for value in (2.5, True):
         with pytest.raises(ValueError, match="max_outer_iters must be an integer"):
             SolverParams(max_outer_iters=value)
-    # the switch is a bool: a string would otherwise be truthy
-    with pytest.raises(ValueError, match="dynamic_weights must be a bool"):
-        SolverParams(dynamic_weights="no")
-    assert not SolverParams(dynamic_weights=np.bool_(False)).dynamic_weights
     u = face_normals(cube_small_conn.mesh)
     with pytest.raises(ValueError, match="iters must be an integer"):
         minimize_tgv(cube_small_conn, u, 1.0, 0.1, iters=2.5)
@@ -924,7 +973,7 @@ def test_stronger_weights_flatten_the_output_field():
     for a1 in (0.5, 4.0, 16.0):
         res = filter_normals(conn, n_in, SolverParams(
             alpha1=a1, alpha0=a1 / 10, r1=2 * a1, r0=2 * a1,
-            dynamic_weights=False, max_outer_iters=80))
+            sigma_e=np.inf, max_outer_iters=80))
         tvs.append(tv_seminorm(conn.topo, res.normals))
     assert tvs[0] > tvs[1] > tvs[2]
     assert tvs[2] < tv_seminorm(conn.topo, n_in)
