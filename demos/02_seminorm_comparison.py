@@ -28,7 +28,7 @@ for mesh, label in [(clean, "clean cube"), (noisy, "noisy cube")]:
     for alpha0 in (0.1, 0.2):
         at_zero = tgv_energy(conn, u, np.zeros_like(jump), alpha1, alpha0)
         at_jump = tgv_energy(conn, u, jump, alpha1, alpha0)
-        best, _ = minimize_tgv(conn, u, alpha1, alpha0, iters=120)
+        best, _ = minimize_tgv(conn, u, alpha1, alpha0)
         seed = min(at_zero, at_jump)
         found = ("the better seed" if best == seed
                  else f"{100 * (1 - best / seed):.1f}% below both seeds")

@@ -31,7 +31,7 @@ save_table(os.path.join(out_dir, "diagnostics.csv"), DIAGNOSTIC_COLUMNS,
 print(f"filtered normals in {result.iterations} sweeps (stopped by {result.stop_reason})")
 print(f"  filtered normal error: {mean_angular_difference(result.normals, n_clean):.2f} deg")
 
-denoised = update_vertices(noisy, result.normals, iters=30)
+denoised = update_vertices(noisy, result.normals)
 n_out = face_normals(denoised)
 errors = face_angle_errors(n_out, n_clean)
 print("rebuilt vertex positions (30 sweeps)")

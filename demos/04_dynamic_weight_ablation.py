@@ -26,7 +26,7 @@ print()
 for sigma_e in (0.5, np.inf):
     params = SolverParams(alpha1=1.0, alpha0=0.1, beta=100.0, sigma_e=sigma_e)
     result = filter_normals(conn, n_noisy, params)
-    out = update_vertices(noisy, result.normals, iters=30)
+    out = update_vertices(noisy, result.normals)
     errors = face_angle_errors(face_normals(out), n_clean)
     label = "with dynamic weights " if sigma_e < np.inf else "weights frozen at 1  "
     print(f"{label}: mean error {errors.mean():5.2f} deg, "

@@ -15,14 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import _format_of, load_mesh, save_mesh, save_table
-from .mesh import MeshError, _checked_count, face_normals
+from .mesh import MeshError, face_normals
 from .metrics import face_angle_errors, mean_angular_difference, vertex_error
 from .noise import MODES, NoiseSpec, add_gaussian_noise, mean_edge_length, vertex_normals
 from .operators import edge_jump, ho_seminorm, tgv_energy, tv_seminorm
 from .reconstruct import update_vertices
 from .solver import (DIAGNOSTIC_COLUMNS, WEIGHT_RANGE, SolverError, SolverParams,
                      filter_normals, minimize_tgv)
-from .synth import make_cube, make_icosphere, make_plane, make_tetrahedron
+from .synth import _SIZE_RANGE, make_cube, make_icosphere, make_plane, make_tetrahedron
 from .topology import build_connectivity
 
 __all__ = ["main"]
@@ -42,15 +42,20 @@ _SOLVER_FLAGS = {name: "--" + name.replace("_", "-") for name in _SOLVER_DEFAULT
 _SOLVER_FLAGS["max_outer_iters"] = "--max-iters"
 
 
+def _flagged(flag, build, **values):
+    """``build(**values)``, its ValueError prefixed with the flag that set
+    the values, so a value out of range is reported as the user typed it."""
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
+
+
 def _solver_params(args, names=tuple(_SOLVER_DEFAULTS)) -> SolverParams:
-    """SolverParams from the parsed ``names``, each checked alone first so
-    that a value out of range is reported with the flag that set it."""
+    """SolverParams from the parsed ``names``, each checked alone first."""
     values = {name: getattr(args, name) for name in names}
     for name, value in values.items():
-        try:
-            SolverParams(**{name: value})
-        except ValueError as exc:
-            raise ValueError(f"{_SOLVER_FLAGS[name]}: {exc}") from exc
+        _flagged(_SOLVER_FLAGS[name], SolverParams, **{name: value})
     return SolverParams(**values)
 
 
@@ -91,8 +96,6 @@ def _build_parser():
     p.add_argument("input", help="noisy mesh (.obj or .off)")
     p.add_argument("-o", "--output", required=True, help="denoised mesh path")
     _add_solver_flags(p)
-    p.add_argument("--vertex-iters", type=int, default=30,
-                   help="vertex update sweeps after filtering, at least 1 (default 30)")
     p.add_argument("--diagnostics", metavar="CSV",
                    help="write per-iteration solver diagnostics here")
     p.add_argument("--ground-truth", metavar="MESH",
@@ -123,8 +126,6 @@ def _build_parser():
     p.set_defaults(alpha1=_SOLVER_DEFAULTS["alpha1"], alpha0=_SOLVER_DEFAULTS["alpha0"])
     p.add_argument("--minimize", action="store_true",
                    help="also search for the minimizing auxiliary field")
-    p.add_argument("--minimize-iters", type=int,
-                   help="with --minimize: sweeps of that search, at least 1 (default 200)")
 
     p = sub.add_parser("gen", help="write a procedural test mesh")
     p.add_argument("--shape", required=True, choices=list(_SHAPES))
@@ -133,7 +134,7 @@ def _build_parser():
                    help="grid divisions (cube/plane, default 10) or subdivision "
                         "level (icosphere, default 3); not for the tetrahedron")
     p.add_argument("--size", type=float, default=1.0,
-                   help="edge length or radius, positive and finite")
+                   help="edge length or radius, in [%g, %g]" % _SIZE_RANGE)
     return parser
 
 
@@ -155,7 +156,6 @@ def _compare(mesh, reference, n_ref, error_map):
 
 def cmd_denoise(args) -> int:
     params = _solver_params(args)
-    _checked_count("--vertex-iters", args.vertex_iters)
     if args.error_map and not args.ground_truth:
         raise ValueError("--error-map requires --ground-truth")
     mesh = load_mesh(args.input)
@@ -169,7 +169,7 @@ def cmd_denoise(args) -> int:
     result = filter_normals(conn, n_in, params)
     if args.diagnostics:
         save_table(args.diagnostics, DIAGNOSTIC_COLUMNS, result.diagnostics)
-    out_mesh = update_vertices(mesh, result.normals, iters=args.vertex_iters)
+    out_mesh = update_vertices(mesh, result.normals)
     save_mesh(out_mesh, args.output)
 
     report = {
@@ -189,7 +189,9 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_add_noise(args) -> int:
-    # the level and the seed are checked before the mesh is read
+    # the level and the seed are checked, each alone, before the mesh is read
+    _flagged("--level", NoiseSpec, level=args.level)
+    _flagged("--seed", NoiseSpec, level=0.0, seed=args.seed)
     spec = NoiseSpec(level=args.level, mode=args.mode, seed=args.seed)
     mesh = load_mesh(args.input)
     # a mesh without faces has no edge length, at any level
@@ -230,13 +232,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_seminorms(args) -> int:
-    # range-checks both weights, as for denoise, and the search's sweeps
-    # before the mesh is read
+    # range-checks both weights, as for denoise, before the mesh is read
     _solver_params(args, ("alpha1", "alpha0"))
-    if args.minimize_iters is not None:
-        if not args.minimize:
-            raise ValueError("--minimize-iters requires --minimize")
-        _checked_count("--minimize-iters", args.minimize_iters)
     mesh = load_mesh(args.input)
     conn = build_connectivity(mesh)
     topo = conn.topo
@@ -254,8 +251,7 @@ def cmd_seminorms(args) -> int:
         "face_count": mesh.num_faces,
     }
     if args.minimize:
-        iters = {} if args.minimize_iters is None else {"iters": args.minimize_iters}
-        energy, _ = minimize_tgv(conn, u, args.alpha1, args.alpha0, **iters)
+        energy, _ = minimize_tgv(conn, u, args.alpha1, args.alpha0)
         report["tgv_minimized"] = energy
     _emit(report)
     return 0

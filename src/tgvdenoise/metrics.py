@@ -152,11 +152,15 @@ def vertex_error(denoised, reference) -> float:
     return float(closest_point_distances(points, reference).mean() / diag)
 
 
-def feature_adjacent_faces(topo, normals, threshold_deg: float = 30.0) -> np.ndarray:
+# Normal angle in degrees above which an edge is a crease; read at each call.
+_CREASE_DEG = 30.0
+
+
+def feature_adjacent_faces(topo, normals) -> np.ndarray:
     """Faces incident to an edge whose two unit face normals differ by more
-    than the threshold angle; used to score errors near sharp creases. The
+    than ``_CREASE_DEG``; used to score errors near sharp creases. The
     edge jump of the normals, +-(n_0 - n_1), has squared length
     2 - 2 cos(angle) on an interior edge and 0 on a boundary edge."""
     jump = edge_jump(topo, normals)
-    sharp = row_dot(jump, jump) > 2.0 - 2.0 * np.cos(np.radians(threshold_deg))
+    sharp = row_dot(jump, jump) > 2.0 - 2.0 * np.cos(np.radians(_CREASE_DEG))
     return np.flatnonzero(np.take(sharp, topo.face_edges).any(axis=1))

@@ -2,16 +2,19 @@
 
 import numpy as np
 
-from .mesh import _check_unit_rows, _checked_count, cross, row_dot
+from .mesh import _check_unit_rows, cross, row_dot
 
 __all__ = ["update_vertices"]
 
+# Sweeps of the projection, Sun et al.'s (2007) fixed count; read at each call.
+_VERTEX_ITERS = 30
 
-def update_vertices(mesh, target_normals, iters: int = 30):
+
+def update_vertices(mesh, target_normals):
     """Iteratively project vertices toward the planes implied by the targets.
 
-    Each sweep moves every vertex by the mean, over its face ring, of the
-    target-normal projection of the centroid offset:
+    Each of ``_VERTEX_ITERS`` sweeps moves every vertex by the mean, over
+    its face ring, of the target-normal projection of the centroid offset:
 
         x += (1/|ring|) * sum_faces n (n . (centroid - x))
 
@@ -22,7 +25,6 @@ def update_vertices(mesh, target_normals, iters: int = 30):
     so nothing is normalized. Connectivity is never changed. The projection
     assumes unit targets: a row not of unit length to 1e-8 raises ValueError.
     """
-    _checked_count("iters", iters)
     n_t = np.asarray(target_normals, dtype=np.float64)
     faces = mesh.faces
     if n_t.shape != (len(faces), 3):
@@ -42,7 +44,7 @@ def update_vertices(mesh, target_normals, iters: int = 30):
     scale = np.divide(1.0, ring_size, out=np.zeros_like(ring_size),
                       where=ring_size > 0)
 
-    for _ in range(iters):
+    for _ in range(_VERTEX_ITERS):
         p = np.take(x, corners, axis=1)                        # (3, corner, T)
         # the same sum and division as a mean over the corners
         centroid = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0         # (3, T)

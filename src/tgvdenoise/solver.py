@@ -58,6 +58,9 @@ _DIRECT_MAX_FACES = 5_000
 _CG_REL_TOL = 1e-5
 _CG_MAX_ITERS = 2000
 
+# Sweeps of minimize_tgv's search; read at each call.
+_MINIMIZE_ITERS = 200
+
 __all__ = [
     "SolverParams", "SolverError", "FilterResult", "edge_weights",
     "normal_system_operator", "v_system_operator",
@@ -258,7 +261,9 @@ def _cg_block(apply_op, precondition, rhs, rel_tol, label, x0=None):
 def _system_matrix(diagonal, r, jumps):
     """diagonal*I + sum of r * B^T B over the ``jumps``' balanced forms B as
     one CSR matrix: an entry and its mirror sum the same products in the
-    same order, so the matrix is symmetric bit for bit."""
+    same order, so the matrix is symmetric bit for bit. Each B^T B is formed
+    in CSR with sorted indices, scaled by r in place and added after B is
+    freed, so no product is converted or copied before the sum."""
     from scipy.sparse import csr_array
 
     n = jumps[0].num_cols
@@ -266,7 +271,11 @@ def _system_matrix(diagonal, r, jumps):
                        shape=(n, n))
     for jump in jumps:
         b = jump.balanced()
-        matrix = matrix + r * (b.T @ b)
+        product = b.T.tocsr() @ b
+        del b
+        product.sort_indices()
+        product.data *= r
+        matrix = matrix + product
     return matrix
 
 
@@ -482,11 +491,11 @@ def filter_normals(conn, n_in, params=None) -> FilterResult:
                         cg_iterations=np.array(cg_iterations, dtype=np.int64))
 
 
-def minimize_tgv(conn, u, alpha1, alpha0, iters=200):
+def minimize_tgv(conn, u, alpha1, alpha0):
     """Approximate the variational second-order semi-norm of a face field:
     the infimum over v of tgv_energy(conn, u, v, alpha1, alpha0).
 
-    Runs ``iters`` (at least 1) of the filter's own sweep steps, and its v
+    Runs ``_MINIMIZE_ITERS`` of the filter's own sweep steps, and its v
     _System, at the filter's default penalties and its ``_CG_REL_TOL``,
     with the face field held fixed as N and sigma_e = inf, so all edge
     weights are 1, tracking the best iterate. Returns (energy, v) at the
@@ -494,7 +503,6 @@ def minimize_tgv(conn, u, alpha1, alpha0, iters=200):
     since each energy is evaluated at the v it is returned with. It may be
     one of the two seeds.
     """
-    _checked_count("iters", iters)
     u = np.asarray(u, dtype=np.float64)
     if not np.isfinite(u).all():
         raise ValueError("u must be finite")
@@ -517,7 +525,7 @@ def minimize_tgv(conn, u, alpha1, alpha0, iters=200):
     if at_jump < best_energy:
         best_energy, best_v = at_jump, jump_u
     v_system = _System(conn, params, "v", channels=u2.shape[1])
-    for _ in range(iters):
+    for _ in range(_MINIMIZE_ITERS):
         e, _ = _split_steps(conn, state, params, v_system, jump_n=jump_u)
         if e < best_energy:
             best_energy, best_v = e, state.v

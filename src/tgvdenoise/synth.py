@@ -14,10 +14,19 @@ from .mesh import TriMesh, _checked_count
 __all__ = ["make_tetrahedron", "make_cube", "make_icosphere", "make_plane"]
 
 
+# The range of every size. A negative size turns a shape inside out, and a
+# face's area is taken from the squared length of its cross product, of the
+# order of size^4: the default shapes make valid meshes from about 1e-78 to
+# 1e76 (1e-300 gave a "degenerate" face, 1e300 an overflow), and these ends
+# leave 25 decades for finer grids.
+_SIZE_RANGE = (1e-50, 1e50)
+
+
 def _checked_size(name, value):
-    """``value``, if positive and finite: a negative size turns a shape inside out."""
-    if not 0 < value < np.inf:
-        raise ValueError(f"{name} must be positive and finite")
+    """``value``, if within ``_SIZE_RANGE``."""
+    lo, hi = _SIZE_RANGE
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be between {lo:g} and {hi:g}")
     return value
 
 

@@ -113,8 +113,10 @@ class Stencil:
         measure-weighted inner products, with the minus-sign convention, so
         <matrix @ x, y>_row = -<x, adjoint @ y>_col."""
         adj = self.matrix.T.tocsr()
-        cols = np.repeat(np.arange(self.num_cols), np.diff(adj.indptr))
-        adj.data *= -self.m_row[adj.indices] / self.m_col[cols]
+        scale = np.take(self.m_row, adj.indices)
+        np.negative(scale, out=scale)
+        scale /= np.repeat(self.m_col, np.diff(adj.indptr))
+        adj.data *= scale
         return adj
 
     def balanced(self):

@@ -217,6 +217,31 @@ def update_vertices_reference(mesh, target_normals, iters=30):
     return x
 
 
+def system_matrix_reference(diagonal, r, jumps):
+    """diagonal*I + sum of r * (B^T @ B) over the jumps' balanced forms,
+    each product through scipy's CSC transpose and scaled into a copy: the
+    form solver._system_matrix must match bit for bit."""
+    from scipy.sparse import csr_array
+
+    n = jumps[0].num_cols
+    matrix = csr_array((np.full(n, diagonal), np.arange(n), np.arange(n + 1)),
+                       shape=(n, n))
+    for jump in jumps:
+        b = jump.balanced()
+        matrix = matrix + r * (b.T @ b)
+    return matrix
+
+
+def adjoint_reference(stencil):
+    """-diag(1/m_col) @ matrix.T @ diag(m_row) with the scale gathered by
+    fancy indexing through a column index per entry: the form
+    Stencil.adjoint must match bit for bit."""
+    adj = stencil.matrix.T.tocsr()
+    cols = np.repeat(np.arange(stencil.num_cols), np.diff(adj.indptr))
+    adj.data *= -stencil.m_row[adj.indices] / stencil.m_col[cols]
+    return adj
+
+
 def format_mesh_reference(mesh, fmt):
     """The OBJ / OFF text as written field by field from numpy scalars, the
     form the record-at-a-time writer in fileio must reproduce byte for byte."""

@@ -57,7 +57,7 @@ def bench():
 def bench_run(bench):
     start = time.monotonic()
     result = filter_normals(bench["conn"], bench["n_noisy"], BENCH_PARAMS)
-    output = update_vertices(bench["noisy"], result.normals, iters=30)
+    output = update_vertices(bench["noisy"], result.normals)
     elapsed = time.monotonic() - start
     return result, output, elapsed
 
@@ -66,7 +66,7 @@ def bench_run(bench):
 def bench_run_unweighted(bench):
     params = SolverParams(alpha1=1.0, alpha0=0.1, beta=100.0, sigma_e=np.inf)
     result = filter_normals(bench["conn"], bench["n_noisy"], params)
-    output = update_vertices(bench["noisy"], result.normals, iters=30)
+    output = update_vertices(bench["noisy"], result.normals)
     return result, output
 
 
@@ -253,7 +253,7 @@ def test_criterion_6_dynamic_weight_ablation(bench, bench_run, bench_run_unweigh
     assert errors_w.mean() < errors_u.mean()
 
     topo_clean = EdgeTopology(bench["clean"])
-    feature = feature_adjacent_faces(topo_clean, n_clean, threshold_deg=30.0)
+    feature = feature_adjacent_faces(topo_clean, n_clean)
     assert len(feature) > 0
     assert errors_w[feature].mean() < errors_u[feature].mean()
     print(f"\n[ACCEPTANCE] 6 dynamic-weight ablation: PASS (theta "

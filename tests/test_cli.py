@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tgvdenoise import SolverParams, load_mesh, solver
+from tgvdenoise import SolverParams, load_mesh, reconstruct, solver
 from tgvdenoise.cli import _build_parser, main
 
 
@@ -282,11 +283,12 @@ DECADES = [f"1e{d}" for d in range(-300, 301, 20)] + ["0", "-1", "inf", "nan"]
 
 
 @pytest.mark.parametrize("option", WEIGHT_OPTIONS + list(TOLERANCE_RANGES))
-def test_denoise_float_option_over_every_decade(capsys, tmp_path, option):
+def test_denoise_float_option_over_every_decade(capsys, tmp_path, monkeypatch, option):
     # 1e-300 to 1e300 every 20 decades, and values no range holds: outside
     # its documented range a value exits 1 with one error line naming the
     # range; inside, the run gives finite output, or, where the system is
     # too ill-conditioned to solve, a solver error; never a warning
+    monkeypatch.setattr(reconstruct, "_VERTEX_ITERS", 1)
     mesh_path, _ = gen(capsys, tmp_path, "cube", "cube.obj", divisions=2)
     noisy, out = tmp_path / "noisy.obj", tmp_path / "out.obj"
     run_cli(capsys, "add-noise", str(mesh_path), "-o", str(noisy), "--level", "0.3")
@@ -294,8 +296,7 @@ def test_denoise_float_option_over_every_decade(capsys, tmp_path, option):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, stdout, err = run_cli(capsys, "denoise", str(noisy), "-o", str(out),
-                                        "--max-iters", "2", "--vertex-iters", "1",
-                                        option, value)
+                                        "--max-iters", "2", option, value)
         if option in WEIGHT_OPTIONS:
             lo, hi = solver.WEIGHT_RANGE
             # inf is the bandwidth's weights-off limit
@@ -314,13 +315,15 @@ def test_denoise_float_option_over_every_decade(capsys, tmp_path, option):
             assert len(err.splitlines()) == 1
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_parameter_defaults():
     """Each (subcommand, flag) of the README's Parameters table and the
     default it states. A row's flags belong to the subcommand that its first
     flag names, denoise if none; a row naming two flags and one default
     gives both that default."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text(encoding="utf-8").split("### Parameters", 1)[1]
+    section = README.read_text(encoding="utf-8").split("### Parameters", 1)[1]
     defaults = {}
     for line in section.strip().split("\n\n", 1)[0].splitlines():
         if line.startswith("| `"):
@@ -339,12 +342,17 @@ def test_readme_states_every_subcommand_default():
     # subcommand, and every option that is not required and has a default
     # or takes a number has a row: the parser's default where it has one
     # ("off" for a switch), which for a solver flag is SolverParams()'s too.
-    # A removed option cannot linger in the README, nor a new one go unlisted
+    # Every --flag the README names anywhere, prose included, is an option
+    # of some subcommand (pip's --no-build-isolation aside). A removed option
+    # cannot linger in the README, nor a new one go unlisted
     stated = _readme_parameter_defaults()
     subcommands = _build_parser()._subparsers._group_actions[0].choices
     options = {(command, flag): action for command, parser in subcommands.items()
                for action in parser._actions for flag in action.option_strings}
     assert set(stated) <= set(options), set(stated) - set(options)
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text(encoding="utf-8")))
+    flags = {flag for _, flag in options} | {"--no-build-isolation"}
+    assert named <= flags, named - flags
     params = asdict(SolverParams())
     for key, action in options.items():
         no_default = action.default in (None, argparse.SUPPRESS)
@@ -363,13 +371,15 @@ def test_readme_states_every_subcommand_default():
 
 @pytest.mark.parametrize("minimize", [False, True], ids=["plain", "minimize"])
 @pytest.mark.parametrize("option", ["--alpha1", "--alpha0"])
-def test_seminorms_float_option_over_every_decade(capsys, tmp_path, option, minimize):
+def test_seminorms_float_option_over_every_decade(capsys, tmp_path, monkeypatch, option,
+                                                  minimize):
     # as for denoise: outside WEIGHT_RANGE one error line and exit 1, inside
     # finite energies and exit 0, never a warning
+    monkeypatch.setattr(solver, "_MINIMIZE_ITERS", 5)
     mesh_path, _ = gen(capsys, tmp_path, "cube", "cube.obj", divisions=2)
     noisy = tmp_path / "noisy.obj"
     run_cli(capsys, "add-noise", str(mesh_path), "-o", str(noisy), "--level", "0.3")
-    extra = ["--minimize", "--minimize-iters", "5"] if minimize else []
+    extra = ["--minimize"] if minimize else []
     lo, hi = solver.WEIGHT_RANGE
     for value in DECADES:
         with warnings.catch_warnings():
@@ -388,40 +398,31 @@ def test_seminorms_float_option_over_every_decade(capsys, tmp_path, option, mini
 
 
 @pytest.mark.parametrize("argv, words", [
-    (["denoise", "missing.obj", "-o", "out.obj", "--vertex-iters", "0"],
-     ["--vertex-iters"]),
     (["seminorms", "missing.obj", "--alpha1", "1e308"], ["--alpha1", "between"]),
     (["seminorms", "missing.obj", "--alpha0", "nan", "--minimize"], ["--alpha0", "between"]),
-    (["seminorms", "missing.obj", "--minimize", "--minimize-iters", "0"],
-     ["--minimize-iters"]),
-    (["seminorms", "missing.obj", "--minimize", "--minimize-iters", "-3"],
-     ["--minimize-iters"]),
     (["denoise", "missing.obj", "-o", "out.obj", "--error-map", "e.csv"],
      ["--error-map", "ground-truth"]),
-    (["add-noise", "missing.obj", "-o", "out.obj", "--level", "nan"], ["finite"]),
-    (["add-noise", "missing.obj", "-o", "out.obj", "--level", "inf"], ["finite"]),
+    (["add-noise", "missing.obj", "-o", "out.obj", "--level", "nan"], ["--level", "finite"]),
+    (["add-noise", "missing.obj", "-o", "out.obj", "--level", "inf"], ["--level", "finite"]),
     (["add-noise", "missing.obj", "-o", "out.obj", "--level", "0.3", "--seed", "-1"],
-     ["seed"]),
+     ["--seed", "seed must be a non-negative integer"]),
     (["denoise", "missing.obj", "-o", "out.obj", "--max-iters", "0"],
      ["--max-iters", "max_outer_iters must be at least 1"]),
     (["denoise", "missing.obj", "-o", "out.obj", "--stop-tol", "0"],
      ["--stop-tol", "stop_tol", "finite"]),
     (["denoise", "missing.obj", "-o", "out.obj", "--sigma-e", "0"],
      ["--sigma-e", "sigma_e", "between", "inf"]),
-    (["seminorms", "missing.obj", "--minimize-iters", "5"],
-     ["--minimize-iters requires --minimize"]),
-], ids=["vertex-iters", "seminorms-alpha1", "seminorms-alpha0", "minimize-iters-0",
-        "minimize-iters-negative", "error-map",
+], ids=["seminorms-alpha1", "seminorms-alpha0", "error-map",
         "add-noise-level-nan", "add-noise-level-inf", "add-noise-seed-negative",
-        "max-iters", "stop-tol", "sigma-e", "minimize-iters-without-minimize"])
+        "max-iters", "stop-tol", "sigma-e"])
 def test_bad_values_fail_before_the_mesh_is_read(capsys, tmp_path, argv, words):
     # the input does not exist, so an error about the value shows that it
-    # was checked first; a range error names the flag as typed and the
-    # library's parameter
+    # was checked first; the error begins with the flag as typed, and a
+    # range error also names the library's parameter
     argv = [str(tmp_path / a) if a.endswith(".obj") else a for a in argv]
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 1 and stdout == ""
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {words[0]}") and len(err.splitlines()) == 1
     assert all(word in err for word in words), err
 
 
@@ -438,10 +439,13 @@ def test_bad_values_fail_before_the_mesh_is_read(capsys, tmp_path, argv, words):
     ("icosphere", ["--size", "nan", "--divisions", "1"], "radius"),
     ("tetrahedron", ["--divisions", "-3"], "does not apply"),
     ("tetrahedron", ["--divisions", "2"], "does not apply"),
+    ("cube", ["--size", "1e-300"], "size must be between"),
+    ("icosphere", ["--size", "1e300"], "radius must be between"),
 ])
 def test_gen_bad_shape_arguments_fail_before_a_mesh_is_built(capsys, tmp_path, shape,
                                                              args, message):
-    # a negative size would write the closed shapes inside out, and a
+    # a negative size would write the closed shapes inside out, a size of
+    # 1e-300 a degenerate mesh and one of 1e300 overflowing areas, and a
     # division count below the shape's least a degenerate mesh or a numpy
     # error; the tetrahedron has no divisions to set. The error names the
     # builder's parameter and the flag as typed, which each case gives first
@@ -567,15 +571,34 @@ def test_denoise_solver_failure_exits_2(capsys, tmp_path, monkeypatch):
         assert "solver error" in err
 
 
-def test_denoise_has_no_cg_tol_option(capsys, tmp_path):
-    # the inner solves' tolerance is the constant solver._CG_REL_TOL
+def _usage_error(capsys, argv):
+    """The one error line of a command line that the parser rejects, with
+    exit code 1 and nothing on stdout."""
     with pytest.raises(SystemExit) as exc:
-        main(["denoise", str(tmp_path / "in.obj"), "-o", str(tmp_path / "out.obj"),
-              "--cg-tol", "1e-5"])
+        main(argv)
     captured = capsys.readouterr()
     assert exc.value.code == 1 and captured.out == ""
     errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and "--cg-tol" in errors[0]
+    assert len(errors) == 1
+    return errors[0]
+
+
+def test_denoise_has_no_cg_tol_option(capsys, tmp_path):
+    # the inner solves' tolerance is the constant solver._CG_REL_TOL
+    assert "--cg-tol" in _usage_error(capsys, [
+        "denoise", str(tmp_path / "in.obj"), "-o", str(tmp_path / "out.obj"),
+        "--cg-tol", "1e-5"])
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["denoise", "IN", "-o", "OUT", "--vertex-iters", "30"], "--vertex-iters"),
+    (["seminorms", "IN", "--minimize", "--minimize-iters", "5"], "--minimize-iters"),
+], ids=["vertex-iters", "minimize-iters"])
+def test_removed_iteration_options_are_rejected(capsys, tmp_path, argv, option):
+    # the sweeps of the vertex update and of the TGV search are the constants
+    # reconstruct._VERTEX_ITERS and solver._MINIMIZE_ITERS
+    paths = {"IN": str(tmp_path / "in.obj"), "OUT": str(tmp_path / "out.obj")}
+    assert option in _usage_error(capsys, [paths.get(arg, arg) for arg in argv])
 
 
 def test_seminorms_flat_plane_all_zero(capsys, tmp_path):
@@ -599,10 +622,10 @@ def test_seminorms_cube_support_is_the_creases(capsys, tmp_path):
     assert info["tv_support_edges"] == 12 * divisions
 
 
-def test_seminorms_minimize_is_below_both_bounds(capsys, tmp_path):
+def test_seminorms_minimize_is_below_both_bounds(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(solver, "_MINIMIZE_ITERS", 40)
     mesh_path, _ = gen(capsys, tmp_path, "cube", "cube.obj", divisions=2)
-    code, out, _ = run_cli(capsys, "seminorms", str(mesh_path),
-                           "--minimize", "--minimize-iters", "40")
+    code, out, _ = run_cli(capsys, "seminorms", str(mesh_path), "--minimize")
     assert code == 0
     info = json.loads(out)
     assert info["tgv_minimized"] <= min(info["tgv_at_zero_v"], info["tgv_at_jump_v"]) + 1e-12

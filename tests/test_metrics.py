@@ -236,7 +236,7 @@ def test_feature_adjacent_faces_on_cube():
     mesh = make_cube(3)
     topo = EdgeTopology(mesh)
     n = face_normals(mesh)
-    feat = set(feature_adjacent_faces(topo, n, threshold_deg=30.0).tolist())
+    feat = set(feature_adjacent_faces(topo, n).tolist())
     # oracle: walk all interior edges and collect faces at sharp creases
     expected = set()
     for row in dense_edge_jump(mesh):
@@ -266,7 +266,7 @@ def _folded_plane(degrees):
 
 @pytest.mark.parametrize("degrees", [20.0, 40.0])
 def test_feature_adjacent_faces_on_a_folded_plane(degrees):
-    # at the default 30 degree threshold a 20 degree fold is no crease and a
+    # at the 30 degree _CREASE_DEG a 20 degree fold is no crease and a
     # 40 degree fold marks exactly the faces on either side of it; the
     # plane's boundary edges, whose second face is missing, mark nothing
     mesh, fold_faces = _folded_plane(degrees)

@@ -4,7 +4,7 @@ import pytest
 from tgvdenoise import (NoiseSpec, SolverParams, TriMesh, add_gaussian_noise,
                         build_connectivity, face_normals, filter_normals,
                         make_cube, make_icosphere, mean_angular_difference,
-                        update_vertices)
+                        reconstruct, update_vertices)
 from tgvdenoise.synth import make_plane
 
 from oracles import projection_residual, update_vertices_reference
@@ -21,7 +21,7 @@ def _rotation(axis, angle):
 
 def test_planar_mesh_is_a_fixed_point():
     mesh = make_plane(5, 5)
-    out = update_vertices(mesh, face_normals(mesh), iters=30)
+    out = update_vertices(mesh, face_normals(mesh))
     assert np.abs(out.vertices - mesh.vertices).max() < 1e-9
 
 
@@ -29,22 +29,6 @@ def test_connectivity_never_changes():
     mesh = make_cube(3)
     out = update_vertices(mesh, face_normals(mesh))
     assert out.faces is mesh.faces or np.array_equal(out.faces, mesh.faces)
-
-
-def test_iters_must_be_positive():
-    mesh = make_plane(2, 2)
-    with pytest.raises(ValueError, match="iters"):
-        update_vertices(mesh, face_normals(mesh), iters=0)
-
-
-def test_iters_must_be_an_integer():
-    mesh = make_plane(2, 2)
-    with pytest.raises(ValueError, match="iters must be an integer"):
-        update_vertices(mesh, face_normals(mesh), iters=2.5)
-    # numpy integers count as integers
-    targets = face_normals(mesh)
-    out = update_vertices(mesh, targets, iters=np.int32(2))
-    assert np.array_equal(out.vertices, update_vertices(mesh, targets, iters=2).vertices)
 
 
 def test_shape_mismatch_rejected():
@@ -78,19 +62,20 @@ def test_flat_quad_reaches_tilted_targets():
         _rotation(diagonal, +tilt) @ n[0],
         _rotation(diagonal, -tilt) @ n[1],
     ])
-    out = update_vertices(mesh, targets, iters=30)
+    out = update_vertices(mesh, targets)
     angles = np.arccos(np.clip((face_normals(out) * targets).sum(axis=1), -1, 1))
     assert angles.max() < 1e-3  # radians
 
 
-def test_residual_is_monotone_over_sweeps():
+def test_residual_is_monotone_over_sweeps(monkeypatch):
+    monkeypatch.setattr(reconstruct, "_VERTEX_ITERS", 1)
     clean = make_cube(4, size=0.05)
     noisy = add_gaussian_noise(clean, NoiseSpec(0.25, mode="vertex-normal", seed=2))
     targets = face_normals(clean)
     mesh = noisy
     residuals = [projection_residual(mesh, targets)]
     for _ in range(30):
-        mesh = update_vertices(mesh, targets, iters=1)
+        mesh = update_vertices(mesh, targets)
         residuals.append(projection_residual(mesh, targets))
     assert all(b <= a + 1e-15 for a, b in zip(residuals, residuals[1:]))
     assert residuals[-1] < 0.1 * residuals[0]
@@ -102,17 +87,18 @@ def test_update_improves_agreement_with_filtered_normals():
     conn = build_connectivity(noisy)
     result = filter_normals(conn, face_normals(noisy), SolverParams(max_outer_iters=50))
     before = mean_angular_difference(face_normals(noisy), result.normals)
-    out = update_vertices(noisy, result.normals, iters=30)
+    out = update_vertices(noisy, result.normals)
     after = mean_angular_difference(face_normals(out), result.normals)
     assert after < before
 
 
-def test_jacobi_update_is_deterministic():
+def test_jacobi_update_is_deterministic(monkeypatch):
+    monkeypatch.setattr(reconstruct, "_VERTEX_ITERS", 10)
     clean = make_cube(3)
     noisy = add_gaussian_noise(clean, NoiseSpec(0.2, seed=9))
     targets = face_normals(clean)
-    a = update_vertices(noisy, targets, iters=10)
-    b = update_vertices(noisy, targets, iters=10)
+    a = update_vertices(noisy, targets)
+    b = update_vertices(noisy, targets)
     assert np.array_equal(a.vertices, b.vertices)
 
 
@@ -157,7 +143,7 @@ def _in_plane_target_plane():
                                   _preview_sphere, _in_plane_target_plane])
 def test_update_matches_row_gather_reference_bit_for_bit(case):
     mesh, targets = case()
-    out = update_vertices(mesh, targets, iters=30)
+    out = update_vertices(mesh, targets)
     assert np.array_equal(out.vertices, update_vertices_reference(mesh, targets, iters=30))
 
 

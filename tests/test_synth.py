@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tgvdenoise import synth
+from tgvdenoise.mesh import face_areas
 from tgvdenoise.synth import make_cube, make_icosphere, make_plane, make_tetrahedron
 
 _BUILDERS = {"plane": make_plane, "cube": make_cube, "icosphere": make_icosphere}
@@ -100,9 +101,22 @@ def test_builders_take_numpy_integer_counts(builder, args, faces):
     (lambda radius: make_icosphere(1, radius=radius), "radius"),
     (lambda size: make_plane(2, 2, size=size), "size"),
 ], ids=["tetrahedron", "cube", "icosphere", "plane"])
-@pytest.mark.parametrize("value", [-1.0, 0.0, np.inf, np.nan])
+@pytest.mark.parametrize("value", [-1.0, 0.0, np.inf, np.nan, 1e-300, 1e300])
 def test_builders_reject_sizes_that_are_not_positive_and_finite(builder, name, value):
     # a negative size turned the closed shapes inside out: every face normal
-    # pointed toward the centroid, against the outward orientation promised
-    with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+    # pointed toward the centroid, against the outward orientation promised;
+    # 1e-300 made a degenerate mesh and 1e300 one whose areas overflow
+    with pytest.raises(ValueError, match=f"^{name} must be between 1e-50 and 1e\\+50$"):
         builder(value)
+
+
+@pytest.mark.parametrize("size", synth._SIZE_RANGE)
+@pytest.mark.parametrize("builder", [
+    make_tetrahedron, lambda size: make_cube(40, size=size),
+    lambda size: make_icosphere(5, radius=size), lambda size: make_plane(40, 30, size=size),
+], ids=["tetrahedron", "cube", "icosphere", "plane"])
+def test_builders_make_valid_meshes_at_both_ends_of_the_size_range(builder, size):
+    # the constructor's area check passes, and every area is a positive
+    # normal float, on grids finer than the defaults
+    areas = face_areas(builder(size))
+    assert (areas >= np.finfo(np.float64).tiny).all() and np.isfinite(areas).all()
